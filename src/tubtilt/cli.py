@@ -38,13 +38,58 @@ from .verify import SUITE_ORDER, run_suite
 from .weights import make_weights
 
 
+class UsageError(TubTiltError):
+    """Malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that they leave a JSON diagnostic and exit 2."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _arg_type(parse):
+    """An argparse type whose ValueError message becomes the usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+
+    return convert
+
+
+def _weight_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+
+    return _arg_type(parse)
+
+
+def _slope_window(text: str) -> tuple[Slope, Slope]:
+    if ".." not in text:
+        raise ValueError("slope window must look like LO..HI")
+    lo, hi = text.split("..", 1)
+    return Slope.parse(lo), Slope.parse(hi)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tubtilt",
         description="Exact tilting-mutation engine for tubular weighted projective lines",
     )
     parser.add_argument(
         "--weights",
+        type=_arg_type(_weight_list),
         help="comma-separated weight sequence, e.g. 2,2,2,2 (defaults to the "
         "weights stored in an input file when one is given)",
     )
@@ -63,23 +108,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", required=True, help="summand index or object expression")
 
     p = sub.add_parser("walk", help="random mutation walk from the canonical bundle")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bundle-only", action="store_true")
 
     p = sub.add_parser("connect", help="mutation path to another tilting bundle")
     p.add_argument("tilting", help="JSON file or expression")
     p.add_argument("--to", default="canonical", help="'canonical', a file, or an expression")
-    p.add_argument("--max-nodes", type=int, default=SearchBudget().max_nodes)
+    p.add_argument("--max-nodes", type=_at_least(1), default=SearchBudget().max_nodes)
 
     p = sub.add_parser("purge", help="mutate away all torsion summands")
     p.add_argument("tilting", help="JSON file or expression")
 
     p = sub.add_parser("chart", help="print the tube chart at a slope")
-    p.add_argument("--slope", required=True, help="slope literal: inf, m, or a/b")
+    p.add_argument(
+        "--slope",
+        type=_arg_type(Slope.parse),
+        required=True,
+        help="slope literal: inf, m, or a/b",
+    )
 
     p = sub.add_parser("graph", help="explore a neighborhood and export DOT")
-    p.add_argument("--slope-window", required=True, help="LO..HI slope window")
+    p.add_argument(
+        "--slope-window",
+        type=_arg_type(_slope_window),
+        required=True,
+        help="LO..HI slope window",
+    )
     p.add_argument("--max-nodes", type=int, required=True)
     p.add_argument("--dot", required=True, help="output DOT file")
     p.add_argument("--from", dest="start", default="Tcan", help="start tilting")
@@ -95,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _context(args) -> K0Context:
     if args.weights is None:
         raise ValidationError("--weights is required for this command")
-    ctx = build_context(make_weights(int(x) for x in args.weights.split(",")))
+    ctx = build_context(make_weights(args.weights))
     _load_cache(ctx, args)
     return ctx
 
@@ -125,7 +180,7 @@ def _load_tilting(args, spec: str) -> tuple[K0Context, TiltingObject]:
             data = json.load(fh)
         ctx = None
         if args.weights is not None:
-            ctx = build_context(make_weights(int(x) for x in args.weights.split(",")))
+            ctx = build_context(make_weights(args.weights))
         ctx, t = serialize.tilting_from_dict(data, ctx)
         _load_cache(ctx, args)
         return ctx, t
@@ -232,7 +287,7 @@ def _cmd_purge(args) -> int:
 
 def _cmd_chart(args) -> int:
     ctx = _context(args)
-    chart = chart_for(ctx, Slope.parse(args.slope))
+    chart = chart_for(ctx, args.slope)
     print(serialize.dumps(serialize.chart_to_dict(ctx, chart)))
     _save_cache(ctx, args)
     return 0
@@ -240,11 +295,7 @@ def _cmd_chart(args) -> int:
 
 def _cmd_graph(args) -> int:
     ctx, start = _load_tilting(args, args.start)
-    window = args.slope_window
-    if ".." not in window:
-        raise ValidationError("slope window must look like LO..HI")
-    lo_s, hi_s = window.split("..", 1)
-    lo, hi = Slope.parse(lo_s), Slope.parse(hi_s)
+    lo, hi = args.slope_window
     nodes, edges = explore_graph(ctx, start, lo, hi, args.max_nodes)
     with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(export_dot(ctx, nodes, edges))
@@ -280,22 +331,15 @@ def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         return _COMMANDS[args.command](args)
-    except NonTubularWeights as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
+    except SystemExit as exc:  # --help
+        return 2 if exc.code not in (0, None) else 0
     except TubTiltError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
-        return 1
+        return 2 if isinstance(exc, (UsageError, NonTubularWeights)) else 1
 
 
 def main() -> None:

@@ -19,9 +19,10 @@ import heapq
 import logging
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
+from typing import Any, Callable
 
 from .errors import (
     BasisMismatch,
@@ -31,7 +32,7 @@ from .errors import (
     PreconditionError,
 )
 from .intmat import is_primitive
-from .k0 import K0Class, K0Context, line_bundle_class, rank_of
+from .k0 import K0Context, line_bundle_class, rank_of
 from .slopes import INF, Slope
 from .tilting import (
     MutationEvent,
@@ -77,12 +78,10 @@ class FareyStep:
 @dataclass(frozen=True)
 class SearchBudget:
     max_nodes: int = 400_000
-    max_slope_denominator: int = 64
     max_seconds: float | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.max_slope_denominator <= 0:
+        if self.max_nodes <= 0:
             raise ValueError("budget limits must be positive")
 
 
@@ -285,13 +284,13 @@ def _slope_ceil(s: Slope) -> int:
     return -((-s.num) // s.den)
 
 
-def _pool_slopes(ctx: K0Context, seed: list[ExcObject], round_: int, budget: SearchBudget) -> list[Slope]:
+def _pool_slopes(seed: list[ExcObject], round_: int) -> list[Slope]:
     finite = sorted(s.slope for s in seed if not s.slope.is_infinite)
     lo = finite[0].floor() - (round_ + 1) // 2
     hi = _slope_ceil(finite[-1]) + (round_ + 2) // 2
     if hi == lo:
         hi += 1
-    den_cap = min(2 + round_, budget.max_slope_denominator)
+    den_cap = 2 + round_
     slopes: set[Slope] = {s.slope for s in seed}
     for b in range(1, den_cap + 1):
         for num in range(lo * b, hi * b + 1):
@@ -301,20 +300,6 @@ def _pool_slopes(ctx: K0Context, seed: list[ExcObject], round_: int, budget: Sea
     )
     ordered.append(INF)
     return ordered
-
-
-def _chart_windows(ctx: K0Context, q: Slope) -> list[ExcObject]:
-    chart = chart_for(ctx, q)
-    out = []
-    for t, orbit in enumerate(chart.orbits):
-        r = len(orbit)
-        for socle in range(r):
-            vec = [0] * ctx.n
-            for length in range(1, r):
-                for idx, xx in enumerate(orbit[(socle + length - 1) % r].vec):
-                    vec[idx] += xx
-                out.append(ExcObject(K0Class(tuple(vec)), q, t, socle, length))
-    return out
 
 
 def completion_containing(
@@ -342,10 +327,10 @@ def completion_containing(
     seed_vecs = {x.cls.vec for x in seed}
     for round_ in range(10):
         pool = [
-            o
-            for q in _pool_slopes(ctx, seed, round_, budget)
-            for o in _chart_windows(ctx, q)
-            if o.cls.vec not in seed_vecs
+            ExcObject(cls, q, orbit, socle, length)
+            for q in _pool_slopes(seed, round_)
+            for orbit, socle, length, cls in chart_for(ctx, q).windows()
+            if cls.vec not in seed_vecs
         ]
         found = _complete_dfs(ctx, seed, pool, clock)
         if found is not None:
@@ -430,61 +415,44 @@ def _reconstruct(
     return path
 
 
-def _astar_fixed(
+def _best_first(
     ctx: K0Context,
-    a: TiltingObject,
-    b: TiltingObject,
+    start: TiltingObject,
     fixed_vec: tuple[int, ...] | None,
     clock: _Clock,
+    priority: Callable[[TiltingObject, int], Any],
+    is_goal: Callable[[TiltingObject], bool],
 ) -> MutationPath:
-    """Guided bundle path a -> b avoiding mutation at fixed_vec.
+    """Best-first bundle path from start to a goal, avoiding mutation at
+    fixed_vec.
 
-    A* with the admissible heuristic |summands of a node not in b|;
-    every mutation changes exactly one summand, so the heuristic is
-    consistent.  Ties prefer deeper nodes, which walks straight through
-    heuristic plateaus when a greedy exchange path exists.
+    The frontier is ordered by priority(node, depth), ties by insertion
+    order.  A node reached again at a smaller depth is re-opened, so an
+    A* priority with a consistent heuristic keeps its guarantees.
     """
-    goal_key = b.class_key()
-    if a.class_key() == goal_key:
-        return MutationPath.single(a)
-    target = set(goal_key)
-
-    def h(t: TiltingObject) -> int:
-        return sum(1 for v in t.class_key() if v not in target)
-
-    start_key = a.class_key()
-    states = {start_key: a}
+    if is_goal(start):
+        return MutationPath.single(start)
+    start_key = start.class_key()
+    states = {start_key: start}
     parents: dict = {}
-    gscore = {start_key: 0}
+    depth = {start_key: 0}
     counter = 0
-    heap = [(h(a), 0, counter, start_key)]
+    heap = [(priority(start, 0), counter, start_key)]
     while heap:
-        _, _, _, key = heapq.heappop(heap)
-        t = states[key]
-        g = gscore[key]
-        for t2, ev in _neighbors(ctx, t, fixed_vec, clock):
+        _, _, key = heapq.heappop(heap)
+        g = depth[key]
+        for t2, ev in _neighbors(ctx, states[key], fixed_vec, clock):
             k2 = t2.class_key()
-            if gscore.get(k2, 1 << 60) <= g + 1:
+            if k2 in depth and depth[k2] <= g + 1:
                 continue
-            gscore[k2] = g + 1
+            depth[k2] = g + 1
             states[k2] = t2
             parents[k2] = (key, ev)
-            if k2 == goal_key:
+            if is_goal(t2):
                 return _reconstruct(parents, start_key, k2, states)
             counter += 1
-            heapq.heappush(heap, (g + 1 + h(t2), -(g + 1), counter, k2))
-    raise BudgetExhausted("stratum search frontier emptied unexpectedly")
-
-
-def _flip(ev: MutationEvent, src: TiltingObject) -> MutationEvent:
-    """The same exchange read in the opposite direction, indexed in src."""
-    return MutationEvent(
-        index=src.index_of(ev.added),
-        removed=ev.added,
-        added=ev.removed,
-        direction="R" if ev.direction == "L" else "L",
-        approx_class=ev.approx_class,
-    )
+            heapq.heappush(heap, (priority(t2, g + 1), counter, k2))
+    raise BudgetExhausted("best-first search frontier emptied unexpectedly")
 
 
 def _bidir_fixed(
@@ -507,25 +475,6 @@ def _bidir_fixed(
     par_a: dict = {ka: None}
     par_b: dict = {kb: None}
     front_a, front_b = [ka], [kb]
-
-    def assemble(meet) -> MutationPath:
-        fwd = []
-        key = meet
-        while par_a[key] is not None:
-            prev_key, ev = par_a[key]
-            fwd.append((states[key], ev))
-            key = prev_key
-        path = MutationPath.single(a)
-        for node, ev in reversed(fwd):
-            path.extend(node, ev)
-        key = meet
-        while par_b[key] is not None:
-            nxt_key, ev = par_b[key]
-            # ev mutates states[nxt_key] -> states[key]; flip it
-            path.extend(states[nxt_key], _flip(ev, states[key]))
-            key = nxt_key
-        return path
-
     while front_a and front_b:
         if len(front_a) <= len(front_b):
             front, par, other = front_a, par_a, par_b
@@ -543,7 +492,9 @@ def _bidir_fixed(
                 states[k2] = t2
                 par[k2] = (key, ev)
                 if k2 in other:
-                    return assemble(k2)
+                    to_meet = _reconstruct(par_a, ka, k2, states)
+                    from_meet = _reconstruct(par_b, kb, k2, states).reversed()
+                    return to_meet.concat(from_meet)
                 nxt.append(k2)
         if forward:
             front_a = nxt
@@ -585,21 +536,27 @@ def _normalize_extremal(
     budget: SearchBudget,
     minimal: bool,
 ) -> MutationPath:
+    # Best-first on (blocker count, slope deficit, depth): greedy progress
+    # matches guided APR/co-APR mutation, and because the frontier keeps
+    # every expanded alternative, stagnation degrades into a plain
+    # breadth-style sweep instead of looping.
+    goal = only_minimal if minimal else only_maximal
+
+    def is_goal(node: TiltingObject) -> bool:
+        g = goal(ctx, node)
+        return g is not None and node.summands[g].cls.vec == x.cls.vec
+
+    def priority(node: TiltingObject, depth: int):
+        return (_extremal_score(ctx, node, x, minimal), depth)
+
     lo, hi = slope_range(ctx, t)
     easy = (x.slope < hi) if minimal else (lo < x.slope)
     if easy:
         # guided mutation raises (resp. lowers) the blocking summands and
         # stays inside a finite region, so a capped attempt usually lands
-        quick = _Clock(
-            SearchBudget(
-                max_nodes=min(20_000, budget.max_nodes),
-                max_slope_denominator=budget.max_slope_denominator,
-                max_seconds=budget.max_seconds,
-                seed=budget.seed,
-            )
-        )
+        quick = _Clock(replace(budget, max_nodes=min(20_000, budget.max_nodes)))
         try:
-            return _extremal_search(ctx, t, x, quick, minimal)
+            return _best_first(ctx, t, x.cls.vec, quick, priority, is_goal)
         except BudgetExhausted:
             pass
     # The protected summand sits on the extreme slope tier (or the quick
@@ -608,7 +565,7 @@ def _normalize_extremal(
     y = _rigid_partner_beyond(ctx, x, above=minimal)
     t2 = completion_containing(ctx, [x, y], budget)
     p1 = _bidir_fixed(ctx, t, t2, x.cls.vec, clock)
-    p2 = _extremal_search(ctx, t2, x, clock, minimal)
+    p2 = _best_first(ctx, t2, x.cls.vec, clock, priority, is_goal)
     return p1.concat(p2)
 
 
@@ -627,53 +584,6 @@ def _extremal_score(ctx: K0Context, t: TiltingObject, x: ExcObject, minimal: boo
     return (blockers, deficit)
 
 
-def _extremal_search(
-    ctx: K0Context,
-    t: TiltingObject,
-    x: ExcObject,
-    clock: _Clock,
-    minimal: bool,
-) -> MutationPath:
-    """Best-first search on (blocker count, slope deficit).
-
-    Greedy progress matches guided APR/co-APR mutation; because the
-    frontier keeps every expanded alternative, stagnation degrades into
-    a plain breadth-style sweep instead of looping.
-    """
-    goal = only_minimal if minimal else only_maximal
-
-    def is_goal(node: TiltingObject) -> bool:
-        g = goal(ctx, node)
-        return g is not None and node.summands[g].cls.vec == x.cls.vec
-
-    if is_goal(t):
-        return MutationPath.single(t)
-    start_key = t.class_key()
-    states = {start_key: t}
-    parents: dict = {}
-    seen = {start_key}
-    counter = 0
-    heap = [(_extremal_score(ctx, t, x, minimal), 0, counter, start_key)]
-    while heap:
-        score, depth, _, key = heapq.heappop(heap)
-        node = states[key]
-        for t2, ev in _neighbors(ctx, node, x.cls.vec, clock):
-            k2 = t2.class_key()
-            if k2 in seen:
-                continue
-            seen.add(k2)
-            states[k2] = t2
-            parents[k2] = (key, ev)
-            if is_goal(t2):
-                return _reconstruct(parents, start_key, k2, states)
-            counter += 1
-            heapq.heappush(
-                heap,
-                (_extremal_score(ctx, t2, x, minimal), depth + 1, counter, k2),
-            )
-    raise BudgetExhausted("extremal normalization frontier emptied")
-
-
 def connect_shared(
     ctx: K0Context,
     t: TiltingObject,
@@ -683,10 +593,10 @@ def connect_shared(
 ) -> MutationPath:
     """Bundle path t -> t2 through nodes all containing `shared`.
 
-    Tries a direct guided search first; if that exhausts its slice of
-    the budget, both ends are normalized so the shared object is the
-    unique minimal summand and the remainder is searched in the
-    normalized stratum.
+    Tries a guided A* search first, then a bidirectional breadth
+    search, each on its own slice of the budget; if both exhaust it,
+    both ends are normalized so the shared object is the unique minimal
+    summand and the remainder is searched in the normalized stratum.
     """
     if shared.len != 1:
         raise PreconditionError("shared summand must be quasi-simple")
@@ -698,26 +608,30 @@ def connect_shared(
     if t.class_key() == t2.class_key():
         return MutationPath.single(t)
 
-    quick = SearchBudget(
-        max_nodes=min(4000, budget.max_nodes),
-        max_slope_denominator=budget.max_slope_denominator,
-        max_seconds=budget.max_seconds,
-        seed=budget.seed,
-    )
+    # A* with the admissible heuristic |summands of a node not in t2|;
+    # every mutation changes exactly one summand, so the heuristic is
+    # consistent.  Ties prefer deeper nodes, which walks straight through
+    # heuristic plateaus when a greedy exchange path exists.
+    goal_key = t2.class_key()
+    target = set(goal_key)
+
+    def priority(node: TiltingObject, depth: int):
+        h = sum(1 for v in node.class_key() if v not in target)
+        return (depth + h, -depth)
+
+    def is_goal(node: TiltingObject) -> bool:
+        return node.class_key() == goal_key
+
+    quick = _Clock(replace(budget, max_nodes=min(4000, budget.max_nodes)))
     try:
-        return _astar_fixed(ctx, t, t2, shared.cls.vec, _Clock(quick))
+        return _best_first(ctx, t, shared.cls.vec, quick, priority, is_goal)
     except BudgetExhausted:
         pass
 
     # meet-in-the-middle inside the stratum of bundles containing `shared`
-    half = SearchBudget(
-        max_nodes=max(1, budget.max_nodes // 2),
-        max_slope_denominator=budget.max_slope_denominator,
-        max_seconds=budget.max_seconds,
-        seed=budget.seed,
-    )
+    half = _Clock(replace(budget, max_nodes=max(1, budget.max_nodes // 2)))
     try:
-        return _bidir_fixed(ctx, t, t2, shared.cls.vec, _Clock(half))
+        return _bidir_fixed(ctx, t, t2, shared.cls.vec, half)
     except BudgetExhausted:
         pass
 

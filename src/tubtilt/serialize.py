@@ -92,8 +92,8 @@ def event_to_dict(ev: MutationEvent) -> dict:
 
 
 def event_from_dict(ctx: K0Context, data: Any) -> MutationEvent:
-    if not isinstance(data, dict):
-        raise ValidationError("event record must be a dict")
+    if not isinstance(data, dict) or not {"k", "removed", "added", "dir"} <= data.keys():
+        raise ValidationError("event record needs 'k', 'removed', 'added' and 'dir'")
     removed = exc_from_class(ctx, class_from_list(ctx, data["removed"]))
     added = exc_from_class(ctx, class_from_list(ctx, data["added"]))
     if data.get("dir") not in ("L", "R"):

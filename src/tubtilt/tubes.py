@@ -5,8 +5,8 @@ orthogonal standard tubes whose ranks are the weights.  A chart stores
 the quasi-simple classes of these tubes as tau-orbits; every
 exceptional object of slope q is then a window of consecutive
 quasi-simples (socle position, quasi-length), and hom/ext dimensions
-reduce to Euler pairings across slopes plus a small linear-algebra
-oracle inside a single tube.
+reduce to Euler pairings across slopes plus a closed-form count
+inside a single tube.
 
 Orbit conventions: position k + 1 is the tau-preimage of position k,
 so a window starting at the socle ascends through positions
@@ -17,14 +17,14 @@ class vector of the orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Iterator
 
 from .errors import (
     ChartInconsistent,
     InternalConsistencyError,
     NotExceptionalHere,
 )
-from .intmat import mat_vec, rank as mat_rank
+from .intmat import mat_vec
 from .k0 import (
     K0Class,
     K0Context,
@@ -59,6 +59,18 @@ class TubeChart:
 
     def quasi_simple_count(self) -> int:
         return sum(len(o) for o in self.orbits)
+
+    def windows(self) -> Iterator[tuple[int, int, int, K0Class]]:
+        """(orbit, socle, length, class) of every exceptional window, by
+        orbit, then socle, then quasi-length 1..rank-1."""
+        for t, orbit in enumerate(self.orbits):
+            r = len(orbit)
+            for socle in range(r):
+                vec = [0] * len(orbit[0].vec)
+                for length in range(1, r):
+                    for idx, x in enumerate(orbit[(socle + length - 1) % r].vec):
+                        vec[idx] += x
+                    yield t, socle, length, K0Class(tuple(vec))
 
 
 @dataclass(frozen=True)
@@ -200,23 +212,18 @@ def check_chart_invariants(ctx: K0Context, chart: TubeChart) -> None:
 def _validate_chart(ctx: K0Context, chart: TubeChart, roots) -> None:
     check_chart_invariants(ctx, chart)
     # Realizability: every root must be a window of quasi-length <= rank-1.
+    windows = {cls.vec for *_, cls in chart.windows()}
     for c in roots:
-        if _find_window(chart, c) is None:
+        if c.vec not in windows:
             raise ChartInconsistent(
                 f"root {c.vec} at slope {chart.slope} is not a chart window"
             )
 
 
 def _find_window(chart: TubeChart, c: K0Class) -> tuple[int, int, int] | None:
-    for t, orb in enumerate(chart.orbits):
-        r = len(orb)
-        for socle in range(r):
-            vec = [0] * len(c.vec)
-            for length in range(1, r):
-                for idx, x in enumerate(orb[(socle + length - 1) % r].vec):
-                    vec[idx] += x
-                if tuple(vec) == c.vec:
-                    return (t, socle, length)
+    for t, socle, length, cls in chart.windows():
+        if cls.vec == c.vec:
+            return (t, socle, length)
     return None
 
 
@@ -291,51 +298,18 @@ def line_bundle_obj(ctx: K0Context, v: LElement) -> ExcObject:
 # -- the in-tube oracle ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _tube_hom(r: int, s1: int, l1: int, s2: int, l2: int) -> int:
-    """Hom dimension between serial objects of a rank-r stable tube.
-
-    Brute force: model both objects as nilpotent representations of the
-    cyclic quiver with r vertices and arrows v -> v-1 (towards the
-    socle), then count solutions of the intertwining equations.
-    """
-
-    def basis(s: int, ln: int) -> list[list[int]]:
-        verts: list[list[int]] = [[] for _ in range(r)]
-        for k in range(ln):
-            verts[(s + k) % r].append(k)
-        return verts
-
-    b1, b2 = basis(s1, l1), basis(s2, l2)
-    unknowns: dict[tuple[int, int, int], int] = {}
-    for v in range(r):
-        for i in b2[v]:
-            for j in b1[v]:
-                unknowns[(v, i, j)] = len(unknowns)
-    if not unknowns:
-        return 0
-    rows: list[list[int]] = []
-    for v in range(r):
-        # arrow v -> v-1 acts as k |-> k-1 on both modules
-        for j in b1[v]:
-            for i in b2[(v - 1) % r]:
-                row = [0] * len(unknowns)
-                # (phi_{v-1} . beta1)(e_j) coefficient on target basis i
-                if j - 1 in b1[(v - 1) % r]:
-                    row[unknowns[((v - 1) % r, i, j - 1)]] += 1
-                # (beta2 . phi_v)(e_j) coefficient on target basis i
-                if i + 1 in b2[v]:
-                    row[unknowns[(v, i + 1, j)]] -= 1
-                if any(row):
-                    rows.append(row)
-    return len(unknowns) - mat_rank(rows)
-
-
 def tube_hom_oracle(r: int, w1: Window, w2: Window) -> int:
-    """Hom dimension between the tube objects with the given windows."""
+    """Hom dimension between the tube objects with the given windows.
+
+    A nonzero map factors through a serial object that is a quotient of
+    the source and a submodule of the target: quasi-length k, top at the
+    source's top, socle at the target's socle.  For quasi-lengths up to r
+    at most one k in 1..min(len) fits, so the dimension is 0 or 1.
+    """
     if not (1 <= w1.len <= r and 1 <= w2.len <= r):
         raise ValueError("quasi-length must lie in 1..r")
-    return _tube_hom(r, w1.socle % r, w1.len, w2.socle % r, w2.len)
+    k0 = (w2.socle - w1.socle) % r
+    return 1 if k0 < w1.len and w1.len - k0 <= w2.len else 0
 
 
 # -- hom/ext across the category -------------------------------------------

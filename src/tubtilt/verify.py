@@ -60,7 +60,6 @@ from .tubes import (
     tau_obj,
     tube_hom_oracle,
     wing_contains,
-    window_class,
 )
 from .weights import (
     TUBULAR_TYPES,
@@ -115,15 +114,11 @@ def _random_class(ctx: K0Context, rng: random.Random) -> K0Class:
 
 
 def _sample_exceptionals(ctx: K0Context, rng: random.Random, count: int) -> list[ExcObject]:
-    pool: list[ExcObject] = []
-    for q in CHECK_SLOPES:
-        chart = chart_for(ctx, q)
-        for t, orbit in enumerate(chart.orbits):
-            r = len(orbit)
-            for socle in range(r):
-                for length in range(1, r):
-                    cls = window_class(chart, t, socle, length)
-                    pool.append(ExcObject(cls, q, t, socle, length))
+    pool = [
+        ExcObject(cls, q, t, socle, length)
+        for q in CHECK_SLOPES
+        for t, socle, length, cls in chart_for(ctx, q).windows()
+    ]
     return [pool[rng.randrange(len(pool))] for _ in range(count)]
 
 

@@ -44,6 +44,8 @@ def make_weights(seq: Iterable[int]) -> WeightData:
     Raises NonTubularWeights unless the sorted sequence is one of the
     four tubular types.
     """
+    if isinstance(seq, (str, bytes)):
+        raise NonTubularWeights(f"{seq!r} is a string, not a weight sequence")
     raw = tuple(int(q) for q in seq)
     ws = tuple(sorted(raw))
     if ws not in TUBULAR_TYPES:

@@ -29,8 +29,17 @@ def test_info_rejects_non_tubular():
 
 
 def test_usage_error_exit_code():
-    code, _, _ = run_cli(["frobnicate"])
-    assert code == 2
+    for argv in (
+        ["frobnicate"],
+        ["--weights", "2,2,a", "info"],
+        ["--weights", "2,2,2,2", "chart", "--slope", "1/0"],
+        ["--weights", "2,2,2,2", "connect", "Tcan", "--max-nodes", "0"],
+        ["--weights", "2,2,2,2", "walk", "--steps", "-3"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(err)["error"] == "UsageError"
 
 
 def test_check_expression():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import gcd
 
@@ -26,6 +27,7 @@ from tubtilt.k0 import K0Class
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import is_bundle, only_maximal, only_minimal, t_can
 from tubtilt.tubes import exc_from_class, line_bundle_obj
+from tubtilt.verify import context_for
 from tubtilt.weights import c_gen, l_zero, x_gen
 
 
@@ -314,3 +316,50 @@ def test_explore_graph_one_neighborhood(ctx2222):
     assert len(nodes) == 7
     assert len(edges) == 6
     assert all(0 in (i, j) for i, j in edges)
+
+
+# Exchange sequences of fixed inputs, pinned so that a change to the search
+# code that alters any path shows here.  The (2,3,6) walk of 5 steps with
+# seed 3 needs the bidirectional tier of connect_shared, the (2,2,2,2) walk
+# with seed 3008 changes if the A* tier stops re-opening nodes, and
+# make_only_maximal on both (2,2,2,2) walks takes the rigid-partner
+# fallback of the extremal normalization.
+GOLDEN_CONNECT = {
+    ((2, 2, 2, 2), 3, 3000): "1f12cf42f5dfc110a2e31bc1ff8b114a0a9afcac8c416d1e07719dbc8091ef65",
+    ((2, 2, 2, 2), 6, 3001): "9888e8d956c198649eb16e287265af7bda1e507dcc0754b1aa3f98e023806bb5",
+    ((2, 2, 2, 2), 6, 3008): "4b278349dd8b30e1106a8709fcccac5f8c2637fb7a82c45bf10a36c5e56f136d",
+    ((3, 3, 3), 3, 3000): "439f3e1f1bfecf8fb47f898fcedc62de8de841d613f06a322e9ed66182e11907",
+    ((3, 3, 3), 6, 3001): "3e664a08be16a6825c4db3d648aa3c2f32cd426128ead126f5c35b3c0bc1dd85",
+    ((2, 4, 4), 3, 3000): "b03d19abe77a08742bb2304e03b369496f81b620437333d78b7b70b23daf8703",
+    ((2, 4, 4), 6, 3001): "a63bf31e4221b9f87ff2c150ad78a3e80318b4b7b89d5731cde09b043071e8a9",
+    ((2, 3, 6), 3, 3000): "b3571f3b405a409d3108b86d5696f235edce1041cfa6d9c2b299d33df81fce88",
+    ((2, 3, 6), 5, 3): "be3b155d68534f675ee9185896923a81cdc9177f34f7f529095ae66009568ae5",
+}
+GOLDEN_EXTREMAL = {
+    ("min", 2, 5): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("max", 2, 5): "52998b946e7b0429d2bd9bae16618c7dfd1ae23b4ebfe4047a11d9ebf3895325",
+    ("min", 4, 1004): "defd517160ec0b97d542e41745518210a792e35b7c8144f34f97294b803b3cc0",
+    ("max", 4, 1004): "974376cbc685dfdf6fcc074e3ad635ea9d0ff0ac081d5bb37a9c65a451d461c2",
+}
+
+
+def _event_digest(path):
+    events = [(ev.index, ev.removed.cls.vec, ev.added.cls.vec) for ev in path.events]
+    return hashlib.sha256(repr(events).encode()).hexdigest()
+
+
+def test_golden_paths():
+    got = {}
+    for ws, steps, seed in GOLDEN_CONNECT:
+        ctx = context_for(ws)
+        walk = random_walk(ctx, steps, seed=seed, bundle_only=True)
+        got[ws, steps, seed] = _event_digest(connect_to_canonical(ctx, walk.end))
+    assert got == GOLDEN_CONNECT
+    ctx = context_for((2, 2, 2, 2))
+    got = {}
+    for which, steps, seed in GOLDEN_EXTREMAL:
+        t = random_walk(ctx, steps, seed=seed, bundle_only=True).end
+        k = next(i for i, s in enumerate(t.summands) if s.len == 1)
+        fn = make_only_minimal if which == "min" else make_only_maximal
+        got[which, steps, seed] = _event_digest(fn(ctx, t, k))
+    assert got == GOLDEN_EXTREMAL

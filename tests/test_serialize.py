@@ -65,6 +65,9 @@ def test_event_wire_format(ctx2222):
     ev = serialize.event_to_dict(path.events[0])
     assert set(ev) == {"k", "removed", "added", "dir"}
     assert ev["dir"] in ("L", "R")
+    del ev["k"]
+    with pytest.raises(ValidationError):
+        serialize.event_from_dict(ctx2222, ev)
 
 
 def test_chart_cache_round_trip(ctx2222, tmp_path):

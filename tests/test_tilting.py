@@ -212,13 +212,13 @@ def test_wing_summands(ctx244):
 
     # a rigid nest under M[0,3], completed to a tilting object by chart search
     nest = [win(0, 3), win(0, 1), win(0, 2)]
-    from tubtilt.connect import SearchBudget, _chart_windows, _Clock, _complete_dfs
+    from tubtilt.connect import SearchBudget, _Clock, _complete_dfs
 
     pool = [
-        o
+        ExcObject(cls, q, orbit, socle, length)
         for q in (Slope(0, 1), Slope(1, 1), Slope(2, 1), Slope(3, 1), INF)
-        for o in _chart_windows(ctx244, q)
-        if o.cls.vec not in {x.cls.vec for x in nest}
+        for orbit, socle, length, cls in chart_for(ctx244, q).windows()
+        if cls.vec not in {x.cls.vec for x in nest}
     ]
     t = _complete_dfs(ctx244, nest, pool, _Clock(SearchBudget()))
     assert t is not None and is_tilting(ctx244, t)

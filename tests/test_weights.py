@@ -38,7 +38,9 @@ def test_make_weights_sorts_input():
     assert make_weights((6, 2, 3)).weights == (2, 3, 6)
 
 
-@pytest.mark.parametrize("bad", [(2, 3, 5), (2, 2, 2), (7,), (2, 2), (3, 3, 4), ()])
+@pytest.mark.parametrize(
+    "bad", [(2, 3, 5), (2, 2, 2), (7,), (2, 2), (3, 3, 4), (), "2222"]
+)
 def test_non_tubular_rejected(bad):
     with pytest.raises(NonTubularWeights):
         make_weights(bad)
