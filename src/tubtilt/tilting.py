@@ -7,6 +7,16 @@ unique other complement of the remaining almost complete tilting
 object; the complement is found by a bounded search over approximation
 multiplicities, which is exhaustive because the middle term of the
 exchange sequence is a minimal approximation.
+
+The search runs on scalars.  Since the summands are exceptional and
+pairwise ext-orthogonal, their Euler pairings are their hom dimensions,
+so chi(c, c) of a candidate c = sum_i b_i [T_i] - [T_k] is a quadratic
+in the multiplicities b over that Gram matrix.  All its cross terms are
+<= 0, which bounds what the unvisited multiplicities can still add and
+lets a branch and bound skip most of the box.  A root is turned into a
+class and decoded only if it passes necessary conditions that are
+linear in b (no forced ext against a summand, rank >= 0); the decoded
+survivors are then checked as before.
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ from .errors import (
     PreconditionError,
     WrongSummandCount,
 )
-from .intmat import dot
 from .intmat import det as int_det
 from .k0 import K0Class, K0Context, rank_of
 from .slopes import Slope
@@ -185,13 +194,81 @@ def wing_summands(ctx: K0Context, t: TiltingObject, z: int) -> tuple[int, ...]:
 # -- mutation ----------------------------------------------------------------
 
 
+def _exchange_gram(
+    ctx: K0Context, tk: ExcObject, others: Sequence[ExcObject]
+) -> tuple[list[ExcObject], list[list[int]], list[int], list[int]]:
+    """The summands T_i with a nonzero hom to or from T_k, their hom
+    matrix hom(T_i, T_j), and hom(T_k, T_i) and hom(T_i, T_k)."""
+    free: list[ExcObject] = []
+    h_to: list[int] = []
+    h_from: list[int] = []
+    for o in others:
+        to, fro = hom_dim(ctx, tk, o), hom_dim(ctx, o, tk)
+        if to or fro:
+            free.append(o)
+            h_to.append(to)
+            h_from.append(fro)
+    gram = [[hom_dim(ctx, x, y) for y in free] for x in free]
+    return free, gram, h_to, h_from
+
+
+def _gram_roots(
+    gram: Sequence[Sequence[int]], h_to: Sequence[int], h_from: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """All b with 0 <= b_i <= max(h_to[i], h_from[i]) and
+    sum_i (s_i b_i - b_i^2) - sum_{i<j} b_i b_j S_ij = 0, where
+    s_i = h_to[i] + h_from[i] and S_ij = gram[i][j] + gram[j][i],
+    in lexicographic order.
+
+    Branch and bound on the partial sum: the entries are hom dimensions,
+    so every cross term is <= 0 and level i adds at most s_i^2 // 4; a
+    partial sum below minus the remaining levels' maximum never returns
+    to 0.
+    """
+    m = len(gram)
+    s = [h_to[i] + h_from[i] for i in range(m)]
+    bounds = [max(h_to[i], h_from[i]) for i in range(m)]
+    rest = [0] * (m + 1)  # rest[i]: the most that levels i.. can still add
+    for i in range(m - 1, -1, -1):
+        rest[i] = rest[i + 1] + s[i] * s[i] // 4
+    hits: list[tuple[int, ...]] = []
+    b = [0] * m
+
+    def rec(i: int, f: int) -> None:
+        if i == m:
+            if f == 0:
+                hits.append(tuple(b))
+            return
+        a = s[i] - sum(b[j] * (gram[i][j] + gram[j][i]) for j in range(i))
+        floor = -rest[i + 1]
+        for v in range(bounds[i] + 1):
+            g = f + (a - v) * v
+            if g >= floor:
+                b[i] = v
+                rec(i + 1, g)
+            elif 2 * v >= a:
+                break  # (a - v) v only falls from here on
+        b[i] = 0
+
+    rec(0, 0)
+    return hits
+
+
 def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, MutationEvent]:
     """Exchange summand k for the unique other complement.
 
-    Candidate classes are sum_i b_i [T_i] - [T_k] over the remaining
+    Candidate classes are c = sum_i b_i [T_i] - [T_k] over the remaining
     summands with 0 <= b_i <= max(hom(T_k, T_i), hom(T_i, T_k)); the
     bound covers the multiplicities of a minimal approximation in
-    either exchange direction.
+    either exchange direction.  Summands with b_i bounded by 0 drop out.
+    Since the summands are exceptional and pairwise ext-orthogonal,
+    chi(T_i, T_j) = hom(T_i, T_j), and chi(c, c) = 1 becomes the scalar
+    equation sum_i (s_i b_i - b_i^2) - sum_{i<j} b_i b_j S_ij = 0 with
+    s_i = hom(T_k, T_i) + hom(T_i, T_k) and S_ij = hom(T_i, T_j) +
+    hom(T_j, T_i), solved by branch and bound (`_gram_roots`).  A root
+    is decoded only if it passes three necessary conditions that are
+    linear in b: chi(T_i, c) >= 0 and chi(c, T_i) >= 0 (a negative value
+    forces an ext against T_i) and rank(c) >= 0.
     """
     memo_key = (t.class_key(), k)
     got = ctx._mutations.get(memo_key)
@@ -199,37 +276,25 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
         return got
     tk = t.summands[k]
     others = tuple(o for i, o in enumerate(t.summands) if i != k)
-    bounds = [
-        max(hom_dim(ctx, tk, o), hom_dim(ctx, o, tk)) for o in others
-    ]
-    vecs = [o.cls.vec for o in others]
-    evs = [ctx.eb(v) for v in vecs]
-
-    hits: list[tuple[int, ...]] = []
-
-    def rec(idx: int, c: list[int], w: list[int], q: int) -> None:
-        if idx == len(others):
-            if q == 1:
-                hits.append(tuple(c))
-            return
-        rec(idx + 1, c, w, q)
-        v, ev = vecs[idx], evs[idx]
-        cc, ww, qq = c, w, q
-        for _ in range(bounds[idx]):
-            qq = qq + dot(cc, ev) + dot(v, ww) + 1
-            cc = [a + b for a, b in zip(cc, v)]
-            ww = [a + b for a, b in zip(ww, ev)]
-            rec(idx + 1, cc, ww, qq)
-
-    start_c = [-x for x in tk.cls.vec]
-    start_w = [-x for x in ctx.eb(tk.cls.vec)]
-    rec(0, start_c, start_w, 1)
+    free, gram, h_to, h_from = _exchange_gram(ctx, tk, others)
+    idx = range(len(free))
+    ranks = [rank_of(ctx, o.cls) for o in free]
+    rank_k = rank_of(ctx, tk.cls)
 
     survivors: list[ExcObject] = []
-    for cv in hits:
-        cls = K0Class(cv)
+    for b in _gram_roots(gram, h_to, h_from):
+        if (
+            sum(b[j] * ranks[j] for j in idx) < rank_k
+            or any(sum(b[j] * gram[i][j] for j in idx) < h_from[i] for i in idx)
+            or any(sum(b[j] * gram[j][i] for j in idx) < h_to[i] for i in idx)
+        ):
+            continue
+        vec = [-x for x in tk.cls.vec]
+        for bj, o in zip(b, free):
+            if bj:
+                vec = [a + bj * x for a, x in zip(vec, o.cls.vec)]
         try:
-            obj = exc_from_class(ctx, cls)
+            obj = exc_from_class(ctx, K0Class(tuple(vec)))
         except (NotSheafLike, NotExceptionalHere):
             continue
         if all(

@@ -23,6 +23,7 @@ from .errors import (
     ChartInconsistent,
     InternalConsistencyError,
     NotExceptionalHere,
+    NotSheafLike,
 )
 from .intmat import mat_vec
 from .k0 import (
@@ -242,12 +243,13 @@ def coords_of_class(ctx: K0Context, chart: TubeChart, c: K0Class) -> ExcObject:
     got = ctx._decode.get(key)
     if got is None:
         try:
-            if slope_of(ctx, c) != chart.slope:
-                raise NotExceptionalHere(
-                    f"class {c.vec} has a different slope than the chart"
-                )
-        except Exception:
-            raise NotExceptionalHere(f"class {c.vec} is not sheaf-like")
+            q = slope_of(ctx, c)
+        except NotSheafLike:
+            raise NotExceptionalHere(f"class {c.vec} is not sheaf-like") from None
+        if q != chart.slope:
+            raise NotExceptionalHere(
+                f"class {c.vec} has a different slope than the chart"
+            )
         got = _find_window(chart, c)
         if got is None:
             raise NotExceptionalHere(f"class {c.vec} is not a window at {chart.slope}")

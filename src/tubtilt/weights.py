@@ -41,12 +41,17 @@ class WeightData:
 def make_weights(seq: Iterable[int]) -> WeightData:
     """Sort, validate and pack a weight sequence.
 
-    Raises NonTubularWeights unless the sorted sequence is one of the
-    four tubular types.
+    Raises NonTubularWeights unless `seq` is an iterable of ints (bools
+    excluded) whose sorted form is one of the four tubular types.
     """
     if isinstance(seq, (str, bytes)):
         raise NonTubularWeights(f"{seq!r} is a string, not a weight sequence")
-    raw = tuple(int(q) for q in seq)
+    try:
+        raw = tuple(seq)
+    except TypeError:
+        raise NonTubularWeights(f"{seq!r} is not a weight sequence") from None
+    if not all(isinstance(q, int) and not isinstance(q, bool) for q in raw):
+        raise NonTubularWeights(f"{raw!r} has a weight that is not an integer")
     ws = tuple(sorted(raw))
     if ws not in TUBULAR_TYPES:
         raise NonTubularWeights(f"{raw} is not a tubular weight sequence")

@@ -28,7 +28,7 @@ def test_info_rejects_non_tubular():
     assert diag["error"] == "NonTubularWeights"
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     for argv in (
         ["frobnicate"],
         ["--weights", "2,2,a", "info"],
@@ -40,6 +40,16 @@ def test_usage_error_exit_code():
         assert code == 2, argv
         assert out == ""
         assert json.loads(err)["error"] == "UsageError"
+    ctx = context_for((2, 2, 2, 2))
+    data = serialize.tilting_to_dict(ctx, t_can(ctx))
+    for weights in ([2, 2, 2, 2.5], [2, 2, 2, "a"], None):
+        f = tmp_path / "w.json"
+        f.write_text(json.dumps(dict(data, weights=weights)))
+        code, out, err = run_cli(["check", str(f)])
+        assert code == 2, weights
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NonTubularWeights"
 
 
 def test_check_expression():

@@ -1,19 +1,28 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tubtilt.errors import (
+    ComplementNotFound,
+    ComplementNotUnique,
     DuplicateSummands,
     NoFullPeriodSummand,
     NotFirstObject,
+    NotExceptionalHere,
     NotLastObject,
+    NotSheafLike,
     PreconditionError,
     WrongSummandCount,
 )
-from tubtilt.intmat import solve_int
+from tubtilt.intmat import dot, solve_int
 from tubtilt.k0 import K0Class
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import (
+    MutationEvent,
+    _exchange_gram,
+    _gram_roots,
     apr_mutate,
     co_apr_mutate,
     find_full_period_quasi_simple,
@@ -35,11 +44,14 @@ from tubtilt.tubes import (
     ExcObject,
     chart_for,
     exc_from_class,
+    ext_dim,
+    hom_dim,
     line_bundle_obj,
     tau_obj,
     window_class,
 )
-from tubtilt.weights import c_gen, l_add, l_zero, omega, x_gen
+from tubtilt.verify import context_for
+from tubtilt.weights import TUBULAR_TYPES, c_gen, l_add, l_zero, omega, x_gen
 
 
 def _walk(ctx, steps, seed, bundle_only=False):
@@ -129,6 +141,110 @@ def test_exchange_additivity(any_ctx):
         assert coords is not None
         assert coords[k] == 0
         assert all(c >= 0 for c in coords)
+
+
+def _box_hits(ctx, t, k):
+    """Reference complement search: every class c = sum_i b_i [T_i] - [T_k]
+    with 0 <= b_i <= max(hom(T_k, T_i), hom(T_i, T_k)) and chi(c, c) = 1,
+    enumerated over the whole box with n-vector arithmetic."""
+    tk = t.summands[k]
+    others = tuple(o for i, o in enumerate(t.summands) if i != k)
+    bounds = [max(hom_dim(ctx, tk, o), hom_dim(ctx, o, tk)) for o in others]
+    vecs = [o.cls.vec for o in others]
+    evs = [ctx.eb(v) for v in vecs]
+    hits = []
+
+    def rec(idx, c, w, q):
+        if idx == len(others):
+            if q == 1:
+                hits.append(tuple(c))
+            return
+        rec(idx + 1, c, w, q)
+        v, ev = vecs[idx], evs[idx]
+        cc, ww, qq = c, w, q
+        for _ in range(bounds[idx]):
+            qq = qq + dot(cc, ev) + dot(v, ww) + 1
+            cc = [a + b for a, b in zip(cc, v)]
+            ww = [a + b for a, b in zip(ww, ev)]
+            rec(idx + 1, cc, ww, qq)
+
+    rec(0, [-x for x in tk.cls.vec], [-x for x in ctx.eb(tk.cls.vec)], 1)
+    return hits
+
+
+def _oracle_mutate(ctx, t, k):
+    """`mutate` as a full box search that decodes every hit."""
+    tk = t.summands[k]
+    others = tuple(o for i, o in enumerate(t.summands) if i != k)
+    survivors = []
+    for cv in _box_hits(ctx, t, k):
+        try:
+            obj = exc_from_class(ctx, K0Class(cv))
+        except (NotSheafLike, NotExceptionalHere):
+            continue
+        if all(ext_dim(ctx, obj, o) == 0 and ext_dim(ctx, o, obj) == 0 for o in others):
+            survivors.append(obj)
+    if not survivors:
+        raise ComplementNotFound
+    if len(survivors) > 1:
+        raise ComplementNotUnique
+    new = survivors[0]
+    result = make_tilting(ctx, others + (new,))
+    assert is_tilting(ctx, result)
+    direction = "L" if ext_dim(ctx, new, tk) > 0 else "R"
+    return result, MutationEvent(k, tk, new, direction, tk.cls + new.cls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_gram_roots_matches_full_box(data):
+    m = data.draw(st.integers(0, 4))
+    h_to = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    h_from = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    gram = [
+        [1 if i == j else data.draw(st.integers(0, 2)) for j in range(m)]
+        for i in range(m)
+    ]
+
+    def value(b):
+        return sum((h_to[i] + h_from[i] - b[i]) * b[i] for i in range(m)) - sum(
+            b[i] * b[j] * (gram[i][j] + gram[j][i])
+            for i, j in itertools.combinations(range(m), 2)
+        )
+
+    box = itertools.product(*(range(max(x, y) + 1) for x, y in zip(h_to, h_from)))
+    assert _gram_roots(gram, h_to, h_from) == [b for b in box if value(b) == 0]
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    ws=st.sampled_from(TUBULAR_TYPES),
+    steps=st.integers(0, 8),
+    seed=st.integers(0, 10**6),
+    bundle_only=st.booleans(),
+    k=st.integers(0, 9),
+)
+def test_complement_search_matches_box_oracle(ws, steps, seed, bundle_only, k):
+    ctx = context_for(ws)
+    t = _walk(ctx, steps, seed, bundle_only)
+    k %= ctx.n
+    tk = t.summands[k]
+    others = tuple(o for i, o in enumerate(t.summands) if i != k)
+    free, gram, h_to, h_from = _exchange_gram(ctx, tk, others)
+    roots = _gram_roots(gram, h_to, h_from)
+    pruned = set()
+    for b in roots:
+        vec = [-x for x in tk.cls.vec]
+        for bj, o in zip(b, free):
+            vec = [a + bj * x for a, x in zip(vec, o.cls.vec)]
+        pruned.add(tuple(vec))
+    assert len(pruned) == len(roots)
+    assert pruned == set(_box_hits(ctx, t, k))
+    assert mutate(ctx, t, k) == _oracle_mutate(ctx, t, k)
 
 
 def test_apr_mutation(ctx2222):

@@ -209,9 +209,10 @@ def test_not_exceptional_rejections(ctx2222):
     chart = chart_for(ctx2222, INF)
     with pytest.raises(NotExceptionalHere):
         coords_of_class(ctx2222, chart, K0Class((0, 0, 0, 0, 0, 1)))
-    with pytest.raises(NotExceptionalHere):
-        # wrong slope for this chart
+    with pytest.raises(NotExceptionalHere, match="different slope"):
         coords_of_class(ctx2222, chart, K0Class((1, 0, 0, 0, 0, 0)))
+    with pytest.raises(NotExceptionalHere, match="not sheaf-like"):
+        coords_of_class(ctx2222, chart, K0Class((-1, 0, 0, 0, 0, 0)))
 
 
 def test_tau_objects(ctx2222):

@@ -39,7 +39,22 @@ def test_make_weights_sorts_input():
 
 
 @pytest.mark.parametrize(
-    "bad", [(2, 3, 5), (2, 2, 2), (7,), (2, 2), (3, 3, 4), (), "2222"]
+    "bad",
+    [
+        (2, 3, 5),
+        (2, 2, 2),
+        (7,),
+        (2, 2),
+        (3, 3, 4),
+        (),
+        "2222",
+        (2, 2, 2, 2.5),
+        (2, 3, 6.0),
+        (2, 2, 2, "a"),
+        (2, 2, 2, True),
+        None,
+        7,
+    ],
 )
 def test_non_tubular_rejected(bad):
     with pytest.raises(NonTubularWeights):
