@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="LO..HI slope window",
     )
-    p.add_argument("--max-nodes", type=int, required=True)
+    p.add_argument("--max-nodes", type=_at_least(1), required=True)
     p.add_argument("--dot", required=True, help="output DOT file")
     p.add_argument("--from", dest="start", default="Tcan", help="start tilting")
 
@@ -173,8 +173,12 @@ def _save_cache(ctx: K0Context | None, args) -> None:
         serialize.save_chart_cache(ctx, directory)
 
 
-def _load_tilting(args, spec: str) -> tuple[K0Context, TiltingObject]:
-    """A JSON file when `spec` names one, otherwise an expression."""
+def _load_tilting(
+    args, spec: str, require_tilting: bool = True
+) -> tuple[K0Context, TiltingObject]:
+    """A JSON file when `spec` names one, otherwise an expression (tilting
+    by construction).  A file must hold a tilting object unless
+    `require_tilting` is off."""
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -183,6 +187,8 @@ def _load_tilting(args, spec: str) -> tuple[K0Context, TiltingObject]:
             ctx = build_context(make_weights(args.weights))
         ctx, t = serialize.tilting_from_dict(data, ctx)
         _load_cache(ctx, args)
+        if require_tilting and not is_tilting(ctx, t):
+            raise ValidationError(f"{spec} is not a tilting object")
         return ctx, t
     ctx = _context(args)
     return ctx, eval_tilting(ctx, parse_expr(spec))
@@ -216,7 +222,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    ctx, t = _load_tilting(args, args.tilting)
+    ctx, t = _load_tilting(args, args.tilting, require_tilting=False)
     ok = is_tilting(ctx, t)
     print(serialize.dumps({"tilting": ok, "summands": len(t.summands)}))
     _save_cache(ctx, args)

@@ -9,8 +9,10 @@ until the slope range captures an integer, then walk the twist chain of
 canonical bundles down to the untwisted one.
 
 All searches are deterministic: candidate orders are canonical and
-tie-breaks use serialized object order.  Budgets bound node counts and
-optionally wall time; exhausting one raises BudgetExhausted.
+tie-breaks use serialized object order.  A budget bounds the node count
+and optionally the wall time of a whole public call: the call starts one
+clock and passes it to every search, completion and sub-connection it
+makes.  Exhausting the budget raises BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import heapq
 import logging
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Any, Callable
 
 from .errors import (
@@ -82,26 +84,55 @@ class SearchBudget:
 
     def __post_init__(self) -> None:
         if self.max_nodes <= 0:
-            raise ValueError("budget limits must be positive")
+            raise ValueError("max_nodes must be positive")
+        if self.max_seconds is not None and not 0 < self.max_seconds < inf:
+            raise ValueError("max_seconds must be positive and finite")
 
 
 DEFAULT_BUDGET = SearchBudget()
 
 
 class _Clock:
+    """Node count and deadline of one public call, shared by its searches."""
+
     def __init__(self, budget: SearchBudget):
         self.budget = budget
         self.nodes = 0
-        self.deadline = (
-            time.monotonic() + budget.max_seconds if budget.max_seconds else None
-        )
+        self.limit = budget.max_nodes
+        self.deadline = None
+        if budget.max_seconds is not None:
+            self.deadline = time.monotonic() + budget.max_seconds
 
-    def tick(self, k: int = 1) -> None:
-        self.nodes += k
-        if self.nodes > self.budget.max_nodes:
-            raise BudgetExhausted(f"node budget {self.budget.max_nodes} exhausted")
-        if self.deadline is not None and time.monotonic() > self.deadline:
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise BudgetExhausted(f"node budget {self.limit} exhausted")
+        if self._late():
             raise BudgetExhausted("time budget exhausted")
+
+    def _late(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+    def attempt(self, cap: int, search: Callable[..., MutationPath], *args):
+        """search(*args) with at most `cap` more nodes, or None if it gives
+        up while the budget outside the cap still holds."""
+        outer = self.limit
+        self.limit = min(outer, self.nodes + cap)
+        try:
+            return search(*args)
+        except BudgetExhausted:
+            if self.nodes > outer or self._late():
+                raise
+            return None
+        finally:
+            self.limit = outer
+
+
+_Budget = SearchBudget | _Clock  # a budget, or the running clock of an enclosing call
+
+
+def _clock(budget: _Budget) -> _Clock:
+    return budget if isinstance(budget, _Clock) else _Clock(budget)
 
 
 @dataclass
@@ -303,7 +334,7 @@ def _pool_slopes(seed: list[ExcObject], round_: int) -> list[Slope]:
 
 
 def completion_containing(
-    ctx: K0Context, seed: list[ExcObject], budget: SearchBudget = DEFAULT_BUDGET
+    ctx: K0Context, seed: list[ExcObject], budget: _Budget = DEFAULT_BUDGET
 ) -> TiltingObject:
     """A tilting bundle containing the seed objects as summands.
 
@@ -323,7 +354,7 @@ def completion_containing(
         for y in seed[i + 1 :]:
             if ext_dim(ctx, x, y) != 0 or ext_dim(ctx, y, x) != 0:
                 raise PreconditionError("seed objects must be ext-orthogonal")
-    clock = _Clock(budget)
+    clock = _clock(budget)
     seed_vecs = {x.cls.vec for x in seed}
     for round_ in range(10):
         pool = [
@@ -504,37 +535,32 @@ def _bidir_fixed(
 
 
 def make_only_minimal(
-    ctx: K0Context, t: TiltingObject, k: int, budget: SearchBudget = DEFAULT_BUDGET
+    ctx: K0Context, t: TiltingObject, k: int, budget: _Budget = DEFAULT_BUDGET
 ) -> MutationPath:
     """Bundle path making summand k's object the unique minimal summand."""
     return _make_only_extremal(ctx, t, k, budget, minimal=True)
 
 
 def make_only_maximal(
-    ctx: K0Context, t: TiltingObject, k: int, budget: SearchBudget = DEFAULT_BUDGET
+    ctx: K0Context, t: TiltingObject, k: int, budget: _Budget = DEFAULT_BUDGET
 ) -> MutationPath:
     """Bundle path making summand k's object the unique maximal summand."""
     return _make_only_extremal(ctx, t, k, budget, minimal=False)
 
 
 def _make_only_extremal(
-    ctx: K0Context, t: TiltingObject, k: int, budget: SearchBudget, minimal: bool
+    ctx: K0Context, t: TiltingObject, k: int, budget: _Budget, minimal: bool
 ) -> MutationPath:
     if not is_bundle(t):
         raise PreconditionError("input must be a tilting bundle")
     x = t.summands[k]
     if x.len != 1:
         raise PreconditionError("the protected summand must be quasi-simple")
-    return _normalize_extremal(ctx, t, x, _Clock(budget), budget, minimal)
+    return _normalize_extremal(ctx, t, x, _clock(budget), minimal)
 
 
 def _normalize_extremal(
-    ctx: K0Context,
-    t: TiltingObject,
-    x: ExcObject,
-    clock: _Clock,
-    budget: SearchBudget,
-    minimal: bool,
+    ctx: K0Context, t: TiltingObject, x: ExcObject, clock: _Clock, minimal: bool
 ) -> MutationPath:
     # Best-first on (blocker count, slope deficit, depth): greedy progress
     # matches guided APR/co-APR mutation, and because the frontier keeps
@@ -554,16 +580,16 @@ def _normalize_extremal(
     if easy:
         # guided mutation raises (resp. lowers) the blocking summands and
         # stays inside a finite region, so a capped attempt usually lands
-        quick = _Clock(replace(budget, max_nodes=min(20_000, budget.max_nodes)))
-        try:
-            return _best_first(ctx, t, x.cls.vec, quick, priority, is_goal)
-        except BudgetExhausted:
-            pass
+        path = clock.attempt(
+            20_000, _best_first, ctx, t, x.cls.vec, clock, priority, is_goal
+        )
+        if path is not None:
+            return path
     # The protected summand sits on the extreme slope tier (or the quick
     # attempt stalled): route through a tilting bundle where its slope is
     # strictly interior, then normalize from there.
     y = _rigid_partner_beyond(ctx, x, above=minimal)
-    t2 = completion_containing(ctx, [x, y], budget)
+    t2 = completion_containing(ctx, [x, y], clock)
     p1 = _bidir_fixed(ctx, t, t2, x.cls.vec, clock)
     p2 = _best_first(ctx, t2, x.cls.vec, clock, priority, is_goal)
     return p1.concat(p2)
@@ -589,14 +615,15 @@ def connect_shared(
     t: TiltingObject,
     t2: TiltingObject,
     shared: ExcObject,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: _Budget = DEFAULT_BUDGET,
 ) -> MutationPath:
     """Bundle path t -> t2 through nodes all containing `shared`.
 
-    Tries a guided A* search first, then a bidirectional breadth
-    search, each on its own slice of the budget; if both exhaust it,
-    both ends are normalized so the shared object is the unique minimal
-    summand and the remainder is searched in the normalized stratum.
+    Tries a guided A* search capped at 4000 nodes, then a bidirectional
+    breadth search capped at half the budget's nodes, both on the call's
+    one clock; if both give up, both ends are normalized so the shared
+    object is the unique minimal summand and the remainder is searched
+    in the normalized stratum.
     """
     if shared.len != 1:
         raise PreconditionError("shared summand must be quasi-simple")
@@ -607,6 +634,7 @@ def connect_shared(
             raise PreconditionError("both ends must be tilting bundles")
     if t.class_key() == t2.class_key():
         return MutationPath.single(t)
+    clock = _clock(budget)
 
     # A* with the admissible heuristic |summands of a node not in t2|;
     # every mutation changes exactly one summand, so the heuristic is
@@ -622,24 +650,22 @@ def connect_shared(
     def is_goal(node: TiltingObject) -> bool:
         return node.class_key() == goal_key
 
-    quick = _Clock(replace(budget, max_nodes=min(4000, budget.max_nodes)))
-    try:
-        return _best_first(ctx, t, shared.cls.vec, quick, priority, is_goal)
-    except BudgetExhausted:
-        pass
+    path = clock.attempt(
+        4000, _best_first, ctx, t, shared.cls.vec, clock, priority, is_goal
+    )
+    if path is not None:
+        return path
 
     # meet-in-the-middle inside the stratum of bundles containing `shared`
-    half = _Clock(replace(budget, max_nodes=max(1, budget.max_nodes // 2)))
-    try:
-        return _bidir_fixed(ctx, t, t2, shared.cls.vec, half)
-    except BudgetExhausted:
-        pass
+    half = max(1, clock.budget.max_nodes // 2)
+    path = clock.attempt(half, _bidir_fixed, ctx, t, t2, shared.cls.vec, clock)
+    if path is not None:
+        return path
 
     # last resort: normalize both ends so the shared object is the unique
     # minimal summand, then bridge the normalized stratum
-    clock = _Clock(budget)
-    pa = _normalize_extremal(ctx, t, shared, clock, budget, minimal=True)
-    pb = _normalize_extremal(ctx, t2, shared, clock, budget, minimal=True)
+    pa = _normalize_extremal(ctx, t, shared, clock, minimal=True)
+    pb = _normalize_extremal(ctx, t2, shared, clock, minimal=True)
     mid = _bidir_fixed(ctx, pa.end, pb.end, shared.cls.vec, clock)
     return pa.concat(mid).concat(pb.reversed())
 
@@ -654,7 +680,7 @@ def _range_integer(ctx: K0Context, t: TiltingObject) -> int | None:
 
 
 def integerize(
-    ctx: K0Context, t: TiltingObject, budget: SearchBudget = DEFAULT_BUDGET
+    ctx: K0Context, t: TiltingObject, budget: _Budget = DEFAULT_BUDGET
 ) -> MutationPath:
     """Farey descent until the slope range contains an integer.
 
@@ -668,6 +694,7 @@ def integerize(
         raise PreconditionError("input must be a tilting bundle")
     if _range_integer(ctx, t) is not None:
         raise PreconditionError("slope range already contains an integer")
+    clock = _clock(budget)
     k = find_full_period_quasi_simple(ctx, t)
     x = t.summands[k]
     m = x.slope.floor()
@@ -677,8 +704,8 @@ def integerize(
         step = extend_abcd(a, b)
         target = Slope(m * step.d + step.c, step.d)
         y = find_companion(ctx, x, target)
-        t_next = completion_containing(ctx, [x, y], budget)
-        path = path.concat(connect_shared(ctx, path.end, t_next, x, budget))
+        t_next = completion_containing(ctx, [x, y], clock)
+        path = path.concat(connect_shared(ctx, path.end, t_next, x, clock))
         x = y
         a, b = step.c, step.d
     return path
@@ -708,9 +735,7 @@ def _line_bundle_element(ctx: K0Context, obj: ExcObject) -> LElement:
     return elt
 
 
-def _twist_chain(
-    ctx: K0Context, start_elt: LElement, budget: SearchBudget
-) -> MutationPath:
+def _twist_chain(ctx: K0Context, start_elt: LElement, clock: _Clock) -> MutationPath:
     """Path from the canonical bundle twisted by start_elt down to T_can.
 
     Adjacent twisted canonicals share a line bundle, so each step is a
@@ -733,14 +758,14 @@ def _twist_chain(
             shared_elt = e
         shared = line_bundle_obj(ctx, shared_elt)
         path = path.concat(
-            connect_shared(ctx, path.end, t_can(ctx, e2), shared, budget)
+            connect_shared(ctx, path.end, t_can(ctx, e2), shared, clock)
         )
         e = e2
     return path
 
 
 def connect_to_canonical(
-    ctx: K0Context, t: TiltingObject, budget: SearchBudget = DEFAULT_BUDGET
+    ctx: K0Context, t: TiltingObject, budget: _Budget = DEFAULT_BUDGET
 ) -> MutationPath:
     """Verified bundle path from t to the canonical tilting bundle."""
     if not is_bundle(t):
@@ -749,9 +774,10 @@ def connect_to_canonical(
     if t.class_key() == tc.class_key():
         return MutationPath.single(t)
 
+    clock = _clock(budget)
     path = MutationPath.single(t)
     if _range_integer(ctx, t) is None:
-        path = integerize(ctx, t, budget)
+        path = integerize(ctx, t, clock)
     cur = path.end
 
     line = next(
@@ -771,14 +797,14 @@ def connect_to_canonical(
         else:
             raise InternalConsistencyError("line-bundle dichotomy failed")
         x = _dichotomy_partner(ctx, cur, lobj, pick_high)
-        t2 = completion_containing(ctx, [x, lobj], budget)
-        path = path.concat(connect_shared(ctx, cur, t2, x, budget))
+        t2 = completion_containing(ctx, [x, lobj], clock)
+        path = path.concat(connect_shared(ctx, cur, t2, x, clock))
         cur = path.end
         line = lobj
 
     elt = _line_bundle_element(ctx, line)
-    path = path.concat(connect_shared(ctx, cur, t_can(ctx, elt), line, budget))
-    path = path.concat(_twist_chain(ctx, elt, budget))
+    path = path.concat(connect_shared(ctx, cur, t_can(ctx, elt), line, clock))
+    path = path.concat(_twist_chain(ctx, elt, clock))
     if not verify_path(ctx, path):
         raise InternalConsistencyError("constructed path failed verification")
     return path
@@ -804,11 +830,12 @@ def connect_pair(
     ctx: K0Context,
     t: TiltingObject,
     t2: TiltingObject,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    budget: _Budget = DEFAULT_BUDGET,
 ) -> MutationPath:
     """Path between two tilting bundles, composed through the canonical one."""
-    p1 = connect_to_canonical(ctx, t, budget)
-    p2 = connect_to_canonical(ctx, t2, budget)
+    clock = _clock(budget)
+    p1 = connect_to_canonical(ctx, t, clock)
+    p2 = connect_to_canonical(ctx, t2, clock)
     return p1.concat(p2.reversed())
 
 

@@ -56,9 +56,6 @@ class K0Class:
     def __neg__(self) -> "K0Class":
         return K0Class(tuple(-a for a in self.vec))
 
-    def scale(self, k: int) -> "K0Class":
-        return K0Class(tuple(k * a for a in self.vec))
-
 
 class K0Context:
     """Immutable lattice data plus memo tables for derived quantities."""
@@ -82,10 +79,7 @@ class K0Context:
         self.tube_offsets = tube_offsets  # start coordinate of each tube block
         self.idx_o = 0
         self.idx_f = weights.n - 1
-        self._twists: dict[tuple[tuple[int, ...], int], Matrix] = {}
         self._eb: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._chibar: Matrix | None = None
-        self._roots: dict[tuple[Slope, int], tuple[K0Class, ...]] = {}
         self._charts: dict[Slope, object] = {}
         self._decode: dict[tuple[Slope, tuple[int, ...]], tuple[int, int, int]] = {}
         self._homs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
@@ -94,6 +88,7 @@ class K0Context:
         self.omega = omega(weights)
         self.tau: Matrix = twist_matrix(self, self.omega)
         self.tau_inv: Matrix = twist_matrix(self, l_neg(self.omega))
+        self.chibar: Matrix = _chibar_matrix(self)
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -126,10 +121,6 @@ def line_bundle_class(ctx: K0Context, x: LElement) -> K0Class:
 
 def twist_matrix(ctx: K0Context, v: LElement) -> Matrix:
     """Action of the twist by v on the lattice (columns = basis images)."""
-    key = (v.coeffs, v.c)
-    got = ctx._twists.get(key)
-    if got is not None:
-        return got
     n = ctx.n
     w = ctx.weights
     cols: list[tuple[int, ...]] = [()] * n
@@ -148,9 +139,7 @@ def twist_matrix(ctx: K0Context, v: LElement) -> Matrix:
             else:
                 img[ctx.simple_index(i, jj)] = 1
             cols[ctx.simple_index(i, j)] = tuple(img)
-    mat = tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-    ctx._twists[key] = mat
-    return mat
+    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
 
 
 def build_context(w: WeightData) -> K0Context:
@@ -209,7 +198,7 @@ def _check_context(ctx: K0Context) -> None:
     if e != tuple(tuple(-x for x in row) for row in transpose(mat_mul(e, t))):
         raise InternalConsistencyError("Serre duality fails on the lattice")
     # Averaged form equals the rank/degree determinant form.
-    if _chibar_matrix(ctx) != tuple(
+    if ctx.chibar != tuple(
         tuple(
             ctx.rank_form[u] * ctx.deg_form[v] - ctx.deg_form[u] * ctx.rank_form[v]
             for v in range(ctx.n)
@@ -220,18 +209,17 @@ def _check_context(ctx: K0Context) -> None:
 
 
 def _chibar_matrix(ctx: K0Context) -> Matrix:
-    if ctx._chibar is None:
-        acc = ctx.euler
-        tt = transpose(ctx.tau)
-        power = tt
-        for _ in range(ctx.p - 1):
-            acc = tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(acc, mat_mul(power, ctx.euler))
-            )
-            power = mat_mul(power, tt)
-        ctx._chibar = acc
-    return ctx._chibar
+    """Sum of (tau^T)^j euler over j = 0..p-1."""
+    acc = ctx.euler
+    tt = transpose(ctx.tau)
+    power = tt
+    for _ in range(ctx.p - 1):
+        acc = tuple(
+            tuple(x + y for x, y in zip(r1, r2))
+            for r1, r2 in zip(acc, mat_mul(power, ctx.euler))
+        )
+        power = mat_mul(power, tt)
+    return acc
 
 
 def chi(ctx: K0Context, a: K0Class, b: K0Class) -> int:
@@ -241,7 +229,7 @@ def chi(ctx: K0Context, a: K0Class, b: K0Class) -> int:
 
 def chi_bar(ctx: K0Context, a: K0Class, b: K0Class) -> int:
     """Averaged Euler form, equal to rank(a) deg(b) - deg(a) rank(b)."""
-    return dot(a.vec, mat_vec(_chibar_matrix(ctx), b.vec))
+    return dot(a.vec, mat_vec(ctx.chibar, b.vec))
 
 
 def rank_of(ctx: K0Context, c: K0Class) -> int:
@@ -265,10 +253,6 @@ def slope_of(ctx: K0Context, c: K0Class) -> Slope:
 
 def tau_class(ctx: K0Context, c: K0Class) -> K0Class:
     return K0Class(mat_vec(ctx.tau, c.vec))
-
-
-def tau_inv_class(ctx: K0Context, c: K0Class) -> K0Class:
-    return K0Class(mat_vec(ctx.tau_inv, c.vec))
 
 
 # -- root enumeration ------------------------------------------------------
@@ -320,11 +304,6 @@ def enumerate_roots_at(ctx: K0Context, q: Slope, m_max: int) -> tuple[K0Class, .
     """
     if not 1 <= m_max <= ctx.p:
         raise PreconditionError(f"m_max must lie in 1..{ctx.p}")
-    key = (q, m_max)
-    got = ctx._roots.get(key)
-    if got is not None:
-        return got
-
     w = ctx.weights
     t = w.t
     bound = ctx.p * (1 + m_max * max(abs(q.num), q.den))
@@ -357,9 +336,7 @@ def enumerate_roots_at(ctx: K0Context, q: Slope, m_max: int) -> tuple[K0Class, .
         rec(0, budget, [])
 
     out.sort()
-    roots = tuple(K0Class(vec) for _, vec in out)
-    ctx._roots[key] = roots
-    return roots
+    return tuple(K0Class(vec) for _, vec in out)
 
 
 def _emit(

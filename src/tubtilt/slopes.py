@@ -39,10 +39,6 @@ class Slope:
         return Slope(m, 1)
 
     @staticmethod
-    def from_fraction(f: Fraction) -> "Slope":
-        return Slope(f.numerator, f.denominator)
-
-    @staticmethod
     def parse(text: str) -> "Slope":
         """Accepts `inf`, an integer, or `a/b` in any (nonzero) denominator."""
         s = text.strip()

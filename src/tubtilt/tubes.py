@@ -340,25 +340,16 @@ def hom_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
 
 
 def ext_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
-    """dim Ext^1; by Serre duality equal to hom(y, tau x)."""
+    """dim Ext^1 = hom(x, y) - chi(x, y): coh X is hereditary, so the
+    Euler form has no higher terms."""
     key = (x.cls.vec, y.cls.vec)
     got = ctx._exts.get(key)
     if got is not None:
         return got
-    if x.slope < y.slope:
-        e = 0
-    elif y.slope < x.slope:
-        e = -chi(ctx, x.cls, y.cls)
-        if e < 0:
-            raise InternalConsistencyError(
-                f"negative ext {e} for descending slopes {x.slope} -> {y.slope}"
-            )
-    elif x.orbit != y.orbit:
-        e = 0
-    else:
-        r = orbit_rank(ctx, x)
-        e = tube_hom_oracle(
-            r, Window(y.socle, y.len), Window((x.socle - 1) % r, x.len)
+    e = hom_dim(ctx, x, y) - chi(ctx, x.cls, y.cls)
+    if e < 0:
+        raise InternalConsistencyError(
+            f"negative ext {e} between slopes {x.slope} and {y.slope}"
         )
     ctx._exts[key] = e
     return e

@@ -3,8 +3,10 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 from tubtilt import cli, serialize
-from tubtilt.tilting import t_can
+from tubtilt.tilting import make_tilting, t_can
+from tubtilt.tubes import line_bundle_obj
 from tubtilt.verify import context_for
+from tubtilt.weights import c_gen, omega
 
 
 def run_cli(argv):
@@ -35,6 +37,10 @@ def test_usage_error_exit_code(tmp_path):
         ["--weights", "2,2,2,2", "chart", "--slope", "1/0"],
         ["--weights", "2,2,2,2", "connect", "Tcan", "--max-nodes", "0"],
         ["--weights", "2,2,2,2", "walk", "--steps", "-3"],
+        ["--weights", "2,2,2,2", "graph", "--slope-window", "0..1", "--max-nodes", "0",
+         "--dot", str(tmp_path / "g.dot")],
+        ["--weights", "2,2,2,2", "graph", "--slope-window", "0..1", "--max-nodes", "-4",
+         "--dot", str(tmp_path / "g.dot")],
     ):
         code, out, err = run_cli(argv)
         assert code == 2, argv
@@ -87,6 +93,38 @@ def test_check_rejects_tampered_coordinates(tmp_path):
     code, _, err = run_cli(["check", str(f)])
     assert code == 1
     assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_non_tilting_file_rejected(tmp_path):
+    # T_can of (2,2,2,2) with O(c) replaced by O(omega): Ext^1(O(omega), O) != 0
+    ctx = context_for((2, 2, 2, 2))
+    w = ctx.weights
+    oc = line_bundle_obj(ctx, c_gen(w))
+    summands = [
+        line_bundle_obj(ctx, omega(w)) if s == oc else s for s in t_can(ctx).summands
+    ]
+    f = tmp_path / "bad.json"
+    f.write_text(serialize.dumps(serialize.tilting_to_dict(ctx, make_tilting(ctx, summands))))
+    code, out, _ = run_cli(["check", str(f)])
+    assert code == 1
+    assert json.loads(out)["tilting"] is False
+    dot = str(tmp_path / "g.dot")
+    for argv in (
+        ["mutate", str(f), "--at", "0"],
+        ["connect", str(f)],
+        ["purge", str(f)],
+        ["--weights", "2,2,2,2", "connect", "Tcan", "--to", str(f)],
+        ["graph", "--from", str(f), "--slope-window", "0..1", "--max-nodes", "3",
+         "--dot", dot],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 1, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert "not a tilting object" in diag["message"]
+    assert not (tmp_path / "g.dot").exists()
 
 
 def test_mutate_frozen_value():

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from tubtilt import connect
 from tubtilt.connect import (
     FareyStep,
     MutationPath,
@@ -279,6 +280,34 @@ def test_budget_exhaustion(ctx2222):
     t = t_can(ctx2222, c_gen(ctx2222.weights))
     with pytest.raises(BudgetExhausted):
         connect_to_canonical(ctx2222, t, SearchBudget(max_nodes=3))
+    for bad in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SearchBudget(max_seconds=bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            SearchBudget(max_nodes=bad)
+
+
+def test_budget_bounds_the_whole_call(ctx236, monkeypatch):
+    # This connect runs integerize, completions and several connect_shared
+    # calls, and with the default budget it expands 9503 nodes in all.
+    t = random_walk(ctx236, 13, 804586876, bundle_only=True).end
+    ticks = []
+    tick = connect._Clock.tick
+
+    def counting(self):
+        tick(self)
+        ticks.append(id(self))
+
+    monkeypatch.setattr(connect._Clock, "tick", counting)
+    with pytest.raises(BudgetExhausted, match="node budget 3000"):
+        connect_to_canonical(ctx236, t, SearchBudget(max_nodes=3000))
+    assert 0 < len(ticks) <= 3000
+    assert len(set(ticks)) == 1
+    ticks.clear()
+    with pytest.raises(BudgetExhausted, match="time budget"):
+        connect_to_canonical(ctx236, t, SearchBudget(max_seconds=1e-9))
+    assert ticks == []
 
 
 def test_random_walk_deterministic(any_ctx):

@@ -174,14 +174,34 @@ def _sample_objects(ctx, rng, count):
     return [pool[rng.randrange(len(pool))] for _ in range(count)]
 
 
+def _case_ext(ctx, x, y):
+    """Ext^1 by slope cases: 0 upward, -chi downward, and inside one tube
+    hom(y, tau x) by Serre duality."""
+    if x.slope < y.slope:
+        return 0
+    if y.slope < x.slope:
+        return -chi(ctx, x.cls, y.cls)
+    if x.orbit != y.orbit:
+        return 0
+    r = len(chart_for(ctx, x.slope).orbits[x.orbit])
+    tau_x = Window((x.socle - 1) % r, x.len)
+    return tube_hom_oracle(r, Window(y.socle, y.len), tau_x)
+
+
 def test_hom_minus_ext_is_chi(any_ctx):
     rng = random.Random(13)
-    for x, y in zip(
-        _sample_objects(any_ctx, rng, 400), _sample_objects(any_ctx, rng, 400)
-    ):
+    pairs = list(
+        zip(_sample_objects(any_ctx, rng, 400), _sample_objects(any_ctx, rng, 400))
+    )
+    # every pair of one chart, so the in-tube case is covered in full
+    chart = chart_for(any_ctx, Slope(1, 2))
+    tube = [ExcObject(cls, chart.slope, t, s, ln) for t, s, ln, cls in chart.windows()]
+    pairs += [(x, y) for x in tube for y in tube]
+    for x, y in pairs:
         h = hom_dim(any_ctx, x, y)
         e = ext_dim(any_ctx, x, y)
         assert h >= 0 and e >= 0
+        assert e == _case_ext(any_ctx, x, y), (x, y)
         assert h - e == chi(any_ctx, x.cls, y.cls)
 
 
