@@ -32,7 +32,7 @@ from .errors import NonTubularWeights, TubTiltError, ValidationError
 from .exprs import eval_object, eval_tilting, parse_expr
 from .k0 import K0Context, build_context
 from .slopes import Slope
-from .tilting import TiltingObject, is_tilting, mutate, purge_torsion
+from .tilting import TiltingObject, is_tilting, make_tilting, mutate, purge_torsion
 from .tubes import chart_for
 from .verify import SUITE_ORDER, run_suite
 from .weights import make_weights
@@ -177,18 +177,24 @@ def _load_tilting(
     args, spec: str, require_tilting: bool = True
 ) -> tuple[K0Context, TiltingObject]:
     """A JSON file when `spec` names one, otherwise an expression (tilting
-    by construction).  A file must hold a tilting object unless
-    `require_tilting` is off."""
+    by construction).  A file that does not hold a tilting object is
+    rejected by `serialize.tilting_from_dict` unless `require_tilting` is
+    off."""
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         ctx = None
         if args.weights is not None:
             ctx = build_context(make_weights(args.weights))
-        ctx, t = serialize.tilting_from_dict(data, ctx)
+        try:
+            if require_tilting:
+                ctx, t = serialize.tilting_from_dict(data, ctx)
+            else:
+                ctx, objs = serialize.summands_from_dict(data, ctx)
+                t = make_tilting(ctx, objs)
+        except ValidationError as exc:
+            raise ValidationError(f"{spec}: {exc}") from None
         _load_cache(ctx, args)
-        if require_tilting and not is_tilting(ctx, t):
-            raise ValidationError(f"{spec} is not a tilting object")
         return ctx, t
     ctx = _context(args)
     return ctx, eval_tilting(ctx, parse_expr(spec))

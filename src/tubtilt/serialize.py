@@ -15,7 +15,7 @@ from .connect import MutationPath
 from .errors import ChartInconsistent, ValidationError
 from .k0 import K0Class, K0Context, build_context
 from .slopes import Slope
-from .tilting import MutationEvent, TiltingObject, is_bundle, make_tilting
+from .tilting import MutationEvent, TiltingObject, is_bundle, is_tilting, make_tilting
 from .tubes import ExcObject, TubeChart, check_chart_invariants, exc_from_class
 from .weights import WeightData, make_weights
 
@@ -67,7 +67,11 @@ def tilting_to_dict(ctx: K0Context, t: TiltingObject) -> dict:
     }
 
 
-def tilting_from_dict(data: Any, ctx: K0Context | None = None) -> tuple[K0Context, TiltingObject]:
+def summands_from_dict(
+    data: Any, ctx: K0Context | None = None
+) -> tuple[K0Context, list[ExcObject]]:
+    """The context and the decoded summands of a tilting record, with no
+    verdict on whether they form a tilting object."""
     if not isinstance(data, dict) or "weights" not in data or "summands" not in data:
         raise ValidationError("tilting record needs 'weights' and 'summands'")
     w = make_weights(data["weights"])
@@ -78,8 +82,18 @@ def tilting_from_dict(data: Any, ctx: K0Context | None = None) -> tuple[K0Contex
             f"file weights {w.weights} do not match the active context "
             f"{ctx.weights.weights}"
         )
-    summands = [exc_from_dict(ctx, s) for s in data["summands"]]
-    return ctx, make_tilting(ctx, summands)
+    return ctx, [exc_from_dict(ctx, s) for s in data["summands"]]
+
+
+def tilting_from_dict(data: Any, ctx: K0Context | None = None) -> tuple[K0Context, TiltingObject]:
+    """Load boundary for tilting objects: a record whose summands are not
+    tilting raises ValidationError, so every TiltingObject in the library
+    is tilting and `mutate` need not re-check it."""
+    ctx, summands = summands_from_dict(data, ctx)
+    t = make_tilting(ctx, summands)
+    if not is_tilting(ctx, t):
+        raise ValidationError("the record is not a tilting object")
+    return ctx, t
 
 
 def event_to_dict(ev: MutationEvent) -> dict:

@@ -77,7 +77,13 @@ class MutationEvent:
 
 
 def make_tilting(ctx: K0Context, objs: Iterable[ExcObject]) -> TiltingObject:
-    """Structural constructor: right count, no duplicates, canonical order."""
+    """Structural constructor: right count, no duplicates, canonical order.
+
+    It does not check that the summands are pairwise ext-orthogonal.
+    Its callers pass tilting summands (canonical bundles, mutation
+    results, completions that passed `is_tilting`), and
+    `serialize.tilting_from_dict` checks records read from outside.
+    """
     lst = list(objs)
     if len(lst) != ctx.n:
         raise WrongSummandCount(f"expected {ctx.n} summands, got {len(lst)}")
@@ -269,6 +275,13 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
     is decoded only if it passes three necessary conditions that are
     linear in b: chi(T_i, c) >= 0 and chi(c, T_i) >= 0 (a negative value
     forces an ext against T_i) and rank(c) >= 0.
+
+    Precondition: t is tilting (see `make_tilting`); the result is then
+    tilting without a re-check.  The complement is unique (Happel-Unger)
+    and its class is -[T_k] modulo the other summands, so the classes
+    of the result have determinant -det(t) = +-1, and the only new ext
+    pairs are the ones between the complement and the other summands,
+    checked below.
     """
     memo_key = (t.class_key(), k)
     got = ctx._mutations.get(memo_key)
@@ -310,8 +323,6 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
         )
     new = survivors[0]
     result = make_tilting(ctx, others + (new,))
-    if not is_tilting(ctx, result):
-        raise InternalConsistencyError("mutation produced a non-tilting object")
 
     e_left = ext_dim(ctx, new, tk)  # nonzero iff 0 -> T_k -> B -> new -> 0
     e_right = ext_dim(ctx, tk, new)

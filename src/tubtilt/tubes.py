@@ -8,6 +8,10 @@ quasi-simples (socle position, quasi-length), and hom/ext dimensions
 reduce to Euler pairings across slopes plus a closed-form count
 inside a single tube.
 
+Only the charts at infinity and at slopes in [0, 1) are built from
+roots; every other chart is one of those twisted by a multiple of x_t,
+which shifts slopes by integers (`chart_for`).
+
 Orbit conventions: position k + 1 is the tau-preimage of position k,
 so a window starting at the socle ascends through positions
 socle, socle + 1, ...; position 0 is the lexicographically smallest
@@ -38,7 +42,7 @@ from .k0 import (
     twist_matrix,
 )
 from .slopes import Slope
-from .weights import LElement, delta
+from .weights import LElement, delta, l_scale, x_gen
 
 
 @dataclass(frozen=True)
@@ -229,12 +233,39 @@ def _find_window(chart: TubeChart, c: K0Class) -> tuple[int, int, int] | None:
 
 
 def chart_for(ctx: K0Context, q: Slope) -> TubeChart:
-    """Memoized chart accessor; identical rebuilds are idempotent."""
+    """Memoized chart accessor.
+
+    Charts are built from roots only at infinity and at slopes in
+    [0, 1).  The twist by x_t (p_t = p, so delta(x_t) = 1) is an
+    autoequivalence that shifts every slope by 1, so the chart at any
+    other finite q is the chart at q - floor(q) twisted by floor(q) x_t.
+    """
     got = ctx._charts.get(q)
     if got is None:
-        got = build_chart(ctx, q)
+        m = 0 if q.is_infinite else q.floor()
+        if m == 0:
+            got = build_chart(ctx, q)
+        else:
+            got = _twist_chart(ctx, chart_for(ctx, q.shift(-m)), m)
         ctx._charts[q] = got
     return got  # type: ignore[return-value]
+
+
+def _twist_chart(ctx: K0Context, chart: TubeChart, m: int) -> TubeChart:
+    """The chart twisted by m x_t, in the normal form of `_group_orbits`:
+    twists commute with tau, so each orbit stays in tau order and is only
+    rotated to its smallest vector; orbits sorted by (rank, first vector)."""
+    w = ctx.weights
+    mat = twist_matrix(ctx, l_scale(x_gen(w, w.weights.index(w.p)), m))
+    orbits = []
+    for orbit in chart.orbits:
+        cyc = [K0Class(mat_vec(mat, c.vec)) for c in orbit]
+        base = min(range(len(cyc)), key=lambda k: cyc[k].vec)
+        orbits.append(tuple(cyc[base:] + cyc[:base]))
+    orbits.sort(key=lambda o: (len(o), o[0].vec))
+    twisted = TubeChart(chart.slope.shift(m), tuple(orbits))
+    check_chart_invariants(ctx, twisted)
+    return twisted
 
 
 def coords_of_class(ctx: K0Context, chart: TubeChart, c: K0Class) -> ExcObject:
@@ -346,7 +377,9 @@ def ext_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
     got = ctx._exts.get(key)
     if got is not None:
         return got
-    e = hom_dim(ctx, x, y) - chi(ctx, x.cls, y.cls)
+    h = hom_dim(ctx, x, y)
+    # for ascending slopes hom_dim is the Euler pairing itself
+    e = h - (h if x.slope < y.slope else chi(ctx, x.cls, y.cls))
     if e < 0:
         raise InternalConsistencyError(
             f"negative ext {e} between slopes {x.slope} and {y.slope}"

@@ -6,9 +6,9 @@ from tubtilt import serialize
 from tubtilt.connect import connect_to_canonical, random_walk, verify_path
 from tubtilt.errors import ValidationError
 from tubtilt.slopes import INF, Slope
-from tubtilt.tilting import t_can
+from tubtilt.tilting import is_tilting, make_tilting, t_can
 from tubtilt.tubes import chart_for, line_bundle_obj
-from tubtilt.weights import l_zero, x_gen
+from tubtilt.weights import c_gen, l_zero, omega, x_gen
 
 
 def test_exc_round_trip(ctx2222):
@@ -49,6 +49,21 @@ def test_tilting_weights_mismatch(ctx2222, ctx236):
     data = serialize.tilting_to_dict(ctx2222, t_can(ctx2222))
     with pytest.raises(ValidationError):
         serialize.tilting_from_dict(data, ctx236)
+
+
+def test_non_tilting_record_rejected(ctx2222):
+    # T_can of (2,2,2,2) with O(c) replaced by O(omega): Ext^1(O(omega), O) != 0
+    w = ctx2222.weights
+    oc = line_bundle_obj(ctx2222, c_gen(w))
+    summands = [
+        line_bundle_obj(ctx2222, omega(w)) if s == oc else s
+        for s in t_can(ctx2222).summands
+    ]
+    data = serialize.tilting_to_dict(ctx2222, make_tilting(ctx2222, summands))
+    with pytest.raises(ValidationError, match="not a tilting object"):
+        serialize.tilting_from_dict(data, ctx2222)
+    _, objs = serialize.summands_from_dict(data, ctx2222)
+    assert not is_tilting(ctx2222, objs)
 
 
 def test_path_round_trip(ctx2222):

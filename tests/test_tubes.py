@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from tubtilt import tubes
 from tubtilt.errors import ChartInconsistent, NotExceptionalHere
 from tubtilt.intmat import rank as mat_rank
-from tubtilt.k0 import K0Class, chi, line_bundle_class, rank_of
+from tubtilt.k0 import K0Class, build_context, chi, line_bundle_class, rank_of
 from tubtilt.slopes import INF, Slope
 from tubtilt.tubes import (
     ExcObject,
     Window,
+    build_chart,
     chart_for,
     check_chart_invariants,
     coords_of_class,
@@ -22,7 +24,7 @@ from tubtilt.tubes import (
     wing_contains,
     window_class,
 )
-from tubtilt.weights import c_gen, l_zero, omega, x_gen
+from tubtilt.weights import TUBULAR_TYPES, c_gen, l_zero, make_weights, omega, x_gen
 
 CHART_SLOPES = [INF, Slope(0, 1), Slope(1, 1), Slope(1, 2), Slope(-1, 2), Slope(1, 3), Slope(2, 3), Slope(3, 2)]
 
@@ -60,6 +62,25 @@ def test_chart_realizability_all_slopes(any_ctx):
         chart = chart_for(any_ctx, q)
         assert tuple(sorted(chart.ranks)) == any_ctx.weights.weights
         check_chart_invariants(any_ctx, chart)
+
+
+def test_twisted_charts_match_built_charts(monkeypatch):
+    # chart_for builds only at slopes in [0, 1) and twists the rest
+    built = []
+
+    def recording_build(ctx, q):
+        built.append(q)
+        return build_chart(ctx, q)
+
+    monkeypatch.setattr(tubes, "build_chart", recording_build)
+    slopes = {Slope(a, b) for b in range(1, 9) for a in range(-12, 30)}
+    for ws in TUBULAR_TYPES:
+        ctx = build_context(make_weights(ws))
+        built.clear()
+        for q in sorted(slopes, key=Slope.fraction):
+            assert chart_for(ctx, q) == build_chart(ctx, q), (ws, q)
+        assert len(built) == len(set(built)) == len({q.frac() for q in slopes})
+        assert all(q.floor() == 0 for q in built)
 
 
 def test_chart_memo_idempotent(ctx2222):
