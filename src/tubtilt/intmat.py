@@ -6,6 +6,7 @@ is spent on asymptotics.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -17,7 +18,7 @@ def identity(n: int) -> Matrix:
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> Vector:

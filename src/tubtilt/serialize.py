@@ -11,7 +11,7 @@ import json
 import os
 from typing import Any
 
-from .connect import MutationPath
+from .connect import MutationPath, verify_path
 from .errors import ChartInconsistent, ValidationError
 from .k0 import K0Class, K0Context, build_context
 from .slopes import Slope
@@ -130,12 +130,19 @@ def path_to_dict(ctx: K0Context, path: MutationPath) -> dict:
 
 
 def path_from_dict(ctx: K0Context, data: Any) -> MutationPath:
+    """Load boundary for paths: the nodes are read structurally and the
+    whole path, every node tilting and every event matching its nodes,
+    is checked once by `verify_path`; a path that fails raises
+    ValidationError."""
     if not isinstance(data, dict) or "nodes" not in data:
         raise ValidationError("path record needs 'nodes'")
-    nodes = [tilting_from_dict(d, ctx)[1] for d in data["nodes"]]
+    nodes = [make_tilting(ctx, summands_from_dict(d, ctx)[1]) for d in data["nodes"]]
     events = [event_from_dict(ctx, d) for d in data.get("events", [])]
     flag = data.get("bundleOnly", all(is_bundle(t) for t in nodes))
-    return MutationPath(nodes, events, bool(flag))
+    path = MutationPath(nodes, events, bool(flag))
+    if not verify_path(ctx, path):
+        raise ValidationError("the record is not a verified mutation path")
+    return path
 
 
 def dumps(data: Any) -> str:

@@ -15,12 +15,17 @@ in the multiplicities b over that Gram matrix.  All its cross terms are
 <= 0, which bounds what the unvisited multiplicities can still add and
 lets a branch and bound skip most of the box.  A root is turned into a
 class and decoded only if it passes necessary conditions that are
-linear in b (no forced ext against a summand, rank >= 0); the decoded
-survivors are then checked as before.
+linear in b (no forced ext against a summand, rank >= 0); the search
+carries those linear forms down its recursion, one column of the Gram
+matrix per level, so each root is filtered in O(n) where it reaches the
+last level.  The decoded survivors are then checked as before.  The
+other summands keep their canonical order, so the result is built by
+inserting the complement at its place, not by sorting all n again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -204,7 +209,10 @@ def _exchange_gram(
     ctx: K0Context, tk: ExcObject, others: Sequence[ExcObject]
 ) -> tuple[list[ExcObject], list[list[int]], list[int], list[int]]:
     """The summands T_i with a nonzero hom to or from T_k, their hom
-    matrix hom(T_i, T_j), and hom(T_k, T_i) and hom(T_i, T_k)."""
+    matrix hom(T_i, T_j), and hom(T_k, T_i) and hom(T_i, T_k).
+
+    The diagonal is 1 without a lookup: the summands are exceptional, and
+    the quadratic in `_gram_roots` already takes hom(T_i, T_i) as 1."""
     free: list[ExcObject] = []
     h_to: list[int] = []
     h_from: list[int] = []
@@ -214,22 +222,34 @@ def _exchange_gram(
             free.append(o)
             h_to.append(to)
             h_from.append(fro)
-    gram = [[hom_dim(ctx, x, y) for y in free] for x in free]
+    gram = [[1 if x is y else hom_dim(ctx, x, y) for y in free] for x in free]
     return free, gram, h_to, h_from
 
 
 def _gram_roots(
-    gram: Sequence[Sequence[int]], h_to: Sequence[int], h_from: Sequence[int]
+    gram: Sequence[Sequence[int]],
+    h_to: Sequence[int],
+    h_from: Sequence[int],
+    ranks: Sequence[int],
+    rank_k: int,
 ) -> list[tuple[int, ...]]:
     """All b with 0 <= b_i <= max(h_to[i], h_from[i]) and
     sum_i (s_i b_i - b_i^2) - sum_{i<j} b_i b_j S_ij = 0, where
     s_i = h_to[i] + h_from[i] and S_ij = gram[i][j] + gram[j][i],
+    that pass the exchange filters sum_j b_j gram[i][j] >= h_from[i],
+    sum_j b_j gram[j][i] >= h_to[i] and sum_j b_j ranks[j] >= rank_k,
     in lexicographic order.
 
     Branch and bound on the partial sum: the entries are hom dimensions,
     so every cross term is <= 0 and level i adds at most s_i^2 // 4; a
     partial sum below minus the remaining levels' maximum never returns
-    to 0.
+    to 0.  The filter sums out[i] = sum_j b_j gram[i][j] and
+    in_[i] = sum_j b_j gram[j][i] are carried down the recursion, and so
+    is the rank sum: setting b_i = v adds v times column i (row i for
+    in_), and leaving level i takes it off again.  At level i only
+    b_0..b_{i-1} are set, so its linear coefficient
+    s_i - sum_{j<i} b_j S_ij is s_i - out[i] - in_[i], and the filters
+    cost O(m) at a leaf.
     """
     m = len(gram)
     s = [h_to[i] + h_from[i] for i in range(m)]
@@ -237,27 +257,56 @@ def _gram_roots(
     rest = [0] * (m + 1)  # rest[i]: the most that levels i.. can still add
     for i in range(m - 1, -1, -1):
         rest[i] = rest[i + 1] + s[i] * s[i] // 4
+    cols = list(zip(*gram))
+    idx = range(m)
+    out = [0] * m
+    in_ = [0] * m
     hits: list[tuple[int, ...]] = []
     b = [0] * m
 
-    def rec(i: int, f: int) -> None:
+    def shift(i: int, d: int) -> None:
+        col, row = cols[i], gram[i]
+        for r in idx:
+            out[r] += d * col[r]
+            in_[r] += d * row[r]
+
+    def rec(i: int, f: int, rank: int) -> None:
         if i == m:
-            if f == 0:
+            if (
+                f == 0
+                and rank >= rank_k
+                and all(out[r] >= h_from[r] and in_[r] >= h_to[r] for r in idx)
+            ):
                 hits.append(tuple(b))
             return
-        a = s[i] - sum(b[j] * (gram[i][j] + gram[j][i]) for j in range(i))
+        a = s[i] - out[i] - in_[i]
         floor = -rest[i + 1]
         for v in range(bounds[i] + 1):
             g = f + (a - v) * v
             if g >= floor:
-                b[i] = v
-                rec(i + 1, g)
+                if v != b[i]:
+                    shift(i, v - b[i])
+                    b[i] = v
+                rec(i + 1, g, rank + v * ranks[i])
             elif 2 * v >= a:
                 break  # (a - v) v only falls from here on
-        b[i] = 0
+        if b[i]:
+            shift(i, -b[i])
+            b[i] = 0
 
-    rec(0, 0)
+    rec(0, 0, 0)
     return hits
+
+
+def _insert_summand(
+    others: tuple[ExcObject, ...], new: ExcObject
+) -> TiltingObject:
+    """`others`, already in canonical order, with `new` inserted at its
+    place: the result `make_tilting` would sort into."""
+    pos = bisect_left(others, new.sort_key(), key=ExcObject.sort_key)
+    if pos < len(others) and others[pos].cls.vec == new.cls.vec:
+        raise DuplicateSummands(f"duplicate summand class {new.cls.vec}")
+    return TiltingObject(others[:pos] + (new,) + others[pos:])
 
 
 def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, MutationEvent]:
@@ -274,34 +323,30 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
     hom(T_j, T_i), solved by branch and bound (`_gram_roots`).  A root
     is decoded only if it passes three necessary conditions that are
     linear in b: chi(T_i, c) >= 0 and chi(c, T_i) >= 0 (a negative value
-    forces an ext against T_i) and rank(c) >= 0.
+    forces an ext against T_i) and rank(c) >= 0.  `_gram_roots` carries
+    these sums down its recursion and applies them at each root.
 
     Precondition: t is tilting (see `make_tilting`); the result is then
     tilting without a re-check.  The complement is unique (Happel-Unger)
     and its class is -[T_k] modulo the other summands, so the classes
     of the result have determinant -det(t) = +-1, and the only new ext
     pairs are the ones between the complement and the other summands,
-    checked below.
+    checked below.  The other summands keep their canonical order, so
+    the result is built by inserting the complement at its place
+    (`_insert_summand`) instead of sorting all n summands again.
     """
     memo_key = (t.class_key(), k)
     got = ctx._mutations.get(memo_key)
     if got is not None:
         return got
     tk = t.summands[k]
-    others = tuple(o for i, o in enumerate(t.summands) if i != k)
+    others = t.summands[:k] + t.summands[k + 1 :]
     free, gram, h_to, h_from = _exchange_gram(ctx, tk, others)
-    idx = range(len(free))
     ranks = [rank_of(ctx, o.cls) for o in free]
     rank_k = rank_of(ctx, tk.cls)
 
     survivors: list[ExcObject] = []
-    for b in _gram_roots(gram, h_to, h_from):
-        if (
-            sum(b[j] * ranks[j] for j in idx) < rank_k
-            or any(sum(b[j] * gram[i][j] for j in idx) < h_from[i] for i in idx)
-            or any(sum(b[j] * gram[j][i] for j in idx) < h_to[i] for i in idx)
-        ):
-            continue
+    for b in _gram_roots(gram, h_to, h_from, ranks, rank_k):
         vec = [-x for x in tk.cls.vec]
         for bj, o in zip(b, free):
             if bj:
@@ -322,7 +367,7 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
             f"{len(survivors)} complements found when mutating at index {k}"
         )
     new = survivors[0]
-    result = make_tilting(ctx, others + (new,))
+    result = _insert_summand(others, new)
 
     e_left = ext_dim(ctx, new, tk)  # nonzero iff 0 -> T_k -> B -> new -> 0
     e_right = ext_dim(ctx, tk, new)

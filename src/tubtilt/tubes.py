@@ -177,7 +177,15 @@ def _group_orbits(
 
 
 def check_chart_invariants(ctx: K0Context, chart: TubeChart) -> None:
-    """Structural chart invariants (also run on cache load)."""
+    """Chart invariants: the structure (`_check_chart_structure`) and the
+    Euler pattern of the quasi-simples (also run on cache load)."""
+    _check_chart_structure(ctx, chart)
+    _check_chi_pattern(ctx, chart)
+
+
+def _check_chart_structure(ctx: K0Context, chart: TubeChart) -> None:
+    """Orbit sizes are the weights, no class repeats, every class has the
+    chart's slope, and each orbit is in tau order."""
     sizes = tuple(sorted(len(o) for o in chart.orbits))
     if sizes != ctx.weights.weights:
         raise ChartInconsistent(
@@ -197,6 +205,11 @@ def check_chart_invariants(ctx: K0Context, chart: TubeChart) -> None:
                 raise ChartInconsistent(
                     f"orbit order at slope {chart.slope} is not the tau order"
                 )
+
+
+def _check_chi_pattern(ctx: K0Context, chart: TubeChart) -> None:
+    """chi between quasi-simples: 1 on the diagonal, -1 from a class to
+    its tau-translate in the same orbit, 0 otherwise."""
     for a, orb_a in enumerate(chart.orbits):
         for b, orb_b in enumerate(chart.orbits):
             for j, x in enumerate(orb_a):
@@ -254,7 +267,13 @@ def chart_for(ctx: K0Context, q: Slope) -> TubeChart:
 def _twist_chart(ctx: K0Context, chart: TubeChart, m: int) -> TubeChart:
     """The chart twisted by m x_t, in the normal form of `_group_orbits`:
     twists commute with tau, so each orbit stays in tau order and is only
-    rotated to its smallest vector; orbits sorted by (rank, first vector)."""
+    rotated to its smallest vector; orbits sorted by (rank, first vector).
+
+    Only the structure is checked.  The twist is an autoequivalence, so
+    it preserves chi, and the chi pattern already holds on the source
+    chart: every chart built from roots runs the full
+    `check_chart_invariants` (`_validate_chart`), and so does every
+    chart read from outside (`serialize.chart_from_dict`)."""
     w = ctx.weights
     mat = twist_matrix(ctx, l_scale(x_gen(w, w.weights.index(w.p)), m))
     orbits = []
@@ -264,7 +283,7 @@ def _twist_chart(ctx: K0Context, chart: TubeChart, m: int) -> TubeChart:
         orbits.append(tuple(cyc[base:] + cyc[:base]))
     orbits.sort(key=lambda o: (len(o), o[0].vec))
     twisted = TubeChart(chart.slope.shift(m), tuple(orbits))
-    check_chart_invariants(ctx, twisted)
+    _check_chart_structure(ctx, twisted)
     return twisted
 
 

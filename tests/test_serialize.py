@@ -51,7 +51,7 @@ def test_tilting_weights_mismatch(ctx2222, ctx236):
         serialize.tilting_from_dict(data, ctx236)
 
 
-def test_non_tilting_record_rejected(ctx2222):
+def _non_tilting_record(ctx2222):
     # T_can of (2,2,2,2) with O(c) replaced by O(omega): Ext^1(O(omega), O) != 0
     w = ctx2222.weights
     oc = line_bundle_obj(ctx2222, c_gen(w))
@@ -59,7 +59,11 @@ def test_non_tilting_record_rejected(ctx2222):
         line_bundle_obj(ctx2222, omega(w)) if s == oc else s
         for s in t_can(ctx2222).summands
     ]
-    data = serialize.tilting_to_dict(ctx2222, make_tilting(ctx2222, summands))
+    return serialize.tilting_to_dict(ctx2222, make_tilting(ctx2222, summands))
+
+
+def test_non_tilting_record_rejected(ctx2222):
+    data = _non_tilting_record(ctx2222)
     with pytest.raises(ValidationError, match="not a tilting object"):
         serialize.tilting_from_dict(data, ctx2222)
     _, objs = serialize.summands_from_dict(data, ctx2222)
@@ -73,6 +77,22 @@ def test_path_round_trip(ctx2222):
     again = serialize.path_from_dict(ctx2222, data)
     assert verify_path(ctx2222, again)
     assert [n.class_key() for n in again.nodes] == [n.class_key() for n in path.nodes]
+
+
+def test_path_record_rejected_unless_verified(ctx2222, caplog):
+    data = serialize.path_to_dict(ctx2222, random_walk(ctx2222, 4, seed=3))
+    assert len(serialize.path_from_dict(ctx2222, data).events) == 4
+    # a node whose summands are not tilting
+    bad = {"nodes": [_non_tilting_record(ctx2222)], "events": [], "bundleOnly": True}
+    with pytest.raises(ValidationError, match="not a verified mutation path"):
+        serialize.path_from_dict(ctx2222, bad)
+    assert "node 0 is not tilting" in caplog.text
+    # an event that does not match its nodes
+    bad = json.loads(json.dumps(data))
+    bad["events"][1]["added"] = bad["events"][1]["removed"]
+    with pytest.raises(ValidationError, match="not a verified mutation path"):
+        serialize.path_from_dict(ctx2222, bad)
+    assert "event 1 does not match the node difference" in caplog.text
 
 
 def test_event_wire_format(ctx2222):

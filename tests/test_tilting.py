@@ -17,12 +17,13 @@ from tubtilt.errors import (
     WrongSummandCount,
 )
 from tubtilt.intmat import dot, solve_int
-from tubtilt.k0 import K0Class
+from tubtilt.k0 import K0Class, chi, rank_of
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import (
     MutationEvent,
     _exchange_gram,
     _gram_roots,
+    _insert_summand,
     apr_mutate,
     co_apr_mutate,
     find_full_period_quasi_simple,
@@ -205,6 +206,8 @@ def test_gram_roots_matches_full_box(data):
         [1 if i == j else data.draw(st.integers(0, 2)) for j in range(m)]
         for i in range(m)
     ]
+    ranks = data.draw(st.lists(st.integers(-2, 3), min_size=m, max_size=m))
+    rank_k = data.draw(st.integers(-2, 3))
 
     def value(b):
         return sum((h_to[i] + h_from[i] - b[i]) * b[i] for i in range(m)) - sum(
@@ -212,8 +215,16 @@ def test_gram_roots_matches_full_box(data):
             for i, j in itertools.combinations(range(m), 2)
         )
 
+    def passes(b):
+        return (
+            sum(b[j] * ranks[j] for j in range(m)) >= rank_k
+            and all(sum(b[j] * gram[i][j] for j in range(m)) >= h_from[i] for i in range(m))
+            and all(sum(b[j] * gram[j][i] for j in range(m)) >= h_to[i] for i in range(m))
+        )
+
     box = itertools.product(*(range(max(x, y) + 1) for x, y in zip(h_to, h_from)))
-    assert _gram_roots(gram, h_to, h_from) == [b for b in box if value(b) == 0]
+    want = [b for b in box if value(b) == 0 and passes(b)]
+    assert _gram_roots(gram, h_to, h_from, ranks, rank_k) == want
 
 
 @settings(
@@ -235,7 +246,8 @@ def test_complement_search_matches_box_oracle(ws, steps, seed, bundle_only, k):
     tk = t.summands[k]
     others = tuple(o for i, o in enumerate(t.summands) if i != k)
     free, gram, h_to, h_from = _exchange_gram(ctx, tk, others)
-    roots = _gram_roots(gram, h_to, h_from)
+    ranks = [rank_of(ctx, o.cls) for o in free]
+    roots = _gram_roots(gram, h_to, h_from, ranks, rank_of(ctx, tk.cls))
     pruned = set()
     for b in roots:
         vec = [-x for x in tk.cls.vec]
@@ -243,8 +255,29 @@ def test_complement_search_matches_box_oracle(ws, steps, seed, bundle_only, k):
             vec = [a + bj * x for a, x in zip(vec, o.cls.vec)]
         pruned.add(tuple(vec))
     assert len(pruned) == len(roots)
-    assert pruned == set(_box_hits(ctx, t, k))
+
+    def passes(cv):
+        # the exchange filters on classes: rank(c) >= 0 and no forced ext,
+        # chi(T_i, c) >= 0 and chi(c, T_i) >= 0, against every other summand
+        c = K0Class(cv)
+        return rank_of(ctx, c) >= 0 and all(
+            chi(ctx, o.cls, c) >= 0 and chi(ctx, c, o.cls) >= 0 for o in others
+        )
+
+    assert pruned == {cv for cv in _box_hits(ctx, t, k) if passes(cv)}
     assert mutate(ctx, t, k) == _oracle_mutate(ctx, t, k)
+
+
+def test_insert_summand_matches_make_tilting(any_ctx):
+    # the complement goes in at the place make_tilting's sort gives it, and
+    # a summand that is already there is a duplicate wherever it lands
+    t = _walk(any_ctx, 6, 11)
+    for k in range(any_ctx.n):
+        others = t.summands[:k] + t.summands[k + 1 :]
+        assert _insert_summand(others, t.summands[k]) == t
+        for o in others:
+            with pytest.raises(DuplicateSummands):
+                _insert_summand(others, o)
 
 
 def test_apr_mutation(ctx2222):

@@ -78,7 +78,10 @@ def test_twisted_charts_match_built_charts(monkeypatch):
         ctx = build_context(make_weights(ws))
         built.clear()
         for q in sorted(slopes, key=Slope.fraction):
-            assert chart_for(ctx, q) == build_chart(ctx, q), (ws, q)
+            chart = chart_for(ctx, q)
+            assert chart == build_chart(ctx, q), (ws, q)
+            # a twisted chart skips the chi pattern in the library
+            check_chart_invariants(ctx, chart)
         assert len(built) == len(set(built)) == len({q.frac() for q in slopes})
         assert all(q.floor() == 0 for q in built)
 
@@ -307,7 +310,7 @@ def test_wing_morphism_vanishing_exhaustive():
                                 )
 
 
-def test_loaded_chart_validation_rejects_corruption(ctx2222):
+def test_loaded_chart_validation_rejects_corruption(ctx2222, ctx236):
     from tubtilt.tubes import TubeChart
 
     chart = chart_for(ctx2222, INF)
@@ -316,6 +319,15 @@ def test_loaded_chart_validation_rejects_corruption(ctx2222):
     bad = TubeChart(INF, (tuple([o0[0], chart.orbits[1][1]]),) + chart.orbits[1:])
     with pytest.raises(ChartInconsistent):
         check_chart_invariants(ctx2222, bad)
+    # a twisted chart (7/3 = 1/3 + 2) whose rank-6 orbit runs against tau:
+    # same classes, sizes and slope, so only the tau-order check sees it
+    chart = chart_for(ctx236, Slope(7, 3))
+    *rest, big = chart.orbits
+    bad = TubeChart(chart.slope, (*rest, big[::-1]))
+    with pytest.raises(ChartInconsistent, match="tau order"):
+        tubes._check_chart_structure(ctx236, bad)
+    with pytest.raises(ChartInconsistent):
+        check_chart_invariants(ctx236, bad)
 
 
 def test_twist_composition(ctx236):
