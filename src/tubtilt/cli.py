@@ -26,7 +26,6 @@ from .connect import (
     connect_to_canonical,
     explore_graph,
     random_walk,
-    verify_path,
 )
 from .errors import NonTubularWeights, TubTiltError, ValidationError
 from .exprs import eval_object, eval_tilting, parse_expr
@@ -275,8 +274,6 @@ def _cmd_connect(args) -> int:
         if ctx2.weights != ctx.weights:
             raise ValidationError("both tiltings must share the weight sequence")
         path = connect_pair(ctx, t, t2, budget)
-    if not verify_path(ctx, path):
-        raise TubTiltError("constructed path failed verification")
     print(serialize.dumps(serialize.path_to_dict(ctx, path)))
     _save_cache(ctx, args)
     return 0

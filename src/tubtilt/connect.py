@@ -6,7 +6,10 @@ connectedness proof: normalize a shared quasi-simple summand to be the
 unique minimal one, slide within the stratum of tilting bundles
 containing it, descend slope denominators through Farey companions
 until the slope range captures an integer, then walk the twist chain of
-canonical bundles down to the untwisted one.
+canonical bundles down to the untwisted one.  Each slide through a
+stratum is one weighted best-first search, and the finished route is
+shortened by erasing its loops and splicing out its detours before it
+is verified.
 
 All searches are deterministic: candidate orders are canonical and
 tie-breaks use serialized object order.  A budget bounds the node count
@@ -96,7 +99,6 @@ class _Clock:
     """Node count and deadline of one public call, shared by its searches."""
 
     def __init__(self, budget: SearchBudget):
-        self.budget = budget
         self.nodes = 0
         self.limit = budget.max_nodes
         self.deadline = None
@@ -221,6 +223,35 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
         logger.warning("bundle flag is inaccurate")
         return False
     return True
+
+
+def shorten_path(ctx: K0Context, path: MutationPath) -> MutationPath:
+    """The path with its loops erased and its detours spliced out.
+
+    From each kept node the walk jumps to the last later node that equals
+    it or differs from it in one summand.  Such a node is the other
+    complement of their common almost complete tilting object
+    (Happel-Unger), so the spliced edge is the mutation of the kept node
+    at the summand it loses; InternalConsistencyError if it is not.  The
+    result is never longer and keeps both end points; its nodes are
+    nodes of the input.
+    """
+    nodes = path.nodes
+    sets = [frozenset(t.class_key()) for t in nodes]
+    out = MutationPath.single(nodes[0])
+    i = 0
+    while i < len(nodes) - 1:
+        j = next(j for j in range(len(nodes) - 1, i, -1) if len(sets[i] - sets[j]) <= 1)
+        if j == i + 1:
+            out.extend(nodes[j], path.events[i])
+        elif sets[i] != sets[j]:
+            (lost,) = sets[i] - sets[j]
+            t2, ev = mutate(ctx, nodes[i], nodes[i].class_key().index(lost))
+            if t2.class_key() != nodes[j].class_key():
+                raise InternalConsistencyError("spliced mutation missed the later node")
+            out.extend(nodes[j], ev)
+        i = j
+    return out
 
 
 # -- Farey descent -----------------------------------------------------------
@@ -418,11 +449,11 @@ def _complete_dfs(
 def _neighbors(
     ctx: K0Context,
     t: TiltingObject,
-    fixed_vec: tuple[int, ...] | None,
+    fixed_vec: tuple[int, ...],
     clock: _Clock,
 ):
     for k, s in enumerate(t.summands):
-        if fixed_vec is not None and s.cls.vec == fixed_vec:
+        if s.cls.vec == fixed_vec:
             continue
         clock.tick()
         t2, ev = mutate(ctx, t, k)
@@ -449,7 +480,7 @@ def _reconstruct(
 def _best_first(
     ctx: K0Context,
     start: TiltingObject,
-    fixed_vec: tuple[int, ...] | None,
+    fixed_vec: tuple[int, ...],
     clock: _Clock,
     priority: Callable[[TiltingObject, int], Any],
     is_goal: Callable[[TiltingObject], bool],
@@ -458,8 +489,9 @@ def _best_first(
     fixed_vec.
 
     The frontier is ordered by priority(node, depth), ties by insertion
-    order.  A node reached again at a smaller depth is re-opened, so an
-    A* priority with a consistent heuristic keeps its guarantees.
+    order.  A node reached again at a smaller depth is re-opened, so a
+    weighted priority that overrates the heuristic still reaches every
+    node of the stratum, but the path it returns need not be minimal.
     """
     if is_goal(start):
         return MutationPath.single(start)
@@ -486,52 +518,38 @@ def _best_first(
     raise BudgetExhausted("best-first search frontier emptied unexpectedly")
 
 
-def _bidir_fixed(
+# Weight on the heuristic of the stratum search (Pohl, "Heuristic search
+# viewed as path finding in a graph", 1970): the search goes for the target
+# instead of sweeping every shorter path, and shorten_path takes back the
+# detours that costs.
+_STRATUM_WEIGHT = 3
+
+
+def _stratum_path(
     ctx: K0Context,
     a: TiltingObject,
     b: TiltingObject,
-    fixed_vec: tuple[int, ...] | None,
+    fixed_vec: tuple[int, ...],
     clock: _Clock,
 ) -> MutationPath:
-    """Bidirectional breadth search a -> b avoiding mutation at fixed_vec.
+    """Bundle path a -> b that never mutates the summand fixed_vec.
 
-    Frontiers alternate from whichever side is smaller; any meeting key
-    yields a valid (not necessarily minimal) path.
+    Weighted A* on h = |summands of a node not in b|, a lower bound on
+    the mutations still needed because every mutation changes one
+    summand.  Ties prefer deeper nodes, which walks straight through
+    heuristic plateaus when a greedy exchange path exists.
     """
-    ka, kb = a.class_key(), b.class_key()
-    if ka == kb:
-        return MutationPath.single(a)
-    states = {ka: a, kb: b}
-    # parent maps point one step toward the respective root
-    par_a: dict = {ka: None}
-    par_b: dict = {kb: None}
-    front_a, front_b = [ka], [kb]
-    while front_a and front_b:
-        if len(front_a) <= len(front_b):
-            front, par, other = front_a, par_a, par_b
-            forward = True
-        else:
-            front, par, other = front_b, par_b, par_a
-            forward = False
-        nxt: list = []
-        for key in front:
-            node = states[key]
-            for t2, ev in _neighbors(ctx, node, fixed_vec, clock):
-                k2 = t2.class_key()
-                if k2 in par:
-                    continue
-                states[k2] = t2
-                par[k2] = (key, ev)
-                if k2 in other:
-                    to_meet = _reconstruct(par_a, ka, k2, states)
-                    from_meet = _reconstruct(par_b, kb, k2, states).reversed()
-                    return to_meet.concat(from_meet)
-                nxt.append(k2)
-        if forward:
-            front_a = nxt
-        else:
-            front_b = nxt
-    raise BudgetExhausted("bidirectional search frontier emptied unexpectedly")
+    goal_key = b.class_key()
+    target = set(goal_key)
+
+    def priority(node: TiltingObject, depth: int):
+        h = sum(1 for v in node.class_key() if v not in target)
+        return (depth + _STRATUM_WEIGHT * h, -depth)
+
+    def is_goal(node: TiltingObject) -> bool:
+        return node.class_key() == goal_key
+
+    return _best_first(ctx, a, fixed_vec, clock, priority, is_goal)
 
 
 def make_only_minimal(
@@ -590,7 +608,7 @@ def _normalize_extremal(
     # strictly interior, then normalize from there.
     y = _rigid_partner_beyond(ctx, x, above=minimal)
     t2 = completion_containing(ctx, [x, y], clock)
-    p1 = _bidir_fixed(ctx, t, t2, x.cls.vec, clock)
+    p1 = _stratum_path(ctx, t, t2, x.cls.vec, clock)
     p2 = _best_first(ctx, t2, x.cls.vec, clock, priority, is_goal)
     return p1.concat(p2)
 
@@ -617,14 +635,9 @@ def connect_shared(
     shared: ExcObject,
     budget: _Budget = DEFAULT_BUDGET,
 ) -> MutationPath:
-    """Bundle path t -> t2 through nodes all containing `shared`.
-
-    Tries a guided A* search capped at 4000 nodes, then a bidirectional
-    breadth search capped at half the budget's nodes, both on the call's
-    one clock; if both give up, both ends are normalized so the shared
-    object is the unique minimal summand and the remainder is searched
-    in the normalized stratum.
-    """
+    """Bundle path t -> t2 through nodes all containing `shared`: one
+    search of the stratum of tilting bundles containing it, bounded by
+    the call's one clock."""
     if shared.len != 1:
         raise PreconditionError("shared summand must be quasi-simple")
     for node in (t, t2):
@@ -632,42 +645,7 @@ def connect_shared(
             raise PreconditionError("shared object is not a summand of both ends")
         if not is_bundle(node):
             raise PreconditionError("both ends must be tilting bundles")
-    if t.class_key() == t2.class_key():
-        return MutationPath.single(t)
-    clock = _clock(budget)
-
-    # A* with the admissible heuristic |summands of a node not in t2|;
-    # every mutation changes exactly one summand, so the heuristic is
-    # consistent.  Ties prefer deeper nodes, which walks straight through
-    # heuristic plateaus when a greedy exchange path exists.
-    goal_key = t2.class_key()
-    target = set(goal_key)
-
-    def priority(node: TiltingObject, depth: int):
-        h = sum(1 for v in node.class_key() if v not in target)
-        return (depth + h, -depth)
-
-    def is_goal(node: TiltingObject) -> bool:
-        return node.class_key() == goal_key
-
-    path = clock.attempt(
-        4000, _best_first, ctx, t, shared.cls.vec, clock, priority, is_goal
-    )
-    if path is not None:
-        return path
-
-    # meet-in-the-middle inside the stratum of bundles containing `shared`
-    half = max(1, clock.budget.max_nodes // 2)
-    path = clock.attempt(half, _bidir_fixed, ctx, t, t2, shared.cls.vec, clock)
-    if path is not None:
-        return path
-
-    # last resort: normalize both ends so the shared object is the unique
-    # minimal summand, then bridge the normalized stratum
-    pa = _normalize_extremal(ctx, t, shared, clock, minimal=True)
-    pb = _normalize_extremal(ctx, t2, shared, clock, minimal=True)
-    mid = _bidir_fixed(ctx, pa.end, pb.end, shared.cls.vec, clock)
-    return pa.concat(mid).concat(pb.reversed())
+    return _stratum_path(ctx, t, t2, shared.cls.vec, _clock(budget))
 
 
 # -- slope-range manipulation ---------------------------------------------------
@@ -767,14 +745,25 @@ def _twist_chain(ctx: K0Context, start_elt: LElement, clock: _Clock) -> Mutation
 def connect_to_canonical(
     ctx: K0Context, t: TiltingObject, budget: _Budget = DEFAULT_BUDGET
 ) -> MutationPath:
-    """Verified bundle path from t to the canonical tilting bundle."""
+    """Verified bundle path from t to the canonical tilting bundle, with
+    its detours spliced out (shorten_path)."""
+    return _shortened_and_verified(ctx, _route_to_canonical(ctx, t, _clock(budget)))
+
+
+def _shortened_and_verified(ctx: K0Context, path: MutationPath) -> MutationPath:
+    path = shorten_path(ctx, path)
+    if not verify_path(ctx, path):
+        raise InternalConsistencyError("constructed path failed verification")
+    return path
+
+
+def _route_to_canonical(ctx: K0Context, t: TiltingObject, clock: _Clock) -> MutationPath:
+    """The paper's route from t to T_can, before shortening."""
     if not is_bundle(t):
         raise PreconditionError("input must be a tilting bundle")
-    tc = t_can(ctx)
-    if t.class_key() == tc.class_key():
+    if t.class_key() == t_can(ctx).class_key():
         return MutationPath.single(t)
 
-    clock = _clock(budget)
     path = MutationPath.single(t)
     if _range_integer(ctx, t) is None:
         path = integerize(ctx, t, clock)
@@ -804,10 +793,7 @@ def connect_to_canonical(
 
     elt = _line_bundle_element(ctx, line)
     path = path.concat(connect_shared(ctx, cur, t_can(ctx, elt), line, clock))
-    path = path.concat(_twist_chain(ctx, elt, clock))
-    if not verify_path(ctx, path):
-        raise InternalConsistencyError("constructed path failed verification")
-    return path
+    return path.concat(_twist_chain(ctx, elt, clock))
 
 
 def _dichotomy_partner(
@@ -832,11 +818,12 @@ def connect_pair(
     t2: TiltingObject,
     budget: _Budget = DEFAULT_BUDGET,
 ) -> MutationPath:
-    """Path between two tilting bundles, composed through the canonical one."""
+    """Verified bundle path t -> t2: both routes to the canonical bundle,
+    joined and spliced, which cuts the detour through T_can."""
     clock = _clock(budget)
-    p1 = connect_to_canonical(ctx, t, clock)
-    p2 = connect_to_canonical(ctx, t2, clock)
-    return p1.concat(p2.reversed())
+    p1 = _route_to_canonical(ctx, t, clock)
+    p2 = _route_to_canonical(ctx, t2, clock)
+    return _shortened_and_verified(ctx, p1.concat(p2.reversed()))
 
 
 # -- neighborhood exploration (graph/DOT export) ----------------------------------

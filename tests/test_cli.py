@@ -3,10 +3,11 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 from tubtilt import cli, serialize
-from tubtilt.tilting import make_tilting, t_can
+from tubtilt.errors import InternalConsistencyError
+from tubtilt.tilting import make_tilting, mutate, t_can
 from tubtilt.tubes import line_bundle_obj
 from tubtilt.verify import context_for
-from tubtilt.weights import c_gen, omega
+from tubtilt.weights import c_gen, omega, x_gen
 
 
 def run_cli(argv):
@@ -169,6 +170,25 @@ def test_connect_to_expression_target():
     )
     assert code == 0
     assert json.loads(out)["bundleOnly"] is True
+
+
+def test_connect_pair_output_is_a_verified_path(monkeypatch):
+    ctx = context_for((2, 2, 2, 2))
+    argv = ["--weights", "2,2,2,2", "connect", "mu(Tcan, 0)", "--to", "Tcan(x1)"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    path = serialize.path_from_dict(ctx, json.loads(out))
+    assert path.bundle_only
+    assert path.nodes[0] == mutate(ctx, t_can(ctx), 0)[0]
+    assert path.end == t_can(ctx, x_gen(ctx.weights, 0))
+    # the library verifies the path; its failure still exits 1 with a diagnostic
+    def broken(*args):
+        raise InternalConsistencyError("constructed path failed verification")
+
+    monkeypatch.setattr(cli, "connect_pair", broken)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "InternalConsistencyError"
 
 
 def test_purge():

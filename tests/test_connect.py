@@ -3,6 +3,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tubtilt import connect
 from tubtilt.connect import (
@@ -21,15 +22,16 @@ from tubtilt.connect import (
     make_only_maximal,
     make_only_minimal,
     random_walk,
+    shorten_path,
     verify_path,
 )
-from tubtilt.errors import BudgetExhausted, PreconditionError
+from tubtilt.errors import BudgetExhausted, InternalConsistencyError, PreconditionError
 from tubtilt.k0 import K0Class
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import is_bundle, only_maximal, only_minimal, t_can
 from tubtilt.tubes import exc_from_class, line_bundle_obj
 from tubtilt.verify import context_for
-from tubtilt.weights import c_gen, l_zero, x_gen
+from tubtilt.weights import TUBULAR_TYPES, c_gen, l_zero, x_gen
 
 
 def test_extend_abcd_examples():
@@ -289,8 +291,10 @@ def test_budget_exhaustion(ctx2222):
 
 
 def test_budget_bounds_the_whole_call(ctx236, monkeypatch):
-    # This connect runs integerize, completions and several connect_shared
-    # calls, and with the default budget it expands 9503 nodes in all.
+    # This connect runs integerize, a completion and two connect_shared
+    # calls, and with the default budget it expands 837 nodes in all: the
+    # first connect_shared ends at tick 733, so a bound of 800 runs out
+    # inside the second one, after the earlier phases spent their share.
     t = random_walk(ctx236, 13, 804586876, bundle_only=True).end
     ticks = []
     tick = connect._Clock.tick
@@ -300,14 +304,62 @@ def test_budget_bounds_the_whole_call(ctx236, monkeypatch):
         ticks.append(id(self))
 
     monkeypatch.setattr(connect._Clock, "tick", counting)
-    with pytest.raises(BudgetExhausted, match="node budget 3000"):
-        connect_to_canonical(ctx236, t, SearchBudget(max_nodes=3000))
-    assert 0 < len(ticks) <= 3000
+    with pytest.raises(BudgetExhausted, match="node budget 800"):
+        connect_to_canonical(ctx236, t, SearchBudget(max_nodes=800))
+    assert 0 < len(ticks) <= 800
     assert len(set(ticks)) == 1
     ticks.clear()
     with pytest.raises(BudgetExhausted, match="time budget"):
         connect_to_canonical(ctx236, t, SearchBudget(max_seconds=1e-9))
     assert ticks == []
+
+
+def _shortening_input(ctx, kind, steps, seed):
+    if kind == "walk":
+        return random_walk(ctx, steps, seed, bundle_only=seed % 2 == 0)
+    walk = random_walk(ctx, steps, seed, bundle_only=True)
+    if kind == "detour":
+        # end of one walk -> T_can -> end of another
+        return walk.reversed().concat(random_walk(ctx, steps, seed + 1, bundle_only=True))
+    # the connect route before its own shortening
+    return connect._route_to_canonical(ctx, walk.end, connect._Clock(SearchBudget()))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ws=st.sampled_from(TUBULAR_TYPES),
+    kind=st.sampled_from(["walk", "detour", "route"]),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+)
+def test_shorten_path_properties(ws, kind, steps, seed):
+    ctx = context_for(ws)
+    path = _shortening_input(ctx, kind, steps, seed)
+    short = shorten_path(ctx, path)
+    assert len(short.events) <= len(path.events)
+    assert short.nodes[0].class_key() == path.nodes[0].class_key()
+    assert short.end.class_key() == path.end.class_key()
+    assert verify_path(ctx, short)
+    assert short.bundle_only or not path.bundle_only
+    keys = {t.class_key() for t in path.nodes}
+    assert all(t.class_key() in keys for t in short.nodes)
+
+
+def test_shorten_path_erases_a_walk_and_its_reverse(any_ctx):
+    walk = random_walk(any_ctx, 6, seed=17)
+    short = shorten_path(any_ctx, walk.concat(walk.reversed()))
+    assert len(short.nodes) == 1
+    assert short.nodes[0].class_key() == walk.nodes[0].class_key()
+    assert verify_path(any_ctx, short)
+
+
+def test_shorten_path_checks_the_spliced_mutation(ctx2222, monkeypatch):
+    walk = random_walk(ctx2222, 6, 3001, bundle_only=True)
+    route = connect._route_to_canonical(ctx2222, walk.end, connect._Clock(SearchBudget()))
+    assert len(shorten_path(ctx2222, route).events) < len(route.events)
+    monkeypatch.setattr(connect, "mutate", lambda ctx, t, k: (t, None))
+    with pytest.raises(InternalConsistencyError, match="spliced"):
+        shorten_path(ctx2222, route)
 
 
 def test_random_walk_deterministic(any_ctx):
@@ -349,26 +401,28 @@ def test_explore_graph_one_neighborhood(ctx2222):
 
 # Exchange sequences of fixed inputs, pinned so that a change to the search
 # code that alters any path shows here.  The (2,3,6) walk of 5 steps with
-# seed 3 needs the bidirectional tier of connect_shared, the (2,2,2,2) walk
-# with seed 3008 changes if the A* tier stops re-opening nodes, and
-# make_only_maximal on both (2,2,2,2) walks takes the rigid-partner
-# fallback of the extremal normalization.
+# seed 3 makes the longest stratum search of the set, the (2,2,2,2) walks
+# with seeds 3001 and 3008 and the (2,4,4) walk with seed 3000 change if
+# shorten_path stops splicing, and make_only_maximal on both (2,2,2,2)
+# walks takes the rigid-partner fallback of the extremal normalization,
+# whose first leg is a stratum search.  Event counts, in order: 1, 10, 11,
+# 1, 4, 1, 4, 1, 23 and 0, 14, 2, 9.
 GOLDEN_CONNECT = {
     ((2, 2, 2, 2), 3, 3000): "1f12cf42f5dfc110a2e31bc1ff8b114a0a9afcac8c416d1e07719dbc8091ef65",
-    ((2, 2, 2, 2), 6, 3001): "9888e8d956c198649eb16e287265af7bda1e507dcc0754b1aa3f98e023806bb5",
-    ((2, 2, 2, 2), 6, 3008): "4b278349dd8b30e1106a8709fcccac5f8c2637fb7a82c45bf10a36c5e56f136d",
+    ((2, 2, 2, 2), 6, 3001): "d83f765469c1e58655db677b8c5d25741d401c1730ef7af1102fddbd398ceaa9",
+    ((2, 2, 2, 2), 6, 3008): "f33bab79ca141e0f42710c1fab2362e14935e6b1b1f2416240648c59b83cb531",
     ((3, 3, 3), 3, 3000): "439f3e1f1bfecf8fb47f898fcedc62de8de841d613f06a322e9ed66182e11907",
-    ((3, 3, 3), 6, 3001): "3e664a08be16a6825c4db3d648aa3c2f32cd426128ead126f5c35b3c0bc1dd85",
-    ((2, 4, 4), 3, 3000): "b03d19abe77a08742bb2304e03b369496f81b620437333d78b7b70b23daf8703",
+    ((3, 3, 3), 6, 3001): "24785a40e1093d951f0bccefc3f712f31a0383ddac3bc2437602bef2db3c3e90",
+    ((2, 4, 4), 3, 3000): "6b770db2f56a35f49ad7858969b12569dc5d082c1d8ac4493b2149a4e49362ae",
     ((2, 4, 4), 6, 3001): "a63bf31e4221b9f87ff2c150ad78a3e80318b4b7b89d5731cde09b043071e8a9",
     ((2, 3, 6), 3, 3000): "b3571f3b405a409d3108b86d5696f235edce1041cfa6d9c2b299d33df81fce88",
-    ((2, 3, 6), 5, 3): "be3b155d68534f675ee9185896923a81cdc9177f34f7f529095ae66009568ae5",
+    ((2, 3, 6), 5, 3): "2d95bf7467e93d045715889557bc3b319cb0601157c38e6d168efa72ea0df568",
 }
 GOLDEN_EXTREMAL = {
     ("min", 2, 5): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    ("max", 2, 5): "52998b946e7b0429d2bd9bae16618c7dfd1ae23b4ebfe4047a11d9ebf3895325",
+    ("max", 2, 5): "633b54109cd2063fc47d14c210af89a41978672f52ef7a102444f35cd6fa3a4f",
     ("min", 4, 1004): "defd517160ec0b97d542e41745518210a792e35b7c8144f34f97294b803b3cc0",
-    ("max", 4, 1004): "974376cbc685dfdf6fcc074e3ad635ea9d0ff0ac081d5bb37a9c65a451d461c2",
+    ("max", 4, 1004): "115f0f9fad62a3bba43a08c2d0424038c344a6cbf8777d32a33639d32ef8332d",
 }
 
 
