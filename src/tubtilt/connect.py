@@ -109,25 +109,8 @@ class _Clock:
         self.nodes += 1
         if self.nodes > self.limit:
             raise BudgetExhausted(f"node budget {self.limit} exhausted")
-        if self._late():
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExhausted("time budget exhausted")
-
-    def _late(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-    def attempt(self, cap: int, search: Callable[..., MutationPath], *args):
-        """search(*args) with at most `cap` more nodes, or None if it gives
-        up while the budget outside the cap still holds."""
-        outer = self.limit
-        self.limit = min(outer, self.nodes + cap)
-        try:
-            return search(*args)
-        except BudgetExhausted:
-            if self.nodes > outer or self._late():
-                raise
-            return None
-        finally:
-            self.limit = outer
 
 
 _Budget = SearchBudget | _Clock  # a budget, or the running clock of an enclosing call
@@ -597,15 +580,11 @@ def _normalize_extremal(
     easy = (x.slope < hi) if minimal else (lo < x.slope)
     if easy:
         # guided mutation raises (resp. lowers) the blocking summands and
-        # stays inside a finite region, so a capped attempt usually lands
-        path = clock.attempt(
-            20_000, _best_first, ctx, t, x.cls.vec, clock, priority, is_goal
-        )
-        if path is not None:
-            return path
-    # The protected summand sits on the extreme slope tier (or the quick
-    # attempt stalled): route through a tilting bundle where its slope is
-    # strictly interior, then normalize from there.
+        # stays inside a finite region
+        return _best_first(ctx, t, x.cls.vec, clock, priority, is_goal)
+    # The protected summand sits on the extreme slope tier: route through
+    # a tilting bundle where its slope is strictly interior, then
+    # normalize from there.
     y = _rigid_partner_beyond(ctx, x, above=minimal)
     t2 = completion_containing(ctx, [x, y], clock)
     p1 = _stratum_path(ctx, t, t2, x.cls.vec, clock)

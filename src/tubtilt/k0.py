@@ -81,6 +81,7 @@ class K0Context:
         self.idx_f = weights.n - 1
         self._eb: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._charts: dict[Slope, object] = {}
+        self._shifts: tuple | None = None  # set by tubes._tube_shifts
         self._decode: dict[tuple[Slope, tuple[int, ...]], tuple[int, int, int]] = {}
         self._homs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         self._exts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}

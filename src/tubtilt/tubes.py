@@ -8,9 +8,15 @@ quasi-simples (socle position, quasi-length), and hom/ext dimensions
 reduce to Euler pairings across slopes plus a closed-form count
 inside a single tube.
 
-Only the charts at infinity and at slopes in [0, 1) are built from
-roots; every other chart is one of those twisted by a multiple of x_t,
-which shifts slopes by integers (`chart_for`).
+Only the chart at slope 0 is built from roots.  All tubular families
+are images of one another under autoequivalences (Lenzing-Meltzer,
+"Sheaves on a weighted projective line of genus one, and
+representations of a tubular algebra", 1993), and two tubular shifts
+generate enough of them: the one along the rank-p tube of simples at
+infinity (the twist by x_t, q -> q + 1) and the one along the tau-orbit
+of O at slope 0 (q -> q / (1 - q)).  Every other chart is the chart at
+slope 0 moved by a word in these two (`chart_for`, which states the
+shift formula and the identities checked once per context).
 
 Orbit conventions: position k + 1 is the tau-preimage of position k,
 so a window starting at the socle ascends through positions
@@ -29,7 +35,7 @@ from .errors import (
     NotExceptionalHere,
     NotSheafLike,
 )
-from .intmat import mat_vec
+from .intmat import dot, mat_vec, transpose
 from .k0 import (
     K0Class,
     K0Context,
@@ -41,8 +47,8 @@ from .k0 import (
     slope_of,
     twist_matrix,
 )
-from .slopes import Slope
-from .weights import LElement, delta, l_scale, x_gen
+from .slopes import ZERO, Slope
+from .weights import LElement, delta, l_zero
 
 
 @dataclass(frozen=True)
@@ -158,8 +164,7 @@ def _group_orbits(
         raise ChartInconsistent(f"duplicate quasi-simple classes at slope {q}")
     orbits: list[tuple[K0Class, ...]] = []
     while remaining:
-        seed_vec = min(remaining)
-        cyc = [remaining.pop(seed_vec)]
+        cyc = [remaining.pop(min(remaining))]
         while True:
             nxt = K0Class(mat_vec(ctx.tau_inv, cyc[-1].vec))
             if nxt.vec == cyc[0].vec:
@@ -169,11 +174,21 @@ def _group_orbits(
                     f"tau orbit at slope {q} left the quasi-simple set"
                 )
             cyc.append(remaining.pop(nxt.vec))
-        base = min(range(len(cyc)), key=lambda k: cyc[k].vec)
-        cyc = cyc[base:] + cyc[:base]
         orbits.append(tuple(cyc))
-    orbits.sort(key=lambda o: (len(o), o[0].vec))
-    return tuple(orbits)
+    return _normal_form(orbits)
+
+
+def _normal_form(
+    orbits: list[tuple[K0Class, ...]],
+) -> tuple[tuple[K0Class, ...], ...]:
+    """Each orbit (in tau order) rotated to start at its smallest class
+    vector, the orbits sorted by (rank, first vector)."""
+    out = []
+    for cyc in orbits:
+        base = min(range(len(cyc)), key=lambda k: cyc[k].vec)
+        out.append(cyc[base:] + cyc[:base])
+    out.sort(key=lambda o: (len(o), o[0].vec))
+    return tuple(out)
 
 
 def check_chart_invariants(ctx: K0Context, chart: TubeChart) -> None:
@@ -248,43 +263,183 @@ def _find_window(chart: TubeChart, c: K0Class) -> tuple[int, int, int] | None:
 def chart_for(ctx: K0Context, q: Slope) -> TubeChart:
     """Memoized chart accessor.
 
-    Charts are built from roots only at infinity and at slopes in
-    [0, 1).  The twist by x_t (p_t = p, so delta(x_t) = 1) is an
-    autoequivalence that shifts every slope by 1, so the chart at any
-    other finite q is the chart at q - floor(q) twisted by floor(q) x_t.
+    Only the anchor, the chart at slope 0, is built from roots
+    (`build_chart`); the chart at any other q is the anchor moved by a
+    word in the two tubular shifts (`_shift_word`), which are
+    autoequivalences of the derived category (Lenzing-Meltzer, "Sheaves
+    on a weighted projective line of genus one, and representations of
+    a tubular algebra", 1993).  Along a tau-orbit E_0..E_{p-1} of a
+    rank-p tube, E_{j+1} = tau^-1 E_j, the shift acts on classes by
+
+        rho^k(x)  = x - sum_j chi(E_j, x) (E_j + E_{j+1} + ... + E_{j+k-1})
+        rho^-k(x) = x - sum_j chi(x, E_j) (E_j + E_{j-1} + ... + E_{j-k+1})
+
+    for k > 0 (indices mod p).  On the tube of the simples S_{t,j} at
+    infinity (p_t = p) rho^k is the twist by k x_t, which maps the slope
+    q to q + k; on the tau-orbit of O at slope 0 it keeps the degree and
+    sets the rank to rank - k deg, so it maps q to q / (1 - kq).
+
+    Once per context, at the first moved chart, the slope-0 shift is
+    checked (`_tube_shifts`): rho^-1 inverts it, it preserves the Euler
+    form, commutes with tau, keeps the degree and lowers the rank by
+    the degree; the other shift is the twist by x_t, an autoequivalence
+    (the tests compare it with `twist_matrix`).  So a moved chart
+    inherits the chi pattern and realizability of the anchor, which
+    `build_chart` validates in full, and gets only the structural
+    checks.  Only the requested chart and the anchor are memoized.
     """
     got = ctx._charts.get(q)
     if got is None:
-        m = 0 if q.is_infinite else q.floor()
-        if m == 0:
-            got = build_chart(ctx, q)
-        else:
-            got = _twist_chart(ctx, chart_for(ctx, q.shift(-m)), m)
+        anchor = ctx._charts.get(ZERO)
+        if anchor is None:
+            anchor = ctx._charts[ZERO] = build_chart(ctx, ZERO)
+        got = anchor if q == ZERO else _move_chart(ctx, anchor, q)
         ctx._charts[q] = got
     return got  # type: ignore[return-value]
 
 
-def _twist_chart(ctx: K0Context, chart: TubeChart, m: int) -> TubeChart:
-    """The chart twisted by m x_t, in the normal form of `_group_orbits`:
-    twists commute with tau, so each orbit stays in tau order and is only
-    rotated to its smallest vector; orbits sorted by (rank, first vector).
+_AT_ZERO, _AT_INF = 0, 1  # the two shift generators, indices into `_tube_shifts`
 
-    Only the structure is checked.  The twist is an autoequivalence, so
-    it preserves chi, and the chi pattern already holds on the source
-    chart: every chart built from roots runs the full
-    `check_chart_invariants` (`_validate_chart`), and so does every
-    chart read from outside (`serialize.chart_from_dict`)."""
-    w = ctx.weights
-    mat = twist_matrix(ctx, l_scale(x_gen(w, w.weights.index(w.p)), m))
-    orbits = []
-    for orbit in chart.orbits:
-        cyc = [K0Class(mat_vec(mat, c.vec)) for c in orbit]
-        base = min(range(len(cyc)), key=lambda k: cyc[k].vec)
-        orbits.append(tuple(cyc[base:] + cyc[:base]))
-    orbits.sort(key=lambda o: (len(o), o[0].vec))
-    twisted = TubeChart(chart.slope.shift(m), tuple(orbits))
-    _check_chart_structure(ctx, twisted)
-    return twisted
+
+@dataclass(frozen=True)
+class _Shift:
+    """A tau-orbit E_0..E_{p-1} of a rank-p tube in tau^-1 order, with
+    chi(E_j, x) = dot(left[j], x) and chi(x, E_j) = dot(right[j], x)."""
+
+    orbit: tuple[tuple[int, ...], ...]
+    left: tuple[tuple[int, ...], ...]
+    right: tuple[tuple[int, ...], ...]
+
+
+def _shift_along(ctx: K0Context, start: tuple[int, ...]) -> _Shift:
+    """The shift along the tau-orbit of `start`."""
+    orbit = [start]
+    while (nxt := mat_vec(ctx.tau_inv, orbit[-1])) != start:
+        orbit.append(nxt)
+    et = transpose(ctx.euler)
+    return _Shift(
+        tuple(orbit),
+        tuple(mat_vec(et, e) for e in orbit),
+        tuple(ctx.eb(e) for e in orbit),
+    )
+
+
+def _windows(orbit: tuple[tuple[int, ...], ...], k: int) -> list[list[int]]:
+    """The sums rho^k subtracts: |k| consecutive orbit terms from each
+    E_j, upward (towards tau^-1) for k > 0, downward for k < 0."""
+    r = len(orbit)
+    step = 1 if k > 0 else -1
+    laps, rest = divmod(abs(k), r)
+    full = [laps * sum(col) for col in zip(*orbit)]
+    out = []
+    for j in range(r):
+        w = list(full)
+        for i in range(rest):
+            for a, x in enumerate(orbit[(j + step * i) % r]):
+                w[a] += x
+        out.append(w)
+    return out
+
+
+def _apply_shift(
+    shift: _Shift, k: int, vecs: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """rho^k of every vector (see `chart_for`)."""
+    pairing = shift.left if k > 0 else shift.right
+    windows = _windows(shift.orbit, k)
+    out = []
+    for x in vecs:
+        y = x
+        for row, w in zip(pairing, windows):
+            c = dot(row, x)
+            if c:
+                y = [ya - c * wa for ya, wa in zip(y, w)]
+        out.append(tuple(y))
+    return out
+
+
+def _shift_word(q: Slope) -> list[tuple[int, int]]:
+    """(generator, power) steps that carry the anchor to slope q.
+
+    Their action on (deg, rank) maps (0, 1) to exactly (q.num, q.den),
+    so the moved classes are sheaf classes and need no sign change.
+    Built backwards by a Euclidean descent: peel off the twist power
+    floor(deg/rank), then the slope-0 shift power that leaves a rank in
+    1..deg; one step per partial quotient of q.
+    """
+    d, r = q.num, q.den
+    back = []
+    if r == 0:  # rho^1 at slope 0 carries slope 1, (1, 1), to (1, 0)
+        back.append((_AT_ZERO, 1))
+        r = 1
+    while True:
+        m = d // r
+        if m:
+            back.append((_AT_INF, m))
+            d -= m * r
+        if d == 0:
+            return back[::-1]
+        k = (r - 1) // d
+        back.append((_AT_ZERO, -k))
+        r -= k * d
+
+
+def _tube_shifts(ctx: K0Context) -> tuple[_Shift, _Shift]:
+    """The shifts along the tau-orbit of O (slope 0) and along the
+    simples of the x_t tube (infinity); the first is checked when first
+    asked for, the second is the twist by x_t (tested against
+    `twist_matrix`)."""
+    if ctx._shifts is None:
+        w = ctx.weights
+        s = [0] * ctx.n
+        s[ctx.simple_index(w.weights.index(w.p), 1)] = 1
+        at_zero = _shift_along(ctx, line_bundle_class(ctx, l_zero(w)).vec)
+        _check_slope_zero_shift(ctx, at_zero)
+        ctx._shifts = (at_zero, _shift_along(ctx, tuple(s)))
+    return ctx._shifts  # type: ignore[return-value]
+
+
+def _check_slope_zero_shift(ctx: K0Context, shift: _Shift) -> None:
+    """On the basis: rho^-1 inverts rho, rho preserves the Euler form,
+    commutes with tau, keeps the degree and lowers the rank by it."""
+    n = ctx.n
+    basis = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+    images = _apply_shift(shift, 1, basis)
+    euler_images = [mat_vec(ctx.euler, y) for y in images]
+    failed = None
+    if _apply_shift(shift, -1, images) != basis:
+        failed = "is not inverted by rho^-1"
+    elif tuple(tuple(dot(x, ey) for ey in euler_images) for x in images) != ctx.euler:
+        failed = "does not preserve the Euler form"
+    elif _apply_shift(shift, 1, [mat_vec(ctx.tau, e) for e in basis]) != [
+        mat_vec(ctx.tau, y) for y in images
+    ]:
+        failed = "does not commute with tau"
+    elif tuple(dot(ctx.deg_form, y) for y in images) != ctx.deg_form:
+        failed = "changes the degree"
+    elif tuple(dot(ctx.rank_form, y) for y in images) != tuple(
+        r - d for r, d in zip(ctx.rank_form, ctx.deg_form)
+    ):
+        failed = "does not lower the rank by the degree"
+    if failed:
+        raise InternalConsistencyError(
+            f"the tubular shift along the orbit of {shift.orbit[0]} {failed}"
+        )
+
+
+def _move_chart(ctx: K0Context, anchor: TubeChart, q: Slope) -> TubeChart:
+    """The anchor moved to slope q, in the normal form of `_group_orbits`:
+    the shifts commute with tau, so each orbit stays in tau order and is
+    only rotated.  Only the structure is checked (see `chart_for`)."""
+    shifts = _tube_shifts(ctx)
+    vecs = [c.vec for orbit in anchor.orbits for c in orbit]
+    for gen, k in _shift_word(q):
+        vecs = _apply_shift(shifts[gen], k, vecs)
+    moved = iter(vecs)
+    orbits = [tuple(K0Class(next(moved)) for _ in orbit) for orbit in anchor.orbits]
+    chart = TubeChart(q, _normal_form(orbits))
+    _check_chart_structure(ctx, chart)
+    return chart
 
 
 def coords_of_class(ctx: K0Context, chart: TubeChart, c: K0Class) -> ExcObject:

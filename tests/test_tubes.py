@@ -3,10 +3,11 @@ import random
 import pytest
 
 from tubtilt import tubes
-from tubtilt.errors import ChartInconsistent, NotExceptionalHere
+from tubtilt.errors import ChartInconsistent, InternalConsistencyError, NotExceptionalHere
+from tubtilt.intmat import identity, mat_mul, mat_pow, transpose
 from tubtilt.intmat import rank as mat_rank
-from tubtilt.k0 import K0Class, build_context, chi, line_bundle_class, rank_of
-from tubtilt.slopes import INF, Slope
+from tubtilt.k0 import K0Class, build_context, chi, line_bundle_class, rank_of, twist_matrix
+from tubtilt.slopes import INF, ZERO, Slope
 from tubtilt.tubes import (
     ExcObject,
     Window,
@@ -24,7 +25,15 @@ from tubtilt.tubes import (
     wing_contains,
     window_class,
 )
-from tubtilt.weights import TUBULAR_TYPES, c_gen, l_zero, make_weights, omega, x_gen
+from tubtilt.weights import (
+    TUBULAR_TYPES,
+    c_gen,
+    l_scale,
+    l_zero,
+    make_weights,
+    omega,
+    x_gen,
+)
 
 CHART_SLOPES = [INF, Slope(0, 1), Slope(1, 1), Slope(1, 2), Slope(-1, 2), Slope(1, 3), Slope(2, 3), Slope(3, 2)]
 
@@ -65,7 +74,7 @@ def test_chart_realizability_all_slopes(any_ctx):
 
 
 def test_twisted_charts_match_built_charts(monkeypatch):
-    # chart_for builds only at slopes in [0, 1) and twists the rest
+    # chart_for builds only the anchor at slope 0 and moves every other chart
     built = []
 
     def recording_build(ctx, q):
@@ -80,10 +89,94 @@ def test_twisted_charts_match_built_charts(monkeypatch):
         for q in sorted(slopes, key=Slope.fraction):
             chart = chart_for(ctx, q)
             assert chart == build_chart(ctx, q), (ws, q)
-            # a twisted chart skips the chi pattern in the library
+            # a moved chart skips the chi pattern in the library
             check_chart_invariants(ctx, chart)
-        assert len(built) == len(set(built)) == len({q.frac() for q in slopes})
-        assert all(q.floor() == 0 for q in built)
+        assert built == [ZERO]
+
+
+def _shift_matrix(ctx, shift, k):
+    basis = [tuple(int(a == b) for b in range(ctx.n)) for a in range(ctx.n)]
+    return transpose(tuple(tubes._apply_shift(shift, k, basis)))
+
+
+def test_shift_on_the_x_t_tube_is_the_twist(any_ctx):
+    w = any_ctx.weights
+    x_t = x_gen(w, w.weights.index(w.p))
+    at_inf = tubes._tube_shifts(any_ctx)[tubes._AT_INF]
+    for k in range(-13, 14):
+        want = twist_matrix(any_ctx, l_scale(x_t, k))
+        assert _shift_matrix(any_ctx, at_inf, k) == want, k
+
+
+def test_shift_powers_are_repeated_shifts(any_ctx):
+    n = any_ctx.n
+    for shift in tubes._tube_shifts(any_ctx):
+        up = _shift_matrix(any_ctx, shift, 1)
+        down = _shift_matrix(any_ctx, shift, -1)
+        assert mat_mul(up, down) == identity(n)
+        for k in range(1, 14):
+            assert _shift_matrix(any_ctx, shift, k) == mat_pow(up, k), k
+            assert _shift_matrix(any_ctx, shift, -k) == mat_pow(down, k), -k
+
+
+def test_shifts_are_checked_once_and_lazily(monkeypatch):
+    checked = []
+    check = tubes._check_slope_zero_shift
+    monkeypatch.setattr(
+        tubes, "_check_slope_zero_shift", lambda ctx, sh: checked.append(ctx) or check(ctx, sh)
+    )
+    ctx = build_context(make_weights((2, 3, 6)))
+    chart_for(ctx, ZERO)
+    assert ctx._shifts is None and not checked
+    for q in (INF, Slope(1, 2), Slope(-7, 3), Slope(37, 53)):
+        chart_for(ctx, q)
+    assert checked == [ctx]
+
+
+def test_corrupted_shift_is_rejected(monkeypatch):
+    # a window one term too long
+    windows = tubes._windows
+    monkeypatch.setattr(
+        tubes, "_windows", lambda orbit, k: windows(orbit, k + (1 if k > 0 else -1))
+    )
+    ctx = build_context(make_weights((3, 3, 3)))
+    assert chart_for(ctx, ZERO) == build_chart(ctx, ZERO)
+    with pytest.raises(InternalConsistencyError, match="tubular shift"):
+        chart_for(ctx, Slope(1, 2))
+    assert ctx._shifts is None
+    monkeypatch.undo()
+    # the orbit of a tube of rank < p at slope 0 in place of the orbit of O
+    shift_along = tubes._shift_along
+    for ws in ((2, 3, 6), (2, 4, 4)):
+        ctx = build_context(make_weights(ws))
+        o = line_bundle_class(ctx, l_zero(ctx.weights)).vec
+        small = [orb for orb in build_chart(ctx, ZERO).orbits if len(orb) < ctx.p]
+        assert small
+        for orbit in small:
+            monkeypatch.setattr(
+                tubes,
+                "_shift_along",
+                lambda c, start, e=orbit[0].vec: shift_along(c, e if start == o else start),
+            )
+            with pytest.raises(InternalConsistencyError, match="tubular shift"):
+                chart_for(build_context(make_weights(ws)), INF)
+
+
+def test_moved_charts_match_built_charts_at_large_denominators():
+    # denominators 9..64, numerators in [-3b, 3b]: covers the cli `chart` range
+    rng = random.Random(29)
+    for ws in TUBULAR_TYPES:
+        ctx = build_context(make_weights(ws))
+        slopes = [Slope(37, 53), Slope(-29, 61), Slope(-191, 64), Slope(191, 64)]
+        while len(slopes) < 60:
+            b = rng.randint(9, 64)
+            q = Slope(rng.randint(-3 * b, 3 * b), b)
+            if q.den == b:
+                slopes.append(q)
+        for q in slopes:
+            chart = chart_for(ctx, q)
+            assert chart == build_chart(ctx, q), (ws, q)
+            check_chart_invariants(ctx, chart)
 
 
 def test_chart_memo_idempotent(ctx2222):
@@ -319,7 +412,7 @@ def test_loaded_chart_validation_rejects_corruption(ctx2222, ctx236):
     bad = TubeChart(INF, (tuple([o0[0], chart.orbits[1][1]]),) + chart.orbits[1:])
     with pytest.raises(ChartInconsistent):
         check_chart_invariants(ctx2222, bad)
-    # a twisted chart (7/3 = 1/3 + 2) whose rank-6 orbit runs against tau:
+    # a moved chart at 7/3 whose rank-6 orbit runs against tau:
     # same classes, sizes and slope, so only the tau-order check sees it
     chart = chart_for(ctx236, Slope(7, 3))
     *rest, big = chart.orbits
