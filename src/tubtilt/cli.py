@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", choices=SUITE_ORDER + ["all"])
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
 
     return parser

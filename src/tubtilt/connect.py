@@ -36,7 +36,6 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .intmat import is_primitive
 from .k0 import K0Context, line_bundle_class, rank_of
 from .slopes import INF, Slope
 from .tilting import (
@@ -354,9 +353,11 @@ def completion_containing(
 
     Greedy exact search: candidates are chart windows at slopes ordered
     by Stern-Brocot proximity to the seed slopes (torsion last), pruned
-    by pairwise ext-orthogonality and by primitivity of the partial
-    class lattice; the pool widens on failure.  Any torsion summands of
-    the found tilting object are mutated away afterwards, which never
+    by pairwise ext-orthogonality; the pool widens on failure.  That
+    prune suffices: in coh X pairwise ext-orthogonal exceptional objects
+    form a partial tilting object, which completes to a tilting object
+    whose classes are a Z-basis of K0.  Any torsion summands of the
+    found tilting object are mutated away afterwards, which never
     touches the seed.
     """
     seed = list(seed)
@@ -391,9 +392,6 @@ def _complete_dfs(
     ctx: K0Context, seed: list[ExcObject], pool: list[ExcObject], clock: _Clock
 ) -> TiltingObject | None:
     n = ctx.n
-    base_vecs = [x.cls.vec for x in seed]
-    if not is_primitive(base_vecs):
-        return None
     cands0 = [
         o
         for o in pool
@@ -410,9 +408,6 @@ def _complete_dfs(
             return None
         for idx, o in enumerate(cands):
             clock.tick()
-            vecs = [x.cls.vec for x in cur] + [o.cls.vec]
-            if not is_primitive(vecs):
-                continue
             nxt = [
                 o2
                 for o2 in cands[idx + 1 :]

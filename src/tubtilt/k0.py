@@ -83,8 +83,8 @@ class K0Context:
         self._charts: dict[Slope, object] = {}
         self._shifts: tuple | None = None  # set by tubes._tube_shifts
         self._decode: dict[tuple[Slope, tuple[int, ...]], tuple[int, int, int]] = {}
-        self._homs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        self._exts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        # (x, y) class vectors -> (hom(x, y), ext(x, y)), see tubes._hom_ext
+        self._pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
         self._mutations: dict[tuple, tuple] = {}
         self.omega = omega(weights)
         self.tau: Matrix = twist_matrix(self, self.omega)
@@ -369,8 +369,3 @@ def _emit(
             f"root coefficient outside the documented bound {bound}: {vec}"
         )
     out.append((m, tuple(vec)))
-
-
-def quadratic(ctx: K0Context, c: K0Class) -> int:
-    """chi(c, c); exposed for tests and cross-checks."""
-    return chi(ctx, c, c)

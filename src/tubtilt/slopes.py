@@ -86,14 +86,15 @@ class Slope:
             return True
         return self.num * other.den < other.num * self.den
 
+    # the order is total, so each comparison is one cross-multiplication
     def __le__(self, other: "Slope") -> bool:
-        return self == other or self < other
+        return not other < self
 
     def __gt__(self, other: "Slope") -> bool:
         return other < self
 
     def __ge__(self, other: "Slope") -> bool:
-        return other <= self
+        return not self < other
 
     def __str__(self) -> str:
         if self.is_infinite:

@@ -522,44 +522,53 @@ def tube_hom_oracle(r: int, w1: Window, w2: Window) -> int:
 # -- hom/ext across the category -------------------------------------------
 
 
-def hom_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
-    key = (x.cls.vec, y.cls.vec)
-    got = ctx._homs.get(key)
-    if got is not None:
-        return got
+def _hom_ext(ctx: K0Context, x: ExcObject, y: ExcObject, key) -> tuple[int, int]:
+    """Fill the memo entry (hom(x, y), ext(x, y)) of one pair.
+
+    For ascending slopes Hom is the Euler pairing and Ext vanishes; for
+    descending slopes Hom vanishes; within one slope Hom is the in-tube
+    formula.  coh X is hereditary, so the Euler form has no higher terms
+    and ext = hom - chi in every case.
+    """
     if x.slope < y.slope:
         h = chi(ctx, x.cls, y.cls)
         if h < 0:
             raise InternalConsistencyError(
                 f"negative hom {h} for ascending slopes {x.slope} -> {y.slope}"
             )
-    elif y.slope < x.slope:
-        h = 0
-    elif x.orbit != y.orbit:
-        h = 0
+        got = (h, 0)
     else:
-        r = orbit_rank(ctx, x)
-        h = tube_hom_oracle(r, Window(x.socle, x.len), Window(y.socle, y.len))
-    ctx._homs[key] = h
-    return h
+        if y.slope < x.slope or x.orbit != y.orbit:
+            h = 0
+        else:
+            r = orbit_rank(ctx, x)
+            h = tube_hom_oracle(r, Window(x.socle, x.len), Window(y.socle, y.len))
+        e = h - chi(ctx, x.cls, y.cls)
+        if e < 0:
+            raise InternalConsistencyError(
+                f"negative ext {e} between slopes {x.slope} and {y.slope}"
+            )
+        got = (h, e)
+    ctx._pairs[key] = got
+    return got
+
+
+def hom_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
+    """dim Hom(x, y), from the (hom, ext) memo shared with `ext_dim`."""
+    key = (x.cls.vec, y.cls.vec)
+    got = ctx._pairs.get(key)
+    if got is None:
+        got = _hom_ext(ctx, x, y, key)
+    return got[0]
 
 
 def ext_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
-    """dim Ext^1 = hom(x, y) - chi(x, y): coh X is hereditary, so the
-    Euler form has no higher terms."""
+    """dim Ext^1(x, y), from the (hom, ext) memo shared with `hom_dim`."""
     key = (x.cls.vec, y.cls.vec)
-    got = ctx._exts.get(key)
-    if got is not None:
-        return got
-    h = hom_dim(ctx, x, y)
-    # for ascending slopes hom_dim is the Euler pairing itself
-    e = h - (h if x.slope < y.slope else chi(ctx, x.cls, y.cls))
-    if e < 0:
-        raise InternalConsistencyError(
-            f"negative ext {e} between slopes {x.slope} and {y.slope}"
-        )
-    ctx._exts[key] = e
-    return e
+    got = ctx._pairs.get(key)
+    if got is None:
+        got = _hom_ext(ctx, x, y, key)
+    return got[1]
 
 
 def wing_contains(ctx: K0Context, z: ExcObject, x: ExcObject) -> bool:

@@ -42,6 +42,8 @@ def test_usage_error_exit_code(tmp_path):
          "--dot", str(tmp_path / "g.dot")],
         ["--weights", "2,2,2,2", "graph", "--slope-window", "0..1", "--max-nodes", "-4",
          "--dot", str(tmp_path / "g.dot")],
+        ["verify", "--suite", "connect", "--trials", "0"],
+        ["verify", "--suite", "connect", "--trials", "-1"],
     ):
         code, out, err = run_cli(argv)
         assert code == 2, argv

@@ -28,7 +28,7 @@ from tubtilt.connect import (
 from tubtilt.errors import BudgetExhausted, InternalConsistencyError, PreconditionError
 from tubtilt.k0 import K0Class
 from tubtilt.slopes import INF, Slope
-from tubtilt.tilting import is_bundle, only_maximal, only_minimal, t_can
+from tubtilt.tilting import is_bundle, is_tilting, only_maximal, only_minimal, t_can
 from tubtilt.tubes import exc_from_class, line_bundle_obj
 from tubtilt.verify import context_for
 from tubtilt.weights import TUBULAR_TYPES, c_gen, l_zero, x_gen
@@ -100,6 +100,19 @@ def test_completion_contains_seed(any_ctx):
     t = completion_containing(any_ctx, [o])
     assert is_bundle(t)
     assert o.cls.vec in set(t.class_key())
+
+
+def test_completion_of_walk_end_seeds(any_ctx):
+    # the summands of a tilting bundle are pairwise ext-orthogonal bundles,
+    # so any 1-3 of them form a valid seed that must complete
+    rng = random.Random(5)
+    for trial in range(10):
+        end = random_walk(any_ctx, rng.randrange(1, 9), seed=7000 + trial, bundle_only=True).end
+        for k in (1, 2, 3):
+            seed = rng.sample(end.summands, k)
+            t = completion_containing(any_ctx, seed)
+            assert is_bundle(t) and is_tilting(any_ctx, t)
+            assert {x.cls.vec for x in seed} <= set(t.class_key())
 
 
 def test_completion_rejects_bad_seed(ctx2222):

@@ -5,7 +5,6 @@ import pytest
 from tubtilt import tubes
 from tubtilt.errors import ChartInconsistent, InternalConsistencyError, NotExceptionalHere
 from tubtilt.intmat import identity, mat_mul, mat_pow, transpose
-from tubtilt.intmat import rank as mat_rank
 from tubtilt.k0 import K0Class, build_context, chi, line_bundle_class, rank_of, twist_matrix
 from tubtilt.slopes import INF, ZERO, Slope
 from tubtilt.tubes import (
@@ -195,6 +194,33 @@ def test_tau_orbit_pairing_at_zero_2222(ctx2222):
 # -- the in-tube closed form vs brute-force linear algebra ---------------------
 
 
+def _rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals via fraction-free elimination."""
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    if nrows == 0:
+        return 0
+    ncols = len(a[0])
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if a[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        for i in range(r + 1, nrows):
+            if a[i][c] != 0:
+                f1, f2 = a[r][c], a[i][c]
+                a[i] = [f1 * x - f2 * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 def _brute_tube_hom(r, w1, w2):
     """Model both objects as nilpotent representations of the cyclic quiver
     with r vertices and arrows v -> v-1 (towards the socle), then count
@@ -228,7 +254,7 @@ def _brute_tube_hom(r, w1, w2):
                     row[unknowns[(v, i + 1, j)]] -= 1
                 if any(row):
                     rows.append(row)
-    return len(unknowns) - mat_rank(rows)
+    return len(unknowns) - _rank(rows)
 
 
 def test_tube_oracle_examples():
@@ -265,6 +291,20 @@ def test_tube_oracle_validates_length():
 
 
 # -- hom/ext across slopes ------------------------------------------------------
+
+
+def test_negative_hom_or_ext_is_rejected(ctx2222, monkeypatch):
+    ctx = build_context(ctx2222.weights)
+    o = line_bundle_obj(ctx, l_zero(ctx.weights))
+    oc = line_bundle_obj(ctx, c_gen(ctx.weights))
+    # a corrupted Euler pairing: hom = chi < 0 upward, ext = 0 - chi < 0 downward
+    monkeypatch.setattr(tubes, "chi", lambda ctx, a, b: -1)
+    with pytest.raises(InternalConsistencyError, match="negative hom"):
+        ext_dim(ctx, o, oc)
+    monkeypatch.setattr(tubes, "chi", lambda ctx, a, b: 1)
+    with pytest.raises(InternalConsistencyError, match="negative ext"):
+        hom_dim(ctx, oc, o)
+    assert ctx._pairs == {}
 
 
 def test_hom_examples_2222(ctx2222):
@@ -306,20 +346,26 @@ def _case_ext(ctx, x, y):
 
 
 def test_hom_minus_ext_is_chi(any_ctx):
-    rng = random.Random(13)
-    pairs = list(
-        zip(_sample_objects(any_ctx, rng, 400), _sample_objects(any_ctx, rng, 400))
-    )
-    # every pair of one chart, so the in-tube case is covered in full
-    chart = chart_for(any_ctx, Slope(1, 2))
-    tube = [ExcObject(cls, chart.slope, t, s, ln) for t, s, ln, cls in chart.windows()]
-    pairs += [(x, y) for x in tube for y in tube]
-    for x, y in pairs:
-        h = hom_dim(any_ctx, x, y)
-        e = ext_dim(any_ctx, x, y)
-        assert h >= 0 and e >= 0
-        assert e == _case_ext(any_ctx, x, y), (x, y)
-        assert h - e == chi(any_ctx, x.cls, y.cls)
+    # hom and ext share one memo entry per pair: on a fresh context, fill
+    # it from either entry point and read the other value from the memo
+    for hom_first in (True, False):
+        ctx = build_context(any_ctx.weights)
+        rng = random.Random(13)
+        pairs = list(zip(_sample_objects(ctx, rng, 400), _sample_objects(ctx, rng, 400)))
+        # every pair of one chart, so the in-tube case is covered in full
+        chart = chart_for(ctx, Slope(1, 2))
+        tube = [ExcObject(cls, chart.slope, t, s, ln) for t, s, ln, cls in chart.windows()]
+        pairs += [(x, y) for x in tube for y in tube]
+        for x, y in pairs:
+            if hom_first:
+                h = hom_dim(ctx, x, y)
+                e = ext_dim(ctx, x, y)
+            else:
+                e = ext_dim(ctx, x, y)
+                h = hom_dim(ctx, x, y)
+            assert h >= 0 and e >= 0
+            assert e == _case_ext(ctx, x, y), (x, y)
+            assert h - e == chi(ctx, x.cls, y.cls)
 
 
 def test_serre_duality_objects(any_ctx):
