@@ -27,7 +27,7 @@ from .connect import (
     explore_graph,
     random_walk,
 )
-from .errors import NonTubularWeights, TubTiltError, ValidationError
+from .errors import NonTubularWeights, TubTiltError, ValidationError, WeightsMismatch
 from .exprs import eval_object, eval_tilting, parse_expr
 from .k0 import K0Context, build_context
 from .slopes import Slope
@@ -173,17 +173,18 @@ def _save_cache(ctx: K0Context | None, args) -> None:
 
 
 def _load_tilting(
-    args, spec: str, require_tilting: bool = True
+    args, spec: str, require_tilting: bool = True, ctx: K0Context | None = None
 ) -> tuple[K0Context, TiltingObject]:
     """A JSON file when `spec` names one, otherwise an expression (tilting
     by construction).  A file that does not hold a tilting object is
     rejected by `serialize.tilting_from_dict` unless `require_tilting` is
-    off."""
+    off.  `ctx`, the context of a tilting read before, is the one a second
+    tilting is read in; a file with other weights is then rejected."""
+    shared = ctx is not None
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        ctx = None
-        if args.weights is not None:
+        if not shared and args.weights is not None:
             ctx = build_context(make_weights(args.weights))
         try:
             if require_tilting:
@@ -192,10 +193,16 @@ def _load_tilting(
                 ctx, objs = serialize.summands_from_dict(data, ctx)
                 t = make_tilting(ctx, objs)
         except ValidationError as exc:
+            if shared and isinstance(exc, WeightsMismatch):
+                raise ValidationError(
+                    f"both tiltings must share the weight sequence: {exc}"
+                ) from None
             raise ValidationError(f"{spec}: {exc}") from None
-        _load_cache(ctx, args)
+        if not shared:
+            _load_cache(ctx, args)
         return ctx, t
-    ctx = _context(args)
+    if not shared:
+        ctx = _context(args)
     return ctx, eval_tilting(ctx, parse_expr(spec))
 
 
@@ -270,9 +277,7 @@ def _cmd_connect(args) -> int:
     if args.to == "canonical":
         path = connect_to_canonical(ctx, t, budget)
     else:
-        ctx2, t2 = _load_tilting(args, args.to)
-        if ctx2.weights != ctx.weights:
-            raise ValidationError("both tiltings must share the weight sequence")
+        _, t2 = _load_tilting(args, args.to, ctx=ctx)
         path = connect_pair(ctx, t, t2, budget)
     print(serialize.dumps(serialize.path_to_dict(ctx, path)))
     _save_cache(ctx, args)

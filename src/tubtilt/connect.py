@@ -9,18 +9,24 @@ until the slope range captures an integer, then walk the twist chain of
 canonical bundles down to the untwisted one.  Each slide through a
 stratum is one weighted best-first search, and the finished route is
 shortened by erasing its loops and splicing out its detours before it
-is verified.
+is verified.  The frontier of that search holds pending mutations, not
+nodes: the priority of a mutation's child is forecast from the ext
+table (an almost complete tilting object has exactly two complements),
+and the mutation is computed only when it reaches the front.
 
 All searches are deterministic: candidate orders are canonical and
 tie-breaks use serialized object order.  A budget bounds the node count
 and optionally the wall time of a whole public call: the call starts one
 clock and passes it to every search, completion and sub-connection it
-makes.  Exhausting the budget raises BudgetExhausted.
+makes, which tick it once per pending mutation pushed on a frontier and
+once per completion candidate tried.  Exhausting the budget raises
+BudgetExhausted.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import random
 import time
@@ -424,22 +430,6 @@ def _complete_dfs(
 # -- stratum search ------------------------------------------------------------
 
 
-def _neighbors(
-    ctx: K0Context,
-    t: TiltingObject,
-    fixed_vec: tuple[int, ...],
-    clock: _Clock,
-):
-    for k, s in enumerate(t.summands):
-        if s.cls.vec == fixed_vec:
-            continue
-        clock.tick()
-        t2, ev = mutate(ctx, t, k)
-        if not is_bundle(t2):
-            continue
-        yield t2, ev
-
-
 def _reconstruct(
     parents: dict, start_key, end_key, states: dict
 ) -> MutationPath:
@@ -461,13 +451,24 @@ def _best_first(
     fixed_vec: tuple[int, ...],
     clock: _Clock,
     priority: Callable[[TiltingObject, int], Any],
+    child_priority: Callable[[TiltingObject, int], Callable[[int], Any | None]],
     is_goal: Callable[[TiltingObject], bool],
 ) -> MutationPath:
     """Best-first bundle path from start to a goal, avoiding mutation at
     fixed_vec.
 
-    The frontier is ordered by priority(node, depth), ties by insertion
-    order.  A node reached again at a smaller depth is re-opened, so a
+    The frontier holds pending mutations, not nodes.  Expanding a node
+    pushes one entry per summand other than fixed_vec, with one clock
+    tick each; the entry of summand k is ordered by
+    child_priority(node, depth)(k), which must equal priority(child,
+    depth) of the child the mutation at k makes, ties by insertion order.
+    A priority of None marks a child known not to be a bundle, which is
+    ticked but not pushed.  `mutate` runs only when an entry reaches the
+    front.  The child is then checked against its entry's priority
+    (InternalConsistencyError if they differ), dropped if it is not a
+    bundle or was reached at no greater depth, and otherwise registered,
+    goal-tested and expanded in place.  A node reached again at a
+    smaller depth is re-opened, so a
     weighted priority that overrates the heuristic still reaches every
     node of the stratum, but the path it returns need not be minimal.
     """
@@ -477,22 +478,37 @@ def _best_first(
     states = {start_key: start}
     parents: dict = {}
     depth = {start_key: 0}
-    counter = 0
-    heap = [(priority(start, 0), counter, start_key)]
+    heap: list = []
+    counter = itertools.count()
+
+    def expand(key, node: TiltingObject, g: int) -> None:
+        at = child_priority(node, g + 1)
+        for k, s in enumerate(node.summands):
+            if s.cls.vec != fixed_vec:
+                clock.tick()
+                p = at(k)
+                if p is not None:
+                    heapq.heappush(heap, (p, next(counter), key, k, g + 1))
+
+    expand(start_key, start, 0)
     while heap:
-        _, _, key = heapq.heappop(heap)
-        g = depth[key]
-        for t2, ev in _neighbors(ctx, states[key], fixed_vec, clock):
-            k2 = t2.class_key()
-            if k2 in depth and depth[k2] <= g + 1:
-                continue
-            depth[k2] = g + 1
-            states[k2] = t2
-            parents[k2] = (key, ev)
-            if is_goal(t2):
-                return _reconstruct(parents, start_key, k2, states)
-            counter += 1
-            heapq.heappush(heap, (priority(t2, g + 1), counter, k2))
+        promised, _, key, k, g = heapq.heappop(heap)
+        t2, ev = mutate(ctx, states[key], k)
+        if priority(t2, g) != promised:
+            raise InternalConsistencyError(
+                f"the mutation at summand {k} missed its forecast priority"
+            )
+        if not is_bundle(t2):
+            continue
+        k2 = t2.class_key()
+        if k2 in depth and depth[k2] <= g:
+            continue
+        depth[k2] = g
+        states[k2] = t2
+        parents[k2] = (key, ev)
+        if is_goal(t2):
+            return _reconstruct(parents, start_key, k2, states)
+        expand(k2, t2, g)
     raise BudgetExhausted("best-first search frontier emptied unexpectedly")
 
 
@@ -501,6 +517,44 @@ def _best_first(
 # instead of sweeping every shorter path, and shorten_path takes back the
 # detours that costs.
 _STRATUM_WEIGHT = 3
+
+
+def _mutation_forecast(
+    ctx: K0Context, node: TiltingObject, target: TiltingObject
+) -> tuple[list[int], dict[int, ExcObject]]:
+    """For each summand k of node, h of node mutated at k, where h counts
+    the summands not in target; and the target summand that each
+    mutation lowering h brings in.  No mutation is computed.
+
+    The complement that replaces T_k has ext with T_k.  So if T_k is in
+    the (rigid) target, the complement is not, and h rises by one.  A
+    target summand Z not in node is the complement that replaces T_k
+    (unique, Happel-Unger) iff Z has ext, in either direction, with T_k
+    and with no other summand of node: Z is then rigid with node without
+    T_k.  Summands of node in the target have no ext with Z, so only the
+    h others are tried.
+    """
+    target_vecs = set(target.class_key())
+    node_vecs = set(node.class_key())
+    away = [k for k, s in enumerate(node.summands) if s.cls.vec not in target_vecs]
+    gains: dict[int, ExcObject] = {}
+    for z in target.summands:
+        if z.cls.vec in node_vecs:
+            continue
+        ext_with_z = (
+            k
+            for k in away
+            if ext_dim(ctx, z, node.summands[k]) or ext_dim(ctx, node.summands[k], z)
+        )
+        hits = list(itertools.islice(ext_with_z, 2))
+        if len(hits) == 1:
+            gains[hits[0]] = z
+    h = len(away)
+    child_h = [
+        h + 1 if s.cls.vec in target_vecs else h - 1 if k in gains else h
+        for k, s in enumerate(node.summands)
+    ]
+    return child_h, gains
 
 
 def _stratum_path(
@@ -515,7 +569,9 @@ def _stratum_path(
     Weighted A* on h = |summands of a node not in b|, a lower bound on
     the mutations still needed because every mutation changes one
     summand.  Ties prefer deeper nodes, which walks straight through
-    heuristic plateaus when a greedy exchange path exists.
+    heuristic plateaus when a greedy exchange path exists.  The h of a
+    pending mutation comes from the ext table (`_mutation_forecast`), so
+    only the mutations the search reaches are computed.
     """
     goal_key = b.class_key()
     target = set(goal_key)
@@ -524,10 +580,14 @@ def _stratum_path(
         h = sum(1 for v in node.class_key() if v not in target)
         return (depth + _STRATUM_WEIGHT * h, -depth)
 
+    def child_priority(node: TiltingObject, depth: int):
+        child_h, _ = _mutation_forecast(ctx, node, b)
+        return lambda k: (depth + _STRATUM_WEIGHT * child_h[k], -depth)
+
     def is_goal(node: TiltingObject) -> bool:
         return node.class_key() == goal_key
 
-    return _best_first(ctx, a, fixed_vec, clock, priority, is_goal)
+    return _best_first(ctx, a, fixed_vec, clock, priority, child_priority, is_goal)
 
 
 def make_only_minimal(
@@ -571,19 +631,26 @@ def _normalize_extremal(
     def priority(node: TiltingObject, depth: int):
         return (_extremal_score(ctx, node, x, minimal), depth)
 
+    def child_priority(node: TiltingObject, depth: int):
+        def at(k: int):
+            child, _ = mutate(ctx, node, k)
+            return priority(child, depth) if is_bundle(child) else None
+
+        return at
+
     lo, hi = slope_range(ctx, t)
     easy = (x.slope < hi) if minimal else (lo < x.slope)
     if easy:
         # guided mutation raises (resp. lowers) the blocking summands and
         # stays inside a finite region
-        return _best_first(ctx, t, x.cls.vec, clock, priority, is_goal)
+        return _best_first(ctx, t, x.cls.vec, clock, priority, child_priority, is_goal)
     # The protected summand sits on the extreme slope tier: route through
     # a tilting bundle where its slope is strictly interior, then
     # normalize from there.
     y = _rigid_partner_beyond(ctx, x, above=minimal)
     t2 = completion_containing(ctx, [x, y], clock)
     p1 = _stratum_path(ctx, t, t2, x.cls.vec, clock)
-    p2 = _best_first(ctx, t2, x.cls.vec, clock, priority, is_goal)
+    p2 = _best_first(ctx, t2, x.cls.vec, clock, priority, child_priority, is_goal)
     return p1.concat(p2)
 
 

@@ -88,3 +88,7 @@ class ExprSyntaxError(TubTiltError):
 
 class ValidationError(TubTiltError):
     """Parsed or deserialized data is inconsistent with the active context."""
+
+
+class WeightsMismatch(ValidationError):
+    """A record's weight sequence differs from the active context's."""

@@ -12,7 +12,7 @@ import os
 from typing import Any
 
 from .connect import MutationPath, verify_path
-from .errors import ChartInconsistent, ValidationError
+from .errors import ChartInconsistent, ValidationError, WeightsMismatch
 from .k0 import K0Class, K0Context, build_context
 from .slopes import Slope
 from .tilting import MutationEvent, TiltingObject, is_bundle, is_tilting, make_tilting
@@ -78,7 +78,7 @@ def summands_from_dict(
     if ctx is None:
         ctx = build_context(w)
     elif ctx.weights != w:
-        raise ValidationError(
+        raise WeightsMismatch(
             f"file weights {w.weights} do not match the active context "
             f"{ctx.weights.weights}"
         )

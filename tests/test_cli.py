@@ -166,6 +166,64 @@ def test_walk_and_connect(tmp_path):
     )
 
 
+def _walk_end_file(tmp_path, weights, name="end.json"):
+    code, out, _ = run_cli(
+        ["--weights", weights, "walk", "--steps", "4", "--seed", "11", "--bundle-only"]
+    )
+    assert code == 0
+    f = tmp_path / name
+    f.write_text(json.dumps(json.loads(out)["nodes"][-1]))
+    return f
+
+
+def test_connect_file_to_expression_without_weights(tmp_path):
+    # the weights come from the file; --to is read in the same context
+    f = _walk_end_file(tmp_path, "2,2,2,2")
+    code, out, err = run_cli(["connect", str(f), "--to", "Tcan(x1)"])
+    assert (code, err) == (0, "")
+    ctx = context_for((2, 2, 2, 2))
+    path = serialize.path_from_dict(ctx, json.loads(out))
+    assert path.bundle_only
+    assert serialize.tilting_to_dict(ctx, path.nodes[0]) == json.loads(f.read_text())
+    assert path.end == t_can(ctx, x_gen(ctx.weights, 0))
+    assert run_cli(["--weights", "2,2,2,2", "connect", str(f), "--to", "Tcan(x1)"])[1] == out
+
+
+def test_connect_to_file_shares_the_first_context(tmp_path, monkeypatch):
+    a = _walk_end_file(tmp_path, "2,2,2,2", "a.json")
+    b = tmp_path / "b.json"
+    ctx = context_for((2, 2, 2, 2))
+    b.write_text(serialize.dumps(serialize.tilting_to_dict(ctx, t_can(ctx))))
+    built = []
+
+    def counting(build):
+        def wrapped(w):
+            built.append(w.weights)
+            return build(w)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "build_context", counting(cli.build_context))
+    monkeypatch.setattr(serialize, "build_context", counting(serialize.build_context))
+    code, out, _ = run_cli(["connect", str(a), "--to", str(b)])
+    assert code == 0
+    assert built == [(2, 2, 2, 2)]
+    assert json.loads(out)["nodes"][-1] == json.loads(b.read_text())
+    # a --to file with other weights is rejected, with or without --weights
+    other = context_for((3, 3, 3))
+    c = tmp_path / "c.json"
+    c.write_text(serialize.dumps(serialize.tilting_to_dict(other, t_can(other))))
+    for argv in (
+        ["connect", str(a), "--to", str(c)],
+        ["--weights", "2,2,2,2", "connect", "Tcan", "--to", str(c)],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, ""), argv
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert "both tiltings must share the weight sequence" in diag["message"]
+
+
 def test_connect_to_expression_target():
     code, out, _ = run_cli(
         ["--weights", "2,2,2,2", "connect", "mu(Tcan, 0)", "--to", "Tcan(x4)"]

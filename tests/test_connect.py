@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import random
 from math import gcd
 
@@ -25,10 +26,15 @@ from tubtilt.connect import (
     shorten_path,
     verify_path,
 )
-from tubtilt.errors import BudgetExhausted, InternalConsistencyError, PreconditionError
+from tubtilt.errors import (
+    BudgetExhausted,
+    InternalConsistencyError,
+    PreconditionError,
+    TubTiltError,
+)
 from tubtilt.k0 import K0Class
 from tubtilt.slopes import INF, Slope
-from tubtilt.tilting import is_bundle, is_tilting, only_maximal, only_minimal, t_can
+from tubtilt.tilting import is_bundle, is_tilting, mutate, only_maximal, only_minimal, t_can
 from tubtilt.tubes import exc_from_class, line_bundle_obj
 from tubtilt.verify import context_for
 from tubtilt.weights import TUBULAR_TYPES, c_gen, l_zero, x_gen
@@ -203,6 +209,159 @@ def test_connect_shared_twisted_canonical(ctx2222):
     assert all(shared.cls.vec in node.class_key() for node in path.nodes)
 
 
+# -- the search against the eager node frontier it replaced ---------------------
+
+
+def _eager_neighbors(ctx, t, fixed_vec, clock):
+    for k, s in enumerate(t.summands):
+        if s.cls.vec == fixed_vec:
+            continue
+        clock.tick()
+        t2, ev = mutate(ctx, t, k)
+        if not is_bundle(t2):
+            continue
+        yield t2, ev
+
+
+def _eager_best_first(ctx, start, fixed_vec, clock, priority, is_goal):
+    """The oracle: a frontier of nodes, every child mutated when its parent
+    is expanded and goal-tested when it is generated."""
+    if is_goal(start):
+        return MutationPath.single(start)
+    start_key = start.class_key()
+    states = {start_key: start}
+    parents = {}
+    depth = {start_key: 0}
+    counter = 0
+    heap = [(priority(start, 0), counter, start_key)]
+    while heap:
+        _, _, key = heapq.heappop(heap)
+        g = depth[key]
+        for t2, ev in _eager_neighbors(ctx, states[key], fixed_vec, clock):
+            k2 = t2.class_key()
+            if k2 in depth and depth[k2] <= g + 1:
+                continue
+            depth[k2] = g + 1
+            states[k2] = t2
+            parents[k2] = (key, ev)
+            if is_goal(t2):
+                return connect._reconstruct(parents, start_key, k2, states)
+            counter += 1
+            heapq.heappush(heap, (priority(t2, g + 1), counter, k2))
+    raise BudgetExhausted("best-first search frontier emptied unexpectedly")
+
+
+def _on_eager_oracle(ctx, start, fixed_vec, clock, priority, child_priority, is_goal):
+    return _eager_best_first(ctx, start, fixed_vec, clock, priority, is_goal)
+
+
+def _events(path):
+    return [(ev.index, ev.removed.cls.vec, ev.added.cls.vec) for ev in path.events]
+
+
+def test_stratum_search_matches_the_eager_oracle(any_ctx, monkeypatch):
+    # every connect_shared call of the route from 1-16-step walk ends
+    rng = random.Random(23)
+    calls = []
+    real = connect.connect_shared
+
+    def spy(ctx, t, t2, shared, budget=connect.DEFAULT_BUDGET):
+        calls.append((t, t2, shared))
+        return real(ctx, t, t2, shared, budget)
+
+    with monkeypatch.context() as m:
+        m.setattr(connect, "connect_shared", spy)
+        for steps in (1, 3, 5, 7, 9, 11, 13, 16):
+            end = random_walk(any_ctx, steps, rng.randrange(10**6), bundle_only=True).end
+            connect_to_canonical(any_ctx, end)
+    assert len(calls) >= 8
+    for t, t2, shared in calls:
+        lazy = connect_shared(any_ctx, t, t2, shared)
+        with monkeypatch.context() as m:
+            m.setattr(connect, "_best_first", _on_eager_oracle)
+            eager = connect_shared(any_ctx, t, t2, shared)
+        assert _events(lazy) == _events(eager)
+
+
+def _outcome(fn, *args):
+    try:
+        return _events(fn(*args))
+    except TubTiltError as exc:
+        return type(exc).__name__
+
+
+def test_extremal_search_matches_the_eager_oracle(any_ctx, monkeypatch):
+    rng = random.Random(41)
+    for trial in range(4):
+        t = random_walk(any_ctx, rng.randrange(1, 9), rng.randrange(10**6), bundle_only=True).end
+        k = rng.choice([i for i, s in enumerate(t.summands) if s.len == 1])
+        for fn in (make_only_minimal, make_only_maximal):
+            lazy = _outcome(fn, any_ctx, t, k)
+            with monkeypatch.context() as m:
+                m.setattr(connect, "_best_first", _on_eager_oracle)
+                eager = _outcome(fn, any_ctx, t, k)
+            assert lazy == eager
+
+
+def _stratum_target(ctx, node, fixed_vec, moves, rng):
+    """The end of a bundle walk from node that never mutates fixed_vec."""
+    target = node
+    for _ in range(moves):
+        ks = [k for k, s in enumerate(target.summands) if s.cls.vec != fixed_vec]
+        rng.shuffle(ks)
+        for k in ks:
+            t2, _ = mutate(ctx, target, k)
+            if is_bundle(t2):
+                target = t2
+                break
+    return target
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ws=st.sampled_from(TUBULAR_TYPES),
+    steps=st.integers(0, 10),
+    moves=st.integers(1, 8),
+    seed=st.integers(0, 10**6),
+)
+def test_mutation_forecast_matches_mutate(ws, steps, moves, seed):
+    ctx = context_for(ws)
+    rng = random.Random(seed)
+    node = random_walk(ctx, steps, seed, bundle_only=True).end
+    fixed_vec = rng.choice(node.summands).cls.vec
+    target = _stratum_target(ctx, node, fixed_vec, moves, rng)
+    in_target = set(target.class_key())
+
+    def h(t):
+        return sum(1 for v in t.class_key() if v not in in_target)
+
+    child_h, gains = connect._mutation_forecast(ctx, node, target)
+    for k in range(ctx.n):
+        child, ev = mutate(ctx, node, k)
+        assert child_h[k] == h(child)
+        if child_h[k] < h(node):
+            assert ev.added.cls.vec == gains[k].cls.vec
+        else:
+            assert k not in gains
+
+
+def test_wrong_forecast_is_caught(ctx2222, monkeypatch):
+    w = ctx2222.weights
+    shared = line_bundle_obj(ctx2222, x_gen(w, 3))
+    tc, tct = t_can(ctx2222), t_can(ctx2222, x_gen(w, 3))
+    real = connect._mutation_forecast
+
+    def flat(ctx, node, target):
+        # every mutation predicted to keep h
+        child_h, _ = real(ctx, node, target)
+        h = sum(1 for s in node.summands if s.cls.vec not in set(target.class_key()))
+        return [h] * len(child_h), {}
+
+    monkeypatch.setattr(connect, "_mutation_forecast", flat)
+    with pytest.raises(InternalConsistencyError, match="forecast"):
+        connect_shared(ctx2222, tc, tct, shared)
+
+
 def test_connect_shared_preconditions(ctx2222):
     tc = t_can(ctx2222)
     foreign = line_bundle_obj(ctx2222, x_gen(ctx2222.weights, 0) + x_gen(ctx2222.weights, 1))
@@ -305,9 +464,10 @@ def test_budget_exhaustion(ctx2222):
 
 def test_budget_bounds_the_whole_call(ctx236, monkeypatch):
     # This connect runs integerize, a completion and two connect_shared
-    # calls, and with the default budget it expands 837 nodes in all: the
-    # first connect_shared ends at tick 733, so a bound of 800 runs out
-    # inside the second one, after the earlier phases spent their share.
+    # calls, and with the default budget it takes 846 ticks in all, one per
+    # pending mutation pushed and per completion candidate: the first
+    # connect_shared ends at tick 738, so a bound of 800 runs out inside
+    # the second one, after the earlier phases spent their share.
     t = random_walk(ctx236, 13, 804586876, bundle_only=True).end
     ticks = []
     tick = connect._Clock.tick
