@@ -1,18 +1,20 @@
 """Constructive connectivity of tilting bundles.
 
 Every tilting bundle is joined to the canonical one by a verified chain
-of bundle-mutations.  The route mirrors the structure of the
-connectedness proof: normalize a shared quasi-simple summand to be the
-unique minimal one, slide within the stratum of tilting bundles
-containing it, descend slope denominators through Farey companions
-until the slope range captures an integer, then walk the twist chain of
-canonical bundles down to the untwisted one.  Each slide through a
-stratum is one weighted best-first search, and the finished route is
-shortened by erasing its loops and splicing out its detours before it
-is verified.  The frontier of that search holds pending mutations, not
-nodes: the priority of a mutation's child is forecast from the ext
-table (an almost complete tilting object has exactly two complements),
-and the mutation is computed only when it reaches the front.
+of bundle-mutations.  If the slope range of the bundle holds no integer,
+its slope denominators are first descended through Farey companions
+until it does (`integerize`, the first step of the connectedness proof);
+then one weighted best-first search of the bundle graph runs straight
+to T_can.  The graph is connected (that is the theorem) and locally
+finite, so the search finds a path, and the call's budget bounds its
+cost.  The paper's full route, which also slides through the bundles
+sharing a line bundle and walks the twist chain of canonical bundles,
+is kept in the tests as an oracle.  The finished path is shortened by
+erasing its loops and splicing out its detours before it is verified.
+The frontier of every search holds pending mutations, not nodes: the
+priority of a mutation's child is forecast from the ext table (an
+almost complete tilting object has exactly two complements), and the
+mutation is computed only when it reaches the front.
 
 All searches are deterministic: candidate orders are canonical and
 tie-breaks use serialized object order.  A budget bounds the node count
@@ -42,7 +44,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .k0 import K0Context, line_bundle_class, rank_of
+from .k0 import K0Context, rank_of
 from .slopes import INF, Slope
 from .tilting import (
     MutationEvent,
@@ -58,8 +60,7 @@ from .tilting import (
     slope_range,
     t_can,
 )
-from .tubes import ExcObject, chart_for, ext_dim, hom_dim, line_bundle_obj, tau_inv_obj
-from .weights import LElement, l_add, l_neg, l_scale, x_gen
+from .tubes import ExcObject, chart_for, ext_dim
 
 logger = logging.getLogger(__name__)
 
@@ -448,14 +449,14 @@ def _reconstruct(
 def _best_first(
     ctx: K0Context,
     start: TiltingObject,
-    fixed_vec: tuple[int, ...],
+    fixed_vec: tuple[int, ...] | None,
     clock: _Clock,
     priority: Callable[[TiltingObject, int], Any],
     child_priority: Callable[[TiltingObject, int], Callable[[int], Any | None]],
     is_goal: Callable[[TiltingObject], bool],
 ) -> MutationPath:
     """Best-first bundle path from start to a goal, avoiding mutation at
-    fixed_vec.
+    fixed_vec if one is given.
 
     The frontier holds pending mutations, not nodes.  Expanding a node
     pushes one entry per summand other than fixed_vec, with one clock
@@ -561,10 +562,11 @@ def _stratum_path(
     ctx: K0Context,
     a: TiltingObject,
     b: TiltingObject,
-    fixed_vec: tuple[int, ...],
+    fixed_vec: tuple[int, ...] | None,
     clock: _Clock,
 ) -> MutationPath:
-    """Bundle path a -> b that never mutates the summand fixed_vec.
+    """Bundle path a -> b that never mutates the summand fixed_vec, or
+    any bundle path a -> b if fixed_vec is None.
 
     Weighted A* on h = |summands of a node not in b|, a lower bound on
     the mutations still needed because every mutation changes one
@@ -733,62 +735,16 @@ def integerize(
 # -- the canonical route ---------------------------------------------------------
 
 
-def _line_bundle_element(ctx: K0Context, obj: ExcObject) -> LElement:
-    """Recover the twist element of a line-bundle summand from its class."""
-    w = ctx.weights
-    vec = obj.cls.vec
-    if vec[ctx.idx_o] != 1:
-        raise PreconditionError("not a line bundle class")
-    coeffs = []
-    for i, p_i in enumerate(w.weights):
-        block = [vec[ctx.simple_index(i, j)] for j in range(1, p_i)]
-        a_i = 0
-        while a_i < len(block) and block[a_i] == 1:
-            a_i += 1
-        if any(block[a_i:]):
-            raise PreconditionError("not a line bundle class")
-        coeffs.append(a_i)
-    elt = LElement(w, tuple(coeffs), vec[ctx.idx_f])
-    if line_bundle_class(ctx, elt).vec != vec:
-        raise PreconditionError("not a line bundle class")
-    return elt
-
-
-def _twist_chain(ctx: K0Context, start_elt: LElement, clock: _Clock) -> MutationPath:
-    """Path from the canonical bundle twisted by start_elt down to T_can.
-
-    Adjacent twisted canonicals share a line bundle, so each step is a
-    shared-summand connection; steps lower the coefficients of the
-    twist element toward zero and terminate.
-    """
-    w = ctx.weights
-    e = start_elt
-    path = MutationPath.single(t_can(ctx, e))
-    while e:
-        if e.c < 0:
-            e2 = l_add(e, x_gen(w, w.t - 1))
-            shared_elt = e2
-        elif any(e.coeffs):
-            i = max(i for i, a in enumerate(e.coeffs) if a > 0)
-            e2 = l_add(e, l_neg(x_gen(w, i)))
-            shared_elt = e
-        else:
-            e2 = l_add(e, l_neg(x_gen(w, w.t - 1)))
-            shared_elt = e
-        shared = line_bundle_obj(ctx, shared_elt)
-        path = path.concat(
-            connect_shared(ctx, path.end, t_can(ctx, e2), shared, clock)
-        )
-        e = e2
-    return path
-
-
 def connect_to_canonical(
     ctx: K0Context, t: TiltingObject, budget: _Budget = DEFAULT_BUDGET
 ) -> MutationPath:
-    """Verified bundle path from t to the canonical tilting bundle, with
-    its detours spliced out (shorten_path)."""
-    return _shortened_and_verified(ctx, _route_to_canonical(ctx, t, _clock(budget)))
+    """Verified bundle path from t to the canonical tilting bundle: Farey
+    descent if t's slope range holds no integer, then one direct search
+    to T_can, with its detours spliced out (shorten_path)."""
+    clock = _clock(budget)
+    path = _integerized(ctx, t, clock)
+    path = path.concat(_stratum_path(ctx, path.end, t_can(ctx), None, clock))
+    return _shortened_and_verified(ctx, path)
 
 
 def _shortened_and_verified(ctx: K0Context, path: MutationPath) -> MutationPath:
@@ -798,59 +754,14 @@ def _shortened_and_verified(ctx: K0Context, path: MutationPath) -> MutationPath:
     return path
 
 
-def _route_to_canonical(ctx: K0Context, t: TiltingObject, clock: _Clock) -> MutationPath:
-    """The paper's route from t to T_can, before shortening."""
+def _integerized(ctx: K0Context, t: TiltingObject, clock: _Clock) -> MutationPath:
+    """integerize's path from t if t's slope range holds no integer, else
+    the path of t alone."""
     if not is_bundle(t):
         raise PreconditionError("input must be a tilting bundle")
-    if t.class_key() == t_can(ctx).class_key():
-        return MutationPath.single(t)
-
-    path = MutationPath.single(t)
     if _range_integer(ctx, t) is None:
-        path = integerize(ctx, t, clock)
-    cur = path.end
-
-    line = next(
-        (s for s in cur.summands if s.len == 1 and rank_of(ctx, s.cls) == 1), None
-    )
-    if line is None:
-        m = _range_integer(ctx, cur)
-        if m is None:
-            raise InternalConsistencyError("integerize left no integer in range")
-        lobj = line_bundle_obj(ctx, l_scale(x_gen(ctx.weights, ctx.weights.t - 1), m))
-        if all(ext_dim(ctx, s, lobj) == 0 for s in cur.summands):
-            pick_high = True
-        elif all(hom_dim(ctx, s, lobj) == 0 for s in cur.summands):
-            # Ext vanishes against the inverse translate instead.
-            lobj = tau_inv_obj(ctx, lobj)
-            pick_high = False
-        else:
-            raise InternalConsistencyError("line-bundle dichotomy failed")
-        x = _dichotomy_partner(ctx, cur, lobj, pick_high)
-        t2 = completion_containing(ctx, [x, lobj], clock)
-        path = path.concat(connect_shared(ctx, cur, t2, x, clock))
-        cur = path.end
-        line = lobj
-
-    elt = _line_bundle_element(ctx, line)
-    path = path.concat(connect_shared(ctx, cur, t_can(ctx, elt), line, clock))
-    return path.concat(_twist_chain(ctx, elt, clock))
-
-
-def _dichotomy_partner(
-    ctx: K0Context, t: TiltingObject, lobj: ExcObject, pick_high: bool
-) -> ExcObject:
-    """Quasi-simple summand forming a rigid pair with the chosen line bundle."""
-    for s in t.summands:
-        if s.len != 1:
-            continue
-        if pick_high and s.slope < lobj.slope:
-            continue
-        if not pick_high and s.slope > lobj.slope:
-            continue
-        if ext_dim(ctx, s, lobj) == 0 and ext_dim(ctx, lobj, s) == 0:
-            return s
-    raise InternalConsistencyError("no rigid partner for the line bundle")
+        return integerize(ctx, t, clock)
+    return MutationPath.single(t)
 
 
 def connect_pair(
@@ -859,12 +770,14 @@ def connect_pair(
     t2: TiltingObject,
     budget: _Budget = DEFAULT_BUDGET,
 ) -> MutationPath:
-    """Verified bundle path t -> t2: both routes to the canonical bundle,
-    joined and spliced, which cuts the detour through T_can."""
+    """Verified bundle path t -> t2: one direct search between the two
+    ends, each integerized first if its slope range holds no integer,
+    and the joined path spliced (shorten_path)."""
     clock = _clock(budget)
-    p1 = _route_to_canonical(ctx, t, clock)
-    p2 = _route_to_canonical(ctx, t2, clock)
-    return _shortened_and_verified(ctx, p1.concat(p2.reversed()))
+    p1 = _integerized(ctx, t, clock)
+    p2 = _integerized(ctx, t2, clock)
+    middle = _stratum_path(ctx, p1.end, p2.end, None, clock)
+    return _shortened_and_verified(ctx, p1.concat(middle).concat(p2.reversed()))
 
 
 # -- neighborhood exploration (graph/DOT export) ----------------------------------

@@ -32,12 +32,21 @@ from tubtilt.errors import (
     PreconditionError,
     TubTiltError,
 )
-from tubtilt.k0 import K0Class
+from tubtilt.k0 import K0Class, line_bundle_class, rank_of
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import is_bundle, is_tilting, mutate, only_maximal, only_minimal, t_can
-from tubtilt.tubes import exc_from_class, line_bundle_obj
+from tubtilt.tubes import exc_from_class, ext_dim, hom_dim, line_bundle_obj, tau_inv_obj
 from tubtilt.verify import context_for
-from tubtilt.weights import TUBULAR_TYPES, c_gen, l_zero, x_gen
+from tubtilt.weights import (
+    TUBULAR_TYPES,
+    LElement,
+    c_gen,
+    l_add,
+    l_neg,
+    l_scale,
+    l_zero,
+    x_gen,
+)
 
 
 def test_extend_abcd_examples():
@@ -209,6 +218,118 @@ def test_connect_shared_twisted_canonical(ctx2222):
     assert all(shared.cls.vec in node.class_key() for node in path.nodes)
 
 
+# -- the paper's route to T_can, kept as the oracle of the direct search ---------
+
+
+def _line_bundle_element(ctx, obj):
+    """Recover the twist element of a line-bundle summand from its class."""
+    w = ctx.weights
+    vec = obj.cls.vec
+    if vec[ctx.idx_o] != 1:
+        raise PreconditionError("not a line bundle class")
+    coeffs = []
+    for i, p_i in enumerate(w.weights):
+        block = [vec[ctx.simple_index(i, j)] for j in range(1, p_i)]
+        a_i = 0
+        while a_i < len(block) and block[a_i] == 1:
+            a_i += 1
+        if any(block[a_i:]):
+            raise PreconditionError("not a line bundle class")
+        coeffs.append(a_i)
+    elt = LElement(w, tuple(coeffs), vec[ctx.idx_f])
+    if line_bundle_class(ctx, elt).vec != vec:
+        raise PreconditionError("not a line bundle class")
+    return elt
+
+
+def _twist_chain(ctx, start_elt, clock):
+    """Path from the canonical bundle twisted by start_elt down to T_can.
+
+    Adjacent twisted canonicals share a line bundle, so each step is a
+    shared-summand connection; steps lower the coefficients of the
+    twist element toward zero and terminate.
+    """
+    w = ctx.weights
+    e = start_elt
+    path = MutationPath.single(t_can(ctx, e))
+    while e:
+        if e.c < 0:
+            e2 = l_add(e, x_gen(w, w.t - 1))
+            shared_elt = e2
+        elif any(e.coeffs):
+            i = max(i for i, a in enumerate(e.coeffs) if a > 0)
+            e2 = l_add(e, l_neg(x_gen(w, i)))
+            shared_elt = e
+        else:
+            e2 = l_add(e, l_neg(x_gen(w, w.t - 1)))
+            shared_elt = e
+        shared = line_bundle_obj(ctx, shared_elt)
+        path = path.concat(
+            connect.connect_shared(ctx, path.end, t_can(ctx, e2), shared, clock)
+        )
+        e = e2
+    return path
+
+
+def _paper_route(ctx, t, clock):
+    """The paper's route from t to T_can, before shortening: Farey descent,
+    a slide to a bundle holding a line bundle, a slide to the twisted
+    canonical bundle of that line bundle, then the twist chain."""
+    if not is_bundle(t):
+        raise PreconditionError("input must be a tilting bundle")
+    if t.class_key() == t_can(ctx).class_key():
+        return MutationPath.single(t)
+
+    path = MutationPath.single(t)
+    if _range_integer(ctx, t) is None:
+        path = connect.integerize(ctx, t, clock)
+    cur = path.end
+
+    line = next(
+        (s for s in cur.summands if s.len == 1 and rank_of(ctx, s.cls) == 1), None
+    )
+    if line is None:
+        m = _range_integer(ctx, cur)
+        if m is None:
+            raise InternalConsistencyError("integerize left no integer in range")
+        lobj = line_bundle_obj(ctx, l_scale(x_gen(ctx.weights, ctx.weights.t - 1), m))
+        if all(ext_dim(ctx, s, lobj) == 0 for s in cur.summands):
+            pick_high = True
+        elif all(hom_dim(ctx, s, lobj) == 0 for s in cur.summands):
+            # Ext vanishes against the inverse translate instead.
+            lobj = tau_inv_obj(ctx, lobj)
+            pick_high = False
+        else:
+            raise InternalConsistencyError("line-bundle dichotomy failed")
+        x = _dichotomy_partner(ctx, cur, lobj, pick_high)
+        t2 = completion_containing(ctx, [x, lobj], clock)
+        path = path.concat(connect.connect_shared(ctx, cur, t2, x, clock))
+        cur = path.end
+        line = lobj
+
+    elt = _line_bundle_element(ctx, line)
+    path = path.concat(connect.connect_shared(ctx, cur, t_can(ctx, elt), line, clock))
+    return path.concat(_twist_chain(ctx, elt, clock))
+
+
+def _dichotomy_partner(ctx, t, lobj, pick_high):
+    """Quasi-simple summand forming a rigid pair with the chosen line bundle."""
+    for s in t.summands:
+        if s.len != 1:
+            continue
+        if pick_high and s.slope < lobj.slope:
+            continue
+        if not pick_high and s.slope > lobj.slope:
+            continue
+        if ext_dim(ctx, s, lobj) == 0 and ext_dim(ctx, lobj, s) == 0:
+            return s
+    raise InternalConsistencyError("no rigid partner for the line bundle")
+
+
+def _oracle_route(ctx, t):
+    return _paper_route(ctx, t, connect._Clock(SearchBudget()))
+
+
 # -- the search against the eager node frontier it replaced ---------------------
 
 
@@ -260,26 +381,37 @@ def _events(path):
 
 
 def test_stratum_search_matches_the_eager_oracle(any_ctx, monkeypatch):
-    # every connect_shared call of the route from 1-16-step walk ends
+    # every connect_shared call of the paper's route, and every direct
+    # search of connect_to_canonical, from 1-16-step walk ends
     rng = random.Random(23)
     calls = []
-    real = connect.connect_shared
+    real_shared, real_search = connect.connect_shared, connect._stratum_path
 
-    def spy(ctx, t, t2, shared, budget=connect.DEFAULT_BUDGET):
-        calls.append((t, t2, shared))
-        return real(ctx, t, t2, shared, budget)
+    def spy_shared(ctx, t, t2, shared, budget=connect.DEFAULT_BUDGET):
+        calls.append((t, t2, shared.cls.vec))
+        return real_shared(ctx, t, t2, shared, budget)
+
+    def spy_search(ctx, a, b, fixed_vec, clock):
+        if fixed_vec is None:
+            calls.append((a, b, None))
+        return real_search(ctx, a, b, fixed_vec, clock)
 
     with monkeypatch.context() as m:
-        m.setattr(connect, "connect_shared", spy)
+        m.setattr(connect, "connect_shared", spy_shared)
+        m.setattr(connect, "_stratum_path", spy_search)
         for steps in (1, 3, 5, 7, 9, 11, 13, 16):
             end = random_walk(any_ctx, steps, rng.randrange(10**6), bundle_only=True).end
+            _oracle_route(any_ctx, end)
             connect_to_canonical(any_ctx, end)
     assert len(calls) >= 8
-    for t, t2, shared in calls:
-        lazy = connect_shared(any_ctx, t, t2, shared)
+    assert sum(fixed is None for _, _, fixed in calls) == 8
+    for t, t2, fixed in calls:
+        lazy = connect._stratum_path(any_ctx, t, t2, fixed, connect._Clock(SearchBudget()))
         with monkeypatch.context() as m:
             m.setattr(connect, "_best_first", _on_eager_oracle)
-            eager = connect_shared(any_ctx, t, t2, shared)
+            eager = connect._stratum_path(
+                any_ctx, t, t2, fixed, connect._Clock(SearchBudget())
+            )
         assert _events(lazy) == _events(eager)
 
 
@@ -369,17 +501,17 @@ def test_connect_shared_preconditions(ctx2222):
         connect_shared(ctx2222, tc, tc, foreign)
 
 
-def _no_integer_fixture(ctx, tries=120):
+def _no_integer_ends(ctx, tries=120):
+    """Seeded bundle walk ends whose slope range holds no integer."""
     for seed in range(tries):
         for steps in (6, 7, 8):
             walk = random_walk(ctx, steps, seed=seed, bundle_only=True)
             if _range_integer(ctx, walk.end) is None:
-                return walk.end
-    return None
+                yield walk.end
 
 
 def test_integerize(ctx2222):
-    t = _no_integer_fixture(ctx2222)
+    t = next(_no_integer_ends(ctx2222), None)
     assert t is not None, "no fixture with integer-free slope range found"
     path = integerize(ctx2222, t)
     assert verify_path(ctx2222, path)
@@ -437,6 +569,9 @@ def test_connect_to_canonical_rejects_torsion(ctx2222):
         if not is_bundle(walk.end):
             with pytest.raises(PreconditionError):
                 connect_to_canonical(ctx2222, walk.end)
+            for a, b in ((t_can(ctx2222), walk.end), (walk.end, t_can(ctx2222))):
+                with pytest.raises(PreconditionError):
+                    connect_pair(ctx2222, a, b)
             return
     pytest.skip("no torsion fixture found")
 
@@ -448,6 +583,49 @@ def test_connect_pair(ctx2222):
     assert verify_path(ctx2222, path)
     assert path.nodes[0] == a
     assert path.end == b
+
+
+def test_connect_pair_with_integer_free_ends(ctx2222):
+    # both ends are integerized first, then searched between
+    ends = _no_integer_ends(ctx2222)
+    a = next(ends)
+    b = next(t for t in ends if t.class_key() != a.class_key())
+    path = connect_pair(ctx2222, a, b)
+    assert path.nodes[0].class_key() == a.class_key()
+    assert path.end.class_key() == b.class_key()
+    assert path.bundle_only
+    assert verify_path(ctx2222, path)
+    assert verify_path(ctx2222, path.reversed())
+
+
+def test_connect_deep_walks_stay_under_the_tick_bound(any_ctx):
+    # the paper's route runs past 5,000 ticks on 9 of these 40 ends and past
+    # 20,000 on 2; the direct search needs at most 4,194
+    rng = random.Random(2058)
+    for _ in range(10):
+        end = random_walk(any_ctx, 32, rng.randrange(10**6), bundle_only=True).end
+        path = connect_to_canonical(any_ctx, end, SearchBudget(max_nodes=5_000))
+        assert path.bundle_only
+        assert path.end.class_key() == t_can(any_ctx).class_key()
+
+
+def test_direct_route_against_the_paper_route(any_ctx):
+    # same end points as the oracle, fewer mutations in total; a single
+    # path may still be longer than the oracle's
+    rng = random.Random(2042)
+    direct_events = oracle_events = 0
+    for _ in range(10):
+        steps = rng.randint(1, 16)
+        end = random_walk(any_ctx, steps, rng.randrange(10**6), bundle_only=True).end
+        path = connect_to_canonical(any_ctx, end)
+        oracle = shorten_path(any_ctx, _oracle_route(any_ctx, end))
+        assert verify_path(any_ctx, path)
+        assert path.bundle_only
+        assert path.nodes[0].class_key() == oracle.nodes[0].class_key()
+        assert path.end.class_key() == oracle.end.class_key()
+        direct_events += len(path.events)
+        oracle_events += len(oracle.events)
+    assert direct_events < oracle_events
 
 
 def test_budget_exhaustion(ctx2222):
@@ -463,24 +641,34 @@ def test_budget_exhaustion(ctx2222):
 
 
 def test_budget_bounds_the_whole_call(ctx236, monkeypatch):
-    # This connect runs integerize, a completion and two connect_shared
-    # calls, and with the default budget it takes 846 ticks in all, one per
-    # pending mutation pushed and per completion candidate: the first
-    # connect_shared ends at tick 738, so a bound of 800 runs out inside
-    # the second one, after the earlier phases spent their share.
-    t = random_walk(ctx236, 13, 804586876, bundle_only=True).end
+    # This end's slope range holds no integer, so the connect runs integerize
+    # (completions and connect_shared calls) and then the direct search.  With
+    # the default budget it takes 1,262 ticks in all, one per pending mutation
+    # pushed and per completion candidate: integerize ends at tick 602, so a
+    # bound of 800 runs out inside the direct search, after integerize spent
+    # its share.
+    t = random_walk(ctx236, 64, 86523513, bundle_only=True).end
     ticks = []
     tick = connect._Clock.tick
+    integerized_at = []
+    integerize = connect.integerize
 
     def counting(self):
         tick(self)
         ticks.append(id(self))
 
+    def spy(ctx, t, budget):
+        path = integerize(ctx, t, budget)
+        integerized_at.append(len(ticks))
+        return path
+
     monkeypatch.setattr(connect._Clock, "tick", counting)
+    monkeypatch.setattr(connect, "integerize", spy)
     with pytest.raises(BudgetExhausted, match="node budget 800"):
         connect_to_canonical(ctx236, t, SearchBudget(max_nodes=800))
     assert 0 < len(ticks) <= 800
     assert len(set(ticks)) == 1
+    assert len(integerized_at) == 1 and 0 < integerized_at[0] < len(ticks)
     ticks.clear()
     with pytest.raises(BudgetExhausted, match="time budget"):
         connect_to_canonical(ctx236, t, SearchBudget(max_seconds=1e-9))
@@ -494,8 +682,8 @@ def _shortening_input(ctx, kind, steps, seed):
     if kind == "detour":
         # end of one walk -> T_can -> end of another
         return walk.reversed().concat(random_walk(ctx, steps, seed + 1, bundle_only=True))
-    # the connect route before its own shortening
-    return connect._route_to_canonical(ctx, walk.end, connect._Clock(SearchBudget()))
+    # the paper's route before its own shortening
+    return _oracle_route(ctx, walk.end)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -528,7 +716,7 @@ def test_shorten_path_erases_a_walk_and_its_reverse(any_ctx):
 
 def test_shorten_path_checks_the_spliced_mutation(ctx2222, monkeypatch):
     walk = random_walk(ctx2222, 6, 3001, bundle_only=True)
-    route = connect._route_to_canonical(ctx2222, walk.end, connect._Clock(SearchBudget()))
+    route = _oracle_route(ctx2222, walk.end)
     assert len(shorten_path(ctx2222, route).events) < len(route.events)
     monkeypatch.setattr(connect, "mutate", lambda ctx, t, k: (t, None))
     with pytest.raises(InternalConsistencyError, match="spliced"):
@@ -573,23 +761,22 @@ def test_explore_graph_one_neighborhood(ctx2222):
 
 
 # Exchange sequences of fixed inputs, pinned so that a change to the search
-# code that alters any path shows here.  The (2,3,6) walk of 5 steps with
-# seed 3 makes the longest stratum search of the set, the (2,2,2,2) walks
-# with seeds 3001 and 3008 and the (2,4,4) walk with seed 3000 change if
-# shorten_path stops splicing, and make_only_maximal on both (2,2,2,2)
+# code that alters any path shows here.  The slope range of every connect
+# input holds an integer, so each connect is one direct search to T_can,
+# which shorten_path leaves as it is; make_only_maximal on both (2,2,2,2)
 # walks takes the rigid-partner fallback of the extremal normalization,
-# whose first leg is a stratum search.  Event counts, in order: 1, 10, 11,
-# 1, 4, 1, 4, 1, 23 and 0, 14, 2, 9.
+# whose first leg is a stratum search.  Event counts, in order: 1, 4, 5, 1,
+# 4, 1, 4, 1, 4 and 0, 14, 2, 9.
 GOLDEN_CONNECT = {
     ((2, 2, 2, 2), 3, 3000): "1f12cf42f5dfc110a2e31bc1ff8b114a0a9afcac8c416d1e07719dbc8091ef65",
-    ((2, 2, 2, 2), 6, 3001): "d83f765469c1e58655db677b8c5d25741d401c1730ef7af1102fddbd398ceaa9",
-    ((2, 2, 2, 2), 6, 3008): "f33bab79ca141e0f42710c1fab2362e14935e6b1b1f2416240648c59b83cb531",
+    ((2, 2, 2, 2), 6, 3001): "51314060763f830f90232a8a7274c7615fc7b2e2d91c5f58794d7ee050eb5bf4",
+    ((2, 2, 2, 2), 6, 3008): "dcbb3b4310fbe818b231db0703c57eb2726802276feec0a2f2674bbfe5119535",
     ((3, 3, 3), 3, 3000): "439f3e1f1bfecf8fb47f898fcedc62de8de841d613f06a322e9ed66182e11907",
     ((3, 3, 3), 6, 3001): "24785a40e1093d951f0bccefc3f712f31a0383ddac3bc2437602bef2db3c3e90",
     ((2, 4, 4), 3, 3000): "6b770db2f56a35f49ad7858969b12569dc5d082c1d8ac4493b2149a4e49362ae",
     ((2, 4, 4), 6, 3001): "a63bf31e4221b9f87ff2c150ad78a3e80318b4b7b89d5731cde09b043071e8a9",
     ((2, 3, 6), 3, 3000): "b3571f3b405a409d3108b86d5696f235edce1041cfa6d9c2b299d33df81fce88",
-    ((2, 3, 6), 5, 3): "2d95bf7467e93d045715889557bc3b319cb0601157c38e6d168efa72ea0df568",
+    ((2, 3, 6), 5, 3): "4708b41b7ce36c0ac8fd2c8db6b30dcc243ddc971818fc7b3184e49453b202c4",
 }
 GOLDEN_EXTREMAL = {
     ("min", 2, 5): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
