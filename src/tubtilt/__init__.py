@@ -12,8 +12,6 @@ from .connect import (
     explore_graph,
     find_companion,
     integerize,
-    make_only_maximal,
-    make_only_minimal,
     random_walk,
     shorten_path,
     verify_path,
@@ -43,8 +41,6 @@ from .tilting import (
     last_objects,
     make_tilting,
     mutate,
-    only_maximal,
-    only_minimal,
     perp_side,
     purge_torsion,
     slope_range,

@@ -11,10 +11,11 @@ cost.  The paper's full route, which also slides through the bundles
 sharing a line bundle and walks the twist chain of canonical bundles,
 is kept in the tests as an oracle.  The finished path is shortened by
 erasing its loops and splicing out its detours before it is verified.
-The frontier of every search holds pending mutations, not nodes: the
-priority of a mutation's child is forecast from the ext table (an
-almost complete tilting object has exactly two complements), and the
-mutation is computed only when it reaches the front.
+There is one search, `_stratum_path`, which the Farey descent's
+fixed-summand legs share.  Its frontier holds pending mutations, not
+nodes: the priority of a mutation's child is forecast from the ext
+table (an almost complete tilting object has exactly two complements),
+and the mutation is computed only when it reaches the front.
 
 All searches are deterministic: candidate orders are canonical and
 tie-breaks use serialized object order.  A budget bounds the node count
@@ -33,9 +34,7 @@ import logging
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, inf
-from typing import Any, Callable
 
 from .errors import (
     BasisMismatch,
@@ -54,8 +53,6 @@ from .tilting import (
     is_tilting,
     make_tilting,
     mutate,
-    only_minimal,
-    only_maximal,
     purge_torsion,
     slope_range,
     t_can,
@@ -291,41 +288,17 @@ def find_companion(ctx: K0Context, x: ExcObject, q_target: Slope) -> ExcObject:
     """A full-period quasi-simple at q_target forming a rigid pair with x."""
     if x.len != 1:
         raise PreconditionError("companion search needs a quasi-simple object")
-    return _rigid_partner_at(ctx, x, q_target, full_period=True)
-
-
-def _rigid_partner_at(
-    ctx: K0Context, x: ExcObject, q: Slope, full_period: bool
-) -> ExcObject:
-    chart = chart_for(ctx, q)
+    chart = chart_for(ctx, q_target)
     for orb_idx, orbit in enumerate(chart.orbits):
-        if full_period and len(orbit) != ctx.p:
+        if len(orbit) != ctx.p:
             continue
         for pos, cls in enumerate(orbit):
-            y = ExcObject(cls, q, orb_idx, pos, 1)
+            y = ExcObject(cls, q_target, orb_idx, pos, 1)
             if y.cls.vec == x.cls.vec:
                 continue
             if ext_dim(ctx, x, y) == 0 and ext_dim(ctx, y, x) == 0:
                 return y
-    raise CompanionNotFound(f"no rigid companion at slope {q}")
-
-
-def _rigid_partner_beyond(ctx: K0Context, x: ExcObject, above: bool) -> ExcObject:
-    """A quasi-simple rigid partner at a slope strictly beyond x's slope."""
-    m = x.slope.floor()
-    if above:
-        candidates = [Slope(m + 1, 1), x.slope.mediant(Slope(m + 1, 1)), Slope(m + 2, 1)]
-    else:
-        below = m if Slope(m, 1) < x.slope else m - 1
-        candidates = [Slope(below, 1), x.slope.mediant(Slope(below, 1)), Slope(below - 1, 1)]
-    for q in candidates:
-        try:
-            return _rigid_partner_at(ctx, x, q, full_period=False)
-        except CompanionNotFound:
-            continue
-    raise CompanionNotFound(
-        f"no rigid partner {'above' if above else 'below'} slope {x.slope}"
-    )
+    raise CompanionNotFound(f"no rigid companion at slope {q_target}")
 
 
 # -- completion ----------------------------------------------------------------
@@ -335,14 +308,22 @@ def _slope_ceil(s: Slope) -> int:
     return -((-s.num) // s.den)
 
 
+# Pool rounds of completion_containing before the mediant round.
+_COMPLETION_ROUNDS = 10
+
+
 def _pool_slopes(seed: list[ExcObject], round_: int) -> list[Slope]:
-    finite = sorted(s.slope for s in seed if not s.slope.is_infinite)
+    finite = sorted({s.slope for s in seed if not s.slope.is_infinite})
     lo = finite[0].floor() - (round_ + 1) // 2
     hi = _slope_ceil(finite[-1]) + (round_ + 2) // 2
     if hi == lo:
         hi += 1
     den_cap = 2 + round_
     slopes: set[Slope] = {s.slope for s in seed}
+    if round_ == _COMPLETION_ROUNDS:
+        # Seeds at Farey-neighbour slopes have only slopes of large
+        # denominator strictly between them, the mediant's the least.
+        slopes.update(p.mediant(q) for p, q in zip(finite, finite[1:]))
     for b in range(1, den_cap + 1):
         for num in range(lo * b, hi * b + 1):
             slopes.add(Slope(num, b))
@@ -366,6 +347,12 @@ def completion_containing(
     whose classes are a Z-basis of K0.  Any torsion summands of the
     found tilting object are mutated away afterwards, which never
     touches the seed.
+
+    The pool rounds cap denominators at 2-11.  Seeds at Farey-neighbour
+    slopes (19/83 and 11/48, say) have no slope strictly between them
+    under that cap, so if every pool round fails, one last round adds
+    the mediant of each pair of adjacent seed slopes to the widest pool.
+    If that fails too, InternalConsistencyError names the seed slopes.
     """
     seed = list(seed)
     if not seed:
@@ -378,7 +365,7 @@ def completion_containing(
                 raise PreconditionError("seed objects must be ext-orthogonal")
     clock = _clock(budget)
     seed_vecs = {x.cls.vec for x in seed}
-    for round_ in range(10):
+    for round_ in range(_COMPLETION_ROUNDS + 1):
         pool = [
             ExcObject(cls, q, orbit, socle, length)
             for q in _pool_slopes(seed, round_)
@@ -392,7 +379,10 @@ def completion_containing(
             if not seed_vecs <= set(found.class_key()):
                 raise InternalConsistencyError("completion lost a seed summand")
             return found
-    raise BudgetExhausted("completion rounds exhausted")
+    raise InternalConsistencyError(
+        "no completion found for seed slopes "
+        + ", ".join(str(x.slope) for x in seed)
+    )
 
 
 def _complete_dfs(
@@ -444,73 +434,6 @@ def _reconstruct(
     for node, ev in reversed(chain):
         path.extend(node, ev)
     return path
-
-
-def _best_first(
-    ctx: K0Context,
-    start: TiltingObject,
-    fixed_vec: tuple[int, ...] | None,
-    clock: _Clock,
-    priority: Callable[[TiltingObject, int], Any],
-    child_priority: Callable[[TiltingObject, int], Callable[[int], Any | None]],
-    is_goal: Callable[[TiltingObject], bool],
-) -> MutationPath:
-    """Best-first bundle path from start to a goal, avoiding mutation at
-    fixed_vec if one is given.
-
-    The frontier holds pending mutations, not nodes.  Expanding a node
-    pushes one entry per summand other than fixed_vec, with one clock
-    tick each; the entry of summand k is ordered by
-    child_priority(node, depth)(k), which must equal priority(child,
-    depth) of the child the mutation at k makes, ties by insertion order.
-    A priority of None marks a child known not to be a bundle, which is
-    ticked but not pushed.  `mutate` runs only when an entry reaches the
-    front.  The child is then checked against its entry's priority
-    (InternalConsistencyError if they differ), dropped if it is not a
-    bundle or was reached at no greater depth, and otherwise registered,
-    goal-tested and expanded in place.  A node reached again at a
-    smaller depth is re-opened, so a
-    weighted priority that overrates the heuristic still reaches every
-    node of the stratum, but the path it returns need not be minimal.
-    """
-    if is_goal(start):
-        return MutationPath.single(start)
-    start_key = start.class_key()
-    states = {start_key: start}
-    parents: dict = {}
-    depth = {start_key: 0}
-    heap: list = []
-    counter = itertools.count()
-
-    def expand(key, node: TiltingObject, g: int) -> None:
-        at = child_priority(node, g + 1)
-        for k, s in enumerate(node.summands):
-            if s.cls.vec != fixed_vec:
-                clock.tick()
-                p = at(k)
-                if p is not None:
-                    heapq.heappush(heap, (p, next(counter), key, k, g + 1))
-
-    expand(start_key, start, 0)
-    while heap:
-        promised, _, key, k, g = heapq.heappop(heap)
-        t2, ev = mutate(ctx, states[key], k)
-        if priority(t2, g) != promised:
-            raise InternalConsistencyError(
-                f"the mutation at summand {k} missed its forecast priority"
-            )
-        if not is_bundle(t2):
-            continue
-        k2 = t2.class_key()
-        if k2 in depth and depth[k2] <= g:
-            continue
-        depth[k2] = g
-        states[k2] = t2
-        parents[k2] = (key, ev)
-        if is_goal(t2):
-            return _reconstruct(parents, start_key, k2, states)
-        expand(k2, t2, g)
-    raise BudgetExhausted("best-first search frontier emptied unexpectedly")
 
 
 # Weight on the heuristic of the stratum search (Pohl, "Heuristic search
@@ -570,105 +493,62 @@ def _stratum_path(
 
     Weighted A* on h = |summands of a node not in b|, a lower bound on
     the mutations still needed because every mutation changes one
-    summand.  Ties prefer deeper nodes, which walks straight through
-    heuristic plateaus when a greedy exchange path exists.  The h of a
-    pending mutation comes from the ext table (`_mutation_forecast`), so
-    only the mutations the search reaches are computed.
+    summand: a node at depth g is ordered by g + _STRATUM_WEIGHT * h,
+    ties to the deeper node, which walks straight through heuristic
+    plateaus when a greedy exchange path exists, then by insertion order.
+
+    The frontier holds pending mutations, not nodes.  Expanding a node
+    pushes one entry per summand other than fixed_vec, with one clock
+    tick each, ordered by the h its child will have; that h comes from
+    the ext table (`_mutation_forecast`), so `mutate` runs only when an
+    entry reaches the front.  The child is then checked against its
+    forecast (InternalConsistencyError if they differ), dropped if it is
+    not a bundle or was reached at no greater depth, and otherwise
+    registered, goal-tested and expanded in place.  A node reached again
+    at a smaller depth is re-opened, so the weighted order, which
+    overrates h, still reaches every node of the stratum, but the path
+    it returns need not be minimal.
     """
+    start_key = a.class_key()
     goal_key = b.class_key()
+    if start_key == goal_key:
+        return MutationPath.single(a)
     target = set(goal_key)
+    states = {start_key: a}
+    parents: dict = {}
+    depth = {start_key: 0}
+    heap: list = []
+    counter = itertools.count()
 
-    def priority(node: TiltingObject, depth: int):
-        h = sum(1 for v in node.class_key() if v not in target)
-        return (depth + _STRATUM_WEIGHT * h, -depth)
-
-    def child_priority(node: TiltingObject, depth: int):
+    def expand(key, node: TiltingObject, g: int) -> None:
         child_h, _ = _mutation_forecast(ctx, node, b)
-        return lambda k: (depth + _STRATUM_WEIGHT * child_h[k], -depth)
+        for k, s in enumerate(node.summands):
+            if s.cls.vec != fixed_vec:
+                clock.tick()
+                f = g + 1 + _STRATUM_WEIGHT * child_h[k]
+                heapq.heappush(heap, (f, -(g + 1), next(counter), key, k))
 
-    def is_goal(node: TiltingObject) -> bool:
-        return node.class_key() == goal_key
-
-    return _best_first(ctx, a, fixed_vec, clock, priority, child_priority, is_goal)
-
-
-def make_only_minimal(
-    ctx: K0Context, t: TiltingObject, k: int, budget: _Budget = DEFAULT_BUDGET
-) -> MutationPath:
-    """Bundle path making summand k's object the unique minimal summand."""
-    return _make_only_extremal(ctx, t, k, budget, minimal=True)
-
-
-def make_only_maximal(
-    ctx: K0Context, t: TiltingObject, k: int, budget: _Budget = DEFAULT_BUDGET
-) -> MutationPath:
-    """Bundle path making summand k's object the unique maximal summand."""
-    return _make_only_extremal(ctx, t, k, budget, minimal=False)
-
-
-def _make_only_extremal(
-    ctx: K0Context, t: TiltingObject, k: int, budget: _Budget, minimal: bool
-) -> MutationPath:
-    if not is_bundle(t):
-        raise PreconditionError("input must be a tilting bundle")
-    x = t.summands[k]
-    if x.len != 1:
-        raise PreconditionError("the protected summand must be quasi-simple")
-    return _normalize_extremal(ctx, t, x, _clock(budget), minimal)
-
-
-def _normalize_extremal(
-    ctx: K0Context, t: TiltingObject, x: ExcObject, clock: _Clock, minimal: bool
-) -> MutationPath:
-    # Best-first on (blocker count, slope deficit, depth): greedy progress
-    # matches guided APR/co-APR mutation, and because the frontier keeps
-    # every expanded alternative, stagnation degrades into a plain
-    # breadth-style sweep instead of looping.
-    goal = only_minimal if minimal else only_maximal
-
-    def is_goal(node: TiltingObject) -> bool:
-        g = goal(ctx, node)
-        return g is not None and node.summands[g].cls.vec == x.cls.vec
-
-    def priority(node: TiltingObject, depth: int):
-        return (_extremal_score(ctx, node, x, minimal), depth)
-
-    def child_priority(node: TiltingObject, depth: int):
-        def at(k: int):
-            child, _ = mutate(ctx, node, k)
-            return priority(child, depth) if is_bundle(child) else None
-
-        return at
-
-    lo, hi = slope_range(ctx, t)
-    easy = (x.slope < hi) if minimal else (lo < x.slope)
-    if easy:
-        # guided mutation raises (resp. lowers) the blocking summands and
-        # stays inside a finite region
-        return _best_first(ctx, t, x.cls.vec, clock, priority, child_priority, is_goal)
-    # The protected summand sits on the extreme slope tier: route through
-    # a tilting bundle where its slope is strictly interior, then
-    # normalize from there.
-    y = _rigid_partner_beyond(ctx, x, above=minimal)
-    t2 = completion_containing(ctx, [x, y], clock)
-    p1 = _stratum_path(ctx, t, t2, x.cls.vec, clock)
-    p2 = _best_first(ctx, t2, x.cls.vec, clock, priority, child_priority, is_goal)
-    return p1.concat(p2)
-
-
-def _extremal_score(ctx: K0Context, t: TiltingObject, x: ExcObject, minimal: bool):
-    xf = x.slope.fraction()
-    blockers = 0
-    deficit = Fraction(0)
-    for s in t.summands:
-        if s.cls.vec == x.cls.vec:
+    expand(start_key, a, 0)
+    while heap:
+        f, neg_g, _, key, k = heapq.heappop(heap)
+        g = -neg_g
+        t2, ev = mutate(ctx, states[key], k)
+        k2 = t2.class_key()
+        if g + _STRATUM_WEIGHT * sum(1 for v in k2 if v not in target) != f:
+            raise InternalConsistencyError(
+                f"the mutation at summand {k} missed its forecast priority"
+            )
+        if not is_bundle(t2):
             continue
-        sf = s.slope.fraction()
-        bad = sf <= xf if minimal else sf >= xf
-        if bad:
-            blockers += 1
-            deficit += abs(xf - sf) + 1
-    return (blockers, deficit)
+        if k2 in depth and depth[k2] <= g:
+            continue
+        depth[k2] = g
+        states[k2] = t2
+        parents[k2] = (key, ev)
+        if k2 == goal_key:
+            return _reconstruct(parents, start_key, k2, states)
+        expand(k2, t2, g)
+    raise BudgetExhausted("stratum search frontier emptied unexpectedly")
 
 
 def connect_shared(

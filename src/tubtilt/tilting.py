@@ -181,19 +181,6 @@ def slope_range(ctx: K0Context, t: TiltingObject) -> tuple[Slope, Slope]:
     return min(slopes), max(slopes)
 
 
-def only_minimal(ctx: K0Context, t: TiltingObject) -> int | None:
-    """Index of the strictly unique minimum-slope summand, if any."""
-    lo = min(s.slope for s in t.summands)
-    hits = [i for i, s in enumerate(t.summands) if s.slope == lo]
-    return hits[0] if len(hits) == 1 else None
-
-
-def only_maximal(ctx: K0Context, t: TiltingObject) -> int | None:
-    hi = max(s.slope for s in t.summands)
-    hits = [i for i, s in enumerate(t.summands) if s.slope == hi]
-    return hits[0] if len(hits) == 1 else None
-
-
 def wing_summands(ctx: K0Context, t: TiltingObject, z: int) -> tuple[int, ...]:
     """Indices of summands lying in the wing under summand z (z included)."""
     zz = t.summands[z]

@@ -20,8 +20,6 @@ from tubtilt.connect import (
     explore_graph,
     find_companion,
     integerize,
-    make_only_maximal,
-    make_only_minimal,
     random_walk,
     shorten_path,
     verify_path,
@@ -30,12 +28,19 @@ from tubtilt.errors import (
     BudgetExhausted,
     InternalConsistencyError,
     PreconditionError,
-    TubTiltError,
 )
 from tubtilt.k0 import K0Class, line_bundle_class, rank_of
 from tubtilt.slopes import INF, Slope
-from tubtilt.tilting import is_bundle, is_tilting, mutate, only_maximal, only_minimal, t_can
-from tubtilt.tubes import exc_from_class, ext_dim, hom_dim, line_bundle_obj, tau_inv_obj
+from tubtilt.tilting import is_bundle, is_tilting, mutate, t_can
+from tubtilt.tubes import (
+    ExcObject,
+    chart_for,
+    exc_from_class,
+    ext_dim,
+    hom_dim,
+    line_bundle_obj,
+    tau_inv_obj,
+)
 from tubtilt.verify import context_for
 from tubtilt.weights import (
     TUBULAR_TYPES,
@@ -143,49 +148,25 @@ def test_completion_rejects_bad_seed(ctx2222):
         completion_containing(ctx2222, [])
 
 
-def test_make_only_minimal_trivial(ctx2222):
-    tc = t_can(ctx2222)
-    k = tc.index_of(line_bundle_obj(ctx2222, l_zero(ctx2222.weights)))
-    path = make_only_minimal(ctx2222, tc, k)
-    assert len(path.nodes) == 1
-    assert verify_path(ctx2222, path)
+def test_completion_of_farey_neighbour_seeds(ctx2222):
+    # nothing of denominator below 131 lies strictly between 19/83 and 11/48,
+    # so the pool rounds fail and the mediant round finds the completion
+    q = Slope(19, 83)
+    x = ExcObject(chart_for(ctx2222, q).orbits[0][0], q, 0, 0, 1)
+    step = extend_abcd(19, 83)
+    y = find_companion(ctx2222, x, Slope(step.c, step.d))
+    assert y.slope == Slope(11, 48)
+    t = completion_containing(ctx2222, [x, y])
+    assert is_bundle(t) and is_tilting(ctx2222, t)
+    assert {x.cls.vec, y.cls.vec} <= set(t.class_key())
+    assert Slope(30, 131) in {s.slope for s in t.summands}
 
 
-def test_make_only_minimal_normalizes(ctx2222):
-    tc = t_can(ctx2222)
-    x = line_bundle_obj(ctx2222, x_gen(ctx2222.weights, 0))
-    k = tc.index_of(x)
-    path = make_only_minimal(ctx2222, tc, k)
-    assert verify_path(ctx2222, path)
-    assert path.bundle_only
-    end = path.end
-    km = only_minimal(ctx2222, end)
-    assert km is not None and end.summands[km].cls == x.cls
-
-
-def test_make_only_maximal_normalizes(ctx2222):
-    tc = t_can(ctx2222)
-    x = line_bundle_obj(ctx2222, x_gen(ctx2222.weights, 0))
-    path = make_only_maximal(ctx2222, tc, tc.index_of(x))
-    assert verify_path(ctx2222, path)
-    end = path.end
-    km = only_maximal(ctx2222, end)
-    assert km is not None and end.summands[km].cls == x.cls
-
-
-def test_make_only_minimal_randomized(any_ctx):
-    rng = random.Random(31)
-    for trial in range(4):
-        walk = random_walk(any_ctx, rng.randrange(1, 5), seed=1000 + trial, bundle_only=True)
-        t = walk.end
-        quasis = [i for i, s in enumerate(t.summands) if s.len == 1]
-        k = quasis[rng.randrange(len(quasis))]
-        x = t.summands[k]
-        path = make_only_minimal(any_ctx, t, k)
-        assert verify_path(any_ctx, path) and path.bundle_only
-        end = path.end
-        km = only_minimal(any_ctx, end)
-        assert km is not None and end.summands[km].cls == x.cls
+def test_completion_failure_names_the_seed(ctx2222, monkeypatch):
+    o = line_bundle_obj(ctx2222, l_zero(ctx2222.weights))
+    monkeypatch.setattr(connect, "_complete_dfs", lambda ctx, seed, pool, clock: None)
+    with pytest.raises(InternalConsistencyError, match="seed slopes 0"):
+        completion_containing(ctx2222, [o])
 
 
 def test_connect_shared_identity(ctx2222):
@@ -372,8 +353,18 @@ def _eager_best_first(ctx, start, fixed_vec, clock, priority, is_goal):
     raise BudgetExhausted("best-first search frontier emptied unexpectedly")
 
 
-def _on_eager_oracle(ctx, start, fixed_vec, clock, priority, child_priority, is_goal):
-    return _eager_best_first(ctx, start, fixed_vec, clock, priority, is_goal)
+def _eager_stratum_path(ctx, a, b, fixed_vec, clock):
+    """connect._stratum_path's order and goal on the eager node frontier."""
+    goal_key = b.class_key()
+    target = set(goal_key)
+
+    def priority(node, depth):
+        h = sum(1 for v in node.class_key() if v not in target)
+        return (depth + connect._STRATUM_WEIGHT * h, -depth)
+
+    return _eager_best_first(
+        ctx, a, fixed_vec, clock, priority, lambda node: node.class_key() == goal_key
+    )
 
 
 def _events(path):
@@ -407,32 +398,8 @@ def test_stratum_search_matches_the_eager_oracle(any_ctx, monkeypatch):
     assert sum(fixed is None for _, _, fixed in calls) == 8
     for t, t2, fixed in calls:
         lazy = connect._stratum_path(any_ctx, t, t2, fixed, connect._Clock(SearchBudget()))
-        with monkeypatch.context() as m:
-            m.setattr(connect, "_best_first", _on_eager_oracle)
-            eager = connect._stratum_path(
-                any_ctx, t, t2, fixed, connect._Clock(SearchBudget())
-            )
+        eager = _eager_stratum_path(any_ctx, t, t2, fixed, connect._Clock(SearchBudget()))
         assert _events(lazy) == _events(eager)
-
-
-def _outcome(fn, *args):
-    try:
-        return _events(fn(*args))
-    except TubTiltError as exc:
-        return type(exc).__name__
-
-
-def test_extremal_search_matches_the_eager_oracle(any_ctx, monkeypatch):
-    rng = random.Random(41)
-    for trial in range(4):
-        t = random_walk(any_ctx, rng.randrange(1, 9), rng.randrange(10**6), bundle_only=True).end
-        k = rng.choice([i for i, s in enumerate(t.summands) if s.len == 1])
-        for fn in (make_only_minimal, make_only_maximal):
-            lazy = _outcome(fn, any_ctx, t, k)
-            with monkeypatch.context() as m:
-                m.setattr(connect, "_best_first", _on_eager_oracle)
-                eager = _outcome(fn, any_ctx, t, k)
-            assert lazy == eager
 
 
 def _stratum_target(ctx, node, fixed_vec, moves, rng):
@@ -596,6 +563,30 @@ def test_connect_pair_with_integer_free_ends(ctx2222):
     assert path.bundle_only
     assert verify_path(ctx2222, path)
     assert verify_path(ctx2222, path.reversed())
+
+
+# Deep (2,2,2,2) walk ends whose Farey descent completes seeds at Farey
+# neighbour slopes (19/83 and 11/48 on the first), which only the mediant
+# round of completion_containing can do.
+FAREY_NEIGHBOUR_ENDS = ((64, 939671729), (58, 589956612))
+
+
+def test_connect_ends_needing_the_mediant_round(ctx2222):
+    ends = [
+        random_walk(ctx2222, steps, seed, bundle_only=True).end
+        for steps, seed in FAREY_NEIGHBOUR_ENDS
+    ]
+    for end in ends:
+        path = connect_to_canonical(ctx2222, end)
+        assert verify_path(ctx2222, path)
+        assert path.bundle_only
+        assert path.nodes[0].class_key() == end.class_key()
+        assert path.end.class_key() == t_can(ctx2222).class_key()
+    path = connect_pair(ctx2222, *ends)
+    assert verify_path(ctx2222, path)
+    assert path.bundle_only
+    assert path.nodes[0].class_key() == ends[0].class_key()
+    assert path.end.class_key() == ends[1].class_key()
 
 
 def test_connect_deep_walks_stay_under_the_tick_bound(any_ctx):
@@ -763,10 +754,8 @@ def test_explore_graph_one_neighborhood(ctx2222):
 # Exchange sequences of fixed inputs, pinned so that a change to the search
 # code that alters any path shows here.  The slope range of every connect
 # input holds an integer, so each connect is one direct search to T_can,
-# which shorten_path leaves as it is; make_only_maximal on both (2,2,2,2)
-# walks takes the rigid-partner fallback of the extremal normalization,
-# whose first leg is a stratum search.  Event counts, in order: 1, 4, 5, 1,
-# 4, 1, 4, 1, 4 and 0, 14, 2, 9.
+# which shorten_path leaves as it is.  Event counts, in order: 1, 4, 5, 1,
+# 4, 1, 4, 1, 4.
 GOLDEN_CONNECT = {
     ((2, 2, 2, 2), 3, 3000): "1f12cf42f5dfc110a2e31bc1ff8b114a0a9afcac8c416d1e07719dbc8091ef65",
     ((2, 2, 2, 2), 6, 3001): "51314060763f830f90232a8a7274c7615fc7b2e2d91c5f58794d7ee050eb5bf4",
@@ -777,12 +766,6 @@ GOLDEN_CONNECT = {
     ((2, 4, 4), 6, 3001): "a63bf31e4221b9f87ff2c150ad78a3e80318b4b7b89d5731cde09b043071e8a9",
     ((2, 3, 6), 3, 3000): "b3571f3b405a409d3108b86d5696f235edce1041cfa6d9c2b299d33df81fce88",
     ((2, 3, 6), 5, 3): "4708b41b7ce36c0ac8fd2c8db6b30dcc243ddc971818fc7b3184e49453b202c4",
-}
-GOLDEN_EXTREMAL = {
-    ("min", 2, 5): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    ("max", 2, 5): "633b54109cd2063fc47d14c210af89a41978672f52ef7a102444f35cd6fa3a4f",
-    ("min", 4, 1004): "defd517160ec0b97d542e41745518210a792e35b7c8144f34f97294b803b3cc0",
-    ("max", 4, 1004): "115f0f9fad62a3bba43a08c2d0424038c344a6cbf8777d32a33639d32ef8332d",
 }
 
 
@@ -798,11 +781,3 @@ def test_golden_paths():
         walk = random_walk(ctx, steps, seed=seed, bundle_only=True)
         got[ws, steps, seed] = _event_digest(connect_to_canonical(ctx, walk.end))
     assert got == GOLDEN_CONNECT
-    ctx = context_for((2, 2, 2, 2))
-    got = {}
-    for which, steps, seed in GOLDEN_EXTREMAL:
-        t = random_walk(ctx, steps, seed=seed, bundle_only=True).end
-        k = next(i for i, s in enumerate(t.summands) if s.len == 1)
-        fn = make_only_minimal if which == "min" else make_only_maximal
-        got[which, steps, seed] = _event_digest(fn(ctx, t, k))
-    assert got == GOLDEN_EXTREMAL

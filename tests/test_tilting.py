@@ -33,8 +33,6 @@ from tubtilt.tilting import (
     last_objects,
     make_tilting,
     mutate,
-    only_maximal,
-    only_minimal,
     perp_side,
     purge_torsion,
     slope_range,
@@ -78,8 +76,6 @@ def test_canonical_first_last_2222(ctx2222):
     assert first_objects(ctx2222, tc) == (i_o,)
     assert last_objects(ctx2222, tc) == (i_c,)
     assert i_x1 not in first_objects(ctx2222, tc)
-    assert only_minimal(ctx2222, tc) == i_o
-    assert only_maximal(ctx2222, tc) == i_c
 
 
 def test_is_tilting_rejects_small_sets(ctx2222):
