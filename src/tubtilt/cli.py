@@ -5,10 +5,6 @@ the object language (`Tcan`, `Tcan(x1+c)`, `mu(Tcan, 0)`, ...);
 anything that names an existing file is read as JSON.  Output is
 canonical JSON on stdout, diagnostics go to stderr as JSON, and exit
 codes are 0 (success), 1 (verification or domain failure), 2 (usage).
-
-Charts are cached in memory per run; set TUBTILT_CACHE to a directory
-to persist them between runs (entries are re-verified on load), or
-pass --no-cache to ignore the directory entirely.
 """
 
 from __future__ import annotations
@@ -92,9 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated weight sequence, e.g. 2,2,2,2 (defaults to the "
         "weights stored in an input file when one is given)",
     )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="ignore the TUBTILT_CACHE directory"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("info", help="print context, basis order and Euler matrix")
@@ -149,27 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _context(args) -> K0Context:
     if args.weights is None:
         raise ValidationError("--weights is required for this command")
-    ctx = build_context(make_weights(args.weights))
-    _load_cache(ctx, args)
-    return ctx
-
-
-def _cache_dir(args) -> str | None:
-    if getattr(args, "no_cache", False):
-        return None
-    return os.environ.get("TUBTILT_CACHE") or None
-
-
-def _load_cache(ctx: K0Context, args) -> None:
-    directory = _cache_dir(args)
-    if directory:
-        serialize.load_chart_cache(ctx, directory)
-
-
-def _save_cache(ctx: K0Context | None, args) -> None:
-    directory = _cache_dir(args)
-    if directory and ctx is not None:
-        serialize.save_chart_cache(ctx, directory)
+    return build_context(make_weights(args.weights))
 
 
 def _load_tilting(
@@ -198,8 +171,6 @@ def _load_tilting(
                     f"both tiltings must share the weight sequence: {exc}"
                 ) from None
             raise ValidationError(f"{spec}: {exc}") from None
-        if not shared:
-            _load_cache(ctx, args)
         return ctx, t
     if not shared:
         ctx = _context(args)
@@ -229,7 +200,6 @@ def _cmd_info(args) -> int:
     print("euler:")
     for row in ctx.euler:
         print("  " + " ".join(f"{v:3d}" for v in row))
-    _save_cache(ctx, args)
     return 0
 
 
@@ -237,7 +207,6 @@ def _cmd_check(args) -> int:
     ctx, t = _load_tilting(args, args.tilting, require_tilting=False)
     ok = is_tilting(ctx, t)
     print(serialize.dumps({"tilting": ok, "summands": len(t.summands)}))
-    _save_cache(ctx, args)
     return 0 if ok else 1
 
 
@@ -259,7 +228,6 @@ def _cmd_mutate(args) -> int:
             }
         )
     )
-    _save_cache(ctx, args)
     return 0
 
 
@@ -267,7 +235,6 @@ def _cmd_walk(args) -> int:
     ctx = _context(args)
     path = random_walk(ctx, args.steps, args.seed, args.bundle_only)
     print(serialize.dumps(serialize.path_to_dict(ctx, path)))
-    _save_cache(ctx, args)
     return 0
 
 
@@ -280,7 +247,6 @@ def _cmd_connect(args) -> int:
         _, t2 = _load_tilting(args, args.to, ctx=ctx)
         path = connect_pair(ctx, t, t2, budget)
     print(serialize.dumps(serialize.path_to_dict(ctx, path)))
-    _save_cache(ctx, args)
     return 0
 
 
@@ -295,7 +261,6 @@ def _cmd_purge(args) -> int:
             }
         )
     )
-    _save_cache(ctx, args)
     return 0
 
 
@@ -303,7 +268,6 @@ def _cmd_chart(args) -> int:
     ctx = _context(args)
     chart = chart_for(ctx, args.slope)
     print(serialize.dumps(serialize.chart_to_dict(ctx, chart)))
-    _save_cache(ctx, args)
     return 0
 
 
@@ -314,7 +278,6 @@ def _cmd_graph(args) -> int:
     with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(export_dot(ctx, nodes, edges))
     print(serialize.dumps({"nodes": len(nodes), "edges": len(edges), "dot": args.dot}))
-    _save_cache(ctx, args)
     return 0
 
 

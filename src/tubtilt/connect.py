@@ -167,7 +167,6 @@ class MutationPath:
                     removed=ev.added,
                     added=ev.removed,
                     direction="R" if ev.direction == "L" else "L",
-                    approx_class=ev.approx_class,
                 )
             )
         return MutationPath(nodes, events, self.bundle_only)
@@ -202,8 +201,8 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
         if prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
             logger.warning("event %d records a wrong index", i)
             return False
-        if (ev.removed.cls + ev.added.cls).vec != ev.approx_class.vec:
-            logger.warning("event %d violates exchange additivity", i)
+        if (ext_dim(ctx, ev.added, ev.removed) > 0) != (ev.direction == "L"):
+            logger.warning("event %d records a wrong direction", i)
             return False
     if path.bundle_only != all(is_bundle(t) for t in path.nodes):
         logger.warning("bundle flag is inaccurate")

@@ -117,7 +117,6 @@ def event_from_dict(ctx: K0Context, data: Any) -> MutationEvent:
         removed=removed,
         added=added,
         direction=data["dir"],
-        approx_class=removed.cls + added.cls,
     )
 
 

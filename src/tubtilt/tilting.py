@@ -74,11 +74,23 @@ class TiltingObject:
 
 @dataclass(frozen=True)
 class MutationEvent:
+    """The exchange of summand `index`, `removed`, for `added`.
+
+    The two complements sit in the exchange sequence
+    0 -> removed -> B -> added -> 0 (direction "L", ext(added, removed) > 0)
+    or 0 -> added -> B -> removed -> 0 (direction "R"), whose middle term
+    B is the minimal approximation by the other summands.  `approx_class`
+    is its class [B] = [removed] + [added].
+    """
+
     index: int
     removed: ExcObject
     added: ExcObject
-    direction: str  # "L": 0 -> removed -> B -> added -> 0; "R": the reverse
-    approx_class: K0Class
+    direction: str
+
+    @property
+    def approx_class(self) -> K0Class:
+        return self.removed.cls + self.added.cls
 
 
 def make_tilting(ctx: K0Context, objs: Iterable[ExcObject]) -> TiltingObject:
@@ -367,7 +379,6 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
         removed=tk,
         added=new,
         direction="L" if e_left > 0 else "R",
-        approx_class=tk.cls + new.cls,
     )
     if len(ctx._mutations) > 300_000:
         ctx._mutations.clear()

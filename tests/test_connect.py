@@ -529,6 +529,15 @@ def test_connect_to_canonical_walks(any_ctx):
         assert path.bundle_only
 
 
+def test_walks_with_torsion_verify_both_ways(any_ctx):
+    # reversed() flips every direction, and verify_path checks it against ext
+    walks = [random_walk(any_ctx, 6, seed=5100 + seed) for seed in range(6)]
+    assert not all(w.bundle_only for w in walks)
+    for walk in walks:
+        assert verify_path(any_ctx, walk)
+        assert verify_path(any_ctx, walk.reversed())
+
+
 def test_connect_to_canonical_rejects_torsion(ctx2222):
     rng = random.Random(34)
     for seed in range(40):

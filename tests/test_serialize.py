@@ -95,6 +95,17 @@ def test_path_record_rejected_unless_verified(ctx2222, caplog):
     assert "event 1 does not match the node difference" in caplog.text
 
 
+def test_path_record_with_a_flipped_direction_rejected(any_ctx, caplog):
+    data = serialize.path_to_dict(any_ctx, random_walk(any_ctx, 6, seed=5, bundle_only=True))
+    assert len(data["events"]) == 6
+    for i in range(6):
+        bad = json.loads(json.dumps(data))
+        bad["events"][i]["dir"] = {"L": "R", "R": "L"}[bad["events"][i]["dir"]]
+        with pytest.raises(ValidationError, match="not a verified mutation path"):
+            serialize.path_from_dict(any_ctx, bad)
+        assert f"event {i} records a wrong direction" in caplog.text
+
+
 def test_event_wire_format(ctx2222):
     path = random_walk(ctx2222, 1, seed=3)
     ev = serialize.event_to_dict(path.events[0])

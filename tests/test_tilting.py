@@ -189,7 +189,7 @@ def _oracle_mutate(ctx, t, k):
     result = make_tilting(ctx, others + (new,))
     assert is_tilting(ctx, result)
     direction = "L" if ext_dim(ctx, new, tk) > 0 else "R"
-    return result, MutationEvent(k, tk, new, direction, tk.cls + new.cls)
+    return result, MutationEvent(k, tk, new, direction)
 
 
 @settings(max_examples=300, deadline=None)
