@@ -41,11 +41,9 @@ from .tilting import (
     last_objects,
     make_tilting,
     mutate,
-    perp_side,
     purge_torsion,
     slope_range,
     t_can,
-    wing_summands,
 )
 from .tubes import (
     ExcObject,
@@ -60,7 +58,6 @@ from .tubes import (
     line_bundle_obj,
     tau_obj,
     tube_hom_oracle,
-    twist_obj,
     wing_contains,
 )
 from .weights import (

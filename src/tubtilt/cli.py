@@ -282,13 +282,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kwargs = {}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    ok = run_suite(args.suite, **kwargs)
-    return 0 if ok else 1
+    return 0 if run_suite(args.suite, args.trials, args.seed) else 1
 
 
 _COMMANDS = {

@@ -1,16 +1,18 @@
 """Constructive connectivity of tilting bundles.
 
-Every tilting bundle is joined to the canonical one by a verified chain
-of bundle-mutations.  If the slope range of the bundle holds no integer,
-its slope denominators are first descended through Farey companions
-until it does (`integerize`, the first step of the connectedness proof);
-then one weighted best-first search of the bundle graph runs straight
-to T_can.  The graph is connected (that is the theorem) and locally
-finite, so the search finds a path, and the call's budget bounds its
-cost.  The paper's full route, which also slides through the bundles
-sharing a line bundle and walks the twist chain of canonical bundles,
-is kept in the tests as an oracle.  The finished path is shortened by
-erasing its loops and splicing out its detours before it is verified.
+Any two tilting bundles are joined by a verified chain of
+bundle-mutations, and every connect is the one call `connect_pair`
+(`connect_to_canonical` is the pair connect to T_can).  An end whose
+slope range holds no integer first has its slope denominators descended
+through Farey companions until it does (`integerize`, the first step of
+the connectedness proof); then one weighted best-first search of the
+bundle graph runs straight between the two ends.  The graph is
+connected (that is the theorem) and locally finite, so the search finds
+a path, and the call's budget bounds its cost.  The paper's full route,
+which also slides through the bundles sharing a line bundle and walks
+the twist chain of canonical bundles, is kept in the tests as an
+oracle.  The joined path is shortened by erasing its loops and splicing
+out its detours before it is verified.
 There is one search, `_stratum_path`, which the Farey descent's
 fixed-summand legs share.  Its frontier holds pending mutations, not
 nodes: the priority of a mutation's child is forecast from the ext
@@ -130,30 +132,27 @@ class MutationPath:
 
     nodes: list[TiltingObject]
     events: list[MutationEvent]
-    bundle_only: bool
 
     @staticmethod
     def single(t: TiltingObject) -> "MutationPath":
-        return MutationPath([t], [], is_bundle(t))
+        return MutationPath([t], [])
 
     @property
     def end(self) -> TiltingObject:
         return self.nodes[-1]
 
+    @property
+    def bundle_only(self) -> bool:
+        return all(is_bundle(t) for t in self.nodes)
+
     def extend(self, t2: TiltingObject, ev: MutationEvent) -> None:
         self.nodes.append(t2)
         self.events.append(ev)
-        if not is_bundle(t2):
-            self.bundle_only = False
 
     def concat(self, other: "MutationPath") -> "MutationPath":
         if self.end.class_key() != other.nodes[0].class_key():
             raise ValueError("paths do not share an endpoint")
-        return MutationPath(
-            self.nodes + other.nodes[1:],
-            self.events + other.events,
-            self.bundle_only and other.bundle_only,
-        )
+        return MutationPath(self.nodes + other.nodes[1:], self.events + other.events)
 
     def reversed(self) -> "MutationPath":
         nodes = list(reversed(self.nodes))
@@ -169,7 +168,7 @@ class MutationPath:
                     direction="R" if ev.direction == "L" else "L",
                 )
             )
-        return MutationPath(nodes, events, self.bundle_only)
+        return MutationPath(nodes, events)
 
 
 def verify_path(ctx: K0Context, path: MutationPath) -> bool:
@@ -204,9 +203,6 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
         if (ext_dim(ctx, ev.added, ev.removed) > 0) != (ev.direction == "L"):
             logger.warning("event %d records a wrong direction", i)
             return False
-    if path.bundle_only != all(is_bundle(t) for t in path.nodes):
-        logger.warning("bundle flag is inaccurate")
-        return False
     return True
 
 
@@ -611,26 +607,7 @@ def integerize(
     return path
 
 
-# -- the canonical route ---------------------------------------------------------
-
-
-def connect_to_canonical(
-    ctx: K0Context, t: TiltingObject, budget: _Budget = DEFAULT_BUDGET
-) -> MutationPath:
-    """Verified bundle path from t to the canonical tilting bundle: Farey
-    descent if t's slope range holds no integer, then one direct search
-    to T_can, with its detours spliced out (shorten_path)."""
-    clock = _clock(budget)
-    path = _integerized(ctx, t, clock)
-    path = path.concat(_stratum_path(ctx, path.end, t_can(ctx), None, clock))
-    return _shortened_and_verified(ctx, path)
-
-
-def _shortened_and_verified(ctx: K0Context, path: MutationPath) -> MutationPath:
-    path = shorten_path(ctx, path)
-    if not verify_path(ctx, path):
-        raise InternalConsistencyError("constructed path failed verification")
-    return path
+# -- connecting two tilting bundles ----------------------------------------------
 
 
 def _integerized(ctx: K0Context, t: TiltingObject, clock: _Clock) -> MutationPath:
@@ -649,14 +626,28 @@ def connect_pair(
     t2: TiltingObject,
     budget: _Budget = DEFAULT_BUDGET,
 ) -> MutationPath:
-    """Verified bundle path t -> t2: one direct search between the two
-    ends, each integerized first if its slope range holds no integer,
-    and the joined path spliced (shorten_path)."""
+    """Verified bundle path t -> t2: each end integerized first if its
+    slope range holds no integer (Farey descent), then one direct search
+    between the two, the joined path with its detours spliced out
+    (shorten_path) and verified.  Every connect of the library is this
+    call."""
     clock = _clock(budget)
     p1 = _integerized(ctx, t, clock)
     p2 = _integerized(ctx, t2, clock)
     middle = _stratum_path(ctx, p1.end, p2.end, None, clock)
-    return _shortened_and_verified(ctx, p1.concat(middle).concat(p2.reversed()))
+    path = shorten_path(ctx, p1.concat(middle).concat(p2.reversed()))
+    if not verify_path(ctx, path):
+        raise InternalConsistencyError("constructed path failed verification")
+    return path
+
+
+def connect_to_canonical(
+    ctx: K0Context, t: TiltingObject, budget: _Budget = DEFAULT_BUDGET
+) -> MutationPath:
+    """Verified bundle path from t to the canonical tilting bundle: the
+    pair connect to T_can.  T_can's slope range holds 0, so only t may
+    need the Farey descent."""
+    return connect_pair(ctx, t, t_can(ctx), budget)
 
 
 # -- neighborhood exploration (graph/DOT export) ----------------------------------

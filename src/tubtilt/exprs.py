@@ -26,7 +26,14 @@ from .errors import ExprSyntaxError, NotExceptionalHere, NotSheafLike, Validatio
 from .k0 import K0Class, K0Context
 from .slopes import Slope
 from .tilting import TiltingObject, mutate, t_can
-from .tubes import ExcObject, chart_for, coords_of_class, exc_from_class, window_class
+from .tubes import (
+    ExcObject,
+    chart_for,
+    coords_of_class,
+    exc_from_class,
+    line_bundle_obj,
+    window_class,
+)
 from .weights import LElement, l_normalize
 
 
@@ -324,8 +331,6 @@ def _eval_lelem(ctx: K0Context, elt: LExprData) -> LElement:
 
 def eval_object(ctx: K0Context, ast: ObjectExpr) -> ExcObject:
     if isinstance(ast, LineBundleExpr):
-        from .tubes import line_bundle_obj
-
         return line_bundle_obj(ctx, _eval_lelem(ctx, ast.elt))
     if isinstance(ast, ChartCoordExpr):
         chart = chart_for(ctx, ast.slope)
@@ -360,13 +365,6 @@ def eval_tilting(ctx: K0Context, ast: ObjectExpr) -> TiltingObject:
     raise ValidationError(f"{print_expr(ast)} is an object expression, not a tilting")
 
 
-def lelem_expr(x: LElement) -> LExprData:
-    """Canonical expression data for a normal-form element."""
-    return LExprData(
-        tuple((i, a) for i, a in enumerate(x.coeffs) if a), x.c
-    )
-
-
 __all__ = [
     "ObjectExpr",
     "LineBundleExpr",
@@ -379,5 +377,4 @@ __all__ = [
     "print_expr",
     "eval_object",
     "eval_tilting",
-    "lelem_expr",
 ]

@@ -15,7 +15,7 @@ from .connect import MutationPath, verify_path
 from .errors import ChartInconsistent, ValidationError, WeightsMismatch
 from .k0 import K0Class, K0Context, build_context
 from .slopes import Slope
-from .tilting import MutationEvent, TiltingObject, is_bundle, is_tilting, make_tilting
+from .tilting import MutationEvent, TiltingObject, is_tilting, make_tilting
 from .tubes import ExcObject, TubeChart, check_chart_invariants, exc_from_class
 from .weights import WeightData, make_weights
 
@@ -131,16 +131,18 @@ def path_to_dict(ctx: K0Context, path: MutationPath) -> dict:
 def path_from_dict(ctx: K0Context, data: Any) -> MutationPath:
     """Load boundary for paths: the nodes are read structurally and the
     whole path, every node tilting and every event matching its nodes,
-    is checked once by `verify_path`; a path that fails raises
+    is checked once by `verify_path`; a path that fails, or whose
+    `bundleOnly`, if present, disagrees with its nodes, raises
     ValidationError."""
     if not isinstance(data, dict) or "nodes" not in data:
         raise ValidationError("path record needs 'nodes'")
     nodes = [make_tilting(ctx, summands_from_dict(d, ctx)[1]) for d in data["nodes"]]
     events = [event_from_dict(ctx, d) for d in data.get("events", [])]
-    flag = data.get("bundleOnly", all(is_bundle(t) for t in nodes))
-    path = MutationPath(nodes, events, bool(flag))
+    path = MutationPath(nodes, events)
     if not verify_path(ctx, path):
         raise ValidationError("the record is not a verified mutation path")
+    if "bundleOnly" in data and bool(data["bundleOnly"]) != path.bundle_only:
+        raise ValidationError("the record's bundleOnly disagrees with its nodes")
     return path
 
 

@@ -71,11 +71,6 @@ class Slope:
         m = self.floor()
         return self.num - m * self.den, self.den
 
-    def shift(self, m: int) -> "Slope":
-        if self.is_infinite:
-            return self
-        return Slope(self.num + m * self.den, self.den)
-
     def mediant(self, other: "Slope") -> "Slope":
         return Slope(self.num + other.num, self.den + other.den)
 

@@ -40,7 +40,6 @@ from .errors import (
     NotFirstObject,
     NotLastObject,
     NotSheafLike,
-    PreconditionError,
     WrongSummandCount,
 )
 from .intmat import det as int_det
@@ -53,7 +52,6 @@ from .tubes import (
     hom_dim,
     line_bundle_obj,
     orbit_rank,
-    wing_contains,
 )
 from .weights import LElement, WeightData, c_gen, l_add, l_zero, x_gen
 
@@ -191,14 +189,6 @@ def last_objects(ctx: K0Context, t: TiltingObject) -> tuple[int, ...]:
 def slope_range(ctx: K0Context, t: TiltingObject) -> tuple[Slope, Slope]:
     slopes = [s.slope for s in t.summands]
     return min(slopes), max(slopes)
-
-
-def wing_summands(ctx: K0Context, t: TiltingObject, z: int) -> tuple[int, ...]:
-    """Indices of summands lying in the wing under summand z (z included)."""
-    zz = t.summands[z]
-    return tuple(
-        i for i, s in enumerate(t.summands) if wing_contains(ctx, zz, s)
-    )
 
 
 # -- mutation ----------------------------------------------------------------
@@ -450,28 +440,3 @@ def find_full_period_quasi_simple(ctx: K0Context, t: TiltingObject) -> int:
         "tilting object has no full-period quasi-simple summand"
     )
 
-
-def perp_side(
-    ctx: K0Context, x: ExcObject, e: ExcObject, side: str = "right"
-) -> str | None:
-    """Membership of e in the perpendicular category of x, with component.
-
-    Returns None when e is not perpendicular, otherwise one of
-    "preprojective", "regular", "preinjective" according to the slope
-    of e relative to x.
-    """
-    if x.len != 1 or x.slope.is_infinite or rank_of(ctx, x.cls) < 1:
-        raise PreconditionError("x must be a quasi-simple rigid bundle")
-    if side == "right":
-        member = hom_dim(ctx, x, e) == 0 and ext_dim(ctx, x, e) == 0
-    elif side == "left":
-        member = hom_dim(ctx, e, x) == 0 and ext_dim(ctx, e, x) == 0
-    else:
-        raise ValueError("side must be 'right' or 'left'")
-    if not member:
-        return None
-    if e.slope < x.slope:
-        return "preprojective"
-    if e.slope == x.slope:
-        return "regular"
-    return "preinjective"

@@ -45,10 +45,9 @@ from .k0 import (
     line_bundle_class,
     rank_of,
     slope_of,
-    twist_matrix,
 )
 from .slopes import ZERO, Slope
-from .weights import LElement, delta, l_zero
+from .weights import LElement, l_zero
 
 
 @dataclass(frozen=True)
@@ -478,24 +477,6 @@ def tau_obj(ctx: K0Context, x: ExcObject) -> ExcObject:
     return ExcObject(
         K0Class(mat_vec(ctx.tau, x.cls.vec)), x.slope, x.orbit, (x.socle - 1) % r, x.len
     )
-
-
-def tau_inv_obj(ctx: K0Context, x: ExcObject) -> ExcObject:
-    r = orbit_rank(ctx, x)
-    return ExcObject(
-        K0Class(mat_vec(ctx.tau_inv, x.cls.vec)),
-        x.slope,
-        x.orbit,
-        (x.socle + 1) % r,
-        x.len,
-    )
-
-
-def twist_obj(ctx: K0Context, x: ExcObject, v: LElement) -> ExcObject:
-    """Twist by v: class moves by the twist matrix, slope by delta(v)."""
-    new_cls = K0Class(mat_vec(twist_matrix(ctx, v), x.cls.vec))
-    new_slope = x.slope.shift(delta(v))
-    return coords_of_class(ctx, chart_for(ctx, new_slope), new_cls)
 
 
 def line_bundle_obj(ctx: K0Context, v: LElement) -> ExcObject:

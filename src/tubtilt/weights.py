@@ -137,20 +137,3 @@ def is_effective(x: LElement) -> bool:
     """True iff x >= 0, i.e. the c coefficient of the normal form is >= 0."""
     return x.c >= 0
 
-
-def l_str(x: LElement) -> str:
-    """Text form `a1*x1+...+k*c` with zero terms omitted; zero prints as `0`."""
-    parts: list[str] = []
-
-    def push(coeff: int, name: str) -> None:
-        if coeff == 0:
-            return
-        sign = "-" if coeff < 0 else ("+" if parts else "")
-        mag = abs(coeff)
-        head = name if mag == 1 else f"{mag}*{name}"
-        parts.append(f"{sign}{head}")
-
-    for i, a in enumerate(x.coeffs):
-        push(a, f"x{i + 1}")
-    push(x.c, "c")
-    return "".join(parts) if parts else "0"

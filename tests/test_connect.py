@@ -29,6 +29,7 @@ from tubtilt.errors import (
     InternalConsistencyError,
     PreconditionError,
 )
+from tubtilt.intmat import mat_vec
 from tubtilt.k0 import K0Class, line_bundle_class, rank_of
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import is_bundle, is_tilting, mutate, t_can
@@ -39,7 +40,6 @@ from tubtilt.tubes import (
     ext_dim,
     hom_dim,
     line_bundle_obj,
-    tau_inv_obj,
 )
 from tubtilt.verify import context_for
 from tubtilt.weights import (
@@ -278,7 +278,7 @@ def _paper_route(ctx, t, clock):
             pick_high = True
         elif all(hom_dim(ctx, s, lobj) == 0 for s in cur.summands):
             # Ext vanishes against the inverse translate instead.
-            lobj = tau_inv_obj(ctx, lobj)
+            lobj = exc_from_class(ctx, K0Class(mat_vec(ctx.tau_inv, lobj.cls.vec)))
             pick_high = False
         else:
             raise InternalConsistencyError("line-bundle dichotomy failed")
@@ -738,11 +738,8 @@ def test_verify_path_detects_corruption(ctx2222):
     middle = len(path.nodes) // 2
     bad_nodes = list(path.nodes)
     bad_nodes[middle] = t_can(ctx2222)
-    bad = MutationPath(bad_nodes, list(path.events), path.bundle_only)
+    bad = MutationPath(bad_nodes, list(path.events))
     assert not verify_path(ctx2222, bad)
-    # inaccurate bundle flag
-    flagged = MutationPath(list(path.nodes), list(path.events), False)
-    assert not verify_path(ctx2222, flagged)
 
 
 def test_reversed_path_events(ctx2222):

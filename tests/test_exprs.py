@@ -11,7 +11,6 @@ from tubtilt.exprs import (
     TcanExpr,
     eval_object,
     eval_tilting,
-    lelem_expr,
     parse_expr,
     print_expr,
 )
@@ -128,13 +127,3 @@ def test_print_parse_identity(ast):
 def test_lelem_print_parse_roundtrip(coeffs, c):
     ast = LineBundleExpr(LExprData(tuple(sorted(coeffs)), c))
     assert parse_expr(print_expr(ast)) == ast
-
-
-def test_lelem_expr_matches_l_str(ctx2222):
-    from tubtilt.exprs import _lelem_str
-    from tubtilt.weights import l_str
-
-    w = ctx2222.weights
-    for coeffs, c in [((0, 0, 0, 0), 0), ((1, 1, 0, 0), -1), ((0, 2, 0, 1), 3)]:
-        x = l_normalize(w, coeffs, c)
-        assert _lelem_str(lelem_expr(x)) == l_str(x)

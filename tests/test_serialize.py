@@ -106,6 +106,19 @@ def test_path_record_with_a_flipped_direction_rejected(any_ctx, caplog):
         assert f"event {i} records a wrong direction" in caplog.text
 
 
+def test_path_record_with_a_flipped_bundle_flag_rejected(any_ctx):
+    # a bundle walk marked false, and a walk through torsion marked true
+    for bundle_only in (True, False):
+        walk = random_walk(any_ctx, 6, seed=5, bundle_only=bundle_only)
+        assert walk.bundle_only is bundle_only
+        data = serialize.path_to_dict(any_ctx, walk)
+        assert data["bundleOnly"] is bundle_only
+        assert serialize.path_from_dict(any_ctx, data).bundle_only is bundle_only
+        bad = dict(data, bundleOnly=not bundle_only)
+        with pytest.raises(ValidationError, match="bundleOnly disagrees"):
+            serialize.path_from_dict(any_ctx, bad)
+
+
 def test_event_wire_format(ctx2222):
     path = random_walk(ctx2222, 1, seed=3)
     ev = serialize.event_to_dict(path.events[0])

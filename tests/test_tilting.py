@@ -13,7 +13,6 @@ from tubtilt.errors import (
     NotExceptionalHere,
     NotLastObject,
     NotSheafLike,
-    PreconditionError,
     WrongSummandCount,
 )
 from tubtilt.intmat import dot, solve_int
@@ -33,11 +32,9 @@ from tubtilt.tilting import (
     last_objects,
     make_tilting,
     mutate,
-    perp_side,
     purge_torsion,
     slope_range,
     t_can,
-    wing_summands,
 )
 from tubtilt.tubes import (
     ExcObject,
@@ -46,11 +43,10 @@ from tubtilt.tubes import (
     ext_dim,
     hom_dim,
     line_bundle_obj,
-    tau_obj,
     window_class,
 )
 from tubtilt.verify import context_for
-from tubtilt.weights import TUBULAR_TYPES, c_gen, l_add, l_zero, omega, x_gen
+from tubtilt.weights import TUBULAR_TYPES, c_gen, l_zero, omega, x_gen
 
 
 def _walk(ctx, steps, seed, bundle_only=False):
@@ -133,7 +129,6 @@ def test_exchange_additivity(any_ctx):
         t = _walk(any_ctx, rng.randrange(1, 7), seed=600 + trial)
         k = rng.randrange(any_ctx.n)
         _, ev = mutate(any_ctx, t, k)
-        assert ev.removed.cls + ev.added.cls == ev.approx_class
         coords = solve_int([s.cls.vec for s in t.summands], ev.approx_class.vec)
         assert coords is not None
         assert coords[k] == 0
@@ -348,33 +343,6 @@ def test_purge_single_torsion_changes_slope(ctx2222):
     assert not events[0].added.slope.is_infinite
 
 
-def test_wing_summands(ctx244):
-    chart = chart_for(ctx244, INF)
-    big = next(i for i, orbit in enumerate(chart.orbits) if len(orbit) == 4)
-
-    def win(socle, ln):
-        return ExcObject(window_class(chart, big, socle, ln), INF, big, socle, ln)
-
-    # a rigid nest under M[0,3], completed to a tilting object by chart search
-    nest = [win(0, 3), win(0, 1), win(0, 2)]
-    from tubtilt.connect import SearchBudget, _Clock, _complete_dfs
-
-    pool = [
-        ExcObject(cls, q, orbit, socle, length)
-        for q in (Slope(0, 1), Slope(1, 1), Slope(2, 1), Slope(3, 1), INF)
-        for orbit, socle, length, cls in chart_for(ctx244, q).windows()
-        if cls.vec not in {x.cls.vec for x in nest}
-    ]
-    t = _complete_dfs(ctx244, nest, pool, _Clock(SearchBudget()))
-    assert t is not None and is_tilting(ctx244, t)
-    z = t.index_of(nest[0])
-    got = set(wing_summands(ctx244, t, z))
-    assert {t.index_of(o) for o in nest} <= got
-    assert all(t.summands[i].slope == INF for i in got)
-    qs = t.index_of(nest[1])
-    assert wing_summands(ctx244, t, qs) == (qs,)
-
-
 def test_find_full_period(any_ctx):
     tc = t_can(any_ctx)
     k = find_full_period_quasi_simple(any_ctx, tc)
@@ -397,32 +365,6 @@ def test_find_full_period_failure_path(ctx244):
     fake = TiltingObject(tuple(objs))
     with pytest.raises(NoFullPeriodSummand):
         find_full_period_quasi_simple(ctx244, fake)
-
-
-def test_perp_side(ctx2222):
-    w = ctx2222.weights
-    x = line_bundle_obj(ctx2222, x_gen(w, 3))  # slope 1, quasi-simple bundle
-    o = line_bundle_obj(ctx2222, l_zero(w))
-    # hom(x, o) = 0 by slopes; ext(x, o) = -chi([x],[o]) = 0
-    assert perp_side(ctx2222, x, o, side="right") == "preprojective"
-    assert perp_side(ctx2222, x, tau_obj(ctx2222, x), side="right") is None
-    # same slope, different orbit: regular
-    chart = chart_for(ctx2222, Slope(1, 1))
-    other = next(
-        ExcObject(orbit[0], Slope(1, 1), i, 0, 1)
-        for i, orbit in enumerate(chart.orbits)
-        if orbit[0].vec != x.cls.vec and orbit[1].vec != x.cls.vec
-    )
-    assert perp_side(ctx2222, x, other, side="right") == "regular"
-    # O(x1+x2) has slope 2 and chi([O(x4)], .) = 0, so it sits above x
-    high = line_bundle_obj(ctx2222, l_add(x_gen(w, 0), x_gen(w, 1)))
-    assert perp_side(ctx2222, x, high, side="right") == "preinjective"
-    # O(c) receives a map from O(x4) and is not perpendicular
-    oc = line_bundle_obj(ctx2222, c_gen(w))
-    assert perp_side(ctx2222, x, oc, side="right") is None
-    with pytest.raises(PreconditionError):
-        torsion = exc_from_class(ctx2222, K0Class((0, 1, 0, 0, 0, 0)))
-        perp_side(ctx2222, torsion, o)
 
 
 def test_line_bundle_dichotomy_sampled(any_ctx):

@@ -5,7 +5,7 @@ import pytest
 from tubtilt import tubes
 from tubtilt.errors import ChartInconsistent, InternalConsistencyError, NotExceptionalHere
 from tubtilt.intmat import identity, mat_mul, mat_pow, transpose
-from tubtilt.k0 import K0Class, build_context, chi, line_bundle_class, rank_of, twist_matrix
+from tubtilt.k0 import K0Class, build_context, chi, line_bundle_class, twist_matrix
 from tubtilt.slopes import INF, ZERO, Slope
 from tubtilt.tubes import (
     ExcObject,
@@ -20,7 +20,6 @@ from tubtilt.tubes import (
     line_bundle_obj,
     tau_obj,
     tube_hom_oracle,
-    twist_obj,
     wing_contains,
     window_class,
 )
@@ -405,15 +404,6 @@ def test_tau_objects(ctx2222):
     assert tau_obj(ctx2222, o).slope == o.slope
 
 
-def test_twist_object(ctx2222):
-    w = ctx2222.weights
-    o = line_bundle_obj(ctx2222, l_zero(w))
-    shifted = twist_obj(ctx2222, o, x_gen(w, 3))
-    assert shifted.slope == Slope(1, 1)
-    assert shifted.cls == line_bundle_class(ctx2222, x_gen(w, 3))
-    assert rank_of(ctx2222, shifted.cls) == 1
-
-
 def test_wing_containment(ctx244):
     chart = chart_for(ctx244, INF)
     big = next(i for i, orbit in enumerate(chart.orbits) if len(orbit) == 4)
@@ -467,17 +457,3 @@ def test_loaded_chart_validation_rejects_corruption(ctx2222, ctx236):
         tubes._check_chart_structure(ctx236, bad)
     with pytest.raises(ChartInconsistent):
         check_chart_invariants(ctx236, bad)
-
-
-def test_twist_composition(ctx236):
-    from tubtilt.weights import l_add, l_neg
-
-    w = ctx236.weights
-    o = line_bundle_obj(ctx236, l_zero(w))
-    v1 = x_gen(w, 1)
-    v2 = l_neg(x_gen(w, 2))
-    one = twist_obj(ctx236, twist_obj(ctx236, o, v1), v2)
-    both = twist_obj(ctx236, o, l_add(v1, v2))
-    assert one == both
-    back = twist_obj(ctx236, one, l_neg(l_add(v1, v2)))
-    assert back == o

@@ -10,8 +10,6 @@ from tubtilt.weights import (
     l_add,
     l_neg,
     l_normalize,
-    l_scale,
-    l_str,
     l_zero,
     make_weights,
     omega,
@@ -119,12 +117,6 @@ def test_effectivity():
     assert is_effective(l_zero(W2222))
     assert is_effective(c_gen(W2222))
     assert not is_effective(omega(W2222))
-
-
-def test_l_str_forms():
-    assert l_str(l_zero(W2222)) == "0"
-    assert l_str(l_add(x_gen(W2222, 0), x_gen(W2222, 1)) - c_gen(W2222)) == "x1+x2-c"
-    assert l_str(l_scale(c_gen(W2222), 3)) == "3*c"
 
 
 weights_strategy = st.sampled_from(TUBULAR_TYPES)
