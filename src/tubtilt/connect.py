@@ -50,6 +50,7 @@ from .slopes import INF, Slope
 from .tilting import (
     MutationEvent,
     TiltingObject,
+    check_basis,
     find_full_period_quasi_simple,
     is_bundle,
     is_tilting,
@@ -171,26 +172,66 @@ class MutationPath:
         return MutationPath(nodes, events)
 
 
+def _node_is_tilting(
+    ctx: K0Context,
+    node: TiltingObject,
+    vecs: frozenset,
+    prev_vecs: frozenset | None,
+) -> bool:
+    """is_tilting(ctx, node), given the class vectors `vecs` of node and
+    `prev_vecs` of the node before it on a path, which passed (None for
+    the first node).
+
+    If node has n distinct summands and differs from the node before in
+    exactly one class vector z, the pairs among its n - 1 other summands
+    were checked there (ext depends only on the two class vectors), so
+    only ext(z, y) and ext(y, z) are checked, for every summand y, z
+    included.  Any other node gets the full is_tilting.  The determinant
+    cross-check runs on every node either way.
+    """
+    new = vecs - prev_vecs if prev_vecs is not None else ()
+    if len(new) != 1 or len(node.summands) != ctx.n or len(vecs) != ctx.n:
+        return is_tilting(ctx, node)
+    (z_vec,) = new
+    z = next(s for s in node.summands if s.cls.vec == z_vec)
+    for y in node.summands:
+        if ext_dim(ctx, z, y) or ext_dim(ctx, y, z):
+            return False
+    check_basis(node.summands)
+    return True
+
+
 def verify_path(ctx: K0Context, path: MutationPath) -> bool:
-    """Re-check every node and edge; returns False with a log diagnostic."""
+    """Re-check every node and edge; returns False with a log diagnostic.
+
+    Every node is checked to be tilting: in full (`is_tilting`) for the
+    first node and for any node that does not differ from the node before
+    in exactly one summand, otherwise only the ext pairs with the summand
+    it brings in (`_node_is_tilting`); ext values come from the context's
+    memo, keyed by the two class vectors.  The determinant cross-check
+    runs on every node and is not memoized.  Then every edge is checked
+    against its event: one summand exchanged, the recorded removed and
+    added summands, index and direction.  Each node's set of class
+    vectors is built once for both checks.
+    """
     if not path.nodes:
         logger.warning("path has no nodes")
         return False
     if len(path.events) != len(path.nodes) - 1:
         logger.warning("event count does not match node count")
         return False
+    sets = [frozenset(t.class_key()) for t in path.nodes]
     for i, node in enumerate(path.nodes):
         try:
-            if not is_tilting(ctx, node):
+            if not _node_is_tilting(ctx, node, sets[i], sets[i - 1] if i else None):
                 logger.warning("node %d is not tilting", i)
                 return False
         except BasisMismatch:
             logger.warning("node %d failed the basis cross-check", i)
             return False
     for i, ev in enumerate(path.events):
-        prev, nxt = path.nodes[i], path.nodes[i + 1]
-        pv = set(prev.class_key())
-        nv = set(nxt.class_key())
+        prev = path.nodes[i]
+        pv, nv = sets[i], sets[i + 1]
         if len(pv - nv) != 1 or len(nv - pv) != 1:
             logger.warning("nodes %d -> %d differ in more than one summand", i, i + 1)
             return False
@@ -660,19 +701,28 @@ def explore_graph(
     hi: Slope,
     max_nodes: int,
 ) -> tuple[list[TiltingObject], list[tuple[int, int]]]:
-    """BFS over mutations keeping nodes whose slopes stay in [lo, hi]."""
+    """BFS over mutations keeping nodes whose slopes stay in [lo, hi].
+
+    Every queued node but the start lies in the window, and a mutation
+    keeps all summands but the one it brings in, so only that one's slope
+    is tested; the neighbours of a start outside the window get the full
+    test.
+    """
     keys = {start.class_key(): 0}
     nodes = [start]
     edges: set[tuple[int, int]] = set()
     queue = [start]
     qi = 0
+    start_outside = any(not lo <= s.slope <= hi for s in start.summands)
     while qi < len(queue):
         node = queue[qi]
+        whole = start_outside and qi == 0
         qi += 1
         i = keys[node.class_key()]
         for k in range(ctx.n):
-            t2, _ = mutate(ctx, node, k)
-            if any(not lo <= s.slope <= hi for s in t2.summands):
+            t2, ev = mutate(ctx, node, k)
+            tested = t2.summands if whole else (ev.added,)
+            if any(not lo <= s.slope <= hi for s in tested):
                 continue
             key2 = t2.class_key()
             j = keys.get(key2)

@@ -73,37 +73,43 @@ def solve_int(columns: Sequence[Sequence[int]], target: Sequence[int]) -> Vector
 
     Returns None when no rational solution exists or the solution is
     not integral; the callers pass unimodular column sets, so a
-    solution, if any, is unique and integral.
-    """
-    from fractions import Fraction
+    solution, if any, is unique and integral.  Columns without a pivot
+    (a singular system) get the unknown 0.
 
+    Fraction-free: Bareiss elimination of [A | b] to echelon form keeps
+    every entry an integer (each is a minor of [A | b], so the division
+    by the previous pivot is exact); back-substitution then divides
+    exactly, and a remainder means the solution is not integral.
+    """
     ncols = len(columns)
     nrows = len(target)
-    a = [[Fraction(columns[j][i]) for j in range(ncols)] for i in range(nrows)]
-    b = [Fraction(v) for v in target]
-    row = 0
+    a = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
     pivots = []
+    prev = 1
     for col in range(ncols):
+        row = len(pivots)
         piv = next((i for i in range(row, nrows) if a[i][col]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        b[row], b[piv] = b[piv], b[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        b[row] *= inv
-        for i in range(nrows):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-                b[i] -= f * b[row]
+        top = a[row]
+        pk = top[col]
+        for r in a[row + 1 :]:
+            f = r[col]
+            for j in range(col + 1, ncols + 1):
+                r[j] = (r[j] * pk - f * top[j]) // prev
+            r[col] = 0
+        prev = pk
         pivots.append(col)
-        row += 1
-    if any(b[i] for i in range(row, nrows)):
+    if any(r[ncols] for r in a[len(pivots) :]):
         return None
     out = [0] * ncols
-    for r, col in enumerate(pivots):
-        if b[r].denominator != 1:
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        row = a[r]
+        rest = row[ncols] - sum(row[j] * out[j] for j in range(col + 1, ncols))
+        q, rem = divmod(rest, row[col])
+        if rem:
             return None
-        out[col] = int(b[r])
+        out[col] = q
     return tuple(out)

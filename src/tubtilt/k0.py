@@ -82,6 +82,7 @@ class K0Context:
         self._eb: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._charts: dict[Slope, object] = {}
         self._shifts: tuple | None = None  # set by tubes._tube_shifts
+        self._t_can: object | None = None  # set by tilting.t_can
         self._decode: dict[tuple[Slope, tuple[int, ...]], tuple[int, int, int]] = {}
         # (x, y) class vectors -> (hom(x, y), ext(x, y)), see tubes._hom_ext
         self._pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}

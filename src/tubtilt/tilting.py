@@ -127,10 +127,16 @@ def is_tilting(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> boo
         for y in lst:
             if ext_dim(ctx, x, y) != 0:
                 return False
-    d = int_det(tuple(o.cls.vec for o in lst))
+    check_basis(lst)
+    return True
+
+
+def check_basis(objs: Sequence[ExcObject]) -> None:
+    """The determinant cross-check of an ext-orthogonal n-set: its classes
+    must be a Z-basis of K0, else BasisMismatch."""
+    d = int_det(tuple(o.cls.vec for o in objs))
     if abs(d) != 1:
         raise BasisMismatch(f"ext-orthogonal n-set has determinant {d}")
-    return True
 
 
 def is_bundle(t: TiltingObject) -> bool:
@@ -153,12 +159,22 @@ def canonical_interval(w: WeightData) -> list[LElement]:
 
 
 def t_can(ctx: K0Context, twist: LElement | None = None) -> TiltingObject:
-    """The canonical tilting bundle, optionally twisted."""
-    w = ctx.weights
-    base = canonical_interval(w)
+    """The canonical tilting bundle, optionally twisted.
+
+    The untwisted bundle is built once per context and kept in
+    `ctx._t_can`; TiltingObject and its summands are frozen, so every
+    caller shares the one object.  A twisted bundle is built anew on
+    each call.
+    """
+    if twist is None and ctx._t_can is not None:
+        return ctx._t_can  # type: ignore[return-value]
+    base = canonical_interval(ctx.weights)
     if twist is not None:
         base = [l_add(x, twist) for x in base]
-    return make_tilting(ctx, (line_bundle_obj(ctx, x) for x in base))
+    t = make_tilting(ctx, (line_bundle_obj(ctx, x) for x in base))
+    if twist is None:
+        ctx._t_can = t
+    return t
 
 
 # -- hom structure among summands -------------------------------------------

@@ -1,8 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from tubtilt import cli, serialize
+from tubtilt import cli, serialize, verify
 from tubtilt.errors import InternalConsistencyError
 from tubtilt.tilting import make_tilting, mutate, t_can
 from tubtilt.tubes import line_bundle_obj
@@ -15,6 +18,25 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.run(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_suite_names_match_verify():
+    # cli keeps its own tuple so that only the verify command imports verify
+    assert cli.SUITE_NAMES == tuple(verify.SUITE_ORDER)
+
+
+def test_cli_import_leaves_verify_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, tubtilt.cli; print('tubtilt.verify' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_info():
@@ -44,11 +66,13 @@ def test_usage_error_exit_code(tmp_path):
          "--dot", str(tmp_path / "g.dot")],
         ["verify", "--suite", "connect", "--trials", "0"],
         ["verify", "--suite", "connect", "--trials", "-1"],
+        ["verify", "--suite", "bogus"],
         ["--no-cache", "--weights", "2,2,2,2", "info"],
     ):
         code, out, err = run_cli(argv)
         assert code == 2, argv
         assert out == ""
+        assert len(err.splitlines()) == 1, argv
         assert json.loads(err)["error"] == "UsageError"
     ctx = context_for((2, 2, 2, 2))
     data = serialize.tilting_to_dict(ctx, t_can(ctx))

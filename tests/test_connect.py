@@ -1,12 +1,14 @@
 import hashlib
 import heapq
+import logging
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tubtilt import connect
+from tubtilt import connect, tilting
 from tubtilt.connect import (
     FareyStep,
     MutationPath,
@@ -25,6 +27,7 @@ from tubtilt.connect import (
     verify_path,
 )
 from tubtilt.errors import (
+    BasisMismatch,
     BudgetExhausted,
     InternalConsistencyError,
     PreconditionError,
@@ -32,7 +35,7 @@ from tubtilt.errors import (
 from tubtilt.intmat import mat_vec
 from tubtilt.k0 import K0Class, line_bundle_class, rank_of
 from tubtilt.slopes import INF, Slope
-from tubtilt.tilting import is_bundle, is_tilting, mutate, t_can
+from tubtilt.tilting import TiltingObject, is_bundle, is_tilting, mutate, slope_range, t_can
 from tubtilt.tubes import (
     ExcObject,
     chart_for,
@@ -40,6 +43,7 @@ from tubtilt.tubes import (
     ext_dim,
     hom_dim,
     line_bundle_obj,
+    tau_obj,
 )
 from tubtilt.verify import context_for
 from tubtilt.weights import (
@@ -742,12 +746,192 @@ def test_verify_path_detects_corruption(ctx2222):
     assert not verify_path(ctx2222, bad)
 
 
+def _full_verify_path(ctx, path):
+    """verify_path with a full is_tilting on every node: the oracle of the
+    check that re-tests only the ext pairs with a node's new summand."""
+    if not path.nodes:
+        connect.logger.warning("path has no nodes")
+        return False
+    if len(path.events) != len(path.nodes) - 1:
+        connect.logger.warning("event count does not match node count")
+        return False
+    for i, node in enumerate(path.nodes):
+        try:
+            if not is_tilting(ctx, node):
+                connect.logger.warning("node %d is not tilting", i)
+                return False
+        except BasisMismatch:
+            connect.logger.warning("node %d failed the basis cross-check", i)
+            return False
+    for i, ev in enumerate(path.events):
+        prev, nxt = path.nodes[i], path.nodes[i + 1]
+        pv = set(prev.class_key())
+        nv = set(nxt.class_key())
+        if len(pv - nv) != 1 or len(nv - pv) != 1:
+            connect.logger.warning("nodes %d -> %d differ in more than one summand", i, i + 1)
+            return False
+        if {ev.removed.cls.vec} != pv - nv or {ev.added.cls.vec} != nv - pv:
+            connect.logger.warning("event %d does not match the node difference", i)
+            return False
+        if prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
+            connect.logger.warning("event %d records a wrong index", i)
+            return False
+        if (ext_dim(ctx, ev.added, ev.removed) > 0) != (ev.direction == "L"):
+            connect.logger.warning("event %d records a wrong direction", i)
+            return False
+    return True
+
+
+def _verdict(check, ctx, path, caplog):
+    """check's verdict on path and its first warning."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger=connect.logger.name):
+        ok = check(ctx, path)
+    return ok, caplog.records[0].getMessage() if caplog.records else None
+
+
+def _assert_same_verdict(ctx, path, caplog):
+    got = _verdict(verify_path, ctx, path, caplog)
+    assert got == _verdict(_full_verify_path, ctx, path, caplog)
+    return got
+
+
+def _corruptions(ctx, path):
+    """Corrupted copies of path, each with the warning it must raise.
+    path has at least three nodes."""
+    nodes, events = path.nodes, path.events
+    mid = len(nodes) // 2
+    out = []
+    # the middle node replaced by T_can
+    if nodes[mid] != t_can(ctx):
+        out.append(MutationPath(nodes[:mid] + [t_can(ctx)] + nodes[mid + 1 :], events))
+    # the summand a node brings in replaced by tau of a kept summand y,
+    # which has ext(y, tau y) = hom(y, y) = 1
+    node, ev = nodes[mid], events[mid - 1]
+    vecs = set(node.class_key())
+    for y in node.summands:
+        w = tau_obj(ctx, y)
+        if y.cls.vec != ev.added.cls.vec and w.cls.vec not in vecs | {ev.removed.cls.vec}:
+            bad = tuple(w if s.cls.vec == ev.added.cls.vec else s for s in node.summands)
+            out.append(MutationPath(nodes[:mid] + [TiltingObject(bad)] + nodes[mid + 1 :], events))
+            break
+    # a repeated node, with its event repeated
+    out.append(MutationPath(nodes[:mid] + [nodes[mid]] + nodes[mid:], events[:mid] + events[mid - 1 :]))
+    # a node with a duplicate summand
+    dup = (node.summands[0],) + node.summands[1:-1] + (node.summands[0],)
+    out.append(MutationPath(nodes[:mid] + [TiltingObject(dup)] + nodes[mid + 1 :], events))
+    # a flipped event direction
+    flipped = replace(ev, direction="R" if ev.direction == "L" else "L")
+    out.append(MutationPath(nodes, events[: mid - 1] + [flipped] + events[mid:]))
+    return out
+
+
+def test_verify_path_matches_the_full_check(any_ctx, caplog):
+    ctx = any_ctx
+    rng = random.Random(35)
+    paths = []
+    for trial in range(4):
+        walk = random_walk(ctx, 2 + rng.randrange(7), seed=3500 + trial, bundle_only=True)
+        path = connect_to_canonical(ctx, walk.end)
+        paths += [path, path.reversed(), walk, random_walk(ctx, 5, seed=3600 + trial)]
+    corrupted = 0
+    for path in paths:
+        assert _assert_same_verdict(ctx, path, caplog) == (True, None)
+        if len(path.nodes) >= 3:
+            for bad in _corruptions(ctx, path):
+                ok, first = _assert_same_verdict(ctx, bad, caplog)
+                assert not ok and first is not None
+                corrupted += 1
+    assert corrupted >= 5 * 8
+
+
+def test_verify_path_runs_the_basis_check_on_every_node(ctx236, caplog, monkeypatch):
+    path = connect_to_canonical(ctx236, random_walk(ctx236, 6, seed=3700, bundle_only=True).end)
+    assert len(path.nodes) >= 3
+    real_det = tilting.int_det
+    calls = []
+
+    def counting_det(m):
+        calls.append(m)
+        return real_det(m)
+
+    monkeypatch.setattr(tilting, "int_det", counting_det)
+    assert verify_path(ctx236, path)
+    assert len(calls) == len(path.nodes)
+    # a determinant off by a factor fails its node in both checks
+    for fail_at in (0, len(path.nodes) // 2, len(path.nodes) - 1):
+        calls.clear()
+
+        def failing_det(m):
+            calls.append(m)
+            return 2 if len(calls) == fail_at + 1 else real_det(m)
+
+        monkeypatch.setattr(tilting, "int_det", failing_det)
+        got = _verdict(verify_path, ctx236, path, caplog)
+        calls.clear()
+        assert got == _verdict(_full_verify_path, ctx236, path, caplog)
+        assert got == (False, f"node {fail_at} failed the basis cross-check")
+
+
 def test_reversed_path_events(ctx2222):
     path = connect_to_canonical(ctx2222, t_can(ctx2222, x_gen(ctx2222.weights, 3)))
     rev = path.reversed()
     assert rev.nodes[0] == path.end
     assert rev.end == path.nodes[0]
     assert verify_path(ctx2222, rev)
+
+
+def _full_test_explore_graph(ctx, start, lo, hi, max_nodes):
+    """explore_graph testing every summand of every neighbour against the
+    window: the oracle of the test of the new summand alone."""
+    keys = {start.class_key(): 0}
+    nodes = [start]
+    edges = set()
+    queue = [start]
+    qi = 0
+    while qi < len(queue):
+        node = queue[qi]
+        qi += 1
+        i = keys[node.class_key()]
+        for k in range(ctx.n):
+            t2, _ = mutate(ctx, node, k)
+            if any(not lo <= s.slope <= hi for s in t2.summands):
+                continue
+            key2 = t2.class_key()
+            j = keys.get(key2)
+            if j is None:
+                if len(nodes) >= max_nodes:
+                    continue
+                j = len(nodes)
+                keys[key2] = j
+                nodes.append(t2)
+                queue.append(t2)
+            edges.add((min(i, j), max(i, j)))
+    return nodes, sorted(edges)
+
+
+def test_explore_graph_matches_the_full_window_test(any_ctx):
+    ctx = any_ctx
+    tc = t_can(ctx)
+    end = random_walk(ctx, 5, seed=3800, bundle_only=True).end
+    lo, hi = slope_range(ctx, end)
+    cases = [
+        (tc, Slope(0, 1), INF, 20),
+        (tc, Slope(0, 1), Slope(ctx.p, 1), 20),
+        (end, Slope(lo.floor() - 1, 1), Slope(hi.floor() + 2, 1), 20),
+        (random_walk(ctx, 4, seed=3801).end, Slope(-1, 1), INF, 15),
+        # T_can's O has slope 0, outside; its other summands are inside
+        (tc, Slope(1, 100), INF, 20),
+    ]
+    for start, lo, hi, cap in cases:
+        got = explore_graph(ctx, start, lo, hi, cap)
+        want = _full_test_explore_graph(ctx, start, lo, hi, cap)
+        assert [t.class_key() for t in got[0]] == [t.class_key() for t in want[0]]
+        assert got[1] == want[1]
+    # the start partly outside its window still reaches nodes inside it
+    nodes, _ = explore_graph(ctx, tc, Slope(1, 100), INF, 20)
+    assert len(nodes) > 1
+    assert all(s.slope > Slope(0, 1) for t in nodes[1:] for s in t.summands)
 
 
 def test_explore_graph_one_neighborhood(ctx2222):

@@ -16,7 +16,7 @@ from tubtilt.errors import (
     WrongSummandCount,
 )
 from tubtilt.intmat import dot, solve_int
-from tubtilt.k0 import K0Class, chi, rank_of
+from tubtilt.k0 import K0Class, build_context, chi, rank_of
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import (
     MutationEvent,
@@ -24,6 +24,7 @@ from tubtilt.tilting import (
     _gram_roots,
     _insert_summand,
     apr_mutate,
+    canonical_interval,
     co_apr_mutate,
     find_full_period_quasi_simple,
     first_objects,
@@ -46,7 +47,7 @@ from tubtilt.tubes import (
     window_class,
 )
 from tubtilt.verify import context_for
-from tubtilt.weights import TUBULAR_TYPES, c_gen, l_zero, omega, x_gen
+from tubtilt.weights import TUBULAR_TYPES, c_gen, l_add, l_zero, make_weights, omega, x_gen
 
 
 def _walk(ctx, steps, seed, bundle_only=False):
@@ -61,6 +62,26 @@ def test_canonical_is_tilting(any_ctx):
     assert is_bundle(tc)
     lo, hi = slope_range(any_ctx, tc)
     assert (lo, hi) == (Slope(0, 1), Slope(any_ctx.p, 1))
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_t_can_is_built_once_per_context(ws):
+    ctx = build_context(make_weights(ws))
+    w = ctx.weights
+    twist = x_gen(w, 0)
+    # a twisted bundle first: it must not take the untwisted one's place
+    twisted = t_can(ctx, twist)
+    reference = make_tilting(
+        ctx, (line_bundle_obj(ctx, l_add(x, twist)) for x in canonical_interval(w))
+    )
+    assert twisted == reference
+    assert t_can(ctx, twist) == twisted and t_can(ctx, twist) is not twisted
+    tc = t_can(ctx)
+    assert t_can(ctx) is tc
+    assert tc != twisted
+    assert t_can(ctx, twist) == twisted
+    assert tc == t_can(build_context(make_weights(ws)))
+    assert tc == make_tilting(ctx, (line_bundle_obj(ctx, x) for x in canonical_interval(w)))
 
 
 def test_canonical_first_last_2222(ctx2222):
