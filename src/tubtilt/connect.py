@@ -186,8 +186,9 @@ def _node_is_tilting(
     exactly one class vector z, the pairs among its n - 1 other summands
     were checked there (ext depends only on the two class vectors), so
     only ext(z, y) and ext(y, z) are checked, for every summand y, z
-    included.  Any other node gets the full is_tilting.  The determinant
-    cross-check runs on every node either way.
+    included.  Any other node gets the full is_tilting.  The basis
+    cross-check (`check_basis`) runs on every node either way; it reads
+    the Gram matrix off the ext memo that these checks have filled.
     """
     new = vecs - prev_vecs if prev_vecs is not None else ()
     if len(new) != 1 or len(node.summands) != ctx.n or len(vecs) != ctx.n:
@@ -197,7 +198,7 @@ def _node_is_tilting(
     for y in node.summands:
         if ext_dim(ctx, z, y) or ext_dim(ctx, y, z):
             return False
-    check_basis(node.summands)
+    check_basis(ctx, node)
     return True
 
 
@@ -208,11 +209,14 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     first node and for any node that does not differ from the node before
     in exactly one summand, otherwise only the ext pairs with the summand
     it brings in (`_node_is_tilting`); ext values come from the context's
-    memo, keyed by the two class vectors.  The determinant cross-check
-    runs on every node and is not memoized.  Then every edge is checked
-    against its event: one summand exchanged, the recorded removed and
-    added summands, index and direction.  Each node's set of class
-    vectors is built once for both checks.
+    memo, keyed by the two class vectors.  The basis cross-check
+    (`check_basis`) runs on every node; it is exact and is not memoized,
+    but it takes the Euler Gram matrix from the same memo, so its work is
+    the product of a few in-tube determinants.  Then every edge is
+    checked against its event: two different nodes, one summand
+    exchanged, the recorded removed and added summands, index and
+    direction.  Each node's set of class vectors is built once for both
+    checks.
     """
     if not path.nodes:
         logger.warning("path has no nodes")
@@ -232,6 +236,9 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     for i, ev in enumerate(path.events):
         prev = path.nodes[i]
         pv, nv = sets[i], sets[i + 1]
+        if pv == nv:
+            logger.warning("nodes %d and %d are equal", i, i + 1)
+            return False
         if len(pv - nv) != 1 or len(nv - pv) != 1:
             logger.warning("nodes %d -> %d differ in more than one summand", i, i + 1)
             return False

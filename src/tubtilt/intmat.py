@@ -43,7 +43,7 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
     return out
 
 
-def det(m: Matrix) -> int:
+def det(m: Sequence[Sequence[int]]) -> int:
     """Fraction-free Bareiss determinant."""
     n = len(m)
     if n == 0:

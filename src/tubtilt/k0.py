@@ -74,6 +74,7 @@ class K0Context:
         self.p = weights.p
         self.basis_labels = basis_labels
         self.euler = euler
+        self.euler_det = int_det(euler)  # det(E), the Gram determinant of a basis
         self.rank_form = rank_form
         self.deg_form = deg_form
         self.tube_offsets = tube_offsets  # start coordinate of each tube block
@@ -188,7 +189,7 @@ def build_context(w: WeightData) -> K0Context:
 
 def _check_context(ctx: K0Context) -> None:
     e, t = ctx.euler, ctx.tau
-    if abs(int_det(e)) != 1:
+    if abs(ctx.euler_det) != 1:
         raise InternalConsistencyError("Euler matrix is not unimodular")
     if mat_mul(mat_mul(transpose(t), e), t) != e:
         raise InternalConsistencyError("tau does not preserve the Euler form")
@@ -251,10 +252,6 @@ def slope_of(ctx: K0Context, c: K0Class) -> Slope:
     if r == 0 and d > 0:
         return INF
     raise NotSheafLike(f"rank {r}, degree {d} is not the shape of a sheaf class")
-
-
-def tau_class(ctx: K0Context, c: K0Class) -> K0Class:
-    return K0Class(mat_vec(ctx.tau, c.vec))
 
 
 # -- root enumeration ------------------------------------------------------

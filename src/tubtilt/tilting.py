@@ -2,11 +2,17 @@
 
 A tilting object is recorded as its n pairwise ext-orthogonal
 exceptional summands; the classes then automatically form a lattice
-basis, which is cross-checked.  Mutation exchanges one summand for the
-unique other complement of the remaining almost complete tilting
-object; the complement is found by a bounded search over approximation
-multiplicities, which is exhaustive because the middle term of the
-exchange sequence is a minimal approximation.
+basis, which is cross-checked.  The cross-check reads the Euler Gram
+matrix chi(T_i, T_j) off the (hom, ext) memo that the ext test has just
+filled: ext-orthogonality makes it block triangular over the summands'
+(slope, orbit) runs, so its determinant is a product of 1x1 entries and
+of small in-tube blocks (`check_basis`).
+
+Mutation exchanges one summand for the unique other complement of the
+remaining almost complete tilting object; the complement is found by a
+bounded search over approximation multiplicities, which is exhaustive
+because the middle term of the exchange sequence is a minimal
+approximation.
 
 The search runs on scalars.  Since the summands are exceptional and
 pairwise ext-orthogonal, their Euler pairings are their hom dimensions,
@@ -40,6 +46,7 @@ from .errors import (
     NotFirstObject,
     NotLastObject,
     NotSheafLike,
+    PreconditionError,
     WrongSummandCount,
 )
 from .intmat import det as int_det
@@ -112,11 +119,13 @@ def make_tilting(ctx: K0Context, objs: Iterable[ExcObject]) -> TiltingObject:
 
 
 def is_tilting(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> bool:
-    """Rigid with n pairwise distinct summands; basis determinant checked.
+    """Rigid with n pairwise distinct summands; basis cross-checked.
 
     Returns False on the countable failures; raises BasisMismatch when
-    an ext-orthogonal n-set fails the determinant cross-check, since
-    that would contradict the operational definition of tilting.
+    an ext-orthogonal n-set fails the basis cross-check (`check_basis`),
+    since that would contradict the operational definition of tilting.
+    The cross-check costs no new hom/ext: it reads the memo entries that
+    the ext test below has just filled.
     """
     lst = list(objs.summands if isinstance(objs, TiltingObject) else objs)
     if len(lst) != ctx.n:
@@ -127,16 +136,79 @@ def is_tilting(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> boo
         for y in lst:
             if ext_dim(ctx, x, y) != 0:
                 return False
-    check_basis(lst)
+    check_basis(ctx, objs if isinstance(objs, TiltingObject) else lst)
     return True
 
 
-def check_basis(objs: Sequence[ExcObject]) -> None:
-    """The determinant cross-check of an ext-orthogonal n-set: its classes
-    must be a Z-basis of K0, else BasisMismatch."""
-    d = int_det(tuple(o.cls.vec for o in objs))
-    if abs(d) != 1:
-        raise BasisMismatch(f"ext-orthogonal n-set has determinant {d}")
+def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> None:
+    """The basis cross-check of an ext-orthogonal n-set: its classes
+    must be a Z-basis of K0, else BasisMismatch.
+
+    Precondition: ext(x, y) = 0 for every ordered pair of summands, x = y
+    included (`is_tilting` and `connect._node_is_tilting` prove it just
+    before the call).  Let A be the matrix of class vectors, one row per
+    summand, and E the Euler matrix.  The Gram matrix G = A E A^T has
+    entries chi(a_i, a_j), and det(G) = det(A)^2 det(E) with
+    det(E) = +-1 (`K0Context.euler_det`), so |det(A)| = 1 exactly when
+    det(G) = det(E).  Put the summands in canonical order and take x in a
+    later (slope, orbit) run than y: x has the larger slope, or the same
+    slope and another tube, so hom(x, y) = 0 and chi(x, y) = -ext(x, y)
+    = 0.  G is therefore block upper triangular over the runs, and det(G)
+    is the product of the runs' blocks (`_gram_det`).  A TiltingObject is
+    already in canonical order; a plain sequence is sorted here.
+    """
+    if isinstance(objs, TiltingObject):
+        summands: Sequence[ExcObject] = objs.summands
+    else:
+        summands = sorted(objs, key=ExcObject.sort_key)
+    d = _gram_det(ctx, summands)
+    if d != ctx.euler_det:
+        raise BasisMismatch(
+            f"ext-orthogonal n-set has Gram determinant {d}, not det(E) = {ctx.euler_det}"
+        )
+
+
+def _gram_det(ctx: K0Context, summands: Sequence[ExcObject]) -> int:
+    """det(chi(a_i, a_j)) of ext-orthogonal summands in canonical order:
+    the product of its diagonal blocks over the (slope, orbit) runs (see
+    `check_basis`).
+
+    chi(x, y) is hom(x, y) - ext(x, y), read from the context's memo; a
+    missing entry means the precondition of `check_basis` was not
+    established in this context (PreconditionError).  A one-summand run
+    contributes its diagonal entry.  A longer run lies in one tube of
+    rank r and holds at most r - 1 summands, and its block goes to the
+    Bareiss determinant.
+    """
+    pairs = ctx._pairs
+    out = 1
+    n = len(summands)
+    i = 0
+    try:
+        while i < n:
+            x = summands[i]
+            j = i + 1
+            while j < n and summands[j].orbit == x.orbit and summands[j].slope == x.slope:
+                j += 1
+            if j == i + 1:
+                h, e = pairs[x.cls.vec, x.cls.vec]
+                out *= h - e
+            else:
+                vecs = [o.cls.vec for o in summands[i:j]]
+                block = []
+                for a in vecs:
+                    row = []
+                    for b in vecs:
+                        h, e = pairs[a, b]
+                        row.append(h - e)
+                    block.append(row)
+                out *= int_det(block)
+            i = j
+    except KeyError:
+        raise PreconditionError(
+            "the basis cross-check needs the ext of every pair of summands first"
+        ) from None
+    return out
 
 
 def is_bundle(t: TiltingObject) -> bool:

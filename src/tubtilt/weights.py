@@ -103,10 +103,6 @@ def l_neg(x: LElement) -> LElement:
     return l_normalize(x.data, tuple(-a for a in x.coeffs), -x.c)
 
 
-def l_scale(x: LElement, k: int) -> LElement:
-    return l_normalize(x.data, tuple(k * a for a in x.coeffs), k * x.c)
-
-
 def l_zero(w: WeightData) -> LElement:
     return LElement(w, (0,) * w.t, 0)
 

@@ -32,6 +32,7 @@ from tubtilt.errors import (
     InternalConsistencyError,
     PreconditionError,
 )
+from tubtilt.intmat import det as int_det
 from tubtilt.intmat import mat_vec
 from tubtilt.k0 import K0Class, line_bundle_class, rank_of
 from tubtilt.slopes import INF, Slope
@@ -52,7 +53,7 @@ from tubtilt.weights import (
     c_gen,
     l_add,
     l_neg,
-    l_scale,
+    l_normalize,
     l_zero,
     x_gen,
 )
@@ -277,7 +278,8 @@ def _paper_route(ctx, t, clock):
         m = _range_integer(ctx, cur)
         if m is None:
             raise InternalConsistencyError("integerize left no integer in range")
-        lobj = line_bundle_obj(ctx, l_scale(x_gen(ctx.weights, ctx.weights.t - 1), m))
+        w = ctx.weights
+        lobj = line_bundle_obj(ctx, l_normalize(w, (0,) * (w.t - 1) + (m,), 0))  # O(m x_t)
         if all(ext_dim(ctx, s, lobj) == 0 for s in cur.summands):
             pick_high = True
         elif all(hom_dim(ctx, s, lobj) == 0 for s in cur.summands):
@@ -746,9 +748,25 @@ def test_verify_path_detects_corruption(ctx2222):
     assert not verify_path(ctx2222, bad)
 
 
-def _full_verify_path(ctx, path):
-    """verify_path with a full is_tilting on every node: the oracle of the
-    check that re-tests only the ext pairs with a node's new summand."""
+def _bareiss_is_tilting(ctx, node, det=int_det):
+    """is_tilting with every ext pair tested and the n x n Bareiss
+    determinant of the class vectors as its basis check: the oracle of
+    the Gram-block certificate of `tilting.check_basis`."""
+    objs = node.summands
+    if len(objs) != ctx.n or len({o.cls.vec for o in objs}) != ctx.n:
+        return False
+    if any(ext_dim(ctx, x, y) for x in objs for y in objs):
+        return False
+    d = det(node.class_key())
+    if abs(d) != 1:
+        raise BasisMismatch(f"ext-orthogonal n-set has determinant {d}")
+    return True
+
+
+def _full_verify_path(ctx, path, det=int_det):
+    """verify_path with `_bareiss_is_tilting` on every node: the oracle of
+    the check that re-tests only the ext pairs with a node's new summand
+    and takes its basis check from the Gram blocks."""
     if not path.nodes:
         connect.logger.warning("path has no nodes")
         return False
@@ -757,7 +775,7 @@ def _full_verify_path(ctx, path):
         return False
     for i, node in enumerate(path.nodes):
         try:
-            if not is_tilting(ctx, node):
+            if not _bareiss_is_tilting(ctx, node, det):
                 connect.logger.warning("node %d is not tilting", i)
                 return False
         except BasisMismatch:
@@ -767,6 +785,9 @@ def _full_verify_path(ctx, path):
         prev, nxt = path.nodes[i], path.nodes[i + 1]
         pv = set(prev.class_key())
         nv = set(nxt.class_key())
+        if pv == nv:
+            connect.logger.warning("nodes %d and %d are equal", i, i + 1)
+            return False
         if len(pv - nv) != 1 or len(nv - pv) != 1:
             connect.logger.warning("nodes %d -> %d differ in more than one summand", i, i + 1)
             return False
@@ -797,14 +818,15 @@ def _assert_same_verdict(ctx, path, caplog):
 
 
 def _corruptions(ctx, path):
-    """Corrupted copies of path, each with the warning it must raise.
-    path has at least three nodes."""
+    """Corrupted copies of path, each with the first warning it must
+    raise where that is pinned (else None).  path has at least three
+    nodes."""
     nodes, events = path.nodes, path.events
     mid = len(nodes) // 2
     out = []
     # the middle node replaced by T_can
     if nodes[mid] != t_can(ctx):
-        out.append(MutationPath(nodes[:mid] + [t_can(ctx)] + nodes[mid + 1 :], events))
+        out.append((MutationPath(nodes[:mid] + [t_can(ctx)] + nodes[mid + 1 :], events), None))
     # the summand a node brings in replaced by tau of a kept summand y,
     # which has ext(y, tau y) = hom(y, y) = 1
     node, ev = nodes[mid], events[mid - 1]
@@ -813,16 +835,23 @@ def _corruptions(ctx, path):
         w = tau_obj(ctx, y)
         if y.cls.vec != ev.added.cls.vec and w.cls.vec not in vecs | {ev.removed.cls.vec}:
             bad = tuple(w if s.cls.vec == ev.added.cls.vec else s for s in node.summands)
-            out.append(MutationPath(nodes[:mid] + [TiltingObject(bad)] + nodes[mid + 1 :], events))
+            out.append(
+                (MutationPath(nodes[:mid] + [TiltingObject(bad)] + nodes[mid + 1 :], events), None)
+            )
             break
     # a repeated node, with its event repeated
-    out.append(MutationPath(nodes[:mid] + [nodes[mid]] + nodes[mid:], events[:mid] + events[mid - 1 :]))
+    out.append(
+        (
+            MutationPath(nodes[:mid] + [nodes[mid]] + nodes[mid:], events[:mid] + events[mid - 1 :]),
+            f"nodes {mid} and {mid + 1} are equal",
+        )
+    )
     # a node with a duplicate summand
     dup = (node.summands[0],) + node.summands[1:-1] + (node.summands[0],)
-    out.append(MutationPath(nodes[:mid] + [TiltingObject(dup)] + nodes[mid + 1 :], events))
+    out.append((MutationPath(nodes[:mid] + [TiltingObject(dup)] + nodes[mid + 1 :], events), None))
     # a flipped event direction
     flipped = replace(ev, direction="R" if ev.direction == "L" else "L")
-    out.append(MutationPath(nodes, events[: mid - 1] + [flipped] + events[mid:]))
+    out.append((MutationPath(nodes, events[: mid - 1] + [flipped] + events[mid:]), None))
     return out
 
 
@@ -838,9 +867,10 @@ def test_verify_path_matches_the_full_check(any_ctx, caplog):
     for path in paths:
         assert _assert_same_verdict(ctx, path, caplog) == (True, None)
         if len(path.nodes) >= 3:
-            for bad in _corruptions(ctx, path):
+            for bad, want in _corruptions(ctx, path):
                 ok, first = _assert_same_verdict(ctx, bad, caplog)
                 assert not ok and first is not None
+                assert want is None or first == want
                 corrupted += 1
     assert corrupted >= 5 * 8
 
@@ -848,29 +878,35 @@ def test_verify_path_matches_the_full_check(any_ctx, caplog):
 def test_verify_path_runs_the_basis_check_on_every_node(ctx236, caplog, monkeypatch):
     path = connect_to_canonical(ctx236, random_walk(ctx236, 6, seed=3700, bundle_only=True).end)
     assert len(path.nodes) >= 3
-    real_det = tilting.int_det
+    real_gram_det = tilting._gram_det
     calls = []
 
-    def counting_det(m):
-        calls.append(m)
-        return real_det(m)
+    def counting_gram_det(ctx, summands):
+        calls.append(summands)
+        return real_gram_det(ctx, summands)
 
-    monkeypatch.setattr(tilting, "int_det", counting_det)
+    monkeypatch.setattr(tilting, "_gram_det", counting_gram_det)
     assert verify_path(ctx236, path)
     assert len(calls) == len(path.nodes)
-    # a determinant off by a factor fails its node in both checks
+    # a certificate off by a factor of 2 fails its node in verify_path, and
+    # a Bareiss determinant off by the same factor fails it in the full check
     for fail_at in (0, len(path.nodes) // 2, len(path.nodes) - 1):
         calls.clear()
 
+        def failing_gram_det(ctx, summands):
+            calls.append(summands)
+            d = real_gram_det(ctx, summands)
+            return 2 * d if len(calls) == fail_at + 1 else d
+
         def failing_det(m):
             calls.append(m)
-            return 2 if len(calls) == fail_at + 1 else real_det(m)
+            return 2 * int_det(m) if len(calls) == fail_at + 1 else int_det(m)
 
-        monkeypatch.setattr(tilting, "int_det", failing_det)
+        monkeypatch.setattr(tilting, "_gram_det", failing_gram_det)
         got = _verdict(verify_path, ctx236, path, caplog)
         calls.clear()
-        assert got == _verdict(_full_verify_path, ctx236, path, caplog)
-        assert got == (False, f"node {fail_at} failed the basis cross-check")
+        full = _verdict(lambda c, p: _full_verify_path(c, p, failing_det), ctx236, path, caplog)
+        assert got == full == (False, f"node {fail_at} failed the basis cross-check")
 
 
 def test_reversed_path_events(ctx2222):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tubtilt.errors import (
+    BasisMismatch,
     ComplementNotFound,
     ComplementNotUnique,
     DuplicateSummands,
@@ -13,18 +14,22 @@ from tubtilt.errors import (
     NotExceptionalHere,
     NotLastObject,
     NotSheafLike,
+    PreconditionError,
     WrongSummandCount,
 )
+from tubtilt.intmat import det as int_det
 from tubtilt.intmat import dot, solve_int
 from tubtilt.k0 import K0Class, build_context, chi, rank_of
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import (
     MutationEvent,
     _exchange_gram,
+    _gram_det,
     _gram_roots,
     _insert_summand,
     apr_mutate,
     canonical_interval,
+    check_basis,
     co_apr_mutate,
     find_full_period_quasi_simple,
     first_objects,
@@ -47,7 +52,16 @@ from tubtilt.tubes import (
     window_class,
 )
 from tubtilt.verify import context_for
-from tubtilt.weights import TUBULAR_TYPES, c_gen, l_add, l_zero, make_weights, omega, x_gen
+from tubtilt.weights import (
+    TUBULAR_TYPES,
+    c_gen,
+    l_add,
+    l_normalize,
+    l_zero,
+    make_weights,
+    omega,
+    x_gen,
+)
 
 
 def _walk(ctx, steps, seed, bundle_only=False):
@@ -106,6 +120,78 @@ def test_is_tilting_rejects_self_extension_pair(ctx2222):
     # replace O(c) by O(omega): ext(O(omega), O) is nonzero
     objs[-1] = line_bundle_obj(ctx2222, omega(w))
     assert not is_tilting(ctx2222, objs)
+
+
+def _run_index(summands):
+    """The (slope, orbit) run of each summand, numbered in summand order."""
+    runs = itertools.groupby((s.slope, s.orbit) for s in summands)
+    return [r for r, (_, group) in enumerate(runs) for _ in group]
+
+
+def _assert_forced_entry_fails(ctx, t, key, entry):
+    """is_tilting(ctx, t) raises BasisMismatch with the (hom, ext) memo
+    entry at key forced to entry; the memo is restored afterwards."""
+    saved = ctx._pairs[key]
+    ctx._pairs[key] = entry
+    try:
+        with pytest.raises(BasisMismatch):
+            is_tilting(ctx, t)
+    finally:
+        ctx._pairs[key] = saved
+
+
+def test_gram_blocks_match_the_bareiss_determinant(any_ctx):
+    """The basis certificate of check_basis against the n x n Bareiss
+    determinant on every node of seeded walks, bundle-only and with
+    torsion summands, longer than the acceptance workload's."""
+    from tubtilt.connect import random_walk
+
+    ctx = any_ctx
+    n = ctx.n
+    e_det = int_det(ctx.euler)
+    longest_run = checked = forced_off = 0
+    for steps in (8, 16, 32):
+        for bundle_only in (True, False):
+            walk = random_walk(ctx, steps, seed=4100 + steps, bundle_only=bundle_only)
+            for k, t in enumerate(walk.nodes):
+                assert is_tilting(ctx, t)
+                s = t.summands
+                run = _run_index(s)
+                longest_run = max(longest_run, max(run.count(r) for r in run))
+                gram = tuple(tuple(chi(ctx, a.cls, b.cls) for b in s) for a in s)
+                # zero below the runs: block upper triangular
+                assert all(gram[i][j] == 0 for i in range(n) for j in range(n) if run[i] > run[j])
+                blocks = 1
+                for r in set(run):
+                    idx = [i for i in range(n) if run[i] == r]
+                    blocks *= int_det(tuple(tuple(gram[i][j] for j in idx) for i in idx))
+                assert blocks == _gram_det(ctx, s) == int_det(gram)
+                assert blocks == int_det(t.class_key()) ** 2 * e_det
+                # a plain list in any order is sorted first
+                check_basis(ctx, list(reversed(s)))
+                # a diagonal memo entry forced to chi(x, x) = 2 fails the check
+                x = s[k % n].cls.vec
+                _assert_forced_entry_fails(ctx, t, (x, x), (2, 0))
+                # so does a run of two, chi(a, b) = 1, with chi(b, a) forced to 1
+                for i in range(n - 1):
+                    if run[i] == run[i + 1] and run.count(run[i]) == 2:
+                        a, b = (i, i + 1) if gram[i][i + 1] else (i + 1, i)
+                        if gram[a][b] == 1:
+                            assert gram[b][a] == 0
+                            _assert_forced_entry_fails(ctx, t, (s[b].cls.vec, s[a].cls.vec), (1, 0))
+                            forced_off += 1
+                checked += 1
+    assert checked == 2 * (9 + 17 + 33)
+    assert (forced_off > 0) == (ctx.weights.weights != (2, 2, 2, 2))
+    # the walks reach the largest run, r - 1 summands in a tube of rank r
+    assert longest_run == max(ctx.weights.weights) - 1
+
+
+def test_check_basis_needs_the_ext_memo():
+    ctx = build_context(make_weights((2, 3, 6)))
+    with pytest.raises(PreconditionError):
+        check_basis(ctx, t_can(ctx))
+    assert is_tilting(ctx, t_can(ctx))
 
 
 def test_make_tilting_error_codes(ctx2222):
@@ -397,9 +483,7 @@ def test_line_bundle_dichotomy_sampled(any_ctx):
         t = _walk(any_ctx, rng.randrange(1, 6), seed=900 + trial, bundle_only=True)
         lo, hi = slope_range(any_ctx, t)
         for m in range(lo.floor() - 1, hi.floor() + 2):
-            from tubtilt.weights import l_scale
-
-            lb = line_bundle_obj(any_ctx, l_scale(x_gen(w, w.t - 1), m))
+            lb = line_bundle_obj(any_ctx, l_normalize(w, (0,) * (w.t - 1) + (m,), 0))  # O(m x_t)
             has_ext = any(ext_dim(any_ctx, s, lb) for s in t.summands)
             has_hom = any(hom_dim(any_ctx, s, lb) for s in t.summands)
             assert not (has_ext and has_hom)

@@ -26,7 +26,7 @@ from tubtilt.tubes import (
 from tubtilt.weights import (
     TUBULAR_TYPES,
     c_gen,
-    l_scale,
+    l_normalize,
     l_zero,
     make_weights,
     omega,
@@ -102,7 +102,7 @@ def test_shift_on_the_x_t_tube_is_the_twist(any_ctx):
     x_t = x_gen(w, w.weights.index(w.p))
     at_inf = tubes._tube_shifts(any_ctx)[tubes._AT_INF]
     for k in range(-13, 14):
-        want = twist_matrix(any_ctx, l_scale(x_t, k))
+        want = twist_matrix(any_ctx, l_normalize(w, tuple(k * a for a in x_t.coeffs), 0))
         assert _shift_matrix(any_ctx, at_inf, k) == want, k
 
 
