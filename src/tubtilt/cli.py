@@ -92,8 +92,10 @@ def _at_least(low: int):
 def _slope_window(text: str) -> tuple[Slope, Slope]:
     if ".." not in text:
         raise ValueError("slope window must look like LO..HI")
-    lo, hi = text.split("..", 1)
-    return Slope.parse(lo), Slope.parse(hi)
+    lo, hi = (Slope.parse(x) for x in text.split("..", 1))
+    if lo > hi:
+        raise ValueError("empty slope window: LO exceeds HI")
+    return lo, hi
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,11 +173,15 @@ def _load_tilting(
     by construction).  A file that does not hold a tilting object is
     rejected by `serialize.tilting_from_dict` unless `require_tilting` is
     off.  `ctx`, the context of a tilting read before, is the one a second
-    tilting is read in; a file with other weights is then rejected."""
+    tilting is read in; a file with other weights is then rejected.  A
+    file that is not readable JSON raises ValidationError naming it."""
     shared = ctx is not None
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"{spec}: not a readable JSON file: {exc}") from None
         if not shared and args.weights is not None:
             ctx = build_context(make_weights(args.weights))
         try:
@@ -294,8 +300,11 @@ def _cmd_graph(args) -> int:
     ctx, start = _load_tilting(args, args.start)
     lo, hi = args.slope_window
     nodes, edges = explore_graph(ctx, start, lo, hi, args.max_nodes)
-    with open(args.dot, "w", encoding="utf-8") as fh:
-        fh.write(export_dot(ctx, nodes, edges))
+    try:
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(export_dot(ctx, nodes, edges))
+    except OSError as exc:
+        raise UsageError(f"--dot {args.dot}: cannot write: {exc.strerror}") from None
     print(serialize.dumps({"nodes": len(nodes), "edges": len(edges), "dot": args.dot}))
     return 0
 

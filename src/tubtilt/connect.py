@@ -714,31 +714,55 @@ def explore_graph(
     keeps all summands but the one it brings in, so only that one's slope
     is tested; the neighbours of a start outside the window get the full
     test.
+
+    Edges to known nodes are read off an index, not mutated.  The index
+    maps each almost complete key (a node's class key with summand k left
+    out, still in canonical order) to the nodes holding it and the
+    position of the summand they add.  An almost complete tilting object
+    has at most two complements (Happel-Unger), so the one other node
+    holding T minus T_k is the mutation of T at k; a third holder raises
+    InternalConsistencyError.  A key that no other node holds is mutated
+    only while the node set has room, since its child would be new.  So
+    one mutation is made per candidate new node, and none once the node
+    set is full.
     """
-    keys = {start.class_key(): 0}
     nodes = [start]
     edges: set[tuple[int, int]] = set()
-    queue = [start]
-    qi = 0
-    start_outside = any(not lo <= s.slope <= hi for s in start.summands)
-    while qi < len(queue):
-        node = queue[qi]
-        whole = start_outside and qi == 0
-        qi += 1
-        i = keys[node.class_key()]
+    holders: dict[tuple, list[tuple[int, int]]] = {}
+
+    def register(j: int, key: tuple) -> None:
+        for k in range(len(key)):
+            held = holders.setdefault(key[:k] + key[k + 1 :], [])
+            if len(held) == 2:
+                raise InternalConsistencyError(
+                    "three known nodes share an almost complete tilting object"
+                    f" (nodes {held[0][0]}, {held[1][0]} and {j})"
+                )
+            held.append((j, k))
+
+    def outside(summands) -> bool:
+        return any(not lo <= s.slope <= hi for s in summands)
+
+    register(0, start.class_key())
+    start_outside = outside(start.summands)
+    for i, node in enumerate(nodes):
+        whole = start_outside and i == 0
+        key = node.class_key()
         for k in range(ctx.n):
-            t2, ev = mutate(ctx, node, k)
-            tested = t2.summands if whole else (ev.added,)
-            if any(not lo <= s.slope <= hi for s in tested):
+            other = [jk for jk in holders[key[:k] + key[k + 1 :]] if jk[0] != i]
+            if other:
+                j, pos = other[0]
+                t2 = nodes[j]
+                added = t2.summands[pos]
+            elif len(nodes) >= max_nodes:
                 continue
-            key2 = t2.class_key()
-            j = keys.get(key2)
-            if j is None:
-                if len(nodes) >= max_nodes:
-                    continue
-                j = len(nodes)
-                keys[key2] = j
+            else:
+                t2, ev = mutate(ctx, node, k)
+                j, added = len(nodes), ev.added
+            if outside(t2.summands if whole else (added,)):
+                continue
+            if j == len(nodes):
                 nodes.append(t2)
-                queue.append(t2)
+                register(j, t2.class_key())
             edges.add((min(i, j), max(i, j)))
     return nodes, sorted(edges)

@@ -82,6 +82,8 @@ def summands_from_dict(
             f"file weights {w.weights} do not match the active context "
             f"{ctx.weights.weights}"
         )
+    if not isinstance(data["summands"], list):
+        raise ValidationError("'summands' must be a list of object records")
     return ctx, [exc_from_dict(ctx, s) for s in data["summands"]]
 
 
@@ -134,8 +136,10 @@ def path_from_dict(ctx: K0Context, data: Any) -> MutationPath:
     is checked once by `verify_path`; a path that fails, or whose
     `bundleOnly`, if present, disagrees with its nodes, raises
     ValidationError."""
-    if not isinstance(data, dict) or "nodes" not in data:
-        raise ValidationError("path record needs 'nodes'")
+    if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
+        raise ValidationError("path record needs 'nodes', a list of tilting records")
+    if not isinstance(data.get("events", []), list):
+        raise ValidationError("'events' must be a list of event records")
     nodes = [make_tilting(ctx, summands_from_dict(d, ctx)[1]) for d in data["nodes"]]
     events = [event_from_dict(ctx, d) for d in data.get("events", [])]
     path = MutationPath(nodes, events)

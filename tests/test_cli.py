@@ -5,6 +5,8 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from tubtilt import cli, serialize, verify
 from tubtilt.errors import InternalConsistencyError
 from tubtilt.tilting import make_tilting, mutate, t_can
@@ -64,6 +66,8 @@ def test_usage_error_exit_code(tmp_path):
          "--dot", str(tmp_path / "g.dot")],
         ["--weights", "2,2,2,2", "graph", "--slope-window", "0..1", "--max-nodes", "-4",
          "--dot", str(tmp_path / "g.dot")],
+        ["--weights", "2,2,2,2", "graph", "--slope-window", "2..0", "--max-nodes", "3",
+         "--dot", str(tmp_path / "g.dot")],
         ["verify", "--suite", "connect", "--trials", "0"],
         ["verify", "--suite", "connect", "--trials", "-1"],
         ["verify", "--suite", "bogus"],
@@ -99,6 +103,45 @@ def test_check_file(tmp_path):
     code, out, _ = run_cli(["check", str(f)])
     assert code == 0
     assert json.loads(out)["summands"] == 10
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        '{"weights": [2, 2, 2, 2], "summands": 3}',
+        '{"weights": [2, 2, 2, 2], "summands": [3]}',
+        '{"weights": [2, 2, 2, 2], "summands": {"class": [1, 0, 0, 0, 0, 0]}}',
+        "[]",
+        "",
+    ],
+)
+def test_malformed_json_file_is_one_diagnostic(tmp_path, text):
+    f = tmp_path / "malformed.json"
+    f.write_text(text)
+    for argv in (["check", str(f)], ["connect", str(f)]):
+        code, out, err = run_cli(argv)
+        assert code == 1, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert str(f) in diag["message"]
+
+
+def test_graph_unwritable_dot_path(tmp_path):
+    for dot in (tmp_path / "missing" / "g.dot", tmp_path):
+        code, out, err = run_cli(
+            ["--weights", "2,2,2,2", "graph", "--slope-window", "0..2", "--max-nodes", "3",
+             "--dot", str(dot)]
+        )
+        assert code == 2, dot
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        diag = json.loads(err)
+        assert diag["error"] == "UsageError"
+        assert str(dot) in diag["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_rejects_corrupt_file(tmp_path):

@@ -36,7 +36,16 @@ from tubtilt.intmat import det as int_det
 from tubtilt.intmat import mat_vec
 from tubtilt.k0 import K0Class, line_bundle_class, rank_of
 from tubtilt.slopes import INF, Slope
-from tubtilt.tilting import TiltingObject, is_bundle, is_tilting, mutate, slope_range, t_can
+from tubtilt.tilting import (
+    MutationEvent,
+    TiltingObject,
+    is_bundle,
+    is_tilting,
+    make_tilting,
+    mutate,
+    slope_range,
+    t_can,
+)
 from tubtilt.tubes import (
     ExcObject,
     chart_for,
@@ -946,7 +955,7 @@ def _full_test_explore_graph(ctx, start, lo, hi, max_nodes):
     return nodes, sorted(edges)
 
 
-def test_explore_graph_matches_the_full_window_test(any_ctx):
+def test_explore_graph_matches_the_full_window_test(any_ctx, monkeypatch):
     ctx = any_ctx
     tc = t_can(ctx)
     end = random_walk(ctx, 5, seed=3800, bundle_only=True).end
@@ -955,19 +964,57 @@ def test_explore_graph_matches_the_full_window_test(any_ctx):
         (tc, Slope(0, 1), INF, 20),
         (tc, Slope(0, 1), Slope(ctx.p, 1), 20),
         (end, Slope(lo.floor() - 1, 1), Slope(hi.floor() + 2, 1), 20),
+        (end, Slope(lo.floor() - 1, 1), INF, 20),
         (random_walk(ctx, 4, seed=3801).end, Slope(-1, 1), INF, 15),
         # T_can's O has slope 0, outside; its other summands are inside
         (tc, Slope(1, 100), INF, 20),
     ]
-    for start, lo, hi, cap in cases:
-        got = explore_graph(ctx, start, lo, hi, cap)
-        want = _full_test_explore_graph(ctx, start, lo, hi, cap)
-        assert [t.class_key() for t in got[0]] == [t.class_key() for t in want[0]]
-        assert got[1] == want[1]
+    real_mutate = connect.mutate
+    made = []
+
+    def spy(ctx, t, k):
+        t2, ev = real_mutate(ctx, t, k)
+        made.append(t2.class_key())
+        return t2, ev
+
+    monkeypatch.setattr(connect, "mutate", spy)
+    for start, lo, hi, top in cases:
+        for cap in (1, 2, 8, top):
+            made.clear()
+            got = explore_graph(ctx, start, lo, hi, cap)
+            want = _full_test_explore_graph(ctx, start, lo, hi, cap)
+            keys = [t.class_key() for t in got[0]]
+            assert keys == [t.class_key() for t in want[0]]
+            assert got[1] == want[1]
+            # each call is for a candidate new node: none lands on a known
+            # node, and each node after the start comes from one call
+            assert [key for key in made if key in keys] == keys[1:]
+            if len(keys) == cap:
+                # no call once the node set is full
+                assert len(made) == (made.index(keys[-1]) + 1 if cap > 1 else 0)
     # the start partly outside its window still reaches nodes inside it
     nodes, _ = explore_graph(ctx, tc, Slope(1, 100), INF, 20)
     assert len(nodes) > 1
     assert all(s.slope > Slope(0, 1) for t in nodes[1:] for s in t.summands)
+
+
+def test_explore_graph_rejects_a_third_complement(ctx2222, monkeypatch):
+    # a fake mutation of T_can at 1 that keeps T_can minus its summand 0
+    # makes three known nodes hold that almost complete object
+    ctx = ctx2222
+    tc = t_can(ctx)
+    x = mutate(ctx, tc, 1)[1].added
+    fake = make_tilting(ctx, tc.summands[1:] + (x,))
+    real_mutate = connect.mutate
+
+    def fake_mutate(ctx, t, k):
+        if t == tc and k == 1:
+            return fake, MutationEvent(1, tc.summands[1], x, "L")
+        return real_mutate(ctx, t, k)
+
+    monkeypatch.setattr(connect, "mutate", fake_mutate)
+    with pytest.raises(InternalConsistencyError, match="three known nodes"):
+        explore_graph(ctx, tc, Slope(-10, 1), INF, 10)
 
 
 def test_explore_graph_one_neighborhood(ctx2222):
@@ -998,6 +1045,39 @@ GOLDEN_CONNECT = {
 def _event_digest(path):
     events = [(ev.index, ev.removed.cls.vec, ev.added.cls.vec) for ev in path.events]
     return hashlib.sha256(repr(events).encode()).hexdigest()
+
+
+# Node class keys and edges of explore_graph around T_can (window 0..inf)
+# and around one 5-step walk end per type (its slope range widened by one
+# below and two above), each filling its node set of 16; pinned so that a
+# change to the BFS that alters any node order or edge shows here.
+GOLDEN_GRAPH = {
+    ((2, 2, 2, 2), None): "ded3167a83bb9f50dff80fe240fd0b6a6f6ffa8301f9f5e97d0fd87c45f696e2",
+    ((2, 2, 2, 2), 3900): "8598255b4966d65b8d8ec4435fb9837ae0b1cf51a15aeb3e6ef2ac62bdc153e8",
+    ((3, 3, 3), None): "a238d79efbff035e0a9ff1520049aeb2d9b289da010aab03f8beea2949b97c0f",
+    ((3, 3, 3), 3900): "10768dcd698ed4b3b0c802aa3bf00d264b7bcc4cbab1b9f406ddad58287ca0d6",
+    ((2, 4, 4), None): "99ae8eeddbf47dc2b2494996bd649be867fff05622f6113465ca49ed63ef5a7a",
+    ((2, 4, 4), 3900): "601414840c28889e6754d3052e6f2f635303bec10db909dbd9514c47babf8baa",
+    ((2, 3, 6), None): "4d298c78631ac72e987a14e01b99bdb19fe285cd931f3494adfe759e36cc13c6",
+    ((2, 3, 6), 3900): "a969656fb8f0374e0606cb7e2d9e39984713a31947291699fb2ba787b9d71936",
+}
+
+
+def test_golden_graphs():
+    got = {}
+    for ws, seed in GOLDEN_GRAPH:
+        ctx = context_for(ws)
+        if seed is None:
+            start, lo, hi = t_can(ctx), Slope(0, 1), INF
+        else:
+            start = random_walk(ctx, 5, seed=seed, bundle_only=True).end
+            lo, hi = slope_range(ctx, start)
+            lo, hi = Slope(lo.floor() - 1, 1), Slope(hi.floor() + 2, 1)
+        nodes, edges = explore_graph(ctx, start, lo, hi, 16)
+        assert len(nodes) == 16
+        keys = [t.class_key() for t in nodes]
+        got[ws, seed] = hashlib.sha256(repr((keys, edges)).encode()).hexdigest()
+    assert got == GOLDEN_GRAPH
 
 
 def test_golden_paths():

@@ -95,6 +95,22 @@ def test_path_record_rejected_unless_verified(ctx2222, caplog):
     assert "event 1 does not match the node difference" in caplog.text
 
 
+def test_records_with_non_list_fields_rejected(ctx2222):
+    data = serialize.path_to_dict(ctx2222, random_walk(ctx2222, 2, seed=3))
+    node = data["nodes"][0]
+    for summands in (3, None, "abc", {"class": node["summands"][0]["class"]}):
+        bad_node = dict(node, summands=summands)
+        with pytest.raises(ValidationError, match="'summands' must be a list"):
+            serialize.summands_from_dict(bad_node, ctx2222)
+        with pytest.raises(ValidationError, match="'summands' must be a list"):
+            serialize.path_from_dict(ctx2222, dict(data, nodes=[bad_node]))
+    for nodes in (3, None, node):
+        with pytest.raises(ValidationError, match="'nodes', a list"):
+            serialize.path_from_dict(ctx2222, dict(data, nodes=nodes))
+    with pytest.raises(ValidationError, match="'events' must be a list"):
+        serialize.path_from_dict(ctx2222, dict(data, events=7))
+
+
 def test_path_record_with_a_flipped_direction_rejected(any_ctx, caplog):
     data = serialize.path_to_dict(any_ctx, random_walk(any_ctx, 6, seed=5, bundle_only=True))
     assert len(data["events"]) == 6
