@@ -174,7 +174,9 @@ def _load_tilting(
     rejected by `serialize.tilting_from_dict` unless `require_tilting` is
     off.  `ctx`, the context of a tilting read before, is the one a second
     tilting is read in; a file with other weights is then rejected.  A
-    file that is not readable JSON raises ValidationError naming it."""
+    file that is not readable JSON raises ValidationError naming it; any
+    other error decoding a file is re-raised as its own class with the
+    file name in front of its message."""
     shared = ctx is not None
     if os.path.exists(spec):
         try:
@@ -190,12 +192,12 @@ def _load_tilting(
             else:
                 ctx, objs = serialize.summands_from_dict(data, ctx)
                 t = make_tilting(ctx, objs)
-        except ValidationError as exc:
+        except TubTiltError as exc:
             if shared and isinstance(exc, WeightsMismatch):
                 raise ValidationError(
                     f"both tiltings must share the weight sequence: {exc}"
                 ) from None
-            raise ValidationError(f"{spec}: {exc}") from None
+            raise type(exc)(f"{spec}: {exc}") from None
         return ctx, t
     if not shared:
         ctx = _context(args)

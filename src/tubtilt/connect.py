@@ -17,7 +17,10 @@ There is one search, `_stratum_path`, which the Farey descent's
 fixed-summand legs share.  Its frontier holds pending mutations, not
 nodes: the priority of a mutation's child is forecast from the ext
 table (an almost complete tilting object has exactly two complements),
-and the mutation is computed only when it reaches the front.
+and the child is made only when the mutation reaches the front.  A
+mutation forecast to bring in a target summand takes that summand as
+its complement once it passes a rigidity and a direction check; any
+other mutation calls `mutate`.
 
 All searches are deterministic: candidate orders are canonical and
 tie-breaks use serialized object order.  A budget bounds the node count
@@ -50,6 +53,7 @@ from .slopes import INF, Slope
 from .tilting import (
     MutationEvent,
     TiltingObject,
+    _exchange,
     check_basis,
     find_full_period_quasi_simple,
     is_bundle,
@@ -524,6 +528,33 @@ def _mutation_forecast(
     return child_h, gains
 
 
+def _forecast_child(
+    ctx: K0Context, node: TiltingObject, k: int, z: ExcObject
+) -> tuple[TiltingObject, MutationEvent]:
+    """node mutated at k, where `_mutation_forecast` named the target
+    summand z as the complement of T_k; `mutate` is not called.
+
+    z is exceptional (a summand of a tilting target).  If it has no ext
+    with the n - 1 kept summands, in either direction, they and z are n
+    rigid exceptional objects, a tilting object; if exactly one of
+    ext(z, T_k) and ext(T_k, z) is nonzero (`tilting._exchange`), z is
+    neither T_k nor a kept summand, so it is the other complement of the
+    kept ones (Happel-Unger), the one `mutate` would find.  A z failing
+    either check raises InternalConsistencyError naming the forecast.
+    """
+    for i, o in enumerate(node.summands):
+        if i != k and (ext_dim(ctx, z, o) or ext_dim(ctx, o, z)):
+            raise InternalConsistencyError(
+                f"the forecast complement of summand {k} has ext with summand {i}"
+            )
+    try:
+        return _exchange(ctx, node, k, z)
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(
+            f"the forecast complement of summand {k} is not one: {exc}"
+        ) from None
+
+
 def _stratum_path(
     ctx: K0Context,
     a: TiltingObject,
@@ -543,9 +574,13 @@ def _stratum_path(
     The frontier holds pending mutations, not nodes.  Expanding a node
     pushes one entry per summand other than fixed_vec, with one clock
     tick each, ordered by the h its child will have; that h comes from
-    the ext table (`_mutation_forecast`), so `mutate` runs only when an
-    entry reaches the front.  The child is then checked against its
-    forecast (InternalConsistencyError if they differ), dropped if it is
+    the ext table (`_mutation_forecast`), so a child is made only when
+    its entry reaches the front.  An entry forecast to lower h carries
+    the target summand the forecast names as its complement, and its
+    child takes that summand after the rigidity and direction checks
+    (`_forecast_child`); any other entry calls `mutate`.  Either child
+    is then checked against its forecast priority
+    (InternalConsistencyError if they differ), dropped if it is
     not a bundle or was reached at no greater depth, and otherwise
     registered, goal-tested and expanded in place.  A node reached again
     at a smaller depth is re-opened, so the weighted order, which
@@ -564,18 +599,22 @@ def _stratum_path(
     counter = itertools.count()
 
     def expand(key, node: TiltingObject, g: int) -> None:
-        child_h, _ = _mutation_forecast(ctx, node, b)
+        child_h, gains = _mutation_forecast(ctx, node, b)
         for k, s in enumerate(node.summands):
             if s.cls.vec != fixed_vec:
                 clock.tick()
                 f = g + 1 + _STRATUM_WEIGHT * child_h[k]
-                heapq.heappush(heap, (f, -(g + 1), next(counter), key, k))
+                entry = (f, -(g + 1), next(counter), key, k, gains.get(k))
+                heapq.heappush(heap, entry)
 
     expand(start_key, a, 0)
     while heap:
-        f, neg_g, _, key, k = heapq.heappop(heap)
+        f, neg_g, _, key, k, z = heapq.heappop(heap)
         g = -neg_g
-        t2, ev = mutate(ctx, states[key], k)
+        if z is None:
+            t2, ev = mutate(ctx, states[key], k)
+        else:
+            t2, ev = _forecast_child(ctx, states[key], k, z)
         k2 = t2.class_key()
         if g + _STRATUM_WEIGHT * sum(1 for v in k2 if v not in target) != f:
             raise InternalConsistencyError(
@@ -724,8 +763,10 @@ def explore_graph(
     InternalConsistencyError.  A key that no other node holds is mutated
     only while the node set has room, since its child would be new.  So
     one mutation is made per candidate new node, and none once the node
-    set is full.
+    set is full.  max_nodes below 1 raises PreconditionError.
     """
+    if max_nodes < 1:
+        raise PreconditionError(f"max_nodes must be at least 1, got {max_nodes}")
     nodes = [start]
     edges: set[tuple[int, int]] = set()
     holders: dict[tuple, list[tuple[int, int]]] = {}

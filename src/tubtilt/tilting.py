@@ -386,6 +386,35 @@ def _insert_summand(
     return TiltingObject(others[:pos] + (new,) + others[pos:])
 
 
+def _exchange(
+    ctx: K0Context, t: TiltingObject, k: int, new: ExcObject
+) -> tuple[TiltingObject, MutationEvent]:
+    """t with summand k exchanged for `new`, its other complement, and
+    the event: the end of `mutate`, shared with the stratum search, which
+    takes `new` from its forecast (`connect._forecast_child`).
+
+    The direction is L iff ext(new, T_k) > 0; exactly one of ext(new, T_k)
+    and ext(T_k, new) is nonzero for two complements, else
+    InternalConsistencyError.  The check runs before the insertion, so a
+    `new` that is already a summand fails it too.
+    """
+    tk = t.summands[k]
+    e_left = ext_dim(ctx, new, tk)  # nonzero iff 0 -> T_k -> B -> new -> 0
+    e_right = ext_dim(ctx, tk, new)
+    if (e_left > 0) == (e_right > 0):
+        raise InternalConsistencyError(
+            f"exchange direction ambiguous: ext {e_left}/{e_right}"
+        )
+    result = _insert_summand(t.summands[:k] + t.summands[k + 1 :], new)
+    event = MutationEvent(
+        index=k,
+        removed=tk,
+        added=new,
+        direction="L" if e_left > 0 else "R",
+    )
+    return result, event
+
+
 def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, MutationEvent]:
     """Exchange summand k for the unique other complement.
 
@@ -410,7 +439,8 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
     pairs are the ones between the complement and the other summands,
     checked below.  The other summands keep their canonical order, so
     the result is built by inserting the complement at its place
-    (`_insert_summand`) instead of sorting all n summands again.
+    (`_insert_summand`, called from `_exchange` with the direction
+    check) instead of sorting all n summands again.
     """
     memo_key = (t.class_key(), k)
     got = ctx._mutations.get(memo_key)
@@ -443,21 +473,7 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
         raise ComplementNotUnique(
             f"{len(survivors)} complements found when mutating at index {k}"
         )
-    new = survivors[0]
-    result = _insert_summand(others, new)
-
-    e_left = ext_dim(ctx, new, tk)  # nonzero iff 0 -> T_k -> B -> new -> 0
-    e_right = ext_dim(ctx, tk, new)
-    if (e_left > 0) == (e_right > 0):
-        raise InternalConsistencyError(
-            f"exchange direction ambiguous: ext {e_left}/{e_right}"
-        )
-    event = MutationEvent(
-        index=k,
-        removed=tk,
-        added=new,
-        direction="L" if e_left > 0 else "R",
-    )
+    result, event = _exchange(ctx, t, k, survivors[0])
     if len(ctx._mutations) > 300_000:
         ctx._mutations.clear()
     ctx._mutations[memo_key] = (result, event)

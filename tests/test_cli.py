@@ -129,6 +129,29 @@ def test_malformed_json_file_is_one_diagnostic(tmp_path, text):
         assert str(f) in diag["message"]
 
 
+@pytest.mark.parametrize(
+    "summands, error",
+    [
+        ([[0, 0, 0, 0, 0, 0]], "NotSheafLike"),
+        ([[1, 0, 0, 0, 0, 0]], "WrongSummandCount"),
+        ([[1, 0, 0, 0, 0, 0]] * 6, "DuplicateSummands"),
+    ],
+)
+def test_file_decoding_errors_name_the_file(tmp_path, summands, error):
+    # the error keeps its class; only its message gains the file name
+    f = tmp_path / "bad.json"
+    record = {"weights": [2, 2, 2, 2], "summands": [{"class": c} for c in summands]}
+    f.write_text(json.dumps(record))
+    for argv in (["check", str(f)], ["connect", str(f)]):
+        code, out, err = run_cli(argv)
+        assert code == 1, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        diag = json.loads(err)
+        assert diag["error"] == error
+        assert diag["message"].startswith(f"{f}: ")
+
+
 def test_graph_unwritable_dot_path(tmp_path):
     for dot in (tmp_path / "missing" / "g.dot", tmp_path):
         code, out, err = run_cli(

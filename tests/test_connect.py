@@ -476,6 +476,107 @@ def test_wrong_forecast_is_caught(ctx2222, monkeypatch):
         connect_shared(ctx2222, tc, tct, shared)
 
 
+def _forecast_children(ctx, ends, monkeypatch):
+    """Connect each end to T_can with spies on the stratum search, and
+    assert that no `mutate` call of a search is at a summand for which
+    the forecast named a complement.  Returns every child the search made
+    from a forecast complement, as (fixed_vec, node, k, child, event)."""
+    real_search = connect._stratum_path
+    real_forecast = connect._mutation_forecast
+    real_child = connect._forecast_child
+    real_mutate = connect.mutate
+    running = []  # (goal key, fixed_vec) of the search under way
+    gains = {}  # (node key, goal key, k) -> the forecast complement
+    derived = []
+
+    def search(ctx, a, b, fixed_vec, clock):
+        running.append((b.class_key(), fixed_vec))
+        try:
+            return real_search(ctx, a, b, fixed_vec, clock)
+        finally:
+            running.pop()
+
+    def forecast(ctx, node, target):
+        child_h, got = real_forecast(ctx, node, target)
+        for k, z in got.items():
+            gains[node.class_key(), target.class_key(), k] = z
+        return child_h, got
+
+    def spy_mutate(ctx, t, k):
+        if running:
+            assert (t.class_key(), running[-1][0], k) not in gains
+        return real_mutate(ctx, t, k)
+
+    def child(ctx, node, k, z):
+        goal, fixed_vec = running[-1]
+        assert gains[node.class_key(), goal, k] == z
+        t2, ev = real_child(ctx, node, k, z)
+        derived.append((fixed_vec, node, k, t2, ev))
+        return t2, ev
+
+    with monkeypatch.context() as m:
+        m.setattr(connect, "_stratum_path", search)
+        m.setattr(connect, "_mutation_forecast", forecast)
+        m.setattr(connect, "_forecast_child", child)
+        m.setattr(connect, "mutate", spy_mutate)
+        for end in ends:
+            path = connect_to_canonical(ctx, end)
+            assert path.end.class_key() == t_can(ctx).class_key()
+    for _, node, k, t2, ev in derived:
+        assert (t2, ev) == mutate(ctx, node, k)
+    return derived
+
+
+def test_gain_moves_take_the_forecast_complement(any_ctx, monkeypatch):
+    rng = random.Random(18)
+    ends = [
+        random_walk(any_ctx, steps, rng.randrange(10**6), bundle_only=True).end
+        for steps in (1, 2, 3, 5, 8, 11, 13, 16)
+    ]
+    assert _forecast_children(any_ctx, ends, monkeypatch)
+
+
+def test_farey_descent_legs_take_the_forecast_complement(ctx2222, monkeypatch):
+    # an end that needs integerize, whose connect_shared legs fix a summand
+    end = next(_no_integer_ends(ctx2222))
+    derived = _forecast_children(ctx2222, [end], monkeypatch)
+    assert any(fixed_vec is not None for fixed_vec, *_ in derived)
+
+
+@pytest.mark.parametrize("wrong", ["kept summand", "unrigid summand"])
+def test_wrong_forecast_complement_is_caught(ctx2222, monkeypatch, wrong):
+    # one gain names a target summand that is not the complement: a
+    # summand the node keeps, which the direction check catches, or a
+    # target summand with ext against two summands of the node, which the
+    # rigidity check catches before the forecast priority check would
+    w = ctx2222.weights
+    shared = line_bundle_obj(ctx2222, x_gen(w, 3))
+    tc, tct = t_can(ctx2222), t_can(ctx2222, x_gen(w, 3))
+    real = connect._mutation_forecast
+
+    def bad(ctx, node, target):
+        child_h, gains = real(ctx, node, target)
+        if wrong == "kept summand":
+            for k in sorted(gains)[:1]:
+                gains[k] = shared
+            return child_h, gains
+        node_vecs = set(node.class_key())
+        for z in target.summands:
+            hits = [
+                k
+                for k, s in enumerate(node.summands)
+                if ext_dim(ctx, z, s) or ext_dim(ctx, s, z)
+            ]
+            if z.cls.vec not in node_vecs and len(hits) >= 2:
+                gains[hits[0]] = z
+                break
+        return child_h, gains
+
+    monkeypatch.setattr(connect, "_mutation_forecast", bad)
+    with pytest.raises(InternalConsistencyError, match="forecast complement"):
+        connect_shared(ctx2222, tc, tct, shared)
+
+
 def test_connect_shared_preconditions(ctx2222):
     tc = t_can(ctx2222)
     foreign = line_bundle_obj(ctx2222, x_gen(ctx2222.weights, 0) + x_gen(ctx2222.weights, 1))
@@ -1015,6 +1116,12 @@ def test_explore_graph_rejects_a_third_complement(ctx2222, monkeypatch):
     monkeypatch.setattr(connect, "mutate", fake_mutate)
     with pytest.raises(InternalConsistencyError, match="three known nodes"):
         explore_graph(ctx, tc, Slope(-10, 1), INF, 10)
+
+
+def test_explore_graph_rejects_a_bad_node_cap(ctx2222):
+    for bad in (0, -1):
+        with pytest.raises(PreconditionError, match="max_nodes"):
+            explore_graph(ctx2222, t_can(ctx2222), Slope(0, 1), INF, bad)
 
 
 def test_explore_graph_one_neighborhood(ctx2222):
