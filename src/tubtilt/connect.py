@@ -48,11 +48,13 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .k0 import K0Context, rank_of
+from .k0 import K0Class, K0Context, deg_of, rank_of
 from .slopes import INF, Slope
 from .tilting import (
     MutationEvent,
     TiltingObject,
+    _candidate_classes,
+    _complete_mutation,
     _exchange,
     check_basis,
     find_full_period_quasi_simple,
@@ -751,8 +753,9 @@ def explore_graph(
 
     Every queued node but the start lies in the window, and a mutation
     keeps all summands but the one it brings in, so only that one's slope
-    is tested; the neighbours of a start outside the window get the full
-    test.
+    is tested.  A child of a start outside the window keeps n - 1 of the
+    start's summands; where one of those is outside, the child is
+    skipped before anything is computed.
 
     Edges to known nodes are read off an index, not mutated.  The index
     maps each almost complete key (a node's class key with summand k left
@@ -764,6 +767,13 @@ def explore_graph(
     only while the node set has room, since its child would be new.  So
     one mutation is made per candidate new node, and none once the node
     set is full.  max_nodes below 1 raises PreconditionError.
+
+    A mutation that is not in the memo runs in the two halves of
+    `mutate`.  The candidate search is exhaustive and the complement is
+    unique, so when no sheaf-like candidate class has its slope in the
+    window, the child's new summand is outside and the child is dropped
+    without decoding any candidate (`_candidate_classes`); otherwise the
+    mutation is completed (`_complete_mutation`) and memoized as usual.
     """
     if max_nodes < 1:
         raise PreconditionError(f"max_nodes must be at least 1, got {max_nodes}")
@@ -781,15 +791,19 @@ def explore_graph(
                 )
             held.append((j, k))
 
-    def outside(summands) -> bool:
-        return any(not lo <= s.slope <= hi for s in summands)
+    def inside(c: K0Class) -> bool:
+        r, d = rank_of(ctx, c), deg_of(ctx, c)
+        if r > 0:
+            return lo <= Slope(d, r) <= hi
+        return r == 0 and d > 0 and hi.is_infinite
 
     register(0, start.class_key())
-    start_outside = outside(start.summands)
+    start_out = [k for k, s in enumerate(start.summands) if not lo <= s.slope <= hi]
     for i, node in enumerate(nodes):
-        whole = start_outside and i == 0
         key = node.class_key()
         for k in range(ctx.n):
+            if i == 0 and any(x != k for x in start_out):
+                continue  # the child keeps a start summand outside the window
             other = [jk for jk in holders[key[:k] + key[k + 1 :]] if jk[0] != i]
             if other:
                 j, pos = other[0]
@@ -798,9 +812,16 @@ def explore_graph(
             elif len(nodes) >= max_nodes:
                 continue
             else:
-                t2, ev = mutate(ctx, node, k)
+                memo_key = (key, k)
+                got = ctx._mutations.get(memo_key)
+                if got is None:
+                    candidates = _candidate_classes(ctx, node, k)
+                    if not any(inside(c) for c in candidates):
+                        continue
+                    got = _complete_mutation(ctx, node, k, candidates, memo_key)
+                t2, ev = got
                 j, added = len(nodes), ev.added
-            if outside(t2.summands if whole else (added,)):
+            if not lo <= added.slope <= hi:
                 continue
             if j == len(nodes):
                 nodes.append(t2)

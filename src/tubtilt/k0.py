@@ -20,7 +20,11 @@ the fiber coordinate is a second radical direction.  Root enumeration
 below exploits this: writing the successive differences d_{i,j} of the
 partial sums along each tube, a class c satisfies chi(c, c) = 1 exactly
 when sum d^2 = 2 + (t - 2) rank(c)^2 with sum_j d_{i,j} = rank(c) per
-tube, which is a finite search with exact Cauchy-Schwarz pruning.
+tube, which is a finite search with exact Cauchy-Schwarz pruning.  The
+degree then fixes the fiber coordinate, which must be an integer: a
+congruence mod p on the weighted sum of the simple coordinates.  The
+search recurses over all tubes but the last and looks the last tube's
+d-vectors up by the norm and the degree residue they must close.
 """
 
 from __future__ import annotations
@@ -292,6 +296,20 @@ def _svec_from_d(total: int, d: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _tube_entries(
+    count: int, total: int, cap: int, factor: int
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """(sum d^2, svec, factor * sum svec) for each d of
+    `_tube_dvectors(count, total, cap)`, by sum d^2; factor is p / p_i,
+    so the last item is the tube's share of the weighted degree."""
+    out = []
+    for d in _tube_dvectors(count, total, cap):
+        sv = _svec_from_d(total, d)
+        out.append((sum(x * x for x in d), sv, factor * sum(sv)))
+    out.sort(key=lambda e: e[0])
+    return out
+
+
 def enumerate_roots_at(ctx: K0Context, q: Slope, m_max: int) -> tuple[K0Class, ...]:
     """All classes c with (deg, rank)(c) = m (num, den)(q), 1 <= m <= m_max,
     and chi(c, c) = 1, in deterministic order.
@@ -299,7 +317,14 @@ def enumerate_roots_at(ctx: K0Context, q: Slope, m_max: int) -> tuple[K0Class, .
     The search is exhaustive: for fixed rank the quadratic form is
     positive definite on the simple coordinates, and the difference
     encoding described in the module docstring turns chi(c, c) = 1 into
-    a bounded integer program solved by pruned recursion.
+    a bounded integer program.  For each m, the d-vectors of each tube
+    are listed once with their norm and weighted degree, under the cap
+    the other tubes' minimal norms leave.  A pruned recursion picks one
+    entry for each of the first t - 1 tubes, with the Cauchy-Schwarz cap
+    of the norm left over; the last tube's entries are indexed by (norm,
+    weighted degree mod p), so the entries that close both the norm
+    equation and the degree congruence fixing the fiber coordinate are
+    looked up, not enumerated.  The result is sorted by (m, vector).
     """
     if not 1 <= m_max <= ctx.p:
         raise PreconditionError(f"m_max must lie in 1..{ctx.p}")
@@ -313,26 +338,38 @@ def enumerate_roots_at(ctx: K0Context, q: Slope, m_max: int) -> tuple[K0Class, .
         r0 = m * q.den
         budget = 2 + (t - 2) * r0 * r0
         mins = [_min_tube_norm(p_i, r0) for p_i in w.weights]
-        if sum(mins) > budget:
+        slack = budget - sum(mins)
+        if slack < 0:
             continue
         suffix_min = [0] * (t + 1)
         for i in range(t - 1, -1, -1):
             suffix_min[i] = suffix_min[i + 1] + mins[i]
+        # tubes of equal weight have equal entries
+        entries: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
+        for p_i, lo in zip(w.weights, mins):
+            if p_i not in entries:
+                entries[p_i] = _tube_entries(p_i, r0, lo + slack, w.p // p_i)
+        heads = [entries[p_i] for p_i in w.weights[:-1]]
+        last: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for norm, sv, wdeg in entries[w.weights[-1]]:
+            last.setdefault((norm, wdeg % w.p), []).append(sv)
 
-        def rec(i: int, left: int, svecs: list[tuple[int, ...]]) -> None:
-            if i == t:
-                if left != 0:
-                    return
-                _emit(ctx, m, d0, r0, svecs, bound, out)
+        def rec(i: int, left: int, weighted: int, svecs: list[tuple[int, ...]]) -> None:
+            if i == t - 1:
+                for sv in last.get((left, (d0 - weighted) % w.p), ()):
+                    svecs.append(sv)
+                    _emit(ctx, m, d0, r0, svecs, bound, out)
+                    svecs.pop()
                 return
             cap = left - suffix_min[i + 1]
-            for d in _tube_dvectors(w.weights[i], r0, cap):
-                used = sum(x * x for x in d)
-                svecs.append(_svec_from_d(r0, d))
-                rec(i + 1, left - used, svecs)
+            for norm, sv, wdeg in heads[i]:
+                if norm > cap:
+                    break
+                svecs.append(sv)
+                rec(i + 1, left - norm, weighted + wdeg, svecs)
                 svecs.pop()
 
-        rec(0, budget, [])
+        rec(0, budget, 0, [])
 
     out.sort()
     return tuple(K0Class(vec) for _, vec in out)

@@ -27,6 +27,14 @@ matrix per level, so each root is filtered in O(n) where it reaches the
 last level.  The decoded survivors are then checked as before.  The
 other summands keep their canonical order, so the result is built by
 inserting the complement at its place, not by sorting all n again.
+
+`mutate` is the memo lookup followed by two halves: the candidate
+classes (`_candidate_classes`, the search above) and their completion
+(`_complete_mutation`: decode, ext checks, uniqueness, exchange and the
+memo write).  The search is exhaustive and the complement unique, so a
+caller that only wants children with some property of the new summand,
+such as its slope, can drop a child from its candidate classes without
+decoding any of them.
 """
 
 from __future__ import annotations
@@ -390,8 +398,9 @@ def _exchange(
     ctx: K0Context, t: TiltingObject, k: int, new: ExcObject
 ) -> tuple[TiltingObject, MutationEvent]:
     """t with summand k exchanged for `new`, its other complement, and
-    the event: the end of `mutate`, shared with the stratum search, which
-    takes `new` from its forecast (`connect._forecast_child`).
+    the event: the end of `_complete_mutation`, shared with the stratum
+    search, which takes `new` from its forecast
+    (`connect._forecast_child`).
 
     The direction is L iff ext(new, T_k) > 0; exactly one of ext(new, T_k)
     and ext(T_k, new) is nonzero for two complements, else
@@ -415,51 +424,63 @@ def _exchange(
     return result, event
 
 
-def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, MutationEvent]:
-    """Exchange summand k for the unique other complement.
+def _candidate_classes(ctx: K0Context, t: TiltingObject, k: int) -> list[K0Class]:
+    """First half of `mutate`: the classes c = sum_i b_i [T_i] - [T_k]
+    that the complement of t minus T_k can have, one per root b.
 
-    Candidate classes are c = sum_i b_i [T_i] - [T_k] over the remaining
-    summands with 0 <= b_i <= max(hom(T_k, T_i), hom(T_i, T_k)); the
-    bound covers the multiplicities of a minimal approximation in
-    either exchange direction.  Summands with b_i bounded by 0 drop out.
-    Since the summands are exceptional and pairwise ext-orthogonal,
-    chi(T_i, T_j) = hom(T_i, T_j), and chi(c, c) = 1 becomes the scalar
-    equation sum_i (s_i b_i - b_i^2) - sum_{i<j} b_i b_j S_ij = 0 with
+    The b_i run over the remaining summands with
+    0 <= b_i <= max(hom(T_k, T_i), hom(T_i, T_k)); the bound covers the
+    multiplicities of a minimal approximation in either exchange
+    direction, so the complement's class is among the results.  Summands
+    with b_i bounded by 0 drop out.  Since the summands are exceptional
+    and pairwise ext-orthogonal, chi(T_i, T_j) = hom(T_i, T_j), and
+    chi(c, c) = 1 becomes the scalar equation
+    sum_i (s_i b_i - b_i^2) - sum_{i<j} b_i b_j S_ij = 0 with
     s_i = hom(T_k, T_i) + hom(T_i, T_k) and S_ij = hom(T_i, T_j) +
     hom(T_j, T_i), solved by branch and bound (`_gram_roots`).  A root
-    is decoded only if it passes three necessary conditions that are
-    linear in b: chi(T_i, c) >= 0 and chi(c, T_i) >= 0 (a negative value
-    forces an ext against T_i) and rank(c) >= 0.  `_gram_roots` carries
-    these sums down its recursion and applies them at each root.
-
-    Precondition: t is tilting (see `make_tilting`); the result is then
-    tilting without a re-check.  The complement is unique (Happel-Unger)
-    and its class is -[T_k] modulo the other summands, so the classes
-    of the result have determinant -det(t) = +-1, and the only new ext
-    pairs are the ones between the complement and the other summands,
-    checked below.  The other summands keep their canonical order, so
-    the result is built by inserting the complement at its place
-    (`_insert_summand`, called from `_exchange` with the direction
-    check) instead of sorting all n summands again.
+    is kept only if it passes three necessary conditions that are linear
+    in b: chi(T_i, c) >= 0 and chi(c, T_i) >= 0 (a negative value forces
+    an ext against T_i) and rank(c) >= 0.  `_gram_roots` carries these
+    sums down its recursion and applies them at each root.  Nothing is
+    decoded here and no memo is written.
     """
-    memo_key = (t.class_key(), k)
-    got = ctx._mutations.get(memo_key)
-    if got is not None:
-        return got
     tk = t.summands[k]
     others = t.summands[:k] + t.summands[k + 1 :]
     free, gram, h_to, h_from = _exchange_gram(ctx, tk, others)
     ranks = [rank_of(ctx, o.cls) for o in free]
     rank_k = rank_of(ctx, tk.cls)
-
-    survivors: list[ExcObject] = []
+    out: list[K0Class] = []
     for b in _gram_roots(gram, h_to, h_from, ranks, rank_k):
         vec = [-x for x in tk.cls.vec]
         for bj, o in zip(b, free):
             if bj:
                 vec = [a + bj * x for a, x in zip(vec, o.cls.vec)]
+        out.append(K0Class(tuple(vec)))
+    return out
+
+
+def _complete_mutation(
+    ctx: K0Context,
+    t: TiltingObject,
+    k: int,
+    candidates: Sequence[K0Class],
+    memo_key: tuple,
+) -> tuple[TiltingObject, MutationEvent]:
+    """Second half of `mutate`: decode the candidate classes of
+    `_candidate_classes(ctx, t, k)`, keep the ones that are exceptional
+    sheaves ext-orthogonal to the other summands in both directions, and
+    exchange T_k for the one survivor (`_exchange`, which checks the
+    direction and inserts the complement at its place in the canonical
+    order).  No survivor raises ComplementNotFound, more than one
+    ComplementNotUnique.  The result is written into the mutation memo
+    under `memo_key`, the key (t.class_key(), k) that the caller built
+    for its lookup.
+    """
+    others = t.summands[:k] + t.summands[k + 1 :]
+    survivors: list[ExcObject] = []
+    for c in candidates:
         try:
-            obj = exc_from_class(ctx, K0Class(tuple(vec)))
+            obj = exc_from_class(ctx, c)
         except (NotSheafLike, NotExceptionalHere):
             continue
         if all(
@@ -473,11 +494,34 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
         raise ComplementNotUnique(
             f"{len(survivors)} complements found when mutating at index {k}"
         )
-    result, event = _exchange(ctx, t, k, survivors[0])
+    got = _exchange(ctx, t, k, survivors[0])
     if len(ctx._mutations) > 300_000:
         ctx._mutations.clear()
-    ctx._mutations[memo_key] = (result, event)
-    return result, event
+    ctx._mutations[memo_key] = got
+    return got
+
+
+def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, MutationEvent]:
+    """Exchange summand k for the unique other complement.
+
+    The memo lookup, then the two halves: `_candidate_classes` finds the
+    classes the complement can have, and `_complete_mutation` decodes
+    them, keeps the one complement and writes the memo.  The tilting
+    graph export (`connect.explore_graph`) runs the halves itself, so it
+    can drop a child from its candidate classes alone.
+
+    Precondition: t is tilting (see `make_tilting`); the result is then
+    tilting without a re-check.  The complement is unique (Happel-Unger)
+    and its class is -[T_k] modulo the other summands, so the classes
+    of the result have determinant -det(t) = +-1, and the only new ext
+    pairs are the ones between the complement and the other summands,
+    checked in `_complete_mutation`.
+    """
+    memo_key = (t.class_key(), k)
+    got = ctx._mutations.get(memo_key)
+    if got is None:
+        got = _complete_mutation(ctx, t, k, _candidate_classes(ctx, t, k), memo_key)
+    return got
 
 
 def apr_mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, MutationEvent]:

@@ -30,11 +30,12 @@ from tubtilt.errors import (
     BasisMismatch,
     BudgetExhausted,
     InternalConsistencyError,
+    NotSheafLike,
     PreconditionError,
 )
 from tubtilt.intmat import det as int_det
 from tubtilt.intmat import mat_vec
-from tubtilt.k0 import K0Class, line_bundle_class, rank_of
+from tubtilt.k0 import K0Class, build_context, line_bundle_class, rank_of, slope_of
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import (
     MutationEvent,
@@ -60,6 +61,7 @@ from tubtilt.weights import (
     TUBULAR_TYPES,
     LElement,
     c_gen,
+    make_weights,
     l_add,
     l_neg,
     l_normalize,
@@ -324,6 +326,24 @@ def _dichotomy_partner(ctx, t, lobj, pick_high):
 
 def _oracle_route(ctx, t):
     return _paper_route(ctx, t, connect._Clock(SearchBudget()))
+
+
+def test_paper_route_reaches_the_hom_branch(ctx244):
+    # a (2,4,4) end with 2 in its slope range and no line-bundle summand,
+    # some summand of which has Ext into O(2 x_3): the oracle replaces that
+    # line bundle by its tau-inverse (found by a seeded search over bundle
+    # walks of 1-40 steps; (2,2,2,2) and (3,3,3) gave no such end)
+    ctx = ctx244
+    end = random_walk(ctx, 24, 584267441, bundle_only=True).end
+    assert _range_integer(ctx, end) == 2
+    assert not any(s.len == 1 and rank_of(ctx, s.cls) == 1 for s in end.summands)
+    w = ctx.weights
+    lobj = line_bundle_obj(ctx, l_normalize(w, (0,) * (w.t - 1) + (2,), 0))
+    assert any(ext_dim(ctx, s, lobj) for s in end.summands)
+    assert not any(hom_dim(ctx, s, lobj) for s in end.summands)
+    path = _oracle_route(ctx, end)
+    assert path.end.class_key() == t_can(ctx).class_key()
+    assert verify_path(ctx, path)
 
 
 # -- the search against the eager node frontier it replaced ---------------------
@@ -1070,18 +1090,19 @@ def test_explore_graph_matches_the_full_window_test(any_ctx, monkeypatch):
         # T_can's O has slope 0, outside; its other summands are inside
         (tc, Slope(1, 100), INF, 20),
     ]
-    real_mutate = connect.mutate
+    real_complete = connect._complete_mutation
     made = []
 
-    def spy(ctx, t, k):
-        t2, ev = real_mutate(ctx, t, k)
+    def spy(ctx, t, k, candidates, memo_key):
+        t2, ev = real_complete(ctx, t, k, candidates, memo_key)
         made.append(t2.class_key())
         return t2, ev
 
-    monkeypatch.setattr(connect, "mutate", spy)
+    monkeypatch.setattr(connect, "_complete_mutation", spy)
     for start, lo, hi, top in cases:
         for cap in (1, 2, 8, top):
             made.clear()
+            ctx._mutations.clear()  # cold: every child the BFS completes lands in the spy
             got = explore_graph(ctx, start, lo, hi, cap)
             want = _full_test_explore_graph(ctx, start, lo, hi, cap)
             keys = [t.class_key() for t in got[0]]
@@ -1106,14 +1127,15 @@ def test_explore_graph_rejects_a_third_complement(ctx2222, monkeypatch):
     tc = t_can(ctx)
     x = mutate(ctx, tc, 1)[1].added
     fake = make_tilting(ctx, tc.summands[1:] + (x,))
-    real_mutate = connect.mutate
+    real_complete = connect._complete_mutation
 
-    def fake_mutate(ctx, t, k):
+    def fake_complete(ctx, t, k, candidates, memo_key):
         if t == tc and k == 1:
             return fake, MutationEvent(1, tc.summands[1], x, "L")
-        return real_mutate(ctx, t, k)
+        return real_complete(ctx, t, k, candidates, memo_key)
 
-    monkeypatch.setattr(connect, "mutate", fake_mutate)
+    monkeypatch.setattr(connect, "_complete_mutation", fake_complete)
+    ctx._mutations.clear()  # the BFS completes T_can at 1 instead of reading the memo
     with pytest.raises(InternalConsistencyError, match="three known nodes"):
         explore_graph(ctx, tc, Slope(-10, 1), INF, 10)
 
@@ -1185,6 +1207,87 @@ def test_golden_graphs():
         keys = [t.class_key() for t in nodes]
         got[ws, seed] = hashlib.sha256(repr((keys, edges)).encode()).hexdigest()
     assert got == GOLDEN_GRAPH
+
+
+def test_explore_graph_completes_only_the_children_it_keeps(monkeypatch):
+    # every mutation of the BFS is cold, so it runs through the two halves
+    # of mutate
+    searched, completed = [], []
+    real_candidates = connect._candidate_classes
+    real_complete = connect._complete_mutation
+
+    def candidates_spy(ctx, t, k):
+        got = real_candidates(ctx, t, k)
+        searched.append((t, k, got))
+        return got
+
+    def complete_spy(ctx, t, k, candidates, memo_key):
+        completed.append((t, k))
+        return real_complete(ctx, t, k, candidates, memo_key)
+
+    monkeypatch.setattr(connect, "_candidate_classes", candidates_spy)
+    monkeypatch.setattr(connect, "_complete_mutation", complete_spy)
+
+    def run(ctx, start, lo, hi, cap):
+        searched.clear()
+        completed.clear()
+        ctx._mutations.clear()  # random_walk fills it
+        nodes, edges = explore_graph(ctx, start, lo, hi, cap)
+        for t, k, candidates in searched:
+            if t == start:
+                # a child keeping a start summand outside the window is
+                # skipped before its candidates are searched
+                assert all(lo <= s.slope <= hi for j, s in enumerate(t.summands) if j != k)
+            if (t, k) in completed:
+                continue
+            for c in candidates:
+                try:
+                    q = slope_of(ctx, c)
+                except NotSheafLike:
+                    continue
+                assert not lo <= q <= hi
+            # the reason: the complement lies outside the window
+            assert not lo <= mutate(ctx, t, k)[1].added.slope <= hi
+        # a completed child whose complement lies in the window is a new
+        # node (another candidate class may have passed the window test)
+        children = [mutate(ctx, t, k) for t, k in completed]
+        assert nodes[1:] == [t2 for t2, ev in children if lo <= ev.added.slope <= hi]
+        keys = [t.class_key() for t in nodes]
+        want = _full_test_explore_graph(ctx, start, lo, hi, cap)
+        assert keys == [t.class_key() for t in want[0]]
+        assert edges == want[1]
+        return keys, edges
+
+    got = {}
+    skipped = 0
+    for ws, seed in GOLDEN_GRAPH:
+        ctx = build_context(make_weights(ws))
+        if seed is None:
+            start, lo, hi = t_can(ctx), Slope(0, 1), INF
+        else:
+            start = random_walk(ctx, 5, seed=seed, bundle_only=True).end
+            lo, hi = slope_range(ctx, start)
+            lo, hi = Slope(lo.floor() - 1, 1), Slope(hi.floor() + 2, 1)
+        got[ws, seed] = hashlib.sha256(repr(run(ctx, start, lo, hi, 16)).encode()).hexdigest()
+        assert len(completed) == 15
+        skipped += len(searched) - len(completed)
+        # T_can's O has slope 0, outside; its other summands are inside, so
+        # of T_can's children only the one replacing O is searched
+        ctx = build_context(make_weights(ws))
+        tc = t_can(ctx)
+        run(ctx, tc, Slope(1, 100), INF, 20)
+        assert [k for t, k, _ in searched if t == tc] == [
+            k for k, s in enumerate(tc.summands) if s.slope == Slope(0, 1)
+        ]
+    assert got == GOLDEN_GRAPH
+    assert skipped > 0
+
+    # the reference count: 29 of the 75 candidate searches are completed,
+    # one per node after the start; the other 46 children lie outside
+    ctx = build_context(make_weights((2, 3, 6)))
+    keys, edges = run(ctx, t_can(ctx), Slope(0, 1), Slope(6, 1), 30)
+    assert (len(keys), len(edges)) == (30, 43)
+    assert (len(searched), len(completed)) == (75, 29)
 
 
 def test_golden_paths():

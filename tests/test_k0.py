@@ -2,11 +2,15 @@ import random
 
 import pytest
 
-from tubtilt.errors import NotSheafLike, PreconditionError
+from tubtilt.errors import NotSheafLike, PreconditionError, SearchBoundExceeded
 from tubtilt.intmat import det as int_det
 from tubtilt.intmat import identity, mat_pow, mat_vec
 from tubtilt.k0 import (
     K0Class,
+    _emit,
+    _min_tube_norm,
+    _svec_from_d,
+    _tube_dvectors,
     chi,
     chi_bar,
     deg_of,
@@ -16,7 +20,8 @@ from tubtilt.k0 import (
     slope_of,
 )
 from tubtilt.slopes import INF, Slope
-from tubtilt.weights import c_gen, delta, l_normalize, l_zero, omega, x_gen
+from tubtilt.verify import context_for
+from tubtilt.weights import TUBULAR_TYPES, c_gen, delta, l_normalize, l_zero, omega, x_gen
 
 def tau_class(ctx, c):
     """The class of tau of an object of class c."""
@@ -250,3 +255,70 @@ def test_root_enumeration_matches_brute_force_236(ctx236):
     got = {c.vec for c in enumerate_roots_at(ctx236, INF, 3)}
     brute = _brute_force_roots(ctx236, INF, 3, span=4)
     assert got == brute
+
+
+def _reference_roots(ctx, q, m_max):
+    """The enumerator before the last-tube lookup: one pruned recursion
+    over all t tubes, each leaf with norm 0 left handed to `_emit`, which
+    drops it unless the degree congruence holds."""
+    w = ctx.weights
+    t = w.t
+    bound = ctx.p * (1 + m_max * max(abs(q.num), q.den))
+    out = []
+    for m in range(1, m_max + 1):
+        d0 = m * q.num
+        r0 = m * q.den
+        budget = 2 + (t - 2) * r0 * r0
+        mins = [_min_tube_norm(p_i, r0) for p_i in w.weights]
+        if sum(mins) > budget:
+            continue
+        suffix_min = [0] * (t + 1)
+        for i in range(t - 1, -1, -1):
+            suffix_min[i] = suffix_min[i + 1] + mins[i]
+
+        def rec(i, left, svecs):
+            if i == t:
+                if left == 0:
+                    _emit(ctx, m, d0, r0, svecs, bound, out)
+                return
+            cap = left - suffix_min[i + 1]
+            for d in _tube_dvectors(w.weights[i], r0, cap):
+                svecs.append(_svec_from_d(r0, d))
+                rec(i + 1, left - sum(x * x for x in d), svecs)
+                svecs.pop()
+
+        rec(0, budget, [])
+    out.sort()
+    return tuple(K0Class(vec) for _, vec in out)
+
+
+DIFFERENTIAL_SLOPES = [
+    INF,
+    Slope(0, 1),
+    Slope(1, 2),
+    Slope(-1, 2),
+    Slope(7, 3),
+    Slope(-5, 4),
+    Slope(37, 53),
+    Slope(-29, 61),
+]
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_root_enumeration_matches_the_reference(ws):
+    ctx = context_for(ws)
+    for q in DIFFERENTIAL_SLOPES:
+        for m_max in range(1, ctx.p + 1):
+            got = enumerate_roots_at(ctx, q, m_max)
+            assert got == _reference_roots(ctx, q, m_max), (q, m_max)
+            assert got, (q, m_max)
+
+
+def test_root_coefficient_above_the_bound_raises(ctx2222):
+    # slope 0, m = 1: the class of O, whose rank coordinate 1 exceeds bound 0
+    out = []
+    with pytest.raises(SearchBoundExceeded, match="outside the documented bound 0"):
+        _emit(ctx2222, 1, 0, 1, [(0,)] * 4, 0, out)
+    assert out == []
+    _emit(ctx2222, 1, 0, 1, [(0,)] * 4, 1, out)
+    assert out == [(1, (1, 0, 0, 0, 0, 0))]
