@@ -31,19 +31,16 @@ from .tilting import TiltingObject, is_tilting, make_tilting, mutate, purge_tors
 from .tubes import chart_for
 from .weights import make_weights
 
-# The names of verify.SUITE_ORDER, kept here so that only the verify
+# The names of verify.SUITE_ORDER, the eleven acceptance criteria of
+# tests/test_acceptance.py in order, kept here so that only the verify
 # command imports `verify`.
 SUITE_NAMES = (
     "structure",
-    "weights",
-    "k0",
     "charts",
-    "excalc",
     "canonical",
     "mutation",
     "slopes",
     "wings",
-    "dichotomy",
     "purge",
     "abcd",
     "connect",
@@ -182,7 +179,7 @@ def _load_tilting(
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ValidationError(f"{spec}: not a readable JSON file: {exc}") from None
         if not shared and args.weights is not None:
             ctx = build_context(make_weights(args.weights))
@@ -243,7 +240,13 @@ def _cmd_mutate(args) -> int:
         k = int(args.at)
     except ValueError:
         obj = eval_object(ctx, parse_expr(args.at))
-        k = t.index_of(obj)
+        try:
+            k = t.index_of(obj)
+        except ValueError:
+            raise ValidationError(
+                f"--at {args.at}: the object of class {list(obj.cls.vec)} "
+                "is not a summand"
+            ) from None
     if not 0 <= k < ctx.n:
         raise ValidationError(f"index {k} out of range 0..{ctx.n - 1}")
     t2, ev = mutate(ctx, t, k)

@@ -388,14 +388,15 @@ def completion_containing(
 ) -> TiltingObject:
     """A tilting bundle containing the seed objects as summands.
 
-    Greedy exact search: candidates are chart windows at slopes ordered
-    by Stern-Brocot proximity to the seed slopes (torsion last), pruned
-    by pairwise ext-orthogonality; the pool widens on failure.  That
-    prune suffices: in coh X pairwise ext-orthogonal exceptional objects
-    form a partial tilting object, which completes to a tilting object
-    whose classes are a Z-basis of K0.  Any torsion summands of the
-    found tilting object are mutated away afterwards, which never
-    touches the seed.
+    Greedy exact search: candidates are chart windows at the seed slopes
+    and at every slope of capped denominator in an integer window around
+    them (`_pool_slopes`), ordered by denominator, then value (torsion
+    last), pruned by pairwise ext-orthogonality; the cap and the window
+    widen on failure.  That prune suffices: in coh X pairwise
+    ext-orthogonal exceptional objects form a partial tilting object,
+    which completes to a tilting object whose classes are a Z-basis of
+    K0.  Any torsion summands of the found tilting object are mutated
+    away afterwards, which never touches the seed.
 
     The pool rounds cap denominators at 2-11.  Seeds at Farey-neighbour
     slopes (19/83 and 11/48, say) have no slope strictly between them

@@ -105,17 +105,25 @@ class _Tokens:
                 col += 1
                 continue
             start_col = col
-            if ch.isdigit():
+            # ASCII only: str.isdigit also accepts characters such as
+            # superscripts, which int() rejects
+            if ch.isascii() and ch.isdigit():
                 j = i
-                while j < len(src) and src[j].isdigit():
+                while j < len(src) and src[j].isascii() and src[j].isdigit():
                     j += 1
+                try:
+                    int(src[i:j])
+                except ValueError:  # past the interpreter's digit limit
+                    raise ExprSyntaxError(
+                        f"integer literal of {j - i} digits is too long", line, start_col
+                    ) from None
                 self.items.append(("int", src[i:j], line, start_col))
                 col += j - i
                 i = j
                 continue
-            if ch.isalpha():
+            if ch.isascii() and ch.isalpha():
                 j = i
-                while j < len(src) and src[j].isalnum():
+                while j < len(src) and src[j].isascii() and src[j].isalnum():
                     j += 1
                 self.items.append(("name", src[i:j], line, start_col))
                 col += j - i

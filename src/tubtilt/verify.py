@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable
 
@@ -28,11 +27,8 @@ from .k0 import (
     K0Class,
     K0Context,
     build_context,
-    chi,
     chi_bar,
     deg_of,
-    enumerate_roots_at,
-    line_bundle_class,
     rank_of,
 )
 from .slopes import INF, Slope
@@ -51,28 +47,16 @@ from .tilting import (
 )
 from .tubes import (
     ExcObject,
-    Window,
     build_chart,
     chart_for,
-    coords_of_class,
-    ext_dim,
-    hom_dim,
     line_bundle_obj,
-    tau_obj,
-    tube_hom_oracle,
     wing_contains,
 )
 from .weights import (
     TUBULAR_TYPES,
     c_gen,
-    delta,
-    is_effective,
-    l_add,
-    l_neg,
-    l_normalize,
     l_zero,
     make_weights,
-    omega,
 )
 
 CHECK_SLOPES = [
@@ -177,55 +161,6 @@ def suite_structure(trials: int = 10_000, seed: int = 1) -> list[CheckResult]:
     return out
 
 
-# -- suite: weight-lattice laws ----------------------------------------------
-
-
-def suite_weights(trials: int = 10_000, seed: int = 2) -> list[CheckResult]:
-    out = []
-    rng = random.Random(seed)
-    for ws in TUBULAR_TYPES:
-        w = make_weights(ws)
-
-        def rand_elt():
-            return l_normalize(
-                w,
-                [rng.randrange(-12, 13) for _ in range(w.t)],
-                rng.randrange(-12, 13),
-            )
-
-        bad = 0
-        for _ in range(trials // 4):
-            x, y, z = rand_elt(), rand_elt(), rand_elt()
-            if l_add(l_add(x, y), z) != l_add(x, l_add(y, z)):
-                bad += 1
-            if l_add(x, y) != l_add(y, x):
-                bad += 1
-            if l_add(x, l_neg(x)) != l_zero(w):
-                bad += 1
-            if delta(l_add(x, y)) != delta(x) + delta(y):
-                bad += 1
-        out.append(CheckResult(f"weights[{ws}]: group laws and delta", bad == 0))
-        om = omega(w)
-        order = 1
-        acc = om
-        while acc != l_zero(w):
-            acc = l_add(acc, om)
-            order += 1
-            if order > 2 * w.p:
-                break
-        out.append(CheckResult(f"weights[{ws}]: omega has order p", order == w.p))
-        out.append(CheckResult(f"weights[{ws}]: delta(omega) == 0", delta(om) == 0))
-        out.append(
-            CheckResult(
-                f"weights[{ws}]: effectivity examples",
-                is_effective(l_zero(w))
-                and is_effective(c_gen(w))
-                and not is_effective(om),
-            )
-        )
-    return out
-
-
 # -- suite 2: chart census ------------------------------------------------------
 
 
@@ -263,53 +198,6 @@ def suite_charts(trials: int = 0, seed: int = 0) -> list[CheckResult]:
         out.append(CheckResult(f"charts[{ws}]: realizability across slopes", ok))
     elapsed = time.perf_counter() - start
     out.append(CheckResult("charts: runtime < 10s", elapsed < 10.0, f"{elapsed:.2f}s"))
-    return out
-
-
-# -- suite: exceptional calculus -------------------------------------------------
-
-
-def suite_excalc(trials: int = 10_000, seed: int = 3) -> list[CheckResult]:
-    out = []
-    rng = random.Random(seed)
-    for ws in TUBULAR_TYPES:
-        ctx = context_for(ws)
-        xs = _sample_exceptionals(ctx, rng, trials // 4)
-        ys = _sample_exceptionals(ctx, rng, trials // 4)
-        bad_sign = bad_serre = bad_round = 0
-        for x, y in zip(xs, ys):
-            h, e = hom_dim(ctx, x, y), ext_dim(ctx, x, y)
-            if h < 0 or e < 0:
-                bad_sign += 1
-            if e != hom_dim(ctx, y, tau_obj(ctx, x)):
-                bad_serre += 1
-            if coords_of_class(ctx, chart_for(ctx, x.slope), x.cls) != x:
-                bad_round += 1
-        out.append(
-            CheckResult(
-                f"excalc[{ws}]: hom >= 0 and ext >= 0 on random pairs", bad_sign == 0
-            )
-        )
-        out.append(CheckResult(f"excalc[{ws}]: Serre duality", bad_serre == 0))
-        out.append(CheckResult(f"excalc[{ws}]: coordinate round-trip", bad_round == 0))
-    # Wing morphism vanishing, exhaustive inside single tubes of rank <= 6.
-    ok = True
-    for r in range(2, 7):
-        for zs in range(r):
-            for zl in range(1, r):
-                for xs_ in range(r):
-                    for xl in range(1, r):
-                        in_wing = (xs_ - zs) % r + xl <= zl
-                        if in_wing:
-                            continue
-                        if tube_hom_oracle(r, Window(xs_, xl), Window(zs, zl)) != 0:
-                            continue
-                        for ys_off in range(zl):
-                            for yl in range(1, zl - ys_off + 1):
-                                y = Window((zs + ys_off) % r, yl)
-                                if tube_hom_oracle(r, Window(xs_, xl), y) != 0:
-                                    ok = False
-    out.append(CheckResult("excalc: wing morphism vanishing (ranks 2..6)", ok))
     return out
 
 
@@ -606,107 +494,6 @@ def suite_complements(trials: int = 0, seed: int = 0) -> list[CheckResult]:
     ]
 
 
-# -- suite: k0 extras -------------------------------------------------------------------
-
-
-def suite_k0(trials: int = 2000, seed: int = 10) -> list[CheckResult]:
-    out = []
-    rng = random.Random(seed)
-    for ws in TUBULAR_TYPES:
-        ctx = context_for(ws)
-        w = ctx.weights
-        seen = {}
-        bad_inj = bad_deg = 0
-        for _ in range(trials // 4):
-            x = l_normalize(
-                w, [rng.randrange(-8, 9) for _ in range(w.t)], rng.randrange(-8, 9)
-            )
-            cls = line_bundle_class(ctx, x)
-            if deg_of(ctx, cls) != delta(x) or rank_of(ctx, cls) != 1:
-                bad_deg += 1
-            prev = seen.get(cls.vec)
-            if prev is not None and prev != x:
-                bad_inj += 1
-            seen[cls.vec] = x
-        out.append(
-            CheckResult(
-                f"k0[{ws}]: line bundle classes injective with deg == delta",
-                bad_inj == 0 and bad_deg == 0,
-            )
-        )
-    # Exhaustiveness cross-check on (2,2,2,2): brute force over a box that
-    # strictly contains every emitted root.  Inside the slice of fixed
-    # (deg, rank) the fiber coordinate is pinned by the degree equation,
-    # so the sweep runs over the simple coordinates with a wide margin.
-    ctx = context_for((2, 2, 2, 2))
-    ok = True
-    for q, m_max in ((INF, 2), (Slope(0, 1), 1), (Slope(1, 2), 2)):
-        got = {c.vec for c in enumerate_roots_at(ctx, q, m_max)}
-        if any(
-            max(abs(v) for v in vec) > 2 * m_max * max(abs(q.num), q.den) + 2
-            for vec in got
-        ):
-            ok = False  # margin assumption would be hollow
-            continue
-        brute = set()
-        for m in range(1, m_max + 1):
-            d0, r0 = m * q.num, m * q.den
-            span = range(-4, r0 + 5)
-            for s1 in span:
-                for s2 in span:
-                    for s3 in span:
-                        for s4 in span:
-                            rem = d0 - (s1 + s2 + s3 + s4)
-                            if rem % 2:
-                                continue
-                            vec = (r0, s1, s2, s3, s4, rem // 2)
-                            cls = K0Class(vec)
-                            if chi(ctx, cls, cls) == 1:
-                                brute.add(vec)
-        if got != brute:
-            ok = False
-    out.append(CheckResult("k0[(2,2,2,2)]: root enumeration matches brute force", ok))
-    return out
-
-
-# -- suite: line-bundle dichotomy ---------------------------------------------------------
-
-
-def suite_dichotomy(trials: int = 40, seed: int = 11) -> list[CheckResult]:
-    out = []
-    for ws in TUBULAR_TYPES:
-        ctx = context_for(ws)
-        rng = random.Random(seed)
-        bad = 0
-        for node in _walk_nodes(ctx, rng, trials, bundle_only=True):
-            lo, hi = slope_range(ctx, node)
-            for m in range(lo.floor() - ctx.p, hi.floor() + ctx.p + 1):
-                for _ in range(2):
-                    x = l_normalize(
-                        ctx.weights,
-                        [rng.randrange(0, p_i) for p_i in ctx.weights.weights],
-                        0,
-                    )
-                    d = delta(x)
-                    adj = Fraction(m - d, ctx.p)
-                    if adj.denominator != 1:
-                        continue
-                    lb = line_bundle_obj(
-                        ctx, l_add(x, l_normalize(ctx.weights, [0] * ctx.weights.t, int(adj)))
-                    )
-                    has_ext = any(ext_dim(ctx, s, lb) for s in node.summands)
-                    has_hom = any(hom_dim(ctx, s, lb) for s in node.summands)
-                    if has_ext and has_hom:
-                        bad += 1
-        out.append(
-            CheckResult(
-                f"dichotomy[{ws}]: Ext(T,L) = 0 or Hom(T,L) = 0 for sampled L",
-                bad == 0,
-            )
-        )
-    return out
-
-
 def suite_cli(trials: int = 1000, seed: int = 12) -> list[CheckResult]:
     """Serialization round-trips, expression round-trips, CLI determinism."""
     import io
@@ -791,15 +578,11 @@ def suite_cli(trials: int = 1000, seed: int = 12) -> list[CheckResult]:
 
 SUITES: dict[str, Callable[..., list[CheckResult]]] = {
     "structure": suite_structure,
-    "weights": suite_weights,
-    "k0": suite_k0,
     "charts": suite_charts,
-    "excalc": suite_excalc,
     "canonical": suite_canonical,
     "mutation": suite_mutation,
     "slopes": suite_slopes,
     "wings": suite_wings,
-    "dichotomy": suite_dichotomy,
     "purge": suite_purge,
     "abcd": suite_abcd,
     "connect": suite_connect,

@@ -93,3 +93,21 @@ def test_criterion_11_verify_all_exits_zero():
     assert "FAIL" not in out
     assert code == 0
     print("ACCEPTANCE 11 (verify --suite all): PASS")
+
+
+def test_verify_runs_exactly_the_eleven_criteria():
+    from tubtilt import verify
+
+    assert list(verify.SUITES.values()) == [
+        suite_structure,
+        suite_charts,
+        suite_canonical,
+        suite_mutation,
+        suite_slopes,
+        suite_wings,
+        suite_purge,
+        suite_abcd,
+        suite_connect,
+        suite_complements,
+        suite_cli,
+    ]

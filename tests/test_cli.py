@@ -1,11 +1,14 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tubtilt import cli, serialize, verify
 from tubtilt.errors import InternalConsistencyError
@@ -71,6 +74,8 @@ def test_usage_error_exit_code(tmp_path):
         ["verify", "--suite", "connect", "--trials", "0"],
         ["verify", "--suite", "connect", "--trials", "-1"],
         ["verify", "--suite", "bogus"],
+        # their checks live in the unit tests; verify runs the acceptance criteria
+        *(["verify", "--suite", suite] for suite in ("weights", "k0", "excalc", "dichotomy")),
         ["--no-cache", "--weights", "2,2,2,2", "info"],
     ):
         code, out, err = run_cli(argv)
@@ -114,6 +119,7 @@ def test_check_file(tmp_path):
         '{"weights": [2, 2, 2, 2], "summands": {"class": [1, 0, 0, 0, 0, 0]}}',
         "[]",
         "",
+        pytest.param("[" * 200_000 + "]" * 200_000, id="nested-200000-deep"),
     ],
 )
 def test_malformed_json_file_is_one_diagnostic(tmp_path, text):
@@ -236,6 +242,16 @@ def test_mutate_at_expression():
     )
     assert code == 0
     assert json.loads(out)["event"]["added"] == [3, 1, 1, 1, 1, -1]
+
+
+def test_mutate_at_an_object_that_is_not_a_summand():
+    at = "E(inf; t=0; s=0; l=1)"
+    code, out, err = run_cli(["--weights", "2,2,2,2", "mutate", "Tcan", "--at", at])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["error"] == "ValidationError"
+    assert at in diag["message"] and "not a summand" in diag["message"]
 
 
 def test_walk_and_connect(tmp_path):
@@ -428,3 +444,176 @@ def test_chart_ignores_tubtilt_cache(tmp_path, monkeypatch):
     assert c2 == 0
     assert out2 == out
     assert list(tmp_path.iterdir()) == []
+
+
+# -- the exit contract under fuzzed command lines -----------------------------
+
+
+@dataclass(frozen=True)
+class _File:
+    """A file argument, written under a scratch directory when the example runs."""
+
+    text: str
+
+
+@dataclass(frozen=True)
+class _Dot:
+    """A --dot path relative to the scratch directory."""
+
+    name: str
+
+
+def _records():
+    """Tilting records of every type, a mutated one and one that is not tilting."""
+    out = []
+    for ws in ((2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)):
+        ctx = context_for(ws)
+        out.append(serialize.tilting_to_dict(ctx, t_can(ctx)))
+    ctx = context_for((2, 2, 2, 2))
+    out.append(serialize.tilting_to_dict(ctx, mutate(ctx, t_can(ctx), 1)[0]))
+    w = ctx.weights
+    oc = line_bundle_obj(ctx, c_gen(w))
+    summands = [line_bundle_obj(ctx, omega(w)) if s == oc else s for s in t_can(ctx).summands]
+    out.append(serialize.tilting_to_dict(ctx, make_tilting(ctx, summands)))
+    return out
+
+
+_RECORDS = _records()
+
+
+def _mostly(valid, invalid):
+    """Draws from `valid` three times in four."""
+    return st.integers(0, 3).flatmap(lambda i: invalid if i == 3 else valid)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(["", "inf", "1/2", "x"]),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(
+        st.sampled_from(["weights", "summands", "class", "slope", "orbit", "socle", "len"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _damaged_record(draw):
+    record = json.loads(json.dumps(draw(st.sampled_from(_RECORDS))))
+    target = draw(st.sampled_from(["weights", "summands", "summand", "field"]))
+    if target in ("weights", "summands"):
+        record[target] = draw(_JSON)
+    else:
+        summand = record["summands"][draw(st.integers(0, len(record["summands"]) - 1))]
+        if target == "summand":
+            summand["class"] = draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+        else:
+            summand[draw(st.sampled_from(["slope", "orbit", "socle", "len"]))] = draw(_JSON)
+    return record
+
+
+_FILES = st.builds(
+    _File,
+    st.one_of(
+        st.sampled_from(_RECORDS).map(serialize.dumps),
+        _damaged_record().map(json.dumps),
+        _JSON.map(json.dumps),
+        st.text(max_size=8),
+    ),
+)
+
+# malformed and non-ASCII tokens; none of them reads as a large number
+_JUNK = st.sampled_from(
+    ["", "-", "..", "/", "x", "1/0", "inf/2", "²", "٣", "K[²]", "L(x²)", "mu(Tcan, ²)",
+     "Tcañ", "mu(Tcan,", "K[1,", "Q(1)", "L(x9)", "E(1/2; t=7; s=0; l=1)", "--weights"]
+)
+_EXPRS = st.sampled_from(
+    ["Tcan", "Tcan(x1-c)", "mu(Tcan, 0)", "mu(mu(Tcan, 2), 1)", "mu(Tcan, 9)", "L(0)",
+     "L(x2+c)", "K[3,1,1,1,1,0]", "K[0,0,0,0,0,1]", "E(inf; t=0; s=0; l=1)",
+     "E(1/2; t=1; s=1; l=1)"]
+)
+_TILTING = _mostly(_EXPRS | _FILES, _JUNK)
+_INTS = _mostly(st.integers(-2, 12).map(str), _JUNK)
+_SLOPES = _mostly(st.sampled_from(["inf", "0", "3", "-1/2", "37/53", "-29/61"]), _JUNK)
+_WINDOWS = _mostly(
+    st.sampled_from(["0..2", "0..inf", "-1..1", "1/2..3"]),
+    _JUNK | st.sampled_from(["2..0", "inf..0", "0..²"]),
+)
+_WEIGHTS = _mostly(
+    st.sampled_from([["--weights", "2,2,2,2"], ["--weights", "2,3,6"], ["--weights", "2,4,4"],
+                     ["--weights", "3,3,3"]]),
+    st.sampled_from([[], ["--weights", "2,3,5"], ["--weights", "2,²,2,2"]]),
+)
+_COMMANDS = st.one_of(
+    st.just(["info"]),
+    _TILTING.map(lambda t: ["check", t]),
+    st.tuples(_TILTING, _mostly(st.integers(0, 9).map(str), _EXPRS | _JUNK)).map(
+        lambda a: ["mutate", a[0], "--at", a[1]]
+    ),
+    _SLOPES.map(lambda q: ["chart", "--slope", q]),
+    _TILTING.map(lambda t: ["purge", t]),
+    st.tuples(_mostly(st.sampled_from(["0", "1", "2"]), st.just("-1")), _INTS, st.booleans()).map(
+        lambda a: ["walk", "--steps", a[0], "--seed", a[1]] + ["--bundle-only"] * a[2]
+    ),
+    st.tuples(
+        _WINDOWS,
+        _mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "x"])),
+        _mostly(st.just(_Dot("g.dot")), st.sampled_from([_Dot("."), _Dot("missing/g.dot")])),
+        _mostly(_EXPRS, _TILTING),
+    ).map(
+        lambda a: ["graph", "--slope-window", a[0], "--max-nodes", a[1], "--dot", a[2],
+                   "--from", a[3]]
+    ),
+)
+_ARGV = st.tuples(_WEIGHTS, _COMMANDS).map(lambda a: a[0] + a[1])
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _materialize(argv, directory):
+    out = []
+    for arg in argv:
+        if isinstance(arg, _Dot):
+            arg = str(directory / arg.name)
+        elif isinstance(arg, _File):
+            data = arg.text.encode("utf-8")
+            path = directory / f"{hashlib.sha1(data).hexdigest()}.json"
+            path.write_bytes(data)
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(argv=_ARGV)
+@example(argv=["--weights", "2,2,2,2", "mutate", "Tcan", "--at", "E(inf; t=0; s=0; l=1)"])
+@example(argv=["--weights", "2,2,2,2", "check", "K[²]"])
+@example(argv=["check", _File("[" * 200_000 + "]" * 200_000)])
+@example(argv=["check", _File(serialize.dumps(_RECORDS[-1]))])
+def test_exit_contract(scratch_dir, argv):
+    """Exit 0, 1 or 2; a failure leaves stdout empty and one JSON line with
+    `error` and `message` on stderr.  The one exception is `check` of a
+    record that is not tilting: exit 1 with its verdict on stdout."""
+    argv = _materialize(argv, scratch_dir)
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        return
+    if code == 1 and err == "" and "check" in argv:
+        verdict = json.loads(out)
+        assert verdict["tilting"] is False and out.count("\n") == 1
+        return
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert set(json.loads(err)) == {"error", "message"}

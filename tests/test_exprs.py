@@ -127,3 +127,20 @@ def test_print_parse_identity(ast):
 def test_lelem_print_parse_roundtrip(coeffs, c):
     ast = LineBundleExpr(LExprData(tuple(sorted(coeffs)), c))
     assert parse_expr(print_expr(ast)) == ast
+
+
+@pytest.mark.parametrize(
+    "src, column",
+    [("K[²]", 3), ("L(x²)", 4), ("mu(Tcan, ²)", 10), ("E(٣; t=0; s=0; l=1)", 3), ("Tcañ", 4)],
+)
+def test_non_ascii_digits_and_letters_are_unexpected(src, column):
+    # str.isdigit and str.isalpha accept them; int() and the names do not
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+        parse_expr(src)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_integer_literal_past_the_digit_limit():
+    with pytest.raises(ExprSyntaxError, match="5000 digits is too long") as err:
+        parse_expr("mu(Tcan, " + "9" * 5000 + ")")
+    assert (err.value.line, err.value.column) == (1, 10)

@@ -55,6 +55,7 @@ from tubtilt.verify import context_for
 from tubtilt.weights import (
     TUBULAR_TYPES,
     c_gen,
+    delta,
     l_add,
     l_normalize,
     l_zero,
@@ -475,15 +476,22 @@ def test_find_full_period_failure_path(ctx244):
 
 
 def test_line_bundle_dichotomy_sampled(any_ctx):
-    from tubtilt.tubes import ext_dim, hom_dim
-
+    # every line bundle of degree m, for m within p of the slope range:
+    # its x-part on the first t - 1 tubes is free, and the coefficient of
+    # x_t, of degree 1 since p_t = p, makes up the degree
     rng = random.Random(24)
     w = any_ctx.weights
-    for trial in range(6):
-        t = _walk(any_ctx, rng.randrange(1, 6), seed=900 + trial, bundle_only=True)
+    assert w.weights[-1] == w.p
+    heads = list(itertools.product(*(range(p_i) for p_i in w.weights[:-1])))
+    for trial in range(40):
+        t = _walk(any_ctx, rng.randrange(1, 9), seed=900 + trial, bundle_only=True)
         lo, hi = slope_range(any_ctx, t)
-        for m in range(lo.floor() - 1, hi.floor() + 2):
-            lb = line_bundle_obj(any_ctx, l_normalize(w, (0,) * (w.t - 1) + (m,), 0))  # O(m x_t)
-            has_ext = any(ext_dim(any_ctx, s, lb) for s in t.summands)
-            has_hom = any(hom_dim(any_ctx, s, lb) for s in t.summands)
-            assert not (has_ext and has_hom)
+        for m in range(lo.floor() - w.p, hi.floor() + w.p + 1):
+            for head in heads:
+                x = l_normalize(w, head + (0,), 0)
+                lb_x = l_normalize(w, head + (m - delta(x),), 0)
+                assert delta(lb_x) == m
+                lb = line_bundle_obj(any_ctx, lb_x)
+                has_ext = any(ext_dim(any_ctx, s, lb) for s in t.summands)
+                has_hom = any(hom_dim(any_ctx, s, lb) for s in t.summands)
+                assert not (has_ext and has_hom), (t.class_key(), lb_x)

@@ -33,7 +33,18 @@ from tubtilt.weights import (
     x_gen,
 )
 
-CHART_SLOPES = [INF, Slope(0, 1), Slope(1, 1), Slope(1, 2), Slope(-1, 2), Slope(1, 3), Slope(2, 3), Slope(3, 2)]
+CHART_SLOPES = [
+    INF,
+    Slope(0, 1),
+    Slope(1, 1),
+    Slope(1, 2),
+    Slope(-1, 2),
+    Slope(1, 3),
+    Slope(2, 3),
+    Slope(3, 2),
+    Slope(37, 53),
+    Slope(-29, 61),
+]
 
 
 def test_chart_census_2222(ctx2222):
@@ -376,7 +387,7 @@ def test_serre_duality_objects(any_ctx):
 
 
 def test_coords_round_trip(any_ctx):
-    for q in (INF, Slope(0, 1), Slope(1, 2)):
+    for q in CHART_SLOPES:
         chart = chart_for(any_ctx, q)
         for t, orbit in enumerate(chart.orbits):
             r = len(orbit)

@@ -114,9 +114,14 @@ def test_omega_order_equals_p():
 
 
 def test_effectivity():
-    assert is_effective(l_zero(W2222))
-    assert is_effective(c_gen(W2222))
-    assert not is_effective(omega(W2222))
+    for ws in TUBULAR_TYPES:
+        w = make_weights(ws)
+        assert is_effective(l_zero(w))
+        assert is_effective(c_gen(w))
+        assert not is_effective(omega(w))
+        for i in range(w.t):
+            assert is_effective(x_gen(w, i))
+            assert not is_effective(l_neg(x_gen(w, i)))
 
 
 weights_strategy = st.sampled_from(TUBULAR_TYPES)
