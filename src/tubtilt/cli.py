@@ -26,7 +26,7 @@ from .connect import (
 from .errors import NonTubularWeights, TubTiltError, ValidationError, WeightsMismatch
 from .exprs import eval_object, eval_tilting, parse_expr
 from .k0 import K0Context, build_context
-from .slopes import Slope
+from .slopes import Slope, ascii_int
 from .tilting import TiltingObject, is_tilting, make_tilting, mutate, purge_torsion
 from .tubes import chart_for
 from .weights import make_weights
@@ -73,12 +73,12 @@ def _arg_type(parse):
 
 
 def _weight_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    return tuple(ascii_int(x) for x in text.split(","))
 
 
 def _at_least(low: int):
     def parse(text: str) -> int:
-        value = int(text)
+        value = ascii_int(text)
         if value < low:
             raise ValueError(f"must be at least {low}")
         return value
@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="random mutation walk from the canonical bundle")
     p.add_argument("--steps", type=_at_least(0), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_arg_type(ascii_int), default=0)
     p.add_argument("--bundle-only", action="store_true")
 
     p = sub.add_parser("connect", help="mutation path to another tilting bundle")
@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     p.add_argument("--trials", type=_at_least(1), default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_arg_type(ascii_int), default=None)
 
     return parser
 
@@ -237,7 +237,7 @@ def _cmd_check(args) -> int:
 def _cmd_mutate(args) -> int:
     ctx, t = _load_tilting(args, args.tilting)
     try:
-        k = int(args.at)
+        k = ascii_int(args.at)
     except ValueError:
         obj = eval_object(ctx, parse_expr(args.at))
         try:
@@ -349,7 +349,22 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console script: `run`, then exit with its code.  A stdout
+    closed before the output is written (`tubtilt ... | head -c 80`) is
+    exit 1 with one JSON diagnostic on stderr, not a traceback."""
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The idiom of the Python `signal` docs: stdout goes to devnull, so
+        # that the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(
+            json.dumps({"error": "BrokenPipeError", "message": "stdout was closed early"}),
+            file=sys.stderr,
+        )
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -53,9 +53,12 @@ from .slopes import INF, Slope
 from .tilting import (
     MutationEvent,
     TiltingObject,
+    _bound_complements,
     _candidate_classes,
     _complete_mutation,
+    _enter_complement,
     _exchange,
+    _other_complement,
     check_basis,
     find_full_period_quasi_simple,
     is_bundle,
@@ -267,9 +270,10 @@ def shorten_path(ctx: K0Context, path: MutationPath) -> MutationPath:
     it or differs from it in one summand.  Such a node is the other
     complement of their common almost complete tilting object
     (Happel-Unger), so the spliced edge is the mutation of the kept node
-    at the summand it loses; InternalConsistencyError if it is not.  The
-    result is never longer and keeps both end points; its nodes are
-    nodes of the input.
+    at the summand it loses; InternalConsistencyError if it is not.
+    `mutate` reads that mutation off the complement table when the
+    search computed it, in either direction.  The result is never longer
+    and keeps both end points; its nodes are nodes of the input.
     """
     nodes = path.nodes
     sets = [frozenset(t.class_key()) for t in nodes]
@@ -581,7 +585,9 @@ def _stratum_path(
     its entry reaches the front.  An entry forecast to lower h carries
     the target summand the forecast names as its complement, and its
     child takes that summand after the rigidity and direction checks
-    (`_forecast_child`); any other entry calls `mutate`.  Either child
+    (`_forecast_child`); any other entry calls `mutate`, which answers
+    the entry taking a child back to its parent off the complement
+    table unless the child came from the forecast.  Either child
     is then checked against its forecast priority
     (InternalConsistencyError if they differ), dropped if it is
     not a bundle or was reached at no greater depth, and otherwise
@@ -758,39 +764,39 @@ def explore_graph(
     start's summands; where one of those is outside, the child is
     skipped before anything is computed.
 
-    Edges to known nodes are read off an index, not mutated.  The index
-    maps each almost complete key (a node's class key with summand k left
-    out, still in canonical order) to the nodes holding it and the
-    position of the summand they add.  An almost complete tilting object
-    has at most two complements (Happel-Unger), so the one other node
-    holding T minus T_k is the mutation of T at k; a third holder raises
-    InternalConsistencyError.  A key that no other node holds is mutated
-    only while the node set has room, since its child would be new.  So
-    one mutation is made per candidate new node, and none once the node
-    set is full.  max_nodes below 1 raises PreconditionError.
+    Edges to known nodes are read off the context's complement table
+    (`tilting._other_complement`), not mutated.  Each kept node enters
+    its n almost complete keys there (its class key with summand k left
+    out, still in canonical order); an almost complete tilting object has
+    at most two complements (Happel-Unger), so the other one known for
+    T minus T_k is the mutation of T at k, and a third raises
+    InternalConsistencyError.  The BFS itself keeps only a class key ->
+    node index dict.  A complement whose holder is no node of this call
+    is a mutation made before, and its holder a candidate new node.  A
+    key with no other complement is mutated only while the node set has
+    room, since its child would be new.  So one mutation is made per
+    candidate new node, and none once the node set is full.  max_nodes
+    below 1 raises PreconditionError.  A table past its cap is cleared
+    at the start of the call, never during it.
 
-    A mutation that is not in the memo runs in the two halves of
+    A mutation that is not in the table runs in the two halves of
     `mutate`.  The candidate search is exhaustive and the complement is
     unique, so when no sheaf-like candidate class has its slope in the
     window, the child's new summand is outside and the child is dropped
     without decoding any candidate (`_candidate_classes`); otherwise the
-    mutation is completed (`_complete_mutation`) and memoized as usual.
+    mutation is completed (`_complete_mutation`), which enters it into
+    the table as `mutate` does.
     """
     if max_nodes < 1:
         raise PreconditionError(f"max_nodes must be at least 1, got {max_nodes}")
+    _bound_complements(ctx)
     nodes = [start]
+    index = {start.class_key(): 0}
     edges: set[tuple[int, int]] = set()
-    holders: dict[tuple, list[tuple[int, int]]] = {}
 
-    def register(j: int, key: tuple) -> None:
-        for k in range(len(key)):
-            held = holders.setdefault(key[:k] + key[k + 1 :], [])
-            if len(held) == 2:
-                raise InternalConsistencyError(
-                    "three known nodes share an almost complete tilting object"
-                    f" (nodes {held[0][0]}, {held[1][0]} and {j})"
-                )
-            held.append((j, k))
+    def enter(node: TiltingObject, key: tuple) -> None:
+        for k, s in enumerate(node.summands):
+            _enter_complement(ctx, key[:k] + key[k + 1 :], node, s)
 
     def inside(c: K0Class) -> bool:
         r, d = rank_of(ctx, c), deg_of(ctx, c)
@@ -798,34 +804,34 @@ def explore_graph(
             return lo <= Slope(d, r) <= hi
         return r == 0 and d > 0 and hi.is_infinite
 
-    register(0, start.class_key())
+    enter(start, start.class_key())
     start_out = [k for k, s in enumerate(start.summands) if not lo <= s.slope <= hi]
     for i, node in enumerate(nodes):
         key = node.class_key()
         for k in range(ctx.n):
             if i == 0 and any(x != k for x in start_out):
                 continue  # the child keeps a start summand outside the window
-            other = [jk for jk in holders[key[:k] + key[k + 1 :]] if jk[0] != i]
-            if other:
-                j, pos = other[0]
-                t2 = nodes[j]
-                added = t2.summands[pos]
+            ac_key = key[:k] + key[k + 1 :]
+            other = _other_complement(ctx, node, k, ac_key)
+            if other is not None:
+                t2, added = other
+                j = index.get(t2.class_key(), len(nodes))
+                if j == len(nodes) and j >= max_nodes:
+                    continue
             elif len(nodes) >= max_nodes:
                 continue
             else:
-                memo_key = (key, k)
-                got = ctx._mutations.get(memo_key)
-                if got is None:
-                    candidates = _candidate_classes(ctx, node, k)
-                    if not any(inside(c) for c in candidates):
-                        continue
-                    got = _complete_mutation(ctx, node, k, candidates, memo_key)
-                t2, ev = got
+                candidates = _candidate_classes(ctx, node, k)
+                if not any(inside(c) for c in candidates):
+                    continue
+                t2, ev = _complete_mutation(ctx, node, k, candidates, ac_key)
                 j, added = len(nodes), ev.added
             if not lo <= added.slope <= hi:
                 continue
             if j == len(nodes):
+                key2 = t2.class_key()
                 nodes.append(t2)
-                register(j, t2.class_key())
+                index[key2] = j
+                enter(t2, key2)
             edges.add((min(i, j), max(i, j)))
     return nodes, sorted(edges)

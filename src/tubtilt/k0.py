@@ -91,7 +91,13 @@ class K0Context:
         self._decode: dict[tuple[Slope, tuple[int, ...]], tuple[int, int, int]] = {}
         # (x, y) class vectors -> (hom(x, y), ext(x, y)), see tubes._hom_ext
         self._pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
-        self._mutations: dict[tuple, tuple] = {}
+        # The complement table of tilting.mutate and connect.explore_graph.
+        # An almost complete key (a class key with one summand left out,
+        # still in canonical order) maps to the complements known for it,
+        # as the flat tuple (holder, complement[, holder, complement]):
+        # each holder is the tilting object of the key plus its complement.
+        # Happel-Unger allows at most two (tilting._enter_complement).
+        self._complements: dict[tuple, tuple] = {}
         self.omega = omega(weights)
         self.tau: Matrix = twist_matrix(self, self.omega)
         self.tau_inv: Matrix = twist_matrix(self, l_neg(self.omega))

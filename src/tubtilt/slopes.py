@@ -11,6 +11,14 @@ from fractions import Fraction
 from math import gcd
 
 
+def ascii_int(text: str) -> int:
+    """int(text) for ASCII text; ValueError otherwise.  int() alone also
+    reads the decimal digits of other scripts, such as '٣' as 3."""
+    if not text.isascii():
+        raise ValueError(f"invalid integer {text!r}: only ASCII digits are accepted")
+    return int(text)
+
+
 @dataclass(frozen=True, eq=True)
 class Slope:
     num: int
@@ -40,17 +48,18 @@ class Slope:
 
     @staticmethod
     def parse(text: str) -> "Slope":
-        """Accepts `inf`, an integer, or `a/b` in any (nonzero) denominator."""
+        """Accepts `inf`, an integer, or `a/b` in any (nonzero) denominator,
+        in ASCII digits."""
         s = text.strip()
         if s == "inf":
             return Slope.infinity()
         if "/" in s:
             a, b = s.split("/", 1)
-            den = int(b)
+            den = ascii_int(b)
             if den == 0:
                 raise ValueError("zero denominator; use 'inf' for the infinite slope")
-            return Slope(int(a), den)
-        return Slope(int(s), 1)
+            return Slope(ascii_int(a), den)
+        return Slope(ascii_int(s), 1)
 
     @property
     def is_infinite(self) -> bool:

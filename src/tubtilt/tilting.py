@@ -28,13 +28,18 @@ last level.  The decoded survivors are then checked as before.  The
 other summands keep their canonical order, so the result is built by
 inserting the complement at its place, not by sorting all n again.
 
-`mutate` is the memo lookup followed by two halves: the candidate
-classes (`_candidate_classes`, the search above) and their completion
-(`_complete_mutation`: decode, ext checks, uniqueness, exchange and the
-memo write).  The search is exhaustive and the complement unique, so a
-caller that only wants children with some property of the new summand,
-such as its slope, can drop a child from its candidate classes without
-decoding any of them.
+`mutate` is a lookup in the context's complement table, followed on a
+miss by two halves: the candidate classes (`_candidate_classes`, the
+search above) and their completion (`_complete_mutation`: decode, ext
+checks, uniqueness, exchange and the table write).  The table maps an
+almost complete key, a class key with one summand left out, to the
+complements known for it.  An almost complete tilting object has at
+most two (Happel-Unger), and mutation swaps one for the other, so one
+computed mutation answers both directions: the child mutated back at
+the summand it brought in is read off the table.  The search is
+exhaustive and the complement unique, so a caller that only wants
+children with some property of the new summand, such as its slope, can
+drop a child from its candidate classes without decoding any of them.
 """
 
 from __future__ import annotations
@@ -459,12 +464,35 @@ def _candidate_classes(ctx: K0Context, t: TiltingObject, k: int) -> list[K0Class
     return out
 
 
+def _enter_complement(
+    ctx: K0Context, ac_key: tuple, holder: TiltingObject, comp: ExcObject
+) -> None:
+    """Record in the complement table that `holder` is the almost complete
+    tilting object `ac_key` plus its complement `comp`.  A complement
+    already known is left as it is; a third distinct one contradicts
+    Happel-Unger and raises InternalConsistencyError."""
+    table = ctx._complements
+    got = table.get(ac_key)
+    if got is None:
+        table[ac_key] = (holder, comp)
+        return
+    vec = comp.cls.vec
+    if any(known.cls.vec == vec for known in got[1::2]):
+        return
+    if len(got) == 4:
+        raise InternalConsistencyError(
+            "three complements of one almost complete tilting object: slopes "
+            + ", ".join(str(c.slope) for c in (got[1], got[3], comp))
+        )
+    table[ac_key] = got + (holder, comp)
+
+
 def _complete_mutation(
     ctx: K0Context,
     t: TiltingObject,
     k: int,
     candidates: Sequence[K0Class],
-    memo_key: tuple,
+    ac_key: tuple,
 ) -> tuple[TiltingObject, MutationEvent]:
     """Second half of `mutate`: decode the candidate classes of
     `_candidate_classes(ctx, t, k)`, keep the ones that are exceptional
@@ -472,9 +500,9 @@ def _complete_mutation(
     exchange T_k for the one survivor (`_exchange`, which checks the
     direction and inserts the complement at its place in the canonical
     order).  No survivor raises ComplementNotFound, more than one
-    ComplementNotUnique.  The result is written into the mutation memo
-    under `memo_key`, the key (t.class_key(), k) that the caller built
-    for its lookup.
+    ComplementNotUnique.  Both t and the result are entered into the
+    complement table under `ac_key`, t's class key with summand k left
+    out, so the result mutated back at its new summand is a lookup.
     """
     others = t.summands[:k] + t.summands[k + 1 :]
     survivors: list[ExcObject] = []
@@ -495,20 +523,54 @@ def _complete_mutation(
             f"{len(survivors)} complements found when mutating at index {k}"
         )
     got = _exchange(ctx, t, k, survivors[0])
-    if len(ctx._mutations) > 300_000:
-        ctx._mutations.clear()
-    ctx._mutations[memo_key] = got
+    _enter_complement(ctx, ac_key, t, t.summands[k])
+    _enter_complement(ctx, ac_key, got[0], survivors[0])
     return got
+
+
+def _other_complement(
+    ctx: K0Context, t: TiltingObject, k: int, ac_key: tuple
+) -> tuple[TiltingObject, ExcObject] | None:
+    """The complement of t without T_k, other than T_k, that the
+    complement table knows under `ac_key`, with its holder; None if
+    there is none.  t is entered as the key's second holder if it is not
+    yet there, so two known complements that both differ from T_k raise
+    InternalConsistencyError."""
+    known = ctx._complements.get(ac_key)
+    if known is None:
+        return None
+    vk = t.summands[k].cls.vec
+    if known[1].cls.vec == vk:
+        return known[2:] or None
+    if len(known) == 2 or known[3].cls.vec != vk:
+        _enter_complement(ctx, ac_key, t, t.summands[k])
+    return known[:2]
+
+
+# Entries of the complement table (`K0Context._complements`) past which it
+# is cleared, before a mutation is computed or a graph explored.
+_COMPLEMENT_TABLE_CAP = 300_000
+
+
+def _bound_complements(ctx: K0Context) -> None:
+    if len(ctx._complements) > _COMPLEMENT_TABLE_CAP:
+        ctx._complements.clear()
 
 
 def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, MutationEvent]:
     """Exchange summand k for the unique other complement.
 
-    The memo lookup, then the two halves: `_candidate_classes` finds the
-    classes the complement can have, and `_complete_mutation` decodes
-    them, keeps the one complement and writes the memo.  The tilting
-    graph export (`connect.explore_graph`) runs the halves itself, so it
-    can drop a child from its candidate classes alone.
+    First a lookup of t without T_k in the complement table: a known
+    complement other than T_k gives its holder, the result, and the
+    event's direction comes from the hom/ext memo (`_other_complement`,
+    which also enters t, so two known complements that both differ from
+    T_k raise InternalConsistencyError).  On a miss, the two
+    halves: `_candidate_classes` finds the classes the complement can
+    have, and `_complete_mutation` decodes them, keeps the one
+    complement and enters t and the result into the table.  Before a
+    miss, a table past `_COMPLEMENT_TABLE_CAP` entries is cleared.  The
+    tilting graph export (`connect.explore_graph`) runs the halves
+    itself, so it can drop a child from its candidate classes alone.
 
     Precondition: t is tilting (see `make_tilting`); the result is then
     tilting without a re-check.  The complement is unique (Happel-Unger)
@@ -517,11 +579,16 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
     pairs are the ones between the complement and the other summands,
     checked in `_complete_mutation`.
     """
-    memo_key = (t.class_key(), k)
-    got = ctx._mutations.get(memo_key)
-    if got is None:
-        got = _complete_mutation(ctx, t, k, _candidate_classes(ctx, t, k), memo_key)
-    return got
+    key = t.class_key()
+    ac_key = key[:k] + key[k + 1 :]
+    other = _other_complement(ctx, t, k, ac_key)
+    if other is not None:
+        holder, comp = other
+        tk = t.summands[k]
+        direction = "L" if ext_dim(ctx, comp, tk) > 0 else "R"
+        return holder, MutationEvent(k, tk, comp, direction)
+    _bound_complements(ctx)
+    return _complete_mutation(ctx, t, k, _candidate_classes(ctx, t, k), ac_key)
 
 
 def apr_mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, MutationEvent]:

@@ -95,6 +95,60 @@ def test_usage_error_exit_code(tmp_path):
         assert json.loads(err)["error"] == "NonTubularWeights"
 
 
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["--weights", "\u0662,\u0662,\u0662,\u0662", "info"], 2, "UsageError"),
+        (["--weights", "2,2,2,2", "chart", "--slope", "\u0661/\u0662"], 2, "UsageError"),
+        (["--weights", "2,2,2,2", "chart", "--slope", "\u0663"], 2, "UsageError"),
+        (["--weights", "2,2,2,2", "walk", "--steps", "\u0663"], 2, "UsageError"),
+        (["--weights", "2,2,2,2", "walk", "--steps", "1", "--seed", "\u0663"], 2, "UsageError"),
+        (["--weights", "2,2,2,2", "connect", "Tcan", "--max-nodes", "\u0665"], 2, "UsageError"),
+        (["verify", "--suite", "abcd", "--trials", "\u0661"], 2, "UsageError"),
+        # not an index, so an expression, which rejects it as --at x3 is rejected
+        (["--weights", "2,2,2,2", "mutate", "Tcan", "--at", "\u0663"], 1, "ExprSyntaxError"),
+    ],
+    ids=["weights", "slope", "integer-slope", "steps", "seed", "max-nodes", "trials", "at"],
+)
+def test_numbers_take_ascii_digits_only(argv, code, error):
+    # int() reads the Arabic-Indic digits \u0660-\u0669 as 0-9; the CLI must not
+    got, out, err = run_cli(argv)
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--weights", "2,2,2,2", "chart", "--slope", "0"],
+        ["--weights", "2,2,2,2", "mutate", "Tcan", "--at", "0"],
+    ],
+    ids=["chart", "mutate"],
+)
+def test_closed_stdout_is_one_diagnostic(argv):
+    # the pipe's read end is closed before the console script writes, as
+    # when `tubtilt ... | head -c 80` has read enough
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from tubtilt.cli import main; main()", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "BrokenPipeError"
+
+
 def test_check_expression():
     code, out, _ = run_cli(["--weights", "2,2,2,2", "check", "Tcan"])
     assert code == 0

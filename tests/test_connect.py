@@ -1093,8 +1093,8 @@ def test_explore_graph_matches_the_full_window_test(any_ctx, monkeypatch):
     real_complete = connect._complete_mutation
     made = []
 
-    def spy(ctx, t, k, candidates, memo_key):
-        t2, ev = real_complete(ctx, t, k, candidates, memo_key)
+    def spy(ctx, t, k, candidates, ac_key):
+        t2, ev = real_complete(ctx, t, k, candidates, ac_key)
         made.append(t2.class_key())
         return t2, ev
 
@@ -1102,7 +1102,7 @@ def test_explore_graph_matches_the_full_window_test(any_ctx, monkeypatch):
     for start, lo, hi, top in cases:
         for cap in (1, 2, 8, top):
             made.clear()
-            ctx._mutations.clear()  # cold: every child the BFS completes lands in the spy
+            ctx._complements.clear()  # cold: every child the BFS completes lands in the spy
             got = explore_graph(ctx, start, lo, hi, cap)
             want = _full_test_explore_graph(ctx, start, lo, hi, cap)
             keys = [t.class_key() for t in got[0]]
@@ -1120,23 +1120,24 @@ def test_explore_graph_matches_the_full_window_test(any_ctx, monkeypatch):
     assert all(s.slope > Slope(0, 1) for t in nodes[1:] for s in t.summands)
 
 
-def test_explore_graph_rejects_a_third_complement(ctx2222, monkeypatch):
+def test_explore_graph_rejects_a_third_complement(monkeypatch):
     # a fake mutation of T_can at 1 that keeps T_can minus its summand 0
-    # makes three known nodes hold that almost complete object
-    ctx = ctx2222
+    # makes three known nodes hold that almost complete object; the fake
+    # enters the complement table, so the context is the test's own
+    ctx = build_context(make_weights((2, 2, 2, 2)))
     tc = t_can(ctx)
     x = mutate(ctx, tc, 1)[1].added
     fake = make_tilting(ctx, tc.summands[1:] + (x,))
     real_complete = connect._complete_mutation
 
-    def fake_complete(ctx, t, k, candidates, memo_key):
+    def fake_complete(ctx, t, k, candidates, ac_key):
         if t == tc and k == 1:
             return fake, MutationEvent(1, tc.summands[1], x, "L")
-        return real_complete(ctx, t, k, candidates, memo_key)
+        return real_complete(ctx, t, k, candidates, ac_key)
 
     monkeypatch.setattr(connect, "_complete_mutation", fake_complete)
-    ctx._mutations.clear()  # the BFS completes T_can at 1 instead of reading the memo
-    with pytest.raises(InternalConsistencyError, match="three known nodes"):
+    ctx._complements.clear()  # the BFS completes T_can at 1 instead of reading the table
+    with pytest.raises(InternalConsistencyError, match="three complements"):
         explore_graph(ctx, tc, Slope(-10, 1), INF, 10)
 
 
@@ -1221,9 +1222,9 @@ def test_explore_graph_completes_only_the_children_it_keeps(monkeypatch):
         searched.append((t, k, got))
         return got
 
-    def complete_spy(ctx, t, k, candidates, memo_key):
+    def complete_spy(ctx, t, k, candidates, ac_key):
         completed.append((t, k))
-        return real_complete(ctx, t, k, candidates, memo_key)
+        return real_complete(ctx, t, k, candidates, ac_key)
 
     monkeypatch.setattr(connect, "_candidate_classes", candidates_spy)
     monkeypatch.setattr(connect, "_complete_mutation", complete_spy)
@@ -1231,7 +1232,7 @@ def test_explore_graph_completes_only_the_children_it_keeps(monkeypatch):
     def run(ctx, start, lo, hi, cap):
         searched.clear()
         completed.clear()
-        ctx._mutations.clear()  # random_walk fills it
+        ctx._complements.clear()  # random_walk fills it
         nodes, edges = explore_graph(ctx, start, lo, hi, cap)
         for t, k, candidates in searched:
             if t == start:

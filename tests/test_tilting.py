@@ -4,11 +4,14 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tubtilt import tilting
+from tubtilt.connect import random_walk
 from tubtilt.errors import (
     BasisMismatch,
     ComplementNotFound,
     ComplementNotUnique,
     DuplicateSummands,
+    InternalConsistencyError,
     NoFullPeriodSummand,
     NotFirstObject,
     NotExceptionalHere,
@@ -66,8 +69,6 @@ from tubtilt.weights import (
 
 
 def _walk(ctx, steps, seed, bundle_only=False):
-    from tubtilt.connect import random_walk
-
     return random_walk(ctx, steps, seed, bundle_only).end
 
 
@@ -229,6 +230,67 @@ def test_mutation_involution(any_ctx):
         assert back == t
         assert ev2.added.cls == ev.removed.cls
         assert ev2.direction != ev.direction
+
+
+def test_table_answers_match_cold_mutations(any_ctx, monkeypatch):
+    # a mutation read off the complement table equals a cold mutation on a
+    # fresh context of the same weights in full (node, index, removed,
+    # added, direction): a repeated call, and the child mutated back at
+    # the summand it brought in; neither searches candidate classes
+    ctx = any_ctx
+    cold_ctx = build_context(make_weights(ctx.weights.weights))
+
+    def cold(t, k):
+        cold_ctx._complements.clear()
+        return mutate(cold_ctx, t, k)
+
+    searched = []
+    real_candidates = tilting._candidate_classes
+
+    def candidates_spy(ctx, t, k):
+        searched.append((t, k))
+        return real_candidates(ctx, t, k)
+
+    monkeypatch.setattr(tilting, "_candidate_classes", candidates_spy)
+    walk = random_walk(ctx, 6, seed=4100)
+    for t in walk.nodes:
+        for k in range(ctx.n):
+            # each answer right after one computed mutation, so that
+            # neither reads what the other entered
+            ctx._complements.clear()
+            t2, ev = mutate(ctx, t, k)
+            j = t2.index_of(ev.added)
+            searched.clear()
+            back = mutate(ctx, t2, j)
+            assert searched == []
+            ctx._complements.clear()
+            assert mutate(ctx, t, k) == (t2, ev)
+            searched.clear()
+            again = mutate(ctx, t, k)
+            assert searched == []
+            assert back[0] == t
+            assert back == cold(t2, j)
+            assert again == (t2, ev) == cold(t, k)
+
+
+def test_mutate_rejects_a_third_complement():
+    # the table holds two complements of T_can minus its summand 1, neither
+    # of them T_1, so T_can would be a third; the fake is entered into the
+    # context's table, so the context is the test's own
+    ctx = build_context(make_weights((2, 2, 2, 2)))
+    w = ctx.weights
+    tc = t_can(ctx)
+    t2, ev = mutate(ctx, tc, 1)
+    others = tc.summands[:1] + tc.summands[2:]
+    y = line_bundle_obj(ctx, l_add(c_gen(w), c_gen(w)))
+    fake = make_tilting(ctx, others + (y,))
+    key = tc.class_key()
+    ac_key = key[:1] + key[2:]
+    ctx._complements.clear()
+    tilting._enter_complement(ctx, ac_key, t2, ev.added)
+    tilting._enter_complement(ctx, ac_key, fake, y)
+    with pytest.raises(InternalConsistencyError, match="three complements"):
+        mutate(ctx, tc, 1)
 
 
 def test_exchange_additivity(any_ctx):
