@@ -56,7 +56,6 @@ from .tubes import (
     ext_dim,
     hom_dim,
     line_bundle_obj,
-    tau_obj,
     tube_hom_oracle,
     wing_contains,
 )
@@ -64,7 +63,6 @@ from .weights import (
     LElement,
     WeightData,
     delta,
-    is_effective,
     l_add,
     l_neg,
     l_normalize,

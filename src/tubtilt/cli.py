@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -47,6 +48,11 @@ SUITE_NAMES = (
     "complements",
     "cli",
 )
+
+
+# Options whose value may be a negative slope, and the start of such a value.
+_SLOPE_OPTIONS = ("--slope", "--slope-window")
+_NEGATIVE = re.compile("-[0-9]")
 
 
 class UsageError(TubTiltError):
@@ -93,6 +99,22 @@ def _slope_window(text: str) -> tuple[Slope, Slope]:
     if lo > hi:
         raise ValueError("empty slope window: LO exceeds HI")
     return lo, hi
+
+
+def _join_negative_slopes(argv: Sequence[str]) -> list[str]:
+    """argv with `--slope -1/2` written as `--slope=-1/2`, and likewise
+    `--slope-window -1..1`.  argparse reads a separate value that starts
+    with "-" as an option unless it looks like a negative number, which
+    -1/2 and -1..1 do not.  Only a value of "-" and a digit is joined, so
+    a missing value (`--slope` last or before another option) is still a
+    usage error."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SLOPE_OPTIONS and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -336,7 +358,7 @@ _COMMANDS = {
 def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_slopes(argv))
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0

@@ -39,7 +39,16 @@ from .errors import (
     PreconditionError,
     SearchBoundExceeded,
 )
-from .intmat import Matrix, dot, identity, mat_mul, mat_pow, mat_vec, transpose
+from .intmat import (
+    Matrix,
+    dot,
+    identity,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+    sparse_rows,
+    transpose,
+)
 from .intmat import det as int_det
 from .slopes import INF, Slope
 from .weights import LElement, WeightData, l_neg, omega
@@ -102,6 +111,11 @@ class K0Context:
         self.tau: Matrix = twist_matrix(self, self.omega)
         self.tau_inv: Matrix = twist_matrix(self, l_neg(self.omega))
         self.chibar: Matrix = _chibar_matrix(self)
+        # Sparse rows (intmat.sparse_rows) of the maps that the batched
+        # chart checks of `tubes` apply to all classes of a chart at once.
+        self.euler_rows = sparse_rows(euler)
+        self.tau_inv_rows = sparse_rows(self.tau_inv)
+        self.rank_deg_rows = sparse_rows((rank_form, deg_form))
 
     # -- basis bookkeeping -------------------------------------------------
 

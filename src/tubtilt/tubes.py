@@ -18,6 +18,16 @@ of O at slope 0 (q -> q / (1 - q)).  Every other chart is the chart at
 slope 0 moved by a word in these two (`chart_for`, which states the
 shift formula and the identities checked once per context).
 
+Charts are moved, checked and decoded in batched form.  The classes of
+a chart are held as coordinate rows (row a holds coordinate a of every
+quasi-simple), and each lattice map is applied through its nonzero
+entries only (`intmat.apply_rows`): one shift step (`_shift_rows`),
+the tau^-1 images, ranks and degrees of the structure check and the
+Euler pairings of the anchor's chi pattern each take one pass over a
+sparse matrix, not one dot product per class.  A class is decoded by
+its chi pattern against the quasi-simples (`_find_window`), not by a
+scan over the windows.
+
 Orbit conventions: position k + 1 is the tau-preimage of position k,
 so a window starting at the socle ascends through positions
 socle, socle + 1, ...; position 0 is the lexicographically smallest
@@ -27,6 +37,7 @@ class vector of the orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import (
@@ -35,7 +46,16 @@ from .errors import (
     NotExceptionalHere,
     NotSheafLike,
 )
-from .intmat import dot, mat_vec, transpose
+from .intmat import (
+    SparseRows,
+    apply_rows,
+    dot,
+    identity,
+    mat_mul,
+    mat_vec,
+    sparse_rows,
+    transpose,
+)
 from .k0 import (
     K0Class,
     K0Context,
@@ -102,14 +122,14 @@ class ExcObject:
 
 
 def window_class(chart: TubeChart, orbit: int, socle: int, length: int) -> K0Class:
-    """Sum of `length` consecutive quasi-simple classes from `socle`."""
-    orb = chart.orbits[orbit]
-    r = len(orb)
-    vec = [0] * len(orb[0].vec)
-    for k in range(length):
-        for idx, x in enumerate(orb[(socle + k) % r].vec):
-            vec[idx] += x
-    return K0Class(tuple(vec))
+    """Sum of `length` >= 1 consecutive quasi-simple classes from `socle`."""
+    return K0Class(_window_vec(chart.orbits[orbit], socle, length))
+
+
+def _window_vec(orb: tuple[K0Class, ...], socle: int, length: int) -> tuple[int, ...]:
+    """The vector of `window_class`, from the orbit itself."""
+    terms = orb[socle : socle + length] + orb[: max(0, socle + length - len(orb))]
+    return tuple(map(sum, zip(*(x.vec for x in terms))))
 
 
 def build_chart(ctx: K0Context, q: Slope) -> TubeChart:
@@ -197,25 +217,43 @@ def check_chart_invariants(ctx: K0Context, chart: TubeChart) -> None:
     _check_chi_pattern(ctx, chart)
 
 
+def _chart_rows(chart: TubeChart) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The chart's classes, orbit by orbit, and their coordinate rows."""
+    classes = [x.vec for orb in chart.orbits for x in orb]
+    return classes, list(zip(*classes))
+
+
 def _check_chart_structure(ctx: K0Context, chart: TubeChart) -> None:
     """Orbit sizes are the weights, no class repeats, every class has the
-    chart's slope, and each orbit is in tau order."""
+    chart's slope, and each orbit is in tau order.
+
+    The tau^-1 image, rank and degree of every class are taken at once,
+    from the coordinate rows; the classes are then tested in chart
+    order.  A class has slope q = num/den exactly when its (deg, rank)
+    is a multiple of (num, den) with rank > 0 (deg > 0 at infinity);
+    any other class goes to `slope_of`, which raises NotSheafLike or
+    gives another slope."""
     sizes = tuple(sorted(len(o) for o in chart.orbits))
     if sizes != ctx.weights.weights:
         raise ChartInconsistent(
             f"orbit sizes {sizes} do not match weights {ctx.weights.weights} "
             f"at slope {chart.slope}"
         )
+    q = chart.slope
+    classes, rows = _chart_rows(chart)
+    ranks, degs = apply_rows(ctx.rank_deg_rows, rows)
+    flat = zip(classes, zip(*apply_rows(ctx.tau_inv_rows, rows)), ranks, degs)
     seen = set()
     for orb in chart.orbits:
-        for k, x in enumerate(orb):
-            if x.vec in seen:
-                raise ChartInconsistent(f"duplicate class {x.vec} at {chart.slope}")
-            seen.add(x.vec)
-            if slope_of(ctx, x) != chart.slope:
-                raise ChartInconsistent(f"class {x.vec} has the wrong slope")
-            succ = orb[(k + 1) % len(orb)]
-            if tuple(mat_vec(ctx.tau_inv, x.vec)) != succ.vec:
+        for k in range(len(orb)):
+            vec, image, r, d = next(flat)
+            if vec in seen:
+                raise ChartInconsistent(f"duplicate class {vec} at {chart.slope}")
+            seen.add(vec)
+            on_ray = d * q.den == q.num * r and (r > 0 if q.den else d > 0)
+            if not on_ray and slope_of(ctx, K0Class(vec)) != q:
+                raise ChartInconsistent(f"class {vec} has the wrong slope")
+            if image != orb[(k + 1) % len(orb)].vec:
                 raise ChartInconsistent(
                     f"orbit order at slope {chart.slope} is not the tau order"
                 )
@@ -223,21 +261,35 @@ def _check_chart_structure(ctx: K0Context, chart: TubeChart) -> None:
 
 def _check_chi_pattern(ctx: K0Context, chart: TubeChart) -> None:
     """chi between quasi-simples: 1 on the diagonal, -1 from a class to
-    its tau-translate in the same orbit, 0 otherwise."""
+    its tau-translate in the same orbit, 0 otherwise.
+
+    All pairings at once: the Euler images of the classes on their
+    coordinate rows, then gram[i][j] = chi(x_i, x_j) through the nonzero
+    coordinates of each x_i.  On a mismatch the first violation, by
+    orbits a, b and then positions j, k, is reported."""
+    classes, rows = _chart_rows(chart)
+    gram = apply_rows(sparse_rows(classes), apply_rows(ctx.euler_rows, rows))
+    starts = list(accumulate((len(o) for o in chart.orbits), initial=0))
+    want = []
+    for orb, start in zip(chart.orbits, starts):
+        r = len(orb)
+        for j in range(r):
+            row = [0] * len(classes)
+            row[start + j] = 1
+            row[start + (j - 1) % r] -= 1
+            want.append(tuple(row))
+    if gram == want:
+        return
     for a, orb_a in enumerate(chart.orbits):
         for b, orb_b in enumerate(chart.orbits):
-            for j, x in enumerate(orb_a):
-                for k, y in enumerate(orb_b):
-                    val = chi(ctx, x, y)
-                    if a != b:
-                        want = 0
-                    else:
-                        r = len(orb_a)
-                        want = (1 if j == k else 0) - (1 if k == (j - 1) % r else 0)
-                    if val != want:
+            for j in range(len(orb_a)):
+                for k in range(len(orb_b)):
+                    val = gram[starts[a] + j][starts[b] + k]
+                    expected = want[starts[a] + j][starts[b] + k]
+                    if val != expected:
                         raise ChartInconsistent(
                             f"chi pattern violated at slope {chart.slope}: "
-                            f"orbits {a},{b} positions {j},{k}: {val} != {want}"
+                            f"orbits {a},{b} positions {j},{k}: {val} != {expected}"
                         )
 
 
@@ -252,10 +304,29 @@ def _validate_chart(ctx: K0Context, chart: TubeChart, roots) -> None:
             )
 
 
-def _find_window(chart: TubeChart, c: K0Class) -> tuple[int, int, int] | None:
-    for t, socle, length, cls in chart.windows():
-        if cls.vec == c.vec:
-            return (t, socle, length)
+def _find_window(
+    ctx: K0Context, chart: TubeChart, c: K0Class
+) -> tuple[int, int, int] | None:
+    """(orbit, socle, length) of the window of class c, or None.
+
+    Read off the chi pattern of the chart: for the window (t, s, l),
+    chi(E, c) = dot(E, euler c) over the quasi-simples E is +1 at
+    position s of orbit t, -1 at position s + l (one place past the
+    end) and 0 elsewhere.  The window read at the first orbit with a
+    nonzero pairing, largest orbits first (most windows lie there), is
+    the answer only when its `window_class` is c."""
+    e = ctx.eb(c.vec)
+    for t in range(len(chart.orbits) - 1, -1, -1):
+        orbit = chart.orbits[t]
+        pattern = [dot(x.vec, e) for x in orbit]
+        if any(pattern):
+            if 1 not in pattern or -1 not in pattern:
+                return None
+            socle = pattern.index(1)
+            length = (pattern.index(-1) - socle) % len(orbit)
+            if _window_vec(orbit, socle, length) == c.vec:
+                return (t, socle, length)
+            return None
     return None
 
 
@@ -278,6 +349,15 @@ def chart_for(ctx: K0Context, q: Slope) -> TubeChart:
     q to q + k; on the tau-orbit of O at slope 0 it keeps the degree and
     sets the rank to rank - k deg, so it maps q to q / (1 - kq).
 
+    A step is taken on all classes of the chart at once, on their
+    coordinate rows (`_shift_rows`): with c_j = chi(E_j, x) for k > 0 and
+    chi(x, E_j) for k < 0, and |k| = laps * p + rest,
+
+        rho^k(x) = x - sum_l D_l E_l,
+        D_l = laps * sum_j c_j + (the c_j whose rest terms reach E_l),
+
+    each of the three through the nonzero entries of its matrix.
+
     Once per context, at the first moved chart, the slope-0 shift is
     checked (`_tube_shifts`): rho^-1 inverts it, it preserves the Euler
     form, commutes with tau, keeps the degree and lowers the rank by
@@ -285,7 +365,8 @@ def chart_for(ctx: K0Context, q: Slope) -> TubeChart:
     (the tests compare it with `twist_matrix`).  So a moved chart
     inherits the chi pattern and realizability of the anchor, which
     `build_chart` validates in full, and gets only the structural
-    checks.  Only the requested chart and the anchor are memoized.
+    checks, batched in the same way.  Only the requested chart and the
+    anchor are memoized.
     """
     got = ctx._charts.get(q)
     if got is None:
@@ -302,12 +383,15 @@ _AT_ZERO, _AT_INF = 0, 1  # the two shift generators, indices into `_tube_shifts
 
 @dataclass(frozen=True)
 class _Shift:
-    """A tau-orbit E_0..E_{p-1} of a rank-p tube in tau^-1 order, with
-    chi(E_j, x) = dot(left[j], x) and chi(x, E_j) = dot(right[j], x)."""
+    """A tau-orbit E_0..E_{p-1} of a rank-p tube in tau^-1 order, in the
+    sparse form of `intmat.apply_rows`: row j of `left` and of `right`
+    gives chi(E_j, x) and chi(x, E_j), and row a of `drop` holds
+    (l, -E_l[a]) for the E_l with a nonzero coordinate a."""
 
     orbit: tuple[tuple[int, ...], ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
+    left: SparseRows
+    right: SparseRows
+    drop: SparseRows
 
 
 def _shift_along(ctx: K0Context, start: tuple[int, ...]) -> _Shift:
@@ -318,43 +402,43 @@ def _shift_along(ctx: K0Context, start: tuple[int, ...]) -> _Shift:
     et = transpose(ctx.euler)
     return _Shift(
         tuple(orbit),
-        tuple(mat_vec(et, e) for e in orbit),
-        tuple(ctx.eb(e) for e in orbit),
+        sparse_rows([mat_vec(et, e) for e in orbit]),
+        sparse_rows([ctx.eb(e) for e in orbit]),
+        sparse_rows(transpose(tuple(tuple(-x for x in e) for e in orbit))),
     )
 
 
-def _windows(orbit: tuple[tuple[int, ...], ...], k: int) -> list[list[int]]:
-    """The sums rho^k subtracts: |k| consecutive orbit terms from each
-    E_j, upward (towards tau^-1) for k > 0, downward for k < 0."""
-    r = len(orbit)
+def _orbit_weights(c: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
+    """The rows D_l of rho^k (see `chart_for`) from the pairing rows c_j:
+    laps * sum_j c_j, plus each c_j whose rest consecutive orbit terms
+    from E_j, upward (towards tau^-1) for k > 0 and downward for k < 0,
+    reach E_l."""
+    r = len(c)
     step = 1 if k > 0 else -1
     laps, rest = divmod(abs(k), r)
-    full = [laps * sum(col) for col in zip(*orbit)]
+    full = [tuple(laps * s for s in map(sum, zip(*c)))] if laps else []
+    zero = (0,) * len(c[0])  # fixes the width when there is no term (k = 0)
     out = []
-    for j in range(r):
-        w = list(full)
-        for i in range(rest):
-            for a, x in enumerate(orbit[(j + step * i) % r]):
-                w[a] += x
-        out.append(w)
+    for l in range(r):
+        terms = full + [c[(l - step * i) % r] for i in range(rest)]
+        out.append(terms[0] if len(terms) == 1 else tuple(map(sum, zip(zero, *terms))))
     return out
+
+
+def _shift_rows(
+    shift: _Shift, k: int, rows: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """rho^k (see `chart_for`) in one step on vectors held as coordinate
+    rows: the pairing rows c_j, the weights D_l, then x - sum_l D_l E_l."""
+    c = apply_rows(shift.left if k > 0 else shift.right, rows)
+    return apply_rows(shift.drop, _orbit_weights(c, k), rows)
 
 
 def _apply_shift(
     shift: _Shift, k: int, vecs: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     """rho^k of every vector (see `chart_for`)."""
-    pairing = shift.left if k > 0 else shift.right
-    windows = _windows(shift.orbit, k)
-    out = []
-    for x in vecs:
-        y = x
-        for row, w in zip(pairing, windows):
-            c = dot(row, x)
-            if c:
-                y = [ya - c * wa for ya, wa in zip(y, w)]
-        out.append(tuple(y))
-    return out
+    return list(zip(*_shift_rows(shift, k, list(zip(*vecs)))))
 
 
 def _shift_word(q: Slope) -> list[tuple[int, int]]:
@@ -400,25 +484,24 @@ def _tube_shifts(ctx: K0Context) -> tuple[_Shift, _Shift]:
 
 def _check_slope_zero_shift(ctx: K0Context, shift: _Shift) -> None:
     """On the basis: rho^-1 inverts rho, rho preserves the Euler form,
-    commutes with tau, keeps the degree and lowers the rank by it."""
-    n = ctx.n
-    basis = [tuple(int(a == b) for b in range(n)) for a in range(n)]
-    images = _apply_shift(shift, 1, basis)
-    euler_images = [mat_vec(ctx.euler, y) for y in images]
+    commutes with tau, keeps the degree and lowers the rank by it.
+
+    The basis vectors are the columns of the identity, so as coordinate
+    rows (`_shift_rows`) their images are the matrix R of rho, and the
+    tau images of the basis are tau itself."""
+    basis = identity(ctx.n)
+    rho = tuple(_shift_rows(shift, 1, basis))
+    ranks, degs = apply_rows(ctx.rank_deg_rows, rho)
     failed = None
-    if _apply_shift(shift, -1, images) != basis:
+    if tuple(_shift_rows(shift, -1, rho)) != basis:
         failed = "is not inverted by rho^-1"
-    elif tuple(tuple(dot(x, ey) for ey in euler_images) for x in images) != ctx.euler:
+    elif mat_mul(transpose(rho), apply_rows(ctx.euler_rows, rho)) != ctx.euler:
         failed = "does not preserve the Euler form"
-    elif _apply_shift(shift, 1, [mat_vec(ctx.tau, e) for e in basis]) != [
-        mat_vec(ctx.tau, y) for y in images
-    ]:
+    elif tuple(_shift_rows(shift, 1, ctx.tau)) != mat_mul(ctx.tau, rho):
         failed = "does not commute with tau"
-    elif tuple(dot(ctx.deg_form, y) for y in images) != ctx.deg_form:
+    elif degs != ctx.deg_form:
         failed = "changes the degree"
-    elif tuple(dot(ctx.rank_form, y) for y in images) != tuple(
-        r - d for r, d in zip(ctx.rank_form, ctx.deg_form)
-    ):
+    elif ranks != tuple(r - d for r, d in zip(ctx.rank_form, ctx.deg_form)):
         failed = "does not lower the rank by the degree"
     if failed:
         raise InternalConsistencyError(
@@ -431,10 +514,10 @@ def _move_chart(ctx: K0Context, anchor: TubeChart, q: Slope) -> TubeChart:
     the shifts commute with tau, so each orbit stays in tau order and is
     only rotated.  Only the structure is checked (see `chart_for`)."""
     shifts = _tube_shifts(ctx)
-    vecs = [c.vec for orbit in anchor.orbits for c in orbit]
+    _, rows = _chart_rows(anchor)
     for gen, k in _shift_word(q):
-        vecs = _apply_shift(shifts[gen], k, vecs)
-    moved = iter(vecs)
+        rows = _shift_rows(shifts[gen], k, rows)
+    moved = zip(*rows)
     orbits = [tuple(K0Class(next(moved)) for _ in orbit) for orbit in anchor.orbits]
     chart = TubeChart(q, _normal_form(orbits))
     _check_chart_structure(ctx, chart)
@@ -442,7 +525,11 @@ def _move_chart(ctx: K0Context, anchor: TubeChart, q: Slope) -> TubeChart:
 
 
 def coords_of_class(ctx: K0Context, chart: TubeChart, c: K0Class) -> ExcObject:
-    """Inverse of the window-sum encoding."""
+    """Inverse of the window-sum encoding, memoized per (slope, class).
+
+    A sheaf class of the chart's slope is decoded by its chi pattern
+    against the chart's quasi-simples (`_find_window`), checked by
+    summing the window it reads."""
     key = (chart.slope, c.vec)
     got = ctx._decode.get(key)
     if got is None:
@@ -454,7 +541,7 @@ def coords_of_class(ctx: K0Context, chart: TubeChart, c: K0Class) -> ExcObject:
             raise NotExceptionalHere(
                 f"class {c.vec} has a different slope than the chart"
             )
-        got = _find_window(chart, c)
+        got = _find_window(ctx, chart, c)
         if got is None:
             raise NotExceptionalHere(f"class {c.vec} is not a window at {chart.slope}")
         ctx._decode[key] = got
@@ -470,13 +557,6 @@ def exc_from_class(ctx: K0Context, c: K0Class) -> ExcObject:
 
 def orbit_rank(ctx: K0Context, x: ExcObject) -> int:
     return len(chart_for(ctx, x.slope).orbits[x.orbit])
-
-
-def tau_obj(ctx: K0Context, x: ExcObject) -> ExcObject:
-    r = orbit_rank(ctx, x)
-    return ExcObject(
-        K0Class(mat_vec(ctx.tau, x.cls.vec)), x.slope, x.orbit, (x.socle - 1) % r, x.len
-    )
 
 
 def line_bundle_obj(ctx: K0Context, v: LElement) -> ExcObject:

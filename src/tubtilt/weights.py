@@ -128,8 +128,3 @@ def omega(w: WeightData) -> LElement:
     """The dualizing element sum_i (c - x_i) - 2c in normal form."""
     return l_normalize(w, (-1,) * w.t, w.t - 2)
 
-
-def is_effective(x: LElement) -> bool:
-    """True iff x >= 0, i.e. the c coefficient of the normal form is >= 0."""
-    return x.c >= 0
-

@@ -430,6 +430,46 @@ def test_chart_subcommand():
     assert sorted(len(o) for o in data["orbits"]) == [2, 4, 4]
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["--weights", "2,4,4", "chart"], "--slope", "-1/2"),
+        (["--weights", "3,3,3", "chart"], "--slope", "-7/3"),
+        (["--weights", "2,2,2,2", "chart"], "--slope", "-3"),
+        (["--weights", "2,4,4", "graph", "--max-nodes", "5"], "--slope-window", "-1..1"),
+        (["--weights", "2,2,2,2", "graph", "--max-nodes", "4"], "--slope-window", "-2..-1"),
+    ],
+)
+def test_negative_slope_as_a_separate_argument(tmp_path, argv, option, value):
+    if "graph" in argv:
+        argv = argv + ["--dot", str(tmp_path / "g.dot")]
+    joined = run_cli(argv + [f"{option}={value}"])
+    assert joined[0] == 0, joined
+    if "graph" in argv:
+        dot = (tmp_path / "g.dot").read_text()
+    assert run_cli(argv + [option, value]) == joined
+    if "graph" in argv:
+        assert (tmp_path / "g.dot").read_text() == dot
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--weights", "2,4,4", "chart", "--slope"],
+        ["--weights", "2,4,4", "chart", "--slope", "--", "-1/2"],
+        ["--weights", "2,4,4", "graph", "--max-nodes", "5", "--dot", "g.dot", "--slope-window"],
+        ["--weights", "2,4,4", "graph", "--slope-window", "--max-nodes", "5", "--dot", "g.dot"],
+        ["--weights", "2,4,4", "chart", "--slope", "-x/2"],
+    ],
+    ids=["chart-last", "chart-before-dashes", "graph-last", "graph-before-option", "not-a-slope"],
+)
+def test_missing_slope_value_is_a_usage_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
 def test_graph_dot_export(tmp_path):
     dot = tmp_path / "g.dot"
     code, out, _ = run_cli(

@@ -54,7 +54,7 @@ from tubtilt.tubes import (
     ext_dim,
     hom_dim,
     line_bundle_obj,
-    tau_obj,
+    orbit_rank,
 )
 from tubtilt.verify import context_for
 from tubtilt.weights import (
@@ -68,6 +68,14 @@ from tubtilt.weights import (
     l_zero,
     x_gen,
 )
+
+
+def tau_obj(ctx, x):
+    """tau x, one socle position down in its tube."""
+    r = orbit_rank(ctx, x)
+    return ExcObject(
+        K0Class(mat_vec(ctx.tau, x.cls.vec)), x.slope, x.orbit, (x.socle - 1) % r, x.len
+    )
 
 
 def test_extend_abcd_examples():
@@ -153,8 +161,6 @@ def test_completion_of_walk_end_seeds(any_ctx):
 
 def test_completion_rejects_bad_seed(ctx2222):
     o = line_bundle_obj(ctx2222, l_zero(ctx2222.weights))
-    from tubtilt.tubes import tau_obj
-
     with pytest.raises(PreconditionError):
         completion_containing(ctx2222, [o, tau_obj(ctx2222, o)])
     torsion = exc_from_class(ctx2222, K0Class((0, 1, 0, 0, 0, 0)))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from tubtilt.intmat import solve_int
+from tubtilt.intmat import apply_rows, mat_mul, solve_int, sparse_rows
 
 
 def _fraction_solve(columns, target):
@@ -100,3 +100,29 @@ def test_solve_int_matches_the_fraction_oracle(system):
             sum(x * col[i] for x, col in zip(got, columns)) == target[i]
             for i in range(len(target))
         )
+
+
+@st.composite
+def _products(draw):
+    """A matrix with zero rows and entries of every kind (0, 1, -1 and
+    others), a matrix of rows and a base of the product's shape."""
+    n, m, width = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+    a = tuple(tuple(draw(entry) for _ in range(m)) for _ in range(n))
+    rows = tuple(tuple(draw(st.integers(-9, 9)) for _ in range(width)) for _ in range(m))
+    base = tuple(tuple(draw(st.integers(-9, 9)) for _ in range(width)) for _ in range(n))
+    return a, rows, base
+
+
+@settings(max_examples=300, deadline=None)
+@given(_products())
+def test_apply_rows_is_the_dense_product(product):
+    a, rows, base = product
+    assert sparse_rows(a) == tuple(
+        tuple((j, v) for j, v in enumerate(row) if v) for row in a
+    )
+    dense = mat_mul(a, rows)
+    assert tuple(apply_rows(sparse_rows(a), rows)) == dense
+    assert tuple(apply_rows(sparse_rows(a), rows, base)) == tuple(
+        tuple(x + y for x, y in zip(r, b)) for r, b in zip(dense, base)
+    )

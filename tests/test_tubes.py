@@ -3,12 +3,18 @@ import random
 import pytest
 
 from tubtilt import tubes
-from tubtilt.errors import ChartInconsistent, InternalConsistencyError, NotExceptionalHere
-from tubtilt.intmat import identity, mat_mul, mat_pow, transpose
+from tubtilt.errors import (
+    ChartInconsistent,
+    InternalConsistencyError,
+    NotExceptionalHere,
+    NotSheafLike,
+)
+from tubtilt.intmat import identity, mat_mul, mat_pow, mat_vec, transpose
 from tubtilt.k0 import K0Class, build_context, chi, line_bundle_class, twist_matrix
 from tubtilt.slopes import INF, ZERO, Slope
 from tubtilt.tubes import (
     ExcObject,
+    TubeChart,
     Window,
     build_chart,
     chart_for,
@@ -18,7 +24,7 @@ from tubtilt.tubes import (
     ext_dim,
     hom_dim,
     line_bundle_obj,
-    tau_obj,
+    orbit_rank,
     tube_hom_oracle,
     wing_contains,
     window_class,
@@ -45,6 +51,14 @@ CHART_SLOPES = [
     Slope(37, 53),
     Slope(-29, 61),
 ]
+
+
+def tau_obj(ctx, x):
+    """tau x, one socle position down in its tube."""
+    r = orbit_rank(ctx, x)
+    return ExcObject(
+        K0Class(mat_vec(ctx.tau, x.cls.vec)), x.slope, x.orbit, (x.socle - 1) % r, x.len
+    )
 
 
 def test_chart_census_2222(ctx2222):
@@ -144,9 +158,9 @@ def test_shifts_are_checked_once_and_lazily(monkeypatch):
 
 def test_corrupted_shift_is_rejected(monkeypatch):
     # a window one term too long
-    windows = tubes._windows
+    weights = tubes._orbit_weights
     monkeypatch.setattr(
-        tubes, "_windows", lambda orbit, k: windows(orbit, k + (1 if k > 0 else -1))
+        tubes, "_orbit_weights", lambda c, k: weights(c, k + (1 if k > 0 else -1))
     )
     ctx = build_context(make_weights((3, 3, 3)))
     assert chart_for(ctx, ZERO) == build_chart(ctx, ZERO)
@@ -186,6 +200,192 @@ def test_moved_charts_match_built_charts_at_large_denominators():
             chart = chart_for(ctx, q)
             assert chart == build_chart(ctx, q), (ws, q)
             check_chart_invariants(ctx, chart)
+
+
+# -- the batched kernel against the per-vector oracles -------------------------
+
+
+def _oracle_windows(orbit, k):
+    """The sums rho^k subtracts: |k| consecutive orbit terms from each
+    E_j, upward (towards tau^-1) for k > 0, downward for k < 0."""
+    r = len(orbit)
+    step = 1 if k > 0 else -1
+    laps, rest = divmod(abs(k), r)
+    full = [laps * sum(col) for col in zip(*orbit)]
+    out = []
+    for j in range(r):
+        w = list(full)
+        for i in range(rest):
+            for a, x in enumerate(orbit[(j + step * i) % r]):
+                w[a] += x
+        out.append(w)
+    return out
+
+
+def _oracle_apply_shift(ctx, orbit, k, vecs):
+    """rho^k one vector at a time: x - sum_j c_j (window from E_j), with
+    c_j = chi(E_j, x) for k > 0 and chi(x, E_j) for k < 0."""
+    out = []
+    for x in vecs:
+        y = x
+        for e, w in zip(orbit, _oracle_windows(orbit, k)):
+            pair = (K0Class(e), K0Class(x)) if k > 0 else (K0Class(x), K0Class(e))
+            c = chi(ctx, *pair)
+            if c:
+                y = [ya - c * wa for ya, wa in zip(y, w)]
+        out.append(tuple(y))
+    return out
+
+
+def _oracle_move_chart(ctx, q):
+    anchor = build_chart(ctx, ZERO)
+    shifts = tubes._tube_shifts(ctx)
+    vecs = [c.vec for orbit in anchor.orbits for c in orbit]
+    for gen, k in tubes._shift_word(q):
+        vecs = _oracle_apply_shift(ctx, shifts[gen].orbit, k, vecs)
+    moved = iter(vecs)
+    orbits = [tuple(K0Class(next(moved)) for _ in orbit) for orbit in anchor.orbits]
+    return TubeChart(q, tubes._normal_form(orbits))
+
+
+def _oracle_find_window(chart, c):
+    """The scan over every window of the chart."""
+    for t, socle, length, cls in chart.windows():
+        if cls.vec == c.vec:
+            return (t, socle, length)
+    return None
+
+
+def _oracle_slopes():
+    """Denominators 1..64, each with the numerators -3b + 1 and 3b - 1 and
+    one in between; the integers -3..3; infinity."""
+    rng = random.Random(41)
+    slopes = [INF] + [Slope(a, 1) for a in range(-3, 4)]
+    for b in range(2, 65):
+        slopes += [Slope(-3 * b + 1, b), Slope(3 * b - 1, b)]
+        while (q := Slope(rng.randint(-3 * b, 3 * b), b)).den != b:
+            pass
+        slopes.append(q)
+    return list(dict.fromkeys(slopes))
+
+
+def test_batched_shift_matches_the_oracle(any_ctx):
+    n = any_ctx.n
+    rng = random.Random(5)
+    vecs = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(12)]
+    for shift in tubes._tube_shifts(any_ctx):
+        for k in (*range(-13, 0), *range(1, 14)):
+            want = _oracle_apply_shift(any_ctx, shift.orbit, k, vecs)
+            assert tubes._apply_shift(shift, k, vecs) == want, k
+
+
+def test_batched_charts_and_decode_match_the_oracles(any_ctx):
+    slopes = _oracle_slopes()
+    charts = []
+    for q in slopes:
+        chart = chart_for(any_ctx, q)
+        assert chart == _oracle_move_chart(any_ctx, q), q
+        charts.append(chart)
+    n = any_ctx.n
+    for chart, other in zip(charts, charts[1:] + charts[:1]):
+        wins = list(chart.windows())
+        for t, socle, length, cls in wins:
+            got = tubes._find_window(any_ctx, chart, cls)
+            assert got == _oracle_find_window(chart, cls) == (t, socle, length)
+        # classes that are no window of the chart
+        firsts = [orbit[0] for orbit in chart.orbits]
+        others = [a + b for i, a in enumerate(firsts) for b in firsts[i + 1 :]]
+        others += [wins[0][3] + firsts[-1], wins[-1][3] + firsts[0]]
+        others += [window_class(chart, t, 0, len(o)) for t, o in enumerate(chart.orbits)]
+        others += [-cls for *_, cls in wins[:: max(1, len(wins) // 8)]]
+        others += [cls for *_, cls in other.windows()][:8]
+        others.append(K0Class((0,) * n))
+        for c in others:
+            assert _oracle_find_window(chart, c) is None, (chart.slope, c)
+            assert tubes._find_window(any_ctx, chart, c) is None, (chart.slope, c)
+
+
+def _first_chi_violation(ctx, chart):
+    """The per-pair chi pattern check: the message of the first violation."""
+    for a, orb_a in enumerate(chart.orbits):
+        for b, orb_b in enumerate(chart.orbits):
+            for j, x in enumerate(orb_a):
+                for k, y in enumerate(orb_b):
+                    val = chi(ctx, x, y)
+                    if a != b:
+                        want = 0
+                    else:
+                        r = len(orb_a)
+                        want = (1 if j == k else 0) - (1 if k == (j - 1) % r else 0)
+                    if val != want:
+                        return (
+                            f"chi pattern violated at slope {chart.slope}: "
+                            f"orbits {a},{b} positions {j},{k}: {val} != {want}"
+                        )
+    return None
+
+
+def test_batched_chi_pattern_reports_the_first_violation(any_ctx):
+    rng = random.Random(17)
+    for q in (ZERO, INF, Slope(2, 3), Slope(-7, 4)):
+        chart = chart_for(any_ctx, q)
+        tubes._check_chi_pattern(any_ctx, chart)
+        pool = [x for *_, x in chart.windows()]
+        for _ in range(12):
+            orbits = [list(o) for o in chart.orbits]
+            t = rng.randrange(len(orbits))
+            orbits[t][rng.randrange(len(orbits[t]))] = rng.choice(pool)
+            if rng.random() < 0.5:
+                rng.shuffle(orbits[t])
+            bad = TubeChart(q, tuple(tuple(o) for o in orbits))
+            want = _first_chi_violation(any_ctx, bad)
+            if want is None:
+                tubes._check_chi_pattern(any_ctx, bad)
+                continue
+            with pytest.raises(ChartInconsistent) as err:
+                tubes._check_chi_pattern(any_ctx, bad)
+            assert str(err.value) == want
+
+
+def _swap_second_classes(orbits):
+    """The second classes of the first two orbits traded: no class
+    repeats and every class keeps its slope, but tau order breaks."""
+    (a0, a1, *ra), (b0, b1, *rb), *rest = orbits
+    return [(a0, b1, *ra), (b0, a1, *rb), *rest]
+
+
+def _replace(orbits, t, k, cls):
+    orbits = list(orbits)
+    orbits[t] = orbits[t][:k] + (cls,) + orbits[t][k + 1 :]
+    return orbits
+
+
+@pytest.mark.parametrize(
+    "corrupt, error, match",
+    [
+        (lambda orbits, far: orbits[:-1] + [orbits[-1][:-1]], ChartInconsistent, "orbit sizes"),
+        (lambda orbits, far: _replace(orbits, -1, 0, orbits[0][0]), ChartInconsistent,
+         "duplicate class"),
+        (lambda orbits, far: _replace(orbits, 0, 0, far), ChartInconsistent, "wrong slope"),
+        (lambda orbits, far: _swap_second_classes(orbits), ChartInconsistent, "tau order"),
+        (lambda orbits, far: _replace(orbits, 0, 0, -orbits[0][0]), NotSheafLike,
+         "not the shape of a sheaf class"),
+    ],
+    ids=["sizes", "duplicate", "slope", "tau-order", "not-a-sheaf"],
+)
+def test_corrupted_moved_charts_are_rejected(monkeypatch, corrupt, error, match):
+    for ws in TUBULAR_TYPES:
+        ctx = build_context(make_weights(ws))
+        far = chart_for(ctx, Slope(5, 2)).orbits[-1][0]
+        chart_for(ctx, INF)  # the anchor and the shifts, before the corruption
+        normal_form = tubes._normal_form
+        monkeypatch.setattr(
+            tubes, "_normal_form", lambda orbits: corrupt(list(normal_form(orbits)), far)
+        )
+        with pytest.raises(error, match=match):
+            chart_for(ctx, Slope(7, 3))
+        monkeypatch.undo()
+        assert Slope(7, 3) not in ctx._charts
 
 
 def test_chart_memo_idempotent(ctx2222):

@@ -6,7 +6,6 @@ from tubtilt.weights import (
     TUBULAR_TYPES,
     c_gen,
     delta,
-    is_effective,
     l_add,
     l_neg,
     l_normalize,
@@ -111,6 +110,11 @@ def test_omega_order_equals_p():
             order += 1
             assert order <= w.p
         assert order == w.p
+
+
+def is_effective(x):
+    """x >= 0: the c coefficient of the normal form is >= 0."""
+    return x.c >= 0
 
 
 def test_effectivity():
