@@ -3,15 +3,20 @@
 Only what the engine and `verify` call lives here: products and powers
 for the lattice actions, the Bareiss determinant of the unimodularity
 checks and the integral solve behind `verify`'s basis coordinates.
-Sizes stay below 11x11, so no effort is spent on asymptotics.
 
-The batched form of `tubes` holds many vectors at once as coordinate
-rows (row a holds coordinate a of every vector) and applies a lattice
-map through its nonzero entries only: `sparse_rows` lists them once
-per matrix, and `apply_rows` moves every vector in one pass over them.
-The lattice maps are sparse (on (2,3,6), 22 of the 100 entries of
-tau^-1 are nonzero), and each pass is a few C-level `map` calls over
-whole rows instead of one Python-level dot product per vector.
+Every product goes through the nonzero entries of its left factor.
+`sparse_rows` lists them once per matrix, and `apply_rows` computes
+the product with a matrix given by its rows: row i of the result is
+the sum of v * rows[j] over the nonzeros (j, v) of row i, each term a
+few C-level `map` calls over a whole row.  The lattice maps are sparse
+(on (2,3,6), 22 of the 100 entries of tau^-1 are nonzero and 19 of the
+Euler matrix), so this is the cost that matters at these sizes (below
+11x11): `mat_mul` and `mat_pow` are thin forms of it.
+
+Held as coordinate rows (row a holds coordinate a of every vector),
+the columns of `rows` are vectors, and `apply_rows` moves all of them
+in one pass over the matrix's nonzeros: `tubes` moves, checks and
+decodes the classes of a chart this way.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ def mat_vec(m: Matrix, v: Sequence[int]) -> Vector:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    """The product a b, through the nonzero entries of a."""
+    return tuple(apply_rows(sparse_rows(a), b))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -48,9 +53,12 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:
+    """m^k for k >= 0: the nonzero entries of m are listed once, and
+    each step is m times the last power."""
+    sparse = sparse_rows(m)
     out = identity(len(m))
     for _ in range(k):
-        out = mat_mul(out, m)
+        out = tuple(apply_rows(sparse, out))
     return out
 
 

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .intmat import (
     Matrix,
+    apply_rows,
     dot,
     identity,
     mat_mul,
@@ -111,8 +112,8 @@ class K0Context:
         self.tau: Matrix = twist_matrix(self, self.omega)
         self.tau_inv: Matrix = twist_matrix(self, l_neg(self.omega))
         self.chibar: Matrix = _chibar_matrix(self)
-        # Sparse rows (intmat.sparse_rows) of the maps that the batched
-        # chart checks of `tubes` apply to all classes of a chart at once.
+        # Sparse rows (intmat.sparse_rows) of the maps that `_check_context`
+        # and the batched chart checks of `tubes` apply to many vectors at once.
         self.euler_rows = sparse_rows(euler)
         self.tau_inv_rows = sparse_rows(self.tau_inv)
         self.rank_deg_rows = sparse_rows((rank_form, deg_form))
@@ -170,7 +171,13 @@ def twist_matrix(ctx: K0Context, v: LElement) -> Matrix:
 
 
 def build_context(w: WeightData) -> K0Context:
-    """Assemble the Euler matrix, forms and twist action; self-check."""
+    """Assemble the Euler matrix, forms and twist action; self-check.
+
+    A fresh context per call: nothing is shared between contexts.  The
+    cold cost is the twist matrices of tau and tau^-1, the averaged form
+    (`_chibar_matrix`) and the six checks of `_check_context`; every
+    matrix product among them runs through the nonzero entries of its
+    left factor (`intmat.apply_rows`), and the lattice maps are sparse."""
     n = w.n
     offsets = []
     pos = 1
@@ -212,17 +219,27 @@ def build_context(w: WeightData) -> K0Context:
 
 
 def _check_context(ctx: K0Context) -> None:
+    """The lattice data agree with the theory, or InternalConsistencyError:
+    the Euler matrix E is unimodular, tau preserves the Euler form, tau
+    and tau^-1 are inverse, tau^p = 1, Serre duality chi(a, b) =
+    -chi(b, tau a) holds and the averaged form is rank(a) deg(b) -
+    deg(a) rank(b); tested in this order.
+
+    Every product has a sparse left factor (`intmat.mat_mul`): E tau is
+    taken once from `ctx.euler_rows` and serves both the Euler form,
+    tau^T (E tau) = E, and Serre duality, E = -(E tau)^T."""
     e, t = ctx.euler, ctx.tau
     if abs(ctx.euler_det) != 1:
         raise InternalConsistencyError("Euler matrix is not unimodular")
-    if mat_mul(mat_mul(transpose(t), e), t) != e:
+    et = tuple(apply_rows(ctx.euler_rows, t))
+    if mat_mul(transpose(t), et) != e:
         raise InternalConsistencyError("tau does not preserve the Euler form")
     if mat_mul(t, ctx.tau_inv) != identity(ctx.n):
         raise InternalConsistencyError("tau inverse mismatch")
     if mat_pow(t, ctx.p) != identity(ctx.n):
         raise InternalConsistencyError("tau does not have order p")
     # Serre duality on classes: chi(a, b) = -chi(b, tau a).
-    if e != tuple(tuple(-x for x in row) for row in transpose(mat_mul(e, t))):
+    if e != tuple(tuple(-x for x in row) for row in transpose(et)):
         raise InternalConsistencyError("Serre duality fails on the lattice")
     # Averaged form equals the rank/degree determinant form.
     if ctx.chibar != tuple(
@@ -236,17 +253,15 @@ def _check_context(ctx: K0Context) -> None:
 
 
 def _chibar_matrix(ctx: K0Context) -> Matrix:
-    """Sum of (tau^T)^j euler over j = 0..p-1."""
+    """Sum of (tau^T)^j euler over j = 0..p-1.
+
+    By Horner's rule, E + T (E + T (... + T E)) with T = tau^T: p - 1
+    products, each through the nonzero entries of T, listed once."""
+    tt = sparse_rows(transpose(ctx.tau))
     acc = ctx.euler
-    tt = transpose(ctx.tau)
-    power = tt
     for _ in range(ctx.p - 1):
-        acc = tuple(
-            tuple(x + y for x, y in zip(r1, r2))
-            for r1, r2 in zip(acc, mat_mul(power, ctx.euler))
-        )
-        power = mat_mul(power, tt)
-    return acc
+        acc = apply_rows(tt, acc, ctx.euler)
+    return tuple(acc)
 
 
 def chi(ctx: K0Context, a: K0Class, b: K0Class) -> int:

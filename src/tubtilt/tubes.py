@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add, neg
 from typing import Iterator
 
 from .errors import (
@@ -395,16 +396,25 @@ class _Shift:
 
 
 def _shift_along(ctx: K0Context, start: tuple[int, ...]) -> _Shift:
-    """The shift along the tau-orbit of `start`."""
-    orbit = [start]
-    while (nxt := mat_vec(ctx.tau_inv, orbit[-1])) != start:
-        orbit.append(nxt)
-    et = transpose(ctx.euler)
+    """The shift along the tau-orbit of `start`.
+
+    The orbit is walked on coordinate rows through the sparse rows of
+    tau^-1 (`ctx.tau_inv_rows`), one width-1 column per class, and kept
+    as the coordinate rows O of its classes.  The pairing rows come from
+    one batched product: column j of euler O is euler E_j, the row of
+    chi(x, E_j) (`right`).  By Serre duality, chi(E_j, x) = -chi(x, tau
+    E_j) = -chi(x, E_{j-1}), so row j of `left` is row j - 1 of `right`
+    negated; `_check_context` checks the duality on every context."""
+    first = [(x,) for x in start]
+    rows, col = first, first
+    while (col := apply_rows(ctx.tau_inv_rows, col)) != first:
+        rows = list(map(add, rows, col))
+    right = list(zip(*apply_rows(ctx.euler_rows, rows)))
     return _Shift(
-        tuple(orbit),
-        sparse_rows([mat_vec(et, e) for e in orbit]),
-        sparse_rows([ctx.eb(e) for e in orbit]),
-        sparse_rows(transpose(tuple(tuple(-x for x in e) for e in orbit))),
+        tuple(zip(*rows)),
+        sparse_rows([tuple(map(neg, r)) for r in right[-1:] + right[:-1]]),
+        sparse_rows(right),
+        sparse_rows([tuple(map(neg, r)) for r in rows]),
     )
 
 
@@ -530,13 +540,22 @@ def coords_of_class(ctx: K0Context, chart: TubeChart, c: K0Class) -> ExcObject:
     A sheaf class of the chart's slope is decoded by its chi pattern
     against the chart's quasi-simples (`_find_window`), checked by
     summing the window it reads."""
+    return _coords(ctx, chart, c, None)
+
+
+def _coords(
+    ctx: K0Context, chart: TubeChart, c: K0Class, q: Slope | None
+) -> ExcObject:
+    """`coords_of_class`, with q the slope of c when the caller has
+    already computed it (else None)."""
     key = (chart.slope, c.vec)
     got = ctx._decode.get(key)
     if got is None:
-        try:
-            q = slope_of(ctx, c)
-        except NotSheafLike:
-            raise NotExceptionalHere(f"class {c.vec} is not sheaf-like") from None
+        if q is None:
+            try:
+                q = slope_of(ctx, c)
+            except NotSheafLike:
+                raise NotExceptionalHere(f"class {c.vec} is not sheaf-like") from None
         if q != chart.slope:
             raise NotExceptionalHere(
                 f"class {c.vec} has a different slope than the chart"
@@ -550,9 +569,10 @@ def coords_of_class(ctx: K0Context, chart: TubeChart, c: K0Class) -> ExcObject:
 
 
 def exc_from_class(ctx: K0Context, c: K0Class) -> ExcObject:
-    """Decode an arbitrary class (builds the chart at its slope)."""
+    """Decode an arbitrary class (builds the chart at its slope); a class
+    that is not sheaf-like raises NotSheafLike."""
     q = slope_of(ctx, c)
-    return coords_of_class(ctx, chart_for(ctx, q), c)
+    return _coords(ctx, chart_for(ctx, q), c, q)
 
 
 def orbit_rank(ctx: K0Context, x: ExcObject) -> int:

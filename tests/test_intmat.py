@@ -2,7 +2,28 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from tubtilt.intmat import apply_rows, mat_mul, solve_int, sparse_rows
+from tubtilt import k0, tubes
+from tubtilt.intmat import (
+    apply_rows,
+    identity,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+    solve_int,
+    sparse_rows,
+    transpose,
+)
+from tubtilt.k0 import line_bundle_class
+from tubtilt.slopes import ZERO
+from tubtilt.weights import l_zero
+
+
+def _dense_mul(a, b):
+    """Oracle for every product: the dense triple loop over all entries."""
+    return tuple(
+        tuple(sum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
 
 
 def _fraction_solve(columns, target):
@@ -121,8 +142,95 @@ def test_apply_rows_is_the_dense_product(product):
     assert sparse_rows(a) == tuple(
         tuple((j, v) for j, v in enumerate(row) if v) for row in a
     )
-    dense = mat_mul(a, rows)
+    dense = _dense_mul(a, rows)
     assert tuple(apply_rows(sparse_rows(a), rows)) == dense
     assert tuple(apply_rows(sparse_rows(a), rows, base)) == tuple(
         tuple(x + y for x, y in zip(r, b)) for r, b in zip(dense, base)
+    )
+
+
+_ENTRY = st.integers(-3, 3)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """a (n x m) and b (m x w), shapes up to 11 x 11, entries in -3..3."""
+    n, m, w = draw(st.integers(1, 11)), draw(st.integers(1, 11)), draw(st.integers(1, 11))
+    a = tuple(tuple(draw(_ENTRY) for _ in range(m)) for _ in range(n))
+    b = tuple(tuple(draw(_ENTRY) for _ in range(w)) for _ in range(m))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_pairs())
+def test_mat_mul_is_the_dense_product(pair):
+    a, b = pair
+    assert mat_mul(a, b) == _dense_mul(a, b)
+
+
+@st.composite
+def _square_powers(draw):
+    """m (n x n), n up to 11, entries in -3..3, and k in 0..12."""
+    n = draw(st.integers(1, 11))
+    m = tuple(tuple(draw(_ENTRY) for _ in range(n)) for _ in range(n))
+    return m, draw(st.integers(0, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_powers())
+def test_mat_pow_is_the_repeated_dense_product(power):
+    m, k = power
+    want = identity(len(m))
+    for _ in range(k):
+        want = _dense_mul(want, m)
+    assert mat_pow(m, k) == want
+
+
+def _oracle_chibar(ctx):
+    """The averaged form as two dense products per term: the powers
+    (tau^T)^j and each power times the Euler matrix, summed."""
+    acc = ctx.euler
+    tt = transpose(ctx.tau)
+    power = tt
+    for _ in range(ctx.p - 1):
+        acc = tuple(
+            tuple(x + y for x, y in zip(r1, r2))
+            for r1, r2 in zip(acc, _dense_mul(power, ctx.euler))
+        )
+        power = _dense_mul(power, tt)
+    return acc
+
+
+def _oracle_shift_along(ctx, start):
+    """The shift of `tubes._shift_along`, one class at a time: the orbit
+    by dense tau^-1 images, and the pairing rows chi(E_j, -) and
+    chi(-, E_j) as the dense images of E_j under euler^T and euler."""
+    orbit = [start]
+    while (nxt := mat_vec(ctx.tau_inv, orbit[-1])) != start:
+        orbit.append(nxt)
+    et = transpose(ctx.euler)
+    return tubes._Shift(
+        tuple(orbit),
+        sparse_rows([mat_vec(et, e) for e in orbit]),
+        sparse_rows([mat_vec(ctx.euler, e) for e in orbit]),
+        sparse_rows(transpose(tuple(tuple(-x for x in e) for e in orbit))),
+    )
+
+
+def test_chibar_matches_the_two_product_form(any_ctx):
+    assert k0._chibar_matrix(any_ctx) == any_ctx.chibar == _oracle_chibar(any_ctx)
+
+
+def test_shift_along_matches_the_per_vector_form(any_ctx):
+    ctx = any_ctx
+    w = ctx.weights
+    at_inf = [0] * ctx.n
+    at_inf[ctx.simple_index(w.weights.index(w.p), 1)] = 1
+    starts = [line_bundle_class(ctx, l_zero(w)).vec, tuple(at_inf)]
+    # every quasi-simple at slope 0 starts an orbit too, of each rank
+    starts += [orb[0].vec for orb in tubes.chart_for(ctx, ZERO).orbits]
+    for start in starts:
+        assert tubes._shift_along(ctx, start) == _oracle_shift_along(ctx, start), start
+    assert tubes._tube_shifts(ctx) == tuple(
+        _oracle_shift_along(ctx, s) for s in starts[:2]
     )

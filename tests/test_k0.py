@@ -1,8 +1,15 @@
 import random
+import re
 
 import pytest
 
-from tubtilt.errors import NotSheafLike, PreconditionError, SearchBoundExceeded
+from tubtilt import k0
+from tubtilt.errors import (
+    InternalConsistencyError,
+    NotSheafLike,
+    PreconditionError,
+    SearchBoundExceeded,
+)
 from tubtilt.intmat import det as int_det
 from tubtilt.intmat import identity, mat_pow, mat_vec
 from tubtilt.k0 import (
@@ -11,6 +18,7 @@ from tubtilt.k0 import (
     _min_tube_norm,
     _svec_from_d,
     _tube_dvectors,
+    build_context,
     chi,
     chi_bar,
     deg_of,
@@ -21,7 +29,16 @@ from tubtilt.k0 import (
 )
 from tubtilt.slopes import INF, Slope
 from tubtilt.verify import context_for
-from tubtilt.weights import TUBULAR_TYPES, c_gen, delta, l_normalize, l_zero, omega, x_gen
+from tubtilt.weights import (
+    TUBULAR_TYPES,
+    c_gen,
+    delta,
+    l_normalize,
+    l_zero,
+    make_weights,
+    omega,
+    x_gen,
+)
 
 def tau_class(ctx, c):
     """The class of tau of an object of class c."""
@@ -88,6 +105,60 @@ def test_tau_order_and_fixed_vectors(any_ctx):
     for _ in range(any_ctx.p):
         acc = tau_class(any_ctx, acc)
     assert acc == e_o
+
+
+def _corrupt_unimodular(monkeypatch):
+    monkeypatch.setattr(k0, "int_det", lambda m: 2)
+
+
+def _corrupt_tau_form(monkeypatch):
+    # 2 tau scales the Euler form by 4
+    twist = k0.twist_matrix
+
+    def doubled(ctx, v):
+        m = twist(ctx, v)
+        return tuple(tuple(2 * x for x in r) for r in m) if v == ctx.omega else m
+
+    monkeypatch.setattr(k0, "twist_matrix", doubled)
+
+
+def _corrupt_tau_inverse(monkeypatch):
+    # tau^-1 becomes the twist by 0, the identity
+    monkeypatch.setattr(k0, "l_neg", lambda x: l_zero(x.data))
+
+
+def _corrupt_tau_order(monkeypatch):
+    # the twist by x_1 preserves the form and has its inverse, but no finite order
+    monkeypatch.setattr(k0, "omega", lambda w: x_gen(w, 0))
+
+
+def _corrupt_serre(monkeypatch):
+    # tau = 1 passes every check before Serre duality
+    monkeypatch.setattr(k0, "omega", l_zero)
+
+
+def _corrupt_chibar(monkeypatch):
+    monkeypatch.setattr(k0, "_chibar_matrix", lambda ctx: ctx.euler)
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_corrupt_unimodular, "Euler matrix is not unimodular"),
+        (_corrupt_tau_form, "tau does not preserve the Euler form"),
+        (_corrupt_tau_inverse, "tau inverse mismatch"),
+        (_corrupt_tau_order, "tau does not have order p"),
+        (_corrupt_serre, "Serre duality fails on the lattice"),
+        (_corrupt_chibar, "averaged Euler form is not the determinant form"),
+    ],
+    ids=["unimodular", "tau-form", "tau-inverse", "tau-order", "serre", "chibar"],
+)
+def test_context_checks_reject_corrupted_lattice_data(monkeypatch, ws, corrupt, message):
+    build_context(make_weights(ws))
+    corrupt(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+        build_context(make_weights(ws))
 
 
 def test_tau_preserves_chi(any_ctx):

@@ -608,6 +608,27 @@ def test_not_exceptional_rejections(ctx2222):
         coords_of_class(ctx2222, chart, K0Class((-1, 0, 0, 0, 0, 0)))
 
 
+def test_exc_from_class_computes_the_slope_once(monkeypatch):
+    calls = []
+    slope_of = tubes.slope_of
+    monkeypatch.setattr(tubes, "slope_of", lambda ctx, c: calls.append(c) or slope_of(ctx, c))
+    ctx = build_context(make_weights((2, 3, 6)))
+    cls = window_class(chart_for(ctx, Slope(3, 7)), 2, 1, 4)
+    calls.clear()
+    obj = exc_from_class(ctx, cls)  # a decode miss
+    assert calls == [cls]
+    assert exc_from_class(ctx, cls) == obj == coords_of_class(ctx, chart_for(ctx, obj.slope), cls)
+    assert (obj.orbit, obj.socle, obj.len) == (2, 1, 4)
+    # not a sheaf class: NotSheafLike from exc_from_class, NotExceptionalHere
+    # from coords_of_class; not a window: NotExceptionalHere from both
+    with pytest.raises(NotSheafLike):
+        exc_from_class(ctx, -cls)
+    with pytest.raises(NotExceptionalHere, match="not sheaf-like"):
+        coords_of_class(ctx, chart_for(ctx, obj.slope), -cls)
+    with pytest.raises(NotExceptionalHere, match="not a window"):
+        exc_from_class(ctx, cls + cls)
+
+
 def test_tau_objects(ctx2222):
     e11 = exc_from_class(ctx2222, K0Class((0, 1, 0, 0, 0, 0)))
     assert tau_obj(ctx2222, tau_obj(ctx2222, e11)) == e11
