@@ -173,8 +173,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
-    p.add_argument("--trials", type=_at_least(1), default=None)
-    p.add_argument("--seed", type=_arg_type(ascii_int), default=None)
+    p.add_argument(
+        "--trials",
+        type=_at_least(1),
+        default=None,
+        help="sample count of structure, mutation, slopes, wings, purge, connect "
+        "and cli; largest denominator of abcd, never below 100; charts, canonical "
+        "and complements ignore it",
+    )
+    p.add_argument(
+        "--seed",
+        type=_arg_type(ascii_int),
+        default=None,
+        help="seed of structure, mutation, slopes, wings, purge, connect and cli; "
+        "charts, canonical, complements and abcd ignore it",
+    )
 
     return parser
 

@@ -110,12 +110,14 @@ def event_to_dict(ev: MutationEvent) -> dict:
 def event_from_dict(ctx: K0Context, data: Any) -> MutationEvent:
     if not isinstance(data, dict) or not {"k", "removed", "added", "dir"} <= data.keys():
         raise ValidationError("event record needs 'k', 'removed', 'added' and 'dir'")
+    if not isinstance(data["k"], int) or isinstance(data["k"], bool):
+        raise ValidationError("event index 'k' must be an integer")
     removed = exc_from_class(ctx, class_from_list(ctx, data["removed"]))
     added = exc_from_class(ctx, class_from_list(ctx, data["added"]))
     if data.get("dir") not in ("L", "R"):
         raise ValidationError("event direction must be 'L' or 'R'")
     return MutationEvent(
-        index=int(data["k"]),
+        index=data["k"],
         removed=removed,
         added=added,
         direction=data["dir"],

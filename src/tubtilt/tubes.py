@@ -22,11 +22,11 @@ Charts are moved, checked and decoded in batched form.  The classes of
 a chart are held as coordinate rows (row a holds coordinate a of every
 quasi-simple), and each lattice map is applied through its nonzero
 entries only (`intmat.apply_rows`): one shift step (`_shift_rows`),
-the tau^-1 images, ranks and degrees of the structure check and the
-Euler pairings of the anchor's chi pattern each take one pass over a
-sparse matrix, not one dot product per class.  A class is decoded by
-its chi pattern against the quasi-simples (`_find_window`), not by a
-scan over the windows.
+the tau^-1 images, ranks and degrees of the roots (`build_chart`) and
+of the structure check and the Euler pairings of the anchor's chi
+pattern each take one pass over a sparse matrix, not one dot product
+per class.  A class is decoded by its chi pattern against the
+quasi-simples (`_find_window`), not by a scan over the windows.
 
 Orbit conventions: position k + 1 is the tau-preimage of position k,
 so a window starting at the socle ascends through positions
@@ -53,7 +53,6 @@ from .intmat import (
     dot,
     identity,
     mat_mul,
-    mat_vec,
     sparse_rows,
     transpose,
 )
@@ -61,10 +60,8 @@ from .k0 import (
     K0Class,
     K0Context,
     chi,
-    deg_of,
     enumerate_roots_at,
     line_bundle_class,
-    rank_of,
     slope_of,
 )
 from .slopes import ZERO, Slope
@@ -136,66 +133,40 @@ def _window_vec(orb: tuple[K0Class, ...], socle: int, length: int) -> tuple[int,
 def build_chart(ctx: K0Context, q: Slope) -> TubeChart:
     """Classify the roots at slope q into tau-orbits of quasi-simples.
 
-    Roots are processed by ascending multiple m of the primitive
-    (deg, rank) direction; a root is quasi-simple unless it is a window
-    sum of two or more already-classified quasi-simples.
+    In a stable tube of rank r the windows of quasi-length l < r form
+    one tau-orbit, whose classes sum to l times the tube's quasi-simple
+    sum w, and w is the same for every tube of the slope.  So the roots
+    are split into tau-orbits, their tau^-1 images taken at once on
+    coordinate rows, and the quasi-simple orbits are those whose class
+    sum is least by (rank, degree): at a finite slope l w has l times
+    the rank of w, at infinity l times the degree.  A duplicate root or
+    a tau image outside the roots raises ChartInconsistent, and the
+    chart is validated in full (`_validate_chart`).
     """
     roots = enumerate_roots_at(ctx, q, ctx.p)
-    by_level: dict[int, list[K0Class]] = {}
-    for c in roots:
-        m = rank_of(ctx, c) // q.den if q.den else deg_of(ctx, c)
-        by_level.setdefault(m, []).append(c)
-
-    quasi: list[tuple[K0Class, int]] = []  # (class, level)
-    # per quasi-simple: successive tau-preimage terms and their partial sums
-    terms: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    sums: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def window_sum(base: K0Class, length: int) -> tuple[int, ...]:
-        chain = terms.setdefault(base.vec, [base.vec])
-        acc = sums.setdefault(base.vec, [base.vec])
-        while len(chain) < length:
-            chain.append(mat_vec(ctx.tau_inv, chain[-1]))
-            acc.append(tuple(a + b for a, b in zip(acc[-1], chain[-1])))
-        return acc[length - 1]
-
-    for m in sorted(by_level):
-        for c in by_level[m]:
-            decomposed = False
-            for u, mu in quasi:
-                if m % mu == 0 and m // mu >= 2:
-                    if window_sum(u, m // mu) == c.vec:
-                        decomposed = True
-                        break
-            if not decomposed:
-                quasi.append((c, m))
-
-    orbits = _group_orbits(ctx, [c for c, _ in quasi], q)
-    chart = TubeChart(q, orbits)
+    index = {c.vec: i for i, c in enumerate(roots)}
+    if len(index) != len(roots):
+        raise ChartInconsistent(f"duplicate roots at slope {q}")
+    rows = list(zip(*(c.vec for c in roots)))
+    try:
+        after = [index[v] for v in zip(*apply_rows(ctx.tau_inv_rows, rows))]
+    except KeyError:
+        raise ChartInconsistent(f"tau orbit at slope {q} left the root set") from None
+    ranks, degs = apply_rows(ctx.rank_deg_rows, rows)
+    cycles, seen = [], set()
+    for i in range(len(roots)):
+        if i not in seen:
+            cyc = [i]
+            while (j := after[cyc[-1]]) != i:
+                cyc.append(j)
+            seen.update(cyc)
+            cycles.append(cyc)
+    sums = [(sum(ranks[k] for k in c), sum(degs[k] for k in c)) for c in cycles]
+    least = min(sums)
+    orbits = [tuple(roots[k] for k in c) for c, s in zip(cycles, sums) if s == least]
+    chart = TubeChart(q, _normal_form(orbits))
     _validate_chart(ctx, chart, roots)
     return chart
-
-
-def _group_orbits(
-    ctx: K0Context, quasi: list[K0Class], q: Slope
-) -> tuple[tuple[K0Class, ...], ...]:
-    remaining = {c.vec: c for c in quasi}
-    if len(remaining) != len(quasi):
-        raise ChartInconsistent(f"duplicate quasi-simple classes at slope {q}")
-    orbits: list[tuple[K0Class, ...]] = []
-    while remaining:
-        cyc = [remaining.pop(min(remaining))]
-        while True:
-            nxt = K0Class(mat_vec(ctx.tau_inv, cyc[-1].vec))
-            if nxt.vec == cyc[0].vec:
-                break
-            if nxt.vec not in remaining:
-                raise ChartInconsistent(
-                    f"tau orbit at slope {q} left the quasi-simple set"
-                )
-            cyc.append(remaining.pop(nxt.vec))
-        orbits.append(tuple(cyc))
-    return _normal_form(orbits)
 
 
 def _normal_form(
@@ -444,13 +415,6 @@ def _shift_rows(
     return apply_rows(shift.drop, _orbit_weights(c, k), rows)
 
 
-def _apply_shift(
-    shift: _Shift, k: int, vecs: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """rho^k of every vector (see `chart_for`)."""
-    return list(zip(*_shift_rows(shift, k, list(zip(*vecs)))))
-
-
 def _shift_word(q: Slope) -> list[tuple[int, int]]:
     """(generator, power) steps that carry the anchor to slope q.
 
@@ -520,7 +484,7 @@ def _check_slope_zero_shift(ctx: K0Context, shift: _Shift) -> None:
 
 
 def _move_chart(ctx: K0Context, anchor: TubeChart, q: Slope) -> TubeChart:
-    """The anchor moved to slope q, in the normal form of `_group_orbits`:
+    """The anchor moved to slope q, in the normal form of `build_chart`:
     the shifts commute with tau, so each orbit stays in tau order and is
     only rotated.  Only the structure is checked (see `chart_for`)."""
     shifts = _tube_shifts(ctx)

@@ -145,6 +145,16 @@ def test_event_wire_format(ctx2222):
         serialize.event_from_dict(ctx2222, ev)
 
 
+@pytest.mark.parametrize("k", [1.9, True, "1", "\u0661", "x", None, [1]])
+def test_path_record_with_a_non_integer_event_index_rejected(ctx2222, k):
+    # int() would read 1.9, True, "1" and the Arabic-Indic digit one as 1
+    data = serialize.path_to_dict(ctx2222, random_walk(ctx2222, 3, seed=3))
+    assert serialize.path_from_dict(ctx2222, data).events[0].index == 1
+    data["events"][0]["k"] = k
+    with pytest.raises(ValidationError, match="'k' must be an integer"):
+        serialize.path_from_dict(ctx2222, data)
+
+
 def test_chart_cache_round_trip(ctx2222, tmp_path):
     chart_for(ctx2222, Slope(1, 2))
     chart_for(ctx2222, INF)

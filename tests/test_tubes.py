@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,7 +11,17 @@ from tubtilt.errors import (
     NotSheafLike,
 )
 from tubtilt.intmat import identity, mat_mul, mat_pow, mat_vec, transpose
-from tubtilt.k0 import K0Class, build_context, chi, line_bundle_class, twist_matrix
+from tubtilt.k0 import (
+    K0Class,
+    build_context,
+    chi,
+    deg_of,
+    enumerate_roots_at,
+    line_bundle_class,
+    rank_of,
+    twist_matrix,
+)
+from tubtilt.serialize import chart_to_dict, dumps
 from tubtilt.slopes import INF, ZERO, Slope
 from tubtilt.tubes import (
     ExcObject,
@@ -117,9 +128,14 @@ def test_twisted_charts_match_built_charts(monkeypatch):
         assert built == [ZERO]
 
 
+def _apply_shift(shift, k, vecs):
+    """rho^k of every vector (see `chart_for`), through the row form."""
+    return list(zip(*tubes._shift_rows(shift, k, list(zip(*vecs)))))
+
+
 def _shift_matrix(ctx, shift, k):
     basis = [tuple(int(a == b) for b in range(ctx.n)) for a in range(ctx.n)]
-    return transpose(tuple(tubes._apply_shift(shift, k, basis)))
+    return transpose(tuple(_apply_shift(shift, k, basis)))
 
 
 def test_shift_on_the_x_t_tube_is_the_twist(any_ctx):
@@ -202,6 +218,118 @@ def test_moved_charts_match_built_charts_at_large_denominators():
             check_chart_invariants(ctx, chart)
 
 
+def _oracle_build_chart(ctx, q):
+    """The level-by-level classifier: roots by ascending multiple m of
+    (deg, rank)(q); a root is quasi-simple unless it is the sum of
+    m // mu >= 2 consecutive tau^-1 terms from a quasi-simple of an
+    earlier level mu.  The quasi-simples are then grouped into orbits by
+    walking tau^-1 from the smallest one left."""
+    by_level = {}
+    for c in enumerate_roots_at(ctx, q, ctx.p):
+        m = rank_of(ctx, c) // q.den if q.den else deg_of(ctx, c)
+        by_level.setdefault(m, []).append(c.vec)
+
+    def window_sum(base, length):
+        acc = term = base
+        for _ in range(length - 1):
+            term = mat_vec(ctx.tau_inv, term)
+            acc = tuple(a + b for a, b in zip(acc, term))
+        return acc
+
+    quasi = []  # (class vector, level)
+    for m in sorted(by_level):
+        for c in by_level[m]:
+            if not any(
+                m % mu == 0 and m // mu >= 2 and window_sum(u, m // mu) == c
+                for u, mu in quasi
+            ):
+                quasi.append((c, m))
+    remaining = {c for c, _ in quasi}
+    assert len(remaining) == len(quasi)
+    orbits = []
+    while remaining:
+        cyc = [min(remaining)]
+        remaining.remove(cyc[0])
+        while (nxt := mat_vec(ctx.tau_inv, cyc[-1])) != cyc[0]:
+            remaining.remove(nxt)
+            cyc.append(nxt)
+        orbits.append(tuple(K0Class(v) for v in cyc))
+    return TubeChart(q, tubes._normal_form(orbits))
+
+
+def test_build_chart_matches_the_level_classifier(any_ctx):
+    rng = random.Random(43)
+    slopes = list(CHART_SLOPES)
+    while len(slopes) < len(CHART_SLOPES) + 40:
+        b = rng.randint(1, 64)
+        if (q := Slope(rng.randint(-3 * b, 3 * b), b)) not in slopes:
+            slopes.append(q)
+    for q in slopes:
+        assert build_chart(any_ctx, q) == _oracle_build_chart(any_ctx, q), q
+
+
+def _drop_each(roots):
+    for k in range(len(roots)):
+        yield roots[:k] + roots[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_drop_each, "left the root set"),
+        (lambda roots: [roots + roots[:1], roots + roots[-1:]], "duplicate roots"),
+    ],
+    ids=["dropped", "repeated"],
+)
+def test_build_chart_rejects_a_broken_root_set(monkeypatch, any_ctx, edit, match):
+    for q in (ZERO, INF, Slope(2, 3)):
+        for roots in edit(enumerate_roots_at(any_ctx, q, any_ctx.p)):
+            monkeypatch.setattr(tubes, "enumerate_roots_at", lambda ctx, q, m, r=roots: r)
+            with pytest.raises(ChartInconsistent, match=match):
+                build_chart(any_ctx, q)
+
+
+# sha256 of serialize.dumps(chart_to_dict(...)), the stdout of `tubtilt
+# chart` without its newline, of every type at six slopes; pinned so that
+# a change to the classifier or to the shifts that alters any orbit order
+# or socle position shows here.
+GOLDEN_CHARTS = {
+    ((2, 2, 2, 2), "inf"): "aab9addf0b2f4c70df7eda6a6709b0950485698e275e42fbe083017b5637714d",
+    ((2, 2, 2, 2), "0"): "3ec96a1ace85c7cd80260aaf71f3b6c45efcd519e706b23989d23bb05e1c5db8",
+    ((2, 2, 2, 2), "1/2"): "9a4e817df100864e38d3cffd8c2a536ca1eb0a71356709d60f9c03b48bbc0430",
+    ((2, 2, 2, 2), "-1/2"): "d53deb4f3cc447634b53a0f778c8194d5b9edf755f79989898b852264d92f56d",
+    ((2, 2, 2, 2), "37/53"): "05fb50fc713cdb90b0db2198fb254da089752a41514ff097d84c40dc1ff890cd",
+    ((2, 2, 2, 2), "-29/61"): "1fcbc15cc4ddb120436d53736a84a1aa61057448792d958dd776100922e5d7b6",
+    ((3, 3, 3), "inf"): "50365853f7e8ca0e545cbffcffe157560a9d8ee42c3eb89ea3c31163f86485ce",
+    ((3, 3, 3), "0"): "ecbb70fc394392dc0bec57d8a0cfcd7dad55de5e17d1e78f7332a40d9c41b1d4",
+    ((3, 3, 3), "1/2"): "b70d8c84c3e20153b53391383165913df0891e7644e5c37ce7c32d2c2db936f9",
+    ((3, 3, 3), "-1/2"): "dd3ac40473c9791263f569b02dc8d1baf4828e30d8e47827ba3b3e0271fc7408",
+    ((3, 3, 3), "37/53"): "f64c7bbedd414cd2f023a9288cc7afdfef56d7ab84beddfc76e781bdeeff322e",
+    ((3, 3, 3), "-29/61"): "18b80197ef2f1aed6740cc4aefd33928917066e9f00a08f02cd0c5a15f8dbc0a",
+    ((2, 4, 4), "inf"): "3a47d71cdd65db57814d3b94a929298186cb3d4ecdb0c6206008bf840b9dad0a",
+    ((2, 4, 4), "0"): "7185292d1ec1a13cfe4861cca425aba4b8e73e930dac830e0f187fc58be95fdb",
+    ((2, 4, 4), "1/2"): "55a8b3a98b3060df527024be0e713ee144b5bc20ad95a1a3f22876421ef0d893",
+    ((2, 4, 4), "-1/2"): "554e0ec6cb5a4390e36472818442b3ed1fe53a2e442776e5f5e1d6bcd424a426",
+    ((2, 4, 4), "37/53"): "b3e81e8100a89866b91920dae6017acfc67e000061f30a047e371c4242f9e16e",
+    ((2, 4, 4), "-29/61"): "4bfb7016fd0c2962f35b37c06fe089062260c85a9333154c6c0c4b0345d23a5b",
+    ((2, 3, 6), "inf"): "08e84501fb72d84ae48794670339d7ad663c32cb4539974032be9f797ad2d993",
+    ((2, 3, 6), "0"): "d7a43993854fe5e38a031e2e3a50affa3a2be256c253c4459832cb778583aca7",
+    ((2, 3, 6), "1/2"): "835fa12e7804d3c99fad2aec7eda3148b8105c1e4fda161e12c706ccedfb6191",
+    ((2, 3, 6), "-1/2"): "96c9774ddf9d88275290374d9cf85738671657716cf0d62156a03f04e7d0079a",
+    ((2, 3, 6), "37/53"): "99b038a2d0ac37cec5d5a9dbc4aeb66e5531eaa12b9e21877f27367458e6ff1a",
+    ((2, 3, 6), "-29/61"): "91c6c6923a41d8d679386fc3e3a3c79b4f3b4e3d32ea207215f6908c4b449190",
+}
+
+
+def test_golden_charts():
+    got = {}
+    for ws, q in GOLDEN_CHARTS:
+        ctx = build_context(make_weights(ws))
+        text = dumps(chart_to_dict(ctx, chart_for(ctx, Slope.parse(q))))
+        got[ws, q] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == GOLDEN_CHARTS
+
+
 # -- the batched kernel against the per-vector oracles -------------------------
 
 
@@ -276,7 +404,7 @@ def test_batched_shift_matches_the_oracle(any_ctx):
     for shift in tubes._tube_shifts(any_ctx):
         for k in (*range(-13, 0), *range(1, 14)):
             want = _oracle_apply_shift(any_ctx, shift.orbit, k, vecs)
-            assert tubes._apply_shift(shift, k, vecs) == want, k
+            assert _apply_shift(shift, k, vecs) == want, k
 
 
 def test_batched_charts_and_decode_match_the_oracles(any_ctx):
