@@ -68,6 +68,7 @@ from .tilting import (
     purge_torsion,
     slope_range,
     t_can,
+    torsion_exchanges,
 )
 from .tubes import ExcObject, chart_for, ext_dim
 
@@ -318,15 +319,25 @@ def extend_abcd(a: int, b: int) -> FareyStep:
 def random_walk(
     ctx: K0Context, steps: int, seed: int, bundle_only: bool = False
 ) -> MutationPath:
-    """Seeded mutation walk from the canonical tilting bundle."""
+    """Seeded mutation walk from the canonical tilting bundle.
+
+    Each step tries the summands in a seeded order and takes the first
+    admissible mutation.  With `bundle_only`, a mutation that brings in
+    a torsion sheaf is not admissible, and it is skipped without being
+    made (`tilting.torsion_exchanges`)."""
     rng = random.Random(seed)
     path = MutationPath.single(t_can(ctx))
     for _ in range(steps):
         order = rng.sample(range(ctx.n), ctx.n)
+        torsion = torsion_exchanges(ctx, path.end) if bundle_only else None
         for k in order:
-            t2, ev = mutate(ctx, path.end, k)
-            if bundle_only and not is_bundle(t2):
+            if torsion and torsion[k]:
                 continue
+            t2, ev = mutate(ctx, path.end, k)
+            if bundle_only and ev.added.slope.is_infinite:
+                raise InternalConsistencyError(
+                    "a mutation the fibre test admitted brought in a torsion sheaf"
+                )
             path.extend(t2, ev)
             break
         else:
@@ -779,7 +790,10 @@ def explore_graph(
     below 1 raises PreconditionError.  A table past its cap is cleared
     at the start of the call, never during it.
 
-    A mutation that is not in the table runs in the two halves of
+    A mutation that is not in the table is first put to the fibre test
+    when the node is a bundle and hi is finite: one that brings in a
+    torsion sheaf (`tilting.torsion_exchanges`) leaves the window, and its
+    child is dropped with no search.  Any other runs in the two halves of
     `mutate`.  The candidate search is exhaustive and the complement is
     unique, so when no sheaf-like candidate class has its slope in the
     window, the child's new summand is outside and the child is dropped
@@ -808,6 +822,7 @@ def explore_graph(
     start_out = [k for k, s in enumerate(start.summands) if not lo <= s.slope <= hi]
     for i, node in enumerate(nodes):
         key = node.class_key()
+        torsion = None  # the fibre test of node, taken at its first cold search
         for k in range(ctx.n):
             if i == 0 and any(x != k for x in start_out):
                 continue  # the child keeps a start summand outside the window
@@ -821,6 +836,11 @@ def explore_graph(
             elif len(nodes) >= max_nodes:
                 continue
             else:
+                if torsion is None:
+                    fibre = not hi.is_infinite and is_bundle(node)
+                    torsion = torsion_exchanges(ctx, node) if fibre else ()
+                if torsion and torsion[k]:
+                    continue  # its new summand is torsion, outside the window
                 candidates = _candidate_classes(ctx, node, k)
                 if not any(inside(c) for c in candidates):
                     continue

@@ -83,22 +83,19 @@ class Slope:
     def mediant(self, other: "Slope") -> "Slope":
         return Slope(self.num + other.num, self.den + other.den)
 
+    # infinity is 1/0 and no denominator is negative, so one
+    # cross-multiplication orders every pair, infinity above the rationals
     def __lt__(self, other: "Slope") -> bool:
-        if self.is_infinite:
-            return False
-        if other.is_infinite:
-            return True
         return self.num * other.den < other.num * self.den
 
-    # the order is total, so each comparison is one cross-multiplication
     def __le__(self, other: "Slope") -> bool:
-        return not other < self
+        return self.num * other.den <= other.num * self.den
 
     def __gt__(self, other: "Slope") -> bool:
-        return other < self
+        return self.num * other.den > other.num * self.den
 
     def __ge__(self, other: "Slope") -> bool:
-        return not self < other
+        return self.num * other.den >= other.num * self.den
 
     def __str__(self) -> str:
         if self.is_infinite:

@@ -21,12 +21,29 @@ in the multiplicities b over that Gram matrix.  All its cross terms are
 <= 0, which bounds what the unvisited multiplicities can still add and
 lets a branch and bound skip most of the box.  A root is turned into a
 class and decoded only if it passes necessary conditions that are
-linear in b (no forced ext against a summand, rank >= 0); the search
-carries those linear forms down its recursion, one column of the Gram
-matrix per level, so each root is filtered in O(n) where it reaches the
-last level.  The decoded survivors are then checked as before.  The
-other summands keep their canonical order, so the result is built by
-inserting the complement at its place, not by sorting all n again.
+linear in b (no forced ext against a summand, rank >= 0).  The search
+runs on one bit mask, a unit copy of a summand per bit.  Where every
+summand has a one-dimensional hom space to or from T_k and none the
+other way, as in most exchanges, the roots are the independent sets of
+the summands' hom graph; each linear condition is a bit test, made at
+the last level that can change it.
+The decoded survivors are then checked as before.  The other summands
+keep their canonical order, so the result is built by inserting the
+complement at its place, not by sorting all n again.
+
+A mutation of a tilting bundle brings in a torsion sheaf exactly when
+the summand it removes is the only one with a map to some exceptional
+simple sheaf S_{i,j} of the weighted projective line (Geigle-Lenzing,
+"A class of weighted projective curves arising in representation
+theory of finite dimensional algebras", 1987).  Every position (i, j)
+is covered by some summand, else tau^-1 S_{i,j} would extend the
+tilting bundle; and where T_k alone covers it, tau^-1 S_{i,j} is a
+complement of the rest, so by Happel-Unger ("On a partial order of
+tilting modules", 2005: at most two complements) it is the other one.
+hom(E, S_{i,j}) is read off E's class vector (`simple_homs`), so this
+fibre test (`torsion_exchanges`) costs no mutation, no chart and no
+hom/ext; the bundle-only walks and the graph export use it to skip
+mutations that leave the bundles.
 
 `mutate` is a lookup in the context's complement table, followed on a
 miss by two halves: the candidate classes (`_candidate_classes`, the
@@ -46,7 +63,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress
+from operator import itemgetter, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BasisMismatch,
@@ -292,6 +311,58 @@ def slope_range(ctx: K0Context, t: TiltingObject) -> tuple[Slope, Slope]:
     return min(slopes), max(slopes)
 
 
+# -- mutations that leave the bundles ----------------------------------------
+
+
+def simple_homs(ctx: K0Context) -> Callable[[Sequence[int]], Iterator[int]]:
+    """The map from the class vector of a vector bundle E to hom(E, S_{i,j}),
+    tube by tube, j = 0..p_i - 1.
+
+    ext(E, S) = hom(S, tau E) = 0 for a bundle E and a torsion sheaf S,
+    so hom(E, S_{i,j}) = chi(E, S_{i,j}).  With E's rank r and S_{i,j}
+    coordinates a_{i,j} (j >= 1) that is the tube's d-vector
+    (r - a_{i,1}, a_{i,1} - a_{i,2}, ..., a_{i,p_i-1}): the difference of
+    two coordinates, the last one against a 0 appended to the vector.
+    """
+    left: list[int] = []
+    right: list[int] = []
+    for off, p_i in zip(ctx.tube_offsets, ctx.weights.weights):
+        simples = range(off, off + p_i - 1)
+        left += [ctx.idx_o, *simples]
+        right += [*simples, ctx.n]
+    get_left, get_right = itemgetter(*left), itemgetter(*right)
+
+    def homs(vec: Sequence[int]) -> Iterator[int]:
+        v = (*vec, 0)
+        return map(sub, get_left(v), get_right(v))
+
+    return homs
+
+
+def torsion_exchanges(ctx: K0Context, t: TiltingObject) -> tuple[bool, ...]:
+    """For each summand k of a tilting bundle t, whether the mutation of
+    t at k brings in a torsion sheaf; no mutation is made.
+
+    Say T_k covers the position (i, j) if hom(T_k, S_{i,j}) > 0
+    (`simple_homs`).  A tilting bundle covers every position: if none of
+    its summands did, tau^-1 S_{i,j} would be rigid with all of them.  So
+    the mutation at k is torsion exactly when T_k covers a position that
+    no other summand covers; the complement is then tau^-1 S_{i,j}.  A
+    position t leaves uncovered raises InternalConsistencyError.
+    """
+    homs = simple_homs(ctx)
+    bits = [1 << b for b in range(ctx.n - 2 + ctx.weights.t)]
+    covers = [sum(compress(bits, homs(s.cls.vec))) for s in t.summands]
+    once = twice = 0
+    for c in covers:
+        twice |= once & c
+        once |= c
+    if once != (1 << len(bits)) - 1:
+        raise InternalConsistencyError("a tilting bundle leaves a simple sheaf uncovered")
+    once &= ~twice
+    return tuple(bool(c & once) for c in covers)
+
+
 # -- mutation ----------------------------------------------------------------
 
 
@@ -328,63 +399,88 @@ def _gram_roots(
     s_i = h_to[i] + h_from[i] and S_ij = gram[i][j] + gram[j][i],
     that pass the exchange filters sum_j b_j gram[i][j] >= h_from[i],
     sum_j b_j gram[j][i] >= h_to[i] and sum_j b_j ranks[j] >= rank_k,
-    in lexicographic order.
+    in lexicographic order.  The entries of gram are hom dimensions,
+    so they are >= 0.
 
-    Branch and bound on the partial sum: the entries are hom dimensions,
-    so every cross term is <= 0 and level i adds at most s_i^2 // 4; a
-    partial sum below minus the remaining levels' maximum never returns
-    to 0.  The filter sums out[i] = sum_j b_j gram[i][j] and
-    in_[i] = sum_j b_j gram[j][i] are carried down the recursion, and so
-    is the rank sum: setting b_i = v adds v times column i (row i for
-    in_), and leaving level i takes it off again.  At level i only
-    b_0..b_{i-1} are set, so its linear coefficient
-    s_i - sum_{j<i} b_j S_ij is s_i - out[i] - in_[i], and the filters
-    cost O(m) at a leaf.
+    One branch and bound on a bit mask.  Each b_i is split into
+    max(h_to[i], h_from[i]) unit copies, consecutive bits of the mask,
+    and b_i = v sets the first v of them, so b_i is a popcount.  Level i
+    sets b_i; the levels before it have set b_0..b_{i-1}.
+
+    The quadratic: every cross term is <= 0, so level i adds at most
+    s_i^2 // 4, and a partial sum below minus the remaining levels'
+    maximum never returns to 0.  At level i, b_i = v adds (a - v) v with
+    a = s_i - sum_{j<i} b_j S_ij, and that sum is 0 unless the mask meets
+    a unit adjacent to i in the hom graph.  When it does, a <= s_i - 1,
+    so no v >= 1 adds more than s_i - 2, or (s_i - 1)^2 // 4 for
+    s_i >= 3.  Where every s_i = 1, as in most exchanges, the roots are
+    thus the independent sets of the hom graph that pass the filters.
+
+    The exchange filters: the units with a nonzero weight in a filter's
+    sum form the filter's mask.  A filter with threshold h >= 1 needs the
+    mask of b to meet it, a bit test; only h > 1 counts the weighted sum.
+    Each is checked on entering the first level past its last unit,
+    where no later choice changes it.  The rank sum is checked at the
+    leaves.
     """
     m = len(gram)
-    s = [h_to[i] + h_from[i] for i in range(m)]
-    bounds = [max(h_to[i], h_from[i]) for i in range(m)]
+    s = [x + y for x, y in zip(h_to, h_from)]
+    bounds = [x if x > y else y for x, y in zip(h_to, h_from)]
+    units: list[int] = []  # units[i]: the bits of b_i's copies
+    first: list[int] = []  # first[i]: the position of b_i's first copy
+    pos = 0
+    for u in bounds:
+        first.append(pos)
+        units.append(((1 << u) - 1) << pos)
+        pos += u
+    first.append(pos)
     rest = [0] * (m + 1)  # rest[i]: the most that levels i.. can still add
     for i in range(m - 1, -1, -1):
         rest[i] = rest[i + 1] + s[i] * s[i] // 4
     cols = list(zip(*gram))
-    idx = range(m)
-    out = [0] * m
-    in_ = [0] * m
+    outs = [sum(compress(units, row)) for row in gram]
+    ins = [sum(compress(units, col)) for col in cols]
+    checks: list[list[tuple[int, int, Sequence[int]]]] = [[] for _ in range(m + 1)]
+    for r in range(m):
+        for h, mask, weights in ((h_from[r], outs[r], gram[r]), (h_to[r], ins[r], cols[r])):
+            if h > 0:
+                checks[bisect_left(first, mask.bit_length())].append((h, mask, weights))
     hits: list[tuple[int, ...]] = []
-    b = [0] * m
 
-    def shift(i: int, d: int) -> None:
-        col, row = cols[i], gram[i]
-        for r in idx:
-            out[r] += d * col[r]
-            in_[r] += d * row[r]
-
-    def rec(i: int, f: int, rank: int) -> None:
+    def rec(i: int, mask: int, f: int, rank: int) -> None:
+        for h, need, weights in checks[i]:
+            if not mask & need:
+                return
+            if h > 1 and sum(w * (mask & u).bit_count() for w, u in zip(weights, units)) < h:
+                return
         if i == m:
-            if (
-                f == 0
-                and rank >= rank_k
-                and all(out[r] >= h_from[r] and in_[r] >= h_to[r] for r in idx)
-            ):
-                hits.append(tuple(b))
+            if f == 0 and rank >= rank_k:
+                hits.append(tuple((mask & u).bit_count() for u in units))
             return
-        a = s[i] - out[i] - in_[i]
         floor = -rest[i + 1]
-        for v in range(bounds[i] + 1):
-            g = f + (a - v) * v
-            if g >= floor:
-                if v != b[i]:
-                    shift(i, v - b[i])
-                    b[i] = v
-                rec(i + 1, g, rank + v * ranks[i])
+        if f >= floor:
+            rec(i + 1, mask, f, rank)
+        a = s[i]
+        if mask & (outs[i] | ins[i]):
+            # a drops to s_i - 1 or below: the most any v >= 1 can add
+            if f + (a - 2 if a < 3 else (a - 1) * (a - 1) // 4) < floor:
+                return
+            a -= sum(
+                (x + y) * (mask & u).bit_count()
+                for x, y, u in zip(gram[i], cols[i], units[:i])
+            )
+        unit = 1 << first[i]
+        for v in range(1, bounds[i] + 1):
+            f += a - 2 * v + 1  # (a - v) v less (a - v + 1) (v - 1)
+            mask |= unit
+            unit <<= 1
+            rank += ranks[i]
+            if f >= floor:
+                rec(i + 1, mask, f, rank)
             elif 2 * v >= a:
                 break  # (a - v) v only falls from here on
-        if b[i]:
-            shift(i, -b[i])
-            b[i] = 0
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, 0)
     return hits
 
 
@@ -445,8 +541,8 @@ def _candidate_classes(ctx: K0Context, t: TiltingObject, k: int) -> list[K0Class
     hom(T_j, T_i), solved by branch and bound (`_gram_roots`).  A root
     is kept only if it passes three necessary conditions that are linear
     in b: chi(T_i, c) >= 0 and chi(c, T_i) >= 0 (a negative value forces
-    an ext against T_i) and rank(c) >= 0.  `_gram_roots` carries these
-    sums down its recursion and applies them at each root.  Nothing is
+    an ext against T_i) and rank(c) >= 0.  `_gram_roots` tests each on
+    its bit mask at the last level that can change it.  Nothing is
     decoded here and no memo is written.
     """
     tk = t.summands[k]

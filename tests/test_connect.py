@@ -1232,14 +1232,29 @@ def test_explore_graph_completes_only_the_children_it_keeps(monkeypatch):
         completed.append((t, k))
         return real_complete(ctx, t, k, candidates, ac_key)
 
+    real_torsion = connect.torsion_exchanges
+    fibre = []
+
+    def torsion_spy(ctx, t):
+        got = real_torsion(ctx, t)
+        fibre.append((t, got))
+        return got
+
     monkeypatch.setattr(connect, "_candidate_classes", candidates_spy)
     monkeypatch.setattr(connect, "_complete_mutation", complete_spy)
+    monkeypatch.setattr(connect, "torsion_exchanges", torsion_spy)
 
     def run(ctx, start, lo, hi, cap):
         searched.clear()
         completed.clear()
+        fibre.clear()
         ctx._complements.clear()  # random_walk fills it
         nodes, edges = explore_graph(ctx, start, lo, hi, cap)
+        # the fibre test flags exactly the mutations that bring in a torsion
+        # sheaf, so a child it skips has a torsion complement
+        for t, flags in fibre:
+            for k, torsion in enumerate(flags):
+                assert torsion == mutate(ctx, t, k)[1].added.slope.is_infinite
         for t, k, candidates in searched:
             if t == start:
                 # a child keeping a start summand outside the window is
@@ -1287,14 +1302,22 @@ def test_explore_graph_completes_only_the_children_it_keeps(monkeypatch):
             k for k, s in enumerate(tc.summands) if s.slope == Slope(0, 1)
         ]
     assert got == GOLDEN_GRAPH
+    # bundle children below lo are searched and dropped: the (3,3,3) walk
+    # end of seed 1 in its own slope range [3/2, 2] has six, of slope 1
+    ctx = build_context(make_weights((3, 3, 3)))
+    start = random_walk(ctx, 5, seed=1, bundle_only=True).end
+    run(ctx, start, *slope_range(ctx, start), 16)
+    assert (len(searched), len(completed)) == (21, 15)
+    skipped += len(searched) - len(completed)
     assert skipped > 0
 
-    # the reference count: 29 of the 75 candidate searches are completed,
-    # one per node after the start; the other 46 children lie outside
+    # the reference count: all 29 candidate searches are completed, one
+    # per node after the start; the 46 children that lie outside bring
+    # in torsion sheaves and are skipped by the fibre test, unsearched
     ctx = build_context(make_weights((2, 3, 6)))
     keys, edges = run(ctx, t_can(ctx), Slope(0, 1), Slope(6, 1), 30)
     assert (len(keys), len(edges)) == (30, 43)
-    assert (len(searched), len(completed)) == (75, 29)
+    assert (len(searched), len(completed)) == (29, 29)
 
 
 def test_golden_paths():

@@ -42,8 +42,10 @@ from tubtilt.tilting import (
     make_tilting,
     mutate,
     purge_torsion,
+    simple_homs,
     slope_range,
     t_can,
+    torsion_exchanges,
 )
 from tubtilt.tubes import (
     ExcObject,
@@ -386,6 +388,122 @@ def test_gram_roots_matches_full_box(data):
     box = itertools.product(*(range(max(x, y) + 1) for x, y in zip(h_to, h_from)))
     want = [b for b in box if value(b) == 0 and passes(b)]
     assert _gram_roots(gram, h_to, h_from, ranks, rank_k) == want
+
+
+def _box_roots(gram, h_to, h_from, ranks, rank_k):
+    # every b of the box, tested one by one
+    m = len(gram)
+    sym = [[gram[i][j] + gram[j][i] for j in range(m)] for i in range(m)]
+    cols = list(zip(*gram))
+
+    def root(b):
+        value = sum((h_to[i] + h_from[i] - b[i]) * b[i] for i in range(m))
+        value -= sum(b[i] * b[j] * sym[i][j] for i in range(m) for j in range(i))
+        return (
+            value == 0
+            and dot(b, ranks) >= rank_k
+            and all(dot(b, gram[i]) >= h_from[i] and dot(b, cols[i]) >= h_to[i] for i in range(m))
+        )
+
+    box = itertools.product(*(range(max(x, y) + 1) for x, y in zip(h_to, h_from)))
+    return [b for b in box if root(b)]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_gram_roots_on_larger_boxes_matches_full_box(data):
+    # the exchanges of the four types: up to 9 free summands, most of them
+    # with one hom to or from T_k (bound 1), some with two (bound 2)
+    m = data.draw(st.integers(0, 9))
+    pairs = [(1, 0), (0, 1)] * 4 + [(1, 1), (2, 0), (0, 2), (2, 1), (1, 2)]
+    twos = data.draw(st.integers(0, min(m, 2)))
+    h = [data.draw(st.sampled_from(pairs[:8] if i >= twos else pairs[8:])) for i in range(m)]
+    h = data.draw(st.permutations(h))
+    h_to, h_from = [x for x, _ in h], [y for _, y in h]
+    gram = [
+        [1 if i == j else data.draw(st.sampled_from((0, 0, 0, 1, 1, 2))) for j in range(m)]
+        for i in range(m)
+    ]
+    ranks = data.draw(st.lists(st.integers(-1, 3), min_size=m, max_size=m))
+    rank_k = data.draw(st.integers(-1, 3))
+    want = _box_roots(gram, h_to, h_from, ranks, rank_k)
+    assert _gram_roots(gram, h_to, h_from, ranks, rank_k) == want
+
+
+def test_gram_roots_past_a_hom_with_a_large_linear_term():
+    # in the second root, b_3 follows b_0 = 1 across a hom, with s_3 = 5:
+    # a = 5 - 1 = 4, and b_3 = 2 adds (4 - 2) 2 = 4 > s_3 - 2, which the
+    # partial sum -4 of b_0..b_2 needs
+    args = (
+        [[1, 2, 2, 0], [0, 1, 2, 0], [0, 1, 1, 2], [1, 0, 2, 1]],
+        [0, 0, 1, 2],
+        [3, 3, 2, 3],
+        [3, 3, 2, 2],
+        -1,
+    )
+    assert _gram_roots(*args) == _box_roots(*args) == [(1, 0, 2, 0), (1, 3, 0, 2)]
+
+
+def _oracle_bundle_walk(ctx, steps, seed):
+    # random_walk(bundle_only=True) as it was before the fibre test: every
+    # mutation is made, and one that leaves the bundles is passed over
+    rng = random.Random(seed)
+    t = t_can(ctx)
+    for _ in range(steps):
+        for k in rng.sample(range(ctx.n), ctx.n):
+            t2 = mutate(ctx, t, k)[0]
+            if is_bundle(t2):
+                t = t2
+                break
+    return t
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_fibre_test_matches_mutation(ws):
+    ctx = build_context(make_weights(ws))
+    rng = random.Random(f"fibre/{ws}")
+    ends = [t_can(ctx)]
+    for steps in range(1, 33):
+        seed = rng.randrange(1 << 30)
+        end = _oracle_bundle_walk(ctx, steps, seed)
+        # the fibre test skips mutations, not rng draws: the walk is unchanged
+        assert random_walk(ctx, steps, seed, bundle_only=True).end == end
+        ends.append(end)
+    flagged = 0
+    for t in ends:
+        got = torsion_exchanges(ctx, t)
+        assert got == tuple(not is_bundle(mutate(ctx, t, k)[0]) for k in range(ctx.n))
+        flagged += sum(got)
+    assert flagged > 0
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_simple_homs_match_the_euler_form(ws):
+    ctx = build_context(make_weights(ws))
+    e = ctx.euler
+    fiber = [0] * ctx.n
+    fiber[ctx.idx_f] = 1
+    simples = []  # S_{i,0} = fiber - sum_j S_{i,j}, then S_{i,1}, ..., per tube
+    for i, p_i in enumerate(ws):
+        s0 = list(fiber)
+        for j in range(1, p_i):
+            s0[ctx.simple_index(i, j)] = -1
+        simples.append(s0)
+        for j in range(1, p_i):
+            sj = [0] * ctx.n
+            sj[ctx.simple_index(i, j)] = 1
+            simples.append(sj)
+    bundles = {s.cls.vec for s in t_can(ctx).summands}
+    for seed in range(6):
+        bundles |= {s.cls.vec for s in _walk(ctx, 4 + 4 * seed, seed, bundle_only=True).summands}
+    homs = simple_homs(ctx)
+    for vec in sorted(bundles):
+        want = [
+            sum(vec[u] * e[u][v] * sv[v] for u in range(ctx.n) for v in range(ctx.n))
+            for sv in simples
+        ]
+        assert list(homs(vec)) == want
+        assert min(want) >= 0 and sum(want) == vec[ctx.idx_o] * len(ws)
 
 
 @settings(
