@@ -27,7 +27,10 @@ tie-breaks use serialized object order.  A budget bounds the node count
 and optionally the wall time of a whole public call: the call starts one
 clock and passes it to every search, completion and sub-connection it
 makes, which tick it once per pending mutation pushed on a frontier and
-once per completion candidate tried.  Exhausting the budget raises
+once per completion candidate tried.  The deadline is also tested,
+counting no node, before each unit of work that ticks nothing (a pop
+of a search, a slope of a completion pool), so a search sees it at
+most one unit after it passes.  Exhausting the budget raises
 BudgetExhausted.
 """
 
@@ -111,21 +114,33 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
+_now = time.monotonic  # the deadline's time source
+
+
 class _Clock:
-    """Node count and deadline of one public call, shared by its searches."""
+    """Node count and deadline of one public call, shared by its searches.
+
+    `tick` counts a node and tests both bounds; `check` tests the
+    deadline alone.  The searches check before each unit of work that
+    ticks nothing: a pop of the stratum search (one mutation) and a
+    slope of a completion pool (its chart and the seed test of its
+    windows)."""
 
     def __init__(self, budget: SearchBudget):
         self.nodes = 0
         self.limit = budget.max_nodes
         self.deadline = None
         if budget.max_seconds is not None:
-            self.deadline = time.monotonic() + budget.max_seconds
+            self.deadline = _now() + budget.max_seconds
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.limit:
             raise BudgetExhausted(f"node budget {self.limit} exhausted")
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        self.check()
+
+    def check(self) -> None:
+        if self.deadline is not None and _now() > self.deadline:
             raise BudgetExhausted("time budget exhausted")
 
 
@@ -431,13 +446,15 @@ def completion_containing(
     clock = _clock(budget)
     seed_vecs = {x.cls.vec for x in seed}
     for round_ in range(_COMPLETION_ROUNDS + 1):
-        pool = [
-            ExcObject(cls, q, orbit, socle, length)
-            for q in _pool_slopes(seed, round_)
-            for orbit, socle, length, cls in chart_for(ctx, q).windows()
-            if cls.vec not in seed_vecs
-        ]
-        found = _complete_dfs(ctx, seed, pool, clock)
+        cands = []
+        for q in _pool_slopes(seed, round_):
+            clock.check()
+            for orbit, socle, length, cls in chart_for(ctx, q).windows():
+                if cls.vec not in seed_vecs:
+                    o = ExcObject(cls, q, orbit, socle, length)
+                    if all(ext_dim(ctx, o, s) == 0 and ext_dim(ctx, s, o) == 0 for s in seed):
+                        cands.append(o)
+        found = _complete_dfs(ctx, seed, cands, clock)
         if found is not None:
             if not is_bundle(found):
                 found, _ = purge_torsion(ctx, found)
@@ -451,14 +468,11 @@ def completion_containing(
 
 
 def _complete_dfs(
-    ctx: K0Context, seed: list[ExcObject], pool: list[ExcObject], clock: _Clock
+    ctx: K0Context, seed: list[ExcObject], cands0: list[ExcObject], clock: _Clock
 ) -> TiltingObject | None:
+    """A tilting object of the seed and pairwise ext-orthogonal pool
+    objects, each already ext-orthogonal to the seed, or None."""
     n = ctx.n
-    cands0 = [
-        o
-        for o in pool
-        if all(ext_dim(ctx, o, s) == 0 and ext_dim(ctx, s, o) == 0 for s in seed)
-    ]
 
     def rec(cands: list[ExcObject], cur: list[ExcObject]) -> TiltingObject | None:
         if len(cur) == n:
@@ -629,6 +643,7 @@ def _stratum_path(
 
     expand(start_key, a, 0)
     while heap:
+        clock.check()
         f, neg_g, _, key, k, z = heapq.heappop(heap)
         g = -neg_g
         if z is None:

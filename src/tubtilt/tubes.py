@@ -8,22 +8,27 @@ quasi-simples (socle position, quasi-length), and hom/ext dimensions
 reduce to Euler pairings across slopes plus a closed-form count
 inside a single tube.
 
-Only the chart at slope 0 is built from roots.  All tubular families
-are images of one another under autoequivalences (Lenzing-Meltzer,
-"Sheaves on a weighted projective line of genus one, and
-representations of a tubular algebra", 1993), and two tubular shifts
-generate enough of them: the one along the rank-p tube of simples at
-infinity (the twist by x_t, q -> q + 1) and the one along the tau-orbit
-of O at slope 0 (q -> q / (1 - q)).  Every other chart is the chart at
-slope 0 moved by a word in these two (`chart_for`, which states the
-shift formula and the identities checked once per context).
+The chart at infinity is known in closed form: its quasi-simples are
+the simples S_{i,j} of the exceptional tubes, one tau-orbit per weight.
+All tubular families are images of one another under autoequivalences
+(Lenzing-Meltzer, "Sheaves on a weighted projective line of genus one,
+and representations of a tubular algebra", 1993), and two tubular
+shifts generate enough of them: the one along the rank-p tube of simples
+at infinity (the twist by x_t, q -> q + 1) and the one along the
+tau-orbit of O at slope 0 (q -> q / (1 - q)).  The anchor, the chart at
+slope 0, is the chart at infinity moved back by the word of infinity,
+and every other chart is the anchor moved by a word in these two
+(`chart_for`, which states the shift formula and the identities checked
+once per context).  No root is enumerated on this path: `build_chart`,
+which classifies the roots at a slope, is the reference oracle that the
+tests and `verify --suite charts` compare the moved charts with.
 
 Charts are moved, checked and decoded in batched form.  The classes of
 a chart are held as coordinate rows (row a holds coordinate a of every
 quasi-simple), and each lattice map is applied through its nonzero
 entries only (`intmat.apply_rows`): one shift step (`_shift_rows`),
-the tau^-1 images, ranks and degrees of the roots (`build_chart`) and
-of the structure check and the Euler pairings of the anchor's chi
+the tau^-1 images, ranks and degrees of the structure check (and of
+the roots in `build_chart`) and the Euler pairings of the anchor's chi
 pattern each take one pass over a sparse matrix, not one dot product
 per class.  A class is decoded by its chi pattern against the
 quasi-simples (`_find_window`), not by a scan over the windows.
@@ -64,7 +69,7 @@ from .k0 import (
     line_bundle_class,
     slope_of,
 )
-from .slopes import ZERO, Slope
+from .slopes import INF, ZERO, Slope
 from .weights import LElement, l_zero
 
 
@@ -141,7 +146,8 @@ def build_chart(ctx: K0Context, q: Slope) -> TubeChart:
     sum is least by (rank, degree): at a finite slope l w has l times
     the rank of w, at infinity l times the degree.  A duplicate root or
     a tau image outside the roots raises ChartInconsistent, and the
-    chart is validated in full (`_validate_chart`).
+    chart is validated in full (`_validate_chart`).  This is the
+    reference oracle of `chart_for`, which enumerates no roots.
     """
     roots = enumerate_roots_at(ctx, q, ctx.p)
     index = {c.vec: i for i, c in enumerate(roots)}
@@ -197,14 +203,20 @@ def _chart_rows(chart: TubeChart) -> tuple[list[tuple[int, ...]], list[tuple[int
 
 def _check_chart_structure(ctx: K0Context, chart: TubeChart) -> None:
     """Orbit sizes are the weights, no class repeats, every class has the
-    chart's slope, and each orbit is in tau order.
+    chart's slope, each orbit is in tau order, and each orbit's classes
+    sum to (deg, rank) = p (num, den).
 
     The tau^-1 image, rank and degree of every class are taken at once,
     from the coordinate rows; the classes are then tested in chart
     order.  A class has slope q = num/den exactly when its (deg, rank)
     is a multiple of (num, den) with rank > 0 (deg > 0 at infinity);
     any other class goes to `slope_of`, which raises NotSheafLike or
-    gives another slope."""
+    gives another slope.  The classes of a quasi-simple orbit sum to the
+    class w that every tube of the slope shares: the fiber f at
+    infinity, and its image under the shifts (`chart_for`) elsewhere, so
+    (deg, rank)(w) = p (num, den).  A longer window in place of a
+    quasi-simple (one plus f, say) keeps every other property but not
+    this sum."""
     sizes = tuple(sorted(len(o) for o in chart.orbits))
     if sizes != ctx.weights.weights:
         raise ChartInconsistent(
@@ -215,10 +227,13 @@ def _check_chart_structure(ctx: K0Context, chart: TubeChart) -> None:
     classes, rows = _chart_rows(chart)
     ranks, degs = apply_rows(ctx.rank_deg_rows, rows)
     flat = zip(classes, zip(*apply_rows(ctx.tau_inv_rows, rows)), ranks, degs)
+    want = (ctx.p * q.num, ctx.p * q.den)
     seen = set()
-    for orb in chart.orbits:
+    for t, orb in enumerate(chart.orbits):
+        total = (0, 0)
         for k in range(len(orb)):
             vec, image, r, d = next(flat)
+            total = (total[0] + d, total[1] + r)
             if vec in seen:
                 raise ChartInconsistent(f"duplicate class {vec} at {chart.slope}")
             seen.add(vec)
@@ -229,6 +244,11 @@ def _check_chart_structure(ctx: K0Context, chart: TubeChart) -> None:
                 raise ChartInconsistent(
                     f"orbit order at slope {chart.slope} is not the tau order"
                 )
+        if total != want:
+            raise ChartInconsistent(
+                f"orbit {t} at slope {chart.slope} sums to (deg, rank) "
+                f"{total}, not {want}"
+            )
 
 
 def _check_chi_pattern(ctx: K0Context, chart: TubeChart) -> None:
@@ -305,13 +325,16 @@ def _find_window(
 def chart_for(ctx: K0Context, q: Slope) -> TubeChart:
     """Memoized chart accessor.
 
-    Only the anchor, the chart at slope 0, is built from roots
-    (`build_chart`); the chart at any other q is the anchor moved by a
-    word in the two tubular shifts (`_shift_word`), which are
-    autoequivalences of the derived category (Lenzing-Meltzer, "Sheaves
-    on a weighted projective line of genus one, and representations of
-    a tubular algebra", 1993).  Along a tau-orbit E_0..E_{p-1} of a
-    rank-p tube, E_{j+1} = tau^-1 E_j, the shift acts on classes by
+    The chart at infinity is built in closed form (`_chart_at_infinity`)
+    and moved to slope 0 by the inverse of the word of infinity, rho^-1
+    along the tau-orbit of O and then rho^-1 along the simples at
+    infinity; that is the anchor (`_build_anchor`).  The chart at any
+    other q is the anchor moved by a word in the two tubular shifts
+    (`_shift_word`), which are autoequivalences of the derived category
+    (Lenzing-Meltzer, "Sheaves on a weighted projective line of genus
+    one, and representations of a tubular algebra", 1993).  Along a
+    tau-orbit E_0..E_{p-1} of a rank-p tube, E_{j+1} = tau^-1 E_j, the
+    shift acts on classes by
 
         rho^k(x)  = x - sum_j chi(E_j, x) (E_j + E_{j+1} + ... + E_{j+k-1})
         rho^-k(x) = x - sum_j chi(x, E_j) (E_j + E_{j-1} + ... + E_{j-k+1})
@@ -330,24 +353,66 @@ def chart_for(ctx: K0Context, q: Slope) -> TubeChart:
 
     each of the three through the nonzero entries of its matrix.
 
-    Once per context, at the first moved chart, the slope-0 shift is
+    Once per context, when the anchor is built, the slope-0 shift is
     checked (`_tube_shifts`): rho^-1 inverts it, it preserves the Euler
     form, commutes with tau, keeps the degree and lowers the rank by
     the degree; the other shift is the twist by x_t, an autoequivalence
-    (the tests compare it with `twist_matrix`).  So a moved chart
-    inherits the chi pattern and realizability of the anchor, which
-    `build_chart` validates in full, and gets only the structural
-    checks, batched in the same way.  Only the requested chart and the
-    anchor are memoized.
+    (the tests compare it with `twist_matrix`).  The chart at infinity
+    gets the structural checks and the anchor every chart invariant
+    (`check_chart_invariants`), so a moved chart inherits the anchor's
+    chi pattern and gets only the structural checks, batched in the
+    same way.  No root is enumerated: the tests and `verify --suite
+    charts` compare the charts with `build_chart`.  The requested chart,
+    the anchor and the chart at infinity are memoized.
     """
     got = ctx._charts.get(q)
     if got is None:
         anchor = ctx._charts.get(ZERO)
         if anchor is None:
-            anchor = ctx._charts[ZERO] = build_chart(ctx, ZERO)
-        got = anchor if q == ZERO else _move_chart(ctx, anchor, q)
-        ctx._charts[q] = got
+            anchor = _build_anchor(ctx)
+            got = ctx._charts.get(q)
+        if got is None:
+            got = ctx._charts[q] = _move_chart(ctx, anchor, q)
     return got  # type: ignore[return-value]
+
+
+def _simple(ctx: K0Context, i: int) -> tuple[int, ...]:
+    """The class vector of the simple S_{i,1}, a basis vector."""
+    s = [0] * ctx.n
+    s[ctx.simple_index(i, 1)] = 1
+    return tuple(s)
+
+
+def _chart_at_infinity(ctx: K0Context) -> TubeChart:
+    """The chart at infinity in closed form: for each weight p_i, the
+    tau^-1-orbit of the simple S_{i,1}, that is S_{i,1}, ..., S_{i,p_i-1},
+    S_{i,0} (the conventions of `k0`), in the normal form of
+    `build_chart`.  The t orbits are walked at once, on the coordinate
+    rows of the t simples S_{i,1}, one pass over tau^-1 a step."""
+    w = ctx.weights
+    col = list(zip(*(_simple(ctx, i) for i in range(w.t))))
+    steps = [list(zip(*col))]
+    for _ in range(w.p - 1):
+        col = apply_rows(ctx.tau_inv_rows, col)
+        steps.append(list(zip(*col)))
+    orbits = [
+        tuple(K0Class(step[i]) for step in steps[:p_i]) for i, p_i in enumerate(w.weights)
+    ]
+    return TubeChart(INF, _normal_form(orbits))
+
+
+def _build_anchor(ctx: K0Context) -> TubeChart:
+    """The anchor: the chart at infinity, structurally checked, moved to
+    slope 0 by the inverse of the word of infinity and checked in full.
+    Both charts are memoized once the anchor passes."""
+    at_inf = _chart_at_infinity(ctx)
+    _check_chart_structure(ctx, at_inf)
+    back = [(gen, -k) for gen, k in reversed(_shift_word(INF))]
+    anchor = _move_chart(ctx, at_inf, ZERO, back)
+    _check_chi_pattern(ctx, anchor)  # with the structure: `check_chart_invariants`
+    ctx._charts[INF] = at_inf
+    ctx._charts[ZERO] = anchor
+    return anchor
 
 
 _AT_ZERO, _AT_INF = 0, 1  # the two shift generators, indices into `_tube_shifts`
@@ -444,15 +509,13 @@ def _shift_word(q: Slope) -> list[tuple[int, int]]:
 def _tube_shifts(ctx: K0Context) -> tuple[_Shift, _Shift]:
     """The shifts along the tau-orbit of O (slope 0) and along the
     simples of the x_t tube (infinity); the first is checked when first
-    asked for, the second is the twist by x_t (tested against
-    `twist_matrix`)."""
+    asked for, which is when the anchor is built, the second is the
+    twist by x_t (tested against `twist_matrix`)."""
     if ctx._shifts is None:
         w = ctx.weights
-        s = [0] * ctx.n
-        s[ctx.simple_index(w.weights.index(w.p), 1)] = 1
         at_zero = _shift_along(ctx, line_bundle_class(ctx, l_zero(w)).vec)
         _check_slope_zero_shift(ctx, at_zero)
-        ctx._shifts = (at_zero, _shift_along(ctx, tuple(s)))
+        ctx._shifts = (at_zero, _shift_along(ctx, _simple(ctx, w.weights.index(w.p))))
     return ctx._shifts  # type: ignore[return-value]
 
 
@@ -483,19 +546,26 @@ def _check_slope_zero_shift(ctx: K0Context, shift: _Shift) -> None:
         )
 
 
-def _move_chart(ctx: K0Context, anchor: TubeChart, q: Slope) -> TubeChart:
-    """The anchor moved to slope q, in the normal form of `build_chart`:
-    the shifts commute with tau, so each orbit stays in tau order and is
-    only rotated.  Only the structure is checked (see `chart_for`)."""
+def _move_chart(
+    ctx: K0Context,
+    chart: TubeChart,
+    q: Slope,
+    word: list[tuple[int, int]] | None = None,
+) -> TubeChart:
+    """`chart` moved to slope q by the (generator, power) steps of `word`,
+    by default the word that carries the anchor to q (`_shift_word`), in
+    the normal form of `build_chart`: the shifts commute with tau, so
+    each orbit stays in tau order and is only rotated.  Only the
+    structure is checked (see `chart_for`)."""
     shifts = _tube_shifts(ctx)
-    _, rows = _chart_rows(anchor)
-    for gen, k in _shift_word(q):
+    _, rows = _chart_rows(chart)
+    for gen, k in _shift_word(q) if word is None else word:
         rows = _shift_rows(shifts[gen], k, rows)
     moved = zip(*rows)
-    orbits = [tuple(K0Class(next(moved)) for _ in orbit) for orbit in anchor.orbits]
-    chart = TubeChart(q, _normal_form(orbits))
-    _check_chart_structure(ctx, chart)
-    return chart
+    orbits = [tuple(K0Class(next(moved)) for _ in orbit) for orbit in chart.orbits]
+    out = TubeChart(q, _normal_form(orbits))
+    _check_chart_structure(ctx, out)
+    return out
 
 
 def coords_of_class(ctx: K0Context, chart: TubeChart, c: K0Class) -> ExcObject:

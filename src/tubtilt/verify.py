@@ -190,8 +190,9 @@ def suite_charts(trials: int = 0, seed: int = 0) -> list[CheckResult]:
         ctx = context_for(ws)
         ok = True
         for q in CHECK_SLOPES:
-            # build_chart checks that every root is a window; chart_for
-            # moves the chart at slope 0 to every other slope
+            # build_chart, the root oracle, checks that every root is a
+            # window; chart_for moves the closed-form chart at infinity to
+            # slope 0 and the anchor there to every other slope
             chart = build_chart(ctx, q)
             if tuple(sorted(chart.ranks)) != ws or chart != chart_for(ctx, q):
                 ok = False

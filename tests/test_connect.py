@@ -817,6 +817,49 @@ def test_budget_bounds_the_whole_call(ctx236, monkeypatch):
     assert ticks == []
 
 
+# Fake times at which the deadline passes on the CI end ((2,2,2,2), 64
+# steps, walk seed 939671729): inside the first completion pool, inside
+# the first, second and third searches, and inside the final direct
+# search.  A full connect on a fresh context makes 4,495 units (174
+# mutations and 4,321 charts); the pools of the first completion hold
+# units 1..2095.
+_DEADLINE_UNITS = (0.5, 1000.5, 2096.5, 4205.5, 4400.5, 4492.5)
+
+
+def test_deadline_passes_at_most_one_unit_before_it_is_seen(monkeypatch):
+    # A fake time source advanced by 1 at the start of each unit of work:
+    # each `mutate` and each `chart_for` that the connect makes.  The clock
+    # is tested before every pop and every pool slope, so at most one
+    # unit starts after the deadline has passed: a unit that no check
+    # precedes, such as the companion chart of integerize.
+    w = make_weights((2, 2, 2, 2))
+    end = random_walk(build_context(w), 64, 939671729, bundle_only=True).end
+    now = [0.0]
+    late = []
+    deadline = [0.0]
+
+    def unit(fn):
+        def spy(*args):
+            if now[0] > deadline[0]:
+                late.append(fn.__name__)
+            now[0] += 1.0
+            return fn(*args)
+
+        return spy
+
+    monkeypatch.setattr(connect, "_now", lambda: now[0])
+    monkeypatch.setattr(connect, "mutate", unit(connect.mutate))
+    monkeypatch.setattr(connect, "chart_for", unit(connect.chart_for))
+    lates = []
+    for units in _DEADLINE_UNITS:
+        now[0], deadline[0] = 0.0, units
+        late.clear()
+        with pytest.raises(BudgetExhausted, match="time budget"):
+            connect_to_canonical(build_context(w), end, SearchBudget(max_seconds=units))
+        lates.append(len(late))
+    assert max(lates) <= 1, lates
+
+
 def _shortening_input(ctx, kind, steps, seed):
     if kind == "walk":
         return random_walk(ctx, steps, seed, bundle_only=seed % 2 == 0)

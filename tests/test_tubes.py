@@ -4,13 +4,14 @@ import random
 import pytest
 
 from tubtilt import tubes
+from tubtilt.connect import connect_to_canonical, random_walk
 from tubtilt.errors import (
     ChartInconsistent,
     InternalConsistencyError,
     NotExceptionalHere,
     NotSheafLike,
 )
-from tubtilt.intmat import identity, mat_mul, mat_pow, mat_vec, transpose
+from tubtilt.intmat import identity, mat_mul, mat_pow, mat_vec, sparse_rows, transpose
 from tubtilt.k0 import (
     K0Class,
     build_context,
@@ -23,6 +24,7 @@ from tubtilt.k0 import (
 )
 from tubtilt.serialize import chart_to_dict, dumps
 from tubtilt.slopes import INF, ZERO, Slope
+from tubtilt.tilting import is_tilting, t_can
 from tubtilt.tubes import (
     ExcObject,
     TubeChart,
@@ -108,7 +110,8 @@ def test_chart_realizability_all_slopes(any_ctx):
 
 
 def test_twisted_charts_match_built_charts(monkeypatch):
-    # chart_for builds only the anchor at slope 0 and moves every other chart
+    # chart_for builds no chart from roots: the anchor at slope 0 is the
+    # chart at infinity moved back, and every other chart the anchor moved
     built = []
 
     def recording_build(ctx, q):
@@ -125,7 +128,7 @@ def test_twisted_charts_match_built_charts(monkeypatch):
             assert chart == build_chart(ctx, q), (ws, q)
             # a moved chart skips the chi pattern in the library
             check_chart_invariants(ctx, chart)
-        assert built == [ZERO]
+        assert built == []
 
 
 def _apply_shift(shift, k, vecs):
@@ -165,8 +168,11 @@ def test_shifts_are_checked_once_and_lazily(monkeypatch):
         tubes, "_check_slope_zero_shift", lambda ctx, sh: checked.append(ctx) or check(ctx, sh)
     )
     ctx = build_context(make_weights((2, 3, 6)))
-    chart_for(ctx, ZERO)
     assert ctx._shifts is None and not checked
+    # the anchor is the chart at infinity moved by the shifts: they are
+    # built and checked with it, once
+    chart_for(ctx, ZERO)
+    assert ctx._shifts is not None and checked == [ctx]
     for q in (INF, Slope(1, 2), Slope(-7, 3), Slope(37, 53)):
         chart_for(ctx, q)
     assert checked == [ctx]
@@ -179,10 +185,10 @@ def test_corrupted_shift_is_rejected(monkeypatch):
         tubes, "_orbit_weights", lambda c, k: weights(c, k + (1 if k > 0 else -1))
     )
     ctx = build_context(make_weights((3, 3, 3)))
-    assert chart_for(ctx, ZERO) == build_chart(ctx, ZERO)
+    # the anchor is moved by the shifts, so it is the first chart to fail
     with pytest.raises(InternalConsistencyError, match="tubular shift"):
-        chart_for(ctx, Slope(1, 2))
-    assert ctx._shifts is None
+        chart_for(ctx, ZERO)
+    assert ctx._shifts is None and not ctx._charts
     monkeypatch.undo()
     # the orbit of a tube of rank < p at slope 0 in place of the orbit of O
     shift_along = tubes._shift_along
@@ -199,6 +205,108 @@ def test_corrupted_shift_is_rejected(monkeypatch):
             )
             with pytest.raises(InternalConsistencyError, match="tubular shift"):
                 chart_for(build_context(make_weights(ws)), INF)
+
+
+def test_closed_form_charts_match_the_root_charts(monkeypatch):
+    moved = []
+    move = tubes._move_chart
+
+    def recording_move(ctx, chart, q, *word):
+        moved.append(q)
+        return move(ctx, chart, q, *word)
+
+    monkeypatch.setattr(tubes, "_move_chart", recording_move)
+    for ws in TUBULAR_TYPES:
+        ctx = build_context(make_weights(ws))
+        assert chart_for(ctx, ZERO) == build_chart(ctx, ZERO), ws
+        assert chart_for(ctx, INF) == move(ctx, build_chart(ctx, ZERO), INF), ws
+        # asked for infinity first, a fresh context gets the memoized
+        # closed-form chart, not the anchor moved back
+        fresh = build_context(make_weights(ws))
+        assert chart_for(fresh, INF) is fresh._charts[INF] == ctx._charts[INF]
+    assert INF not in moved
+
+
+def test_charts_and_connect_enumerate_no_roots(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("roots enumerated on the runtime path")
+
+    monkeypatch.setattr(tubes, "enumerate_roots_at", refuse)
+    monkeypatch.setattr(tubes, "build_chart", refuse)
+    slopes = [ZERO, INF] + sorted(
+        {Slope(a, b) for b in range(1, 9) for a in range(-2 * b, 3 * b + 1)},
+        key=Slope.fraction,
+    )
+    for ws in TUBULAR_TYPES:
+        ctx = build_context(make_weights(ws))
+        for q in slopes:
+            assert tuple(sorted(chart_for(ctx, q).ranks)) == ws, (ws, q)
+    ctx = build_context(make_weights((2, 3, 6)))
+    assert is_tilting(ctx, t_can(ctx))
+    end = random_walk(ctx, 8, 5, bundle_only=True).end
+    path = connect_to_canonical(ctx, end)
+    assert path.end.class_key() == t_can(ctx).class_key()
+
+
+def _second_simple(simple):
+    """The basis vector one coordinate past S_{i,1}: S_{i,2} when p_i > 2,
+    else the next tube's S_{i+1,1} or the fiber."""
+
+    def start(ctx, i):
+        s = simple(ctx, i)
+        k = s.index(1)
+        return s[:k] + (0, 1) + s[k + 2 :]
+
+    return start
+
+
+def _plus_fiber(at_infinity):
+    """The chart at infinity with the fiber f added to every class of its
+    last orbit: that is the tau^-1-orbit of S_{i,1} + f, which has the
+    size, slope, tau order and chi pattern of a quasi-simple orbit, but
+    its classes are windows of length p_i + 1."""
+
+    def chart(ctx):
+        *keep, last = at_infinity(ctx).orbits
+        f = K0Class((0,) * (ctx.n - 1) + (1,))
+        return TubeChart(INF, (*keep, tuple(x + f for x in last)))
+
+    return chart
+
+
+def _two_steps(at_infinity):
+    """The chart at infinity walked by tau^-2 in place of tau^-1."""
+
+    def chart(ctx):
+        one = ctx.tau_inv_rows
+        ctx.tau_inv_rows = sparse_rows(mat_mul(ctx.tau_inv, ctx.tau_inv))
+        try:
+            return at_infinity(ctx)
+        finally:
+            ctx.tau_inv_rows = one
+
+    return chart
+
+
+@pytest.mark.parametrize(
+    "attr, corrupt, types, match",
+    [
+        # S_{i,2} is on the orbit of S_{i,1} when p_i > 2
+        ("_simple", _second_simple, [ws for ws in TUBULAR_TYPES if 2 in ws],
+         "duplicate class|tau order"),
+        ("_chart_at_infinity", _plus_fiber, TUBULAR_TYPES, "sums to"),
+        ("_chart_at_infinity", _two_steps, TUBULAR_TYPES, "duplicate class|tau order"),
+    ],
+    ids=["second-simple", "plus-fiber", "two-steps"],
+)
+def test_corrupted_closed_form_orbit_is_rejected(monkeypatch, attr, corrupt, types, match):
+    for ws in types:
+        ctx = build_context(make_weights(ws))
+        monkeypatch.setattr(tubes, attr, corrupt(getattr(tubes, attr)))
+        with pytest.raises(ChartInconsistent, match=match):
+            chart_for(ctx, ZERO)
+        assert not ctx._charts
+        monkeypatch.undo()
 
 
 def test_moved_charts_match_built_charts_at_large_denominators():
