@@ -29,9 +29,9 @@ clock and passes it to every search, completion and sub-connection it
 makes, which tick it once per pending mutation pushed on a frontier and
 once per completion candidate tried.  The deadline is also tested,
 counting no node, before each unit of work that ticks nothing (a pop
-of a search, a slope of a completion pool), so a search sees it at
-most one unit after it passes.  Exhausting the budget raises
-BudgetExhausted.
+of a search, a slope of a completion pool, the splicing and the final
+verification of a connect), so a call sees it at most one unit after
+it passes.  Exhausting the budget raises BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .tilting import (
     _enter_complement,
     _exchange,
     _other_complement,
-    check_basis,
+    check_basis_step,
     find_full_period_quasi_simple,
     is_bundle,
     is_tilting,
@@ -73,7 +73,7 @@ from .tilting import (
     t_can,
     torsion_exchanges,
 )
-from .tubes import ExcObject, chart_for, ext_dim
+from .tubes import ExcObject, _ext_either, chart_for, ext_dim
 
 logger = logging.getLogger(__name__)
 
@@ -124,7 +124,8 @@ class _Clock:
     deadline alone.  The searches check before each unit of work that
     ticks nothing: a pop of the stratum search (one mutation) and a
     slope of a completion pool (its chart and the seed test of its
-    windows)."""
+    windows); `connect_pair` checks before its splicing and its final
+    verification."""
 
     def __init__(self, budget: SearchBudget):
         self.nodes = 0
@@ -201,29 +202,33 @@ def _node_is_tilting(
     ctx: K0Context,
     node: TiltingObject,
     vecs: frozenset,
+    prev: TiltingObject | None,
     prev_vecs: frozenset | None,
 ) -> bool:
     """is_tilting(ctx, node), given the class vectors `vecs` of node and
-    `prev_vecs` of the node before it on a path, which passed (None for
-    the first node).
+    the node `prev` before it on a path, with class vectors `prev_vecs`,
+    which passed (None for the first node).
 
-    If node has n distinct summands and differs from the node before in
-    exactly one class vector z, the pairs among its n - 1 other summands
-    were checked there (ext depends only on the two class vectors), so
-    only ext(z, y) and ext(y, z) are checked, for every summand y, z
-    included.  Any other node gets the full is_tilting.  The basis
-    cross-check (`check_basis`) runs on every node either way; it reads
-    the Gram matrix off the ext memo that these checks have filled.
+    If node has n distinct summands and differs from prev in exactly one
+    class vector z, the pairs among its n - 1 other summands were checked
+    at prev (ext depends only on the two class vectors), so only the
+    pairs of z with every summand y, z included, are checked
+    (`tubes._ext_either`), and the basis cross-check takes prev's Gram
+    blocks for all runs but the two that lost or gained a summand
+    (`tilting.check_basis_step`).  Any other node gets the full
+    is_tilting.
     """
     new = vecs - prev_vecs if prev_vecs is not None else ()
     if len(new) != 1 or len(node.summands) != ctx.n or len(vecs) != ctx.n:
         return is_tilting(ctx, node)
     (z_vec,) = new
-    z = next(s for s in node.summands if s.cls.vec == z_vec)
+    (lost,) = prev_vecs - vecs
+    a = node.class_key().index(z_vec)
+    z = node.summands[a]
     for y in node.summands:
-        if ext_dim(ctx, z, y) or ext_dim(ctx, y, z):
+        if _ext_either(ctx, z, y):
             return False
-    check_basis(ctx, node)
+    check_basis_step(ctx, prev, node, prev.class_key().index(lost), a)
     return True
 
 
@@ -234,14 +239,20 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     first node and for any node that does not differ from the node before
     in exactly one summand, otherwise only the ext pairs with the summand
     it brings in (`_node_is_tilting`); ext values come from the context's
-    memo, keyed by the two class vectors.  The basis cross-check
-    (`check_basis`) runs on every node; it is exact and is not memoized,
-    but it takes the Euler Gram matrix from the same memo, so its work is
-    the product of a few in-tube determinants.  Then every edge is
-    checked against its event: two different nodes, one summand
-    exchanged, the recorded removed and added summands, index and
-    direction.  Each node's set of class vectors is built once for both
-    checks.
+    memo, keyed by the two class vectors.  The basis cross-check runs on
+    every node; it is exact and is not memoized.  The first node's
+    (`check_basis`) takes the Euler Gram matrix from the same memo, so
+    its work is the product of a few in-tube determinants, one per
+    (slope, orbit) run.  A node after it proves its basis run by run
+    (`tilting.check_basis_step`): the node before passed, so its Gram
+    blocks multiply to det(E) = +-1 and each of them is +-1; the new node
+    keeps every block but those of the one or two runs that lost or
+    gained a summand, so det(G) = det(E) exactly when the changed runs'
+    new blocks multiply to their old product, sign included, and only
+    those runs are read.  Then every edge is checked against its event:
+    two different nodes, one summand exchanged, the recorded removed and
+    added summands, index and direction.  Each node's set of class
+    vectors is built once for both checks.
     """
     if not path.nodes:
         logger.warning("path has no nodes")
@@ -252,7 +263,8 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     sets = [frozenset(t.class_key()) for t in path.nodes]
     for i, node in enumerate(path.nodes):
         try:
-            if not _node_is_tilting(ctx, node, sets[i], sets[i - 1] if i else None):
+            prev = path.nodes[i - 1] if i else None
+            if not _node_is_tilting(ctx, node, sets[i], prev, sets[i - 1] if i else None):
                 logger.warning("node %d is not tilting", i)
                 return False
         except BasisMismatch:
@@ -375,7 +387,7 @@ def find_companion(ctx: K0Context, x: ExcObject, q_target: Slope) -> ExcObject:
             y = ExcObject(cls, q_target, orb_idx, pos, 1)
             if y.cls.vec == x.cls.vec:
                 continue
-            if ext_dim(ctx, x, y) == 0 and ext_dim(ctx, y, x) == 0:
+            if not _ext_either(ctx, x, y):
                 return y
     raise CompanionNotFound(f"no rigid companion at slope {q_target}")
 
@@ -441,7 +453,7 @@ def completion_containing(
         if x.slope.is_infinite or rank_of(ctx, x.cls) < 1:
             raise PreconditionError("seed objects must be bundles")
         for y in seed[i + 1 :]:
-            if ext_dim(ctx, x, y) != 0 or ext_dim(ctx, y, x) != 0:
+            if _ext_either(ctx, x, y):
                 raise PreconditionError("seed objects must be ext-orthogonal")
     clock = _clock(budget)
     seed_vecs = {x.cls.vec for x in seed}
@@ -452,7 +464,7 @@ def completion_containing(
             for orbit, socle, length, cls in chart_for(ctx, q).windows():
                 if cls.vec not in seed_vecs:
                     o = ExcObject(cls, q, orbit, socle, length)
-                    if all(ext_dim(ctx, o, s) == 0 and ext_dim(ctx, s, o) == 0 for s in seed):
+                    if not any(_ext_either(ctx, o, s) for s in seed):
                         cands.append(o)
         found = _complete_dfs(ctx, seed, cands, clock)
         if found is not None:
@@ -484,11 +496,7 @@ def _complete_dfs(
             return None
         for idx, o in enumerate(cands):
             clock.tick()
-            nxt = [
-                o2
-                for o2 in cands[idx + 1 :]
-                if ext_dim(ctx, o, o2) == 0 and ext_dim(ctx, o2, o) == 0
-            ]
+            nxt = [o2 for o2 in cands[idx + 1 :] if not _ext_either(ctx, o, o2)]
             got = rec(nxt, cur + [o])
             if got is not None:
                 return got
@@ -535,28 +543,48 @@ def _mutation_forecast(
     (unique, Happel-Unger) iff Z has ext, in either direction, with T_k
     and with no other summand of node: Z is then rigid with node without
     T_k.  Summands of node in the target have no ext with Z, so only the
-    h others are tried.
+    h others count.
+
+    Each summand's relation to the target is read once per context and
+    target, as the bit mask of the target summands it has ext with
+    (`tubes._ext_either`), and kept in the relation table
+    (`K0Context._relations`, keyed by the target's class key); a target
+    summand j is kept as -(1 << j).  A node's forecast is then a few
+    integer operations on its n masks: the bits set in exactly one
+    summand's mask, less the target summands node holds, are the gains.
     """
-    target_vecs = set(target.class_key())
-    node_vecs = set(node.class_key())
-    away = [k for k, s in enumerate(node.summands) if s.cls.vec not in target_vecs]
+    key = target.class_key()
+    rel = ctx._relations.get(key)
+    if rel is None:
+        rel = ctx._relations[key] = {v: -(1 << j) for j, v in enumerate(key)}
+    masks = []
+    held = once = twice = 0
+    for s in node.summands:
+        m = rel.get(s.cls.vec)
+        if m is None:
+            m = 0
+            for j, z in enumerate(target.summands):
+                if _ext_either(ctx, s, z):
+                    m |= 1 << j
+            rel[s.cls.vec] = m
+        if m < 0:
+            held -= m
+        else:
+            twice |= once & m
+            once |= m
+        masks.append(m)
+    single = once & ~twice & ~held
+    h = len(masks) - held.bit_count()
+    child_h = []
     gains: dict[int, ExcObject] = {}
-    for z in target.summands:
-        if z.cls.vec in node_vecs:
-            continue
-        ext_with_z = (
-            k
-            for k in away
-            if ext_dim(ctx, z, node.summands[k]) or ext_dim(ctx, node.summands[k], z)
-        )
-        hits = list(itertools.islice(ext_with_z, 2))
-        if len(hits) == 1:
-            gains[hits[0]] = z
-    h = len(away)
-    child_h = [
-        h + 1 if s.cls.vec in target_vecs else h - 1 if k in gains else h
-        for k, s in enumerate(node.summands)
-    ]
+    for k, m in enumerate(masks):
+        if m < 0:
+            child_h.append(h + 1)
+        elif m & single:
+            child_h.append(h - 1)
+            gains[k] = target.summands[(m & single).bit_length() - 1]
+        else:
+            child_h.append(h)
     return child_h, gains
 
 
@@ -575,7 +603,7 @@ def _forecast_child(
     either check raises InternalConsistencyError naming the forecast.
     """
     for i, o in enumerate(node.summands):
-        if i != k and (ext_dim(ctx, z, o) or ext_dim(ctx, o, z)):
+        if i != k and _ext_either(ctx, z, o):
             raise InternalConsistencyError(
                 f"the forecast complement of summand {k} has ext with summand {i}"
             )
@@ -752,12 +780,16 @@ def connect_pair(
     slope range holds no integer (Farey descent), then one direct search
     between the two, the joined path with its detours spliced out
     (shorten_path) and verified.  Every connect of the library is this
-    call."""
+    call.  The deadline is tested before the splicing and before the
+    verification, which tick nothing, so a deadline that passes during
+    the last search is seen before either runs."""
     clock = _clock(budget)
     p1 = _integerized(ctx, t, clock)
     p2 = _integerized(ctx, t2, clock)
     middle = _stratum_path(ctx, p1.end, p2.end, None, clock)
+    clock.check()
     path = shorten_path(ctx, p1.concat(middle).concat(p2.reversed()))
+    clock.check()
     if not verify_path(ctx, path):
         raise InternalConsistencyError("constructed path failed verification")
     return path

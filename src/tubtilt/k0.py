@@ -108,6 +108,11 @@ class K0Context:
         # each holder is the tilting object of the key plus its complement.
         # Happel-Unger allows at most two (tilting._enter_complement).
         self._complements: dict[tuple, tuple] = {}
+        # The relation table of connect._mutation_forecast, cleared with the
+        # complement table: a target's class key maps each class vector seen
+        # in a search towards it to its bit mask of target summands it has
+        # ext with (or, for a target summand j, to -(1 << j)).
+        self._relations: dict[tuple, dict[tuple[int, ...], int]] = {}
         self.omega = omega(weights)
         self.tau: Matrix = twist_matrix(self, self.omega)
         self.tau_inv: Matrix = twist_matrix(self, l_neg(self.omega))

@@ -62,8 +62,9 @@ drop a child from its candidate classes without decoding any of them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
+from math import prod
 from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -86,6 +87,7 @@ from .k0 import K0Class, K0Context, rank_of
 from .slopes import Slope
 from .tubes import (
     ExcObject,
+    _ext_either,
     exc_from_class,
     ext_dim,
     hom_dim,
@@ -98,6 +100,12 @@ from .weights import LElement, WeightData, c_gen, l_add, l_zero, x_gen
 @dataclass(frozen=True)
 class TiltingObject:
     summands: tuple[ExcObject, ...]
+    # the class key, built once: the searches and the complement table key
+    # every node by it
+    _key: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", tuple(s.cls.vec for s in self.summands))
 
     def index_of(self, obj: ExcObject) -> int:
         for i, s in enumerate(self.summands):
@@ -106,7 +114,7 @@ class TiltingObject:
         raise ValueError("object is not a summand")
 
     def class_key(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s.cls.vec for s in self.summands)
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -156,17 +164,19 @@ def is_tilting(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> boo
     Returns False on the countable failures; raises BasisMismatch when
     an ext-orthogonal n-set fails the basis cross-check (`check_basis`),
     since that would contradict the operational definition of tilting.
-    The cross-check costs no new hom/ext: it reads the memo entries that
-    the ext test below has just filled.
+    The ext test reads each unordered pair once, the diagonal included
+    (`tubes._ext_either`: one direction across two slopes).  The
+    cross-check costs no new hom/ext: it reads the same-slope memo
+    entries that the ext test has just filled.
     """
     lst = list(objs.summands if isinstance(objs, TiltingObject) else objs)
     if len(lst) != ctx.n:
         return False
     if len({o.cls.vec for o in lst}) != ctx.n:
         return False
-    for x in lst:
-        for y in lst:
-            if ext_dim(ctx, x, y) != 0:
+    for i, x in enumerate(lst):
+        for y in lst[i:]:
+            if _ext_either(ctx, x, y):
                 return False
     check_basis(ctx, objs if isinstance(objs, TiltingObject) else lst)
     return True
@@ -178,11 +188,12 @@ def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> No
 
     Precondition: ext(x, y) = 0 for every ordered pair of summands, x = y
     included (`is_tilting` and `connect._node_is_tilting` prove it just
-    before the call).  Let A be the matrix of class vectors, one row per
-    summand, and E the Euler matrix.  The Gram matrix G = A E A^T has
-    entries chi(a_i, a_j), and det(G) = det(A)^2 det(E) with
-    det(E) = +-1 (`K0Context.euler_det`), so |det(A)| = 1 exactly when
-    det(G) = det(E).  Put the summands in canonical order and take x in a
+    before the call; they read both directions of every pair at one
+    slope, which fills every memo entry of a run).  Let A be the matrix
+    of class vectors, one row per summand, and E the Euler matrix.  The
+    Gram matrix G = A E A^T has entries chi(a_i, a_j), and det(G) =
+    det(A)^2 det(E) with det(E) = +-1 (`K0Context.euler_det`), so
+    |det(A)| = 1 exactly when det(G) = det(E).  Put the summands in canonical order and take x in a
     later (slope, orbit) run than y: x has the larger slope, or the same
     slope and another tube, so hom(x, y) = 0 and chi(x, y) = -ext(x, y)
     = 0.  G is therefore block upper triangular over the runs, and det(G)
@@ -200,22 +211,61 @@ def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> No
         )
 
 
-def _gram_det(ctx: K0Context, summands: Sequence[ExcObject]) -> int:
-    """det(chi(a_i, a_j)) of ext-orthogonal summands in canonical order:
-    the product of its diagonal blocks over the (slope, orbit) runs (see
-    `check_basis`).
+def check_basis_step(
+    ctx: K0Context, prev: TiltingObject, node: TiltingObject, r: int, a: int
+) -> None:
+    """`check_basis` of node, which is prev with summand r exchanged for
+    node's summand a, where prev passed `check_basis`; BasisMismatch as
+    there.
 
-    chi(x, y) is hom(x, y) - ext(x, y), read from the context's memo; a
-    missing entry means the precondition of `check_basis` was not
-    established in this context (PreconditionError).  A one-summand run
-    contributes its diagonal entry.  A longer run lies in one tube of
-    rank r and holds at most r - 1 summands, and its block goes to the
-    Bareiss determinant.
+    Precondition: that of `check_basis` for both nodes.  det(G) is the
+    product of the Gram blocks over the (slope, orbit) runs, and only the
+    run that lost prev's summand r and the run that gained node's summand
+    a differ between the two; every other block is the same in both.
+    prev's blocks are integers with product det(E) = +-1, so each of them
+    is +-1, and det(G_node) = det(E) * B_prev * B_node, where B_prev and
+    B_node are the products of the changed runs' blocks in prev and in
+    node.  Both changed runs are read off the run of r in prev and the
+    run of a in node: when r and a share a run, those are its two
+    states; otherwise each also gives the other node's state of its run,
+    without r or without a.  B_node is `_gram_det` of node's changed runs
+    (an emptied run contributes 1).
     """
+    old = _run_of(prev.summands, r)
+    new = _run_of(node.summands, a)
+    x, y = prev.summands[r], node.summands[a]
+    if x.orbit != y.orbit or x.slope != y.slope:
+        old, new = old + [s for s in new if s is not y], new + [s for s in old if s is not x]
+    d = ctx.euler_det * _gram_det(ctx, new) * prod(_run_blocks(ctx, old))
+    if d != ctx.euler_det:
+        raise BasisMismatch(
+            f"ext-orthogonal n-set has Gram determinant {d}, not det(E) = {ctx.euler_det}"
+        )
+
+
+def _run_of(summands: Sequence[ExcObject], i: int) -> list[ExcObject]:
+    """The (slope, orbit) run of summands[i], summands in canonical order."""
+    x = summands[i]
+    lo, hi = i, i + 1
+    while lo and summands[lo - 1].orbit == x.orbit and summands[lo - 1].slope == x.slope:
+        lo -= 1
+    while hi < len(summands) and summands[hi].orbit == x.orbit and summands[hi].slope == x.slope:
+        hi += 1
+    return list(summands[lo:hi])
+
+
+def _run_blocks(ctx: K0Context, summands: Sequence[ExcObject]) -> Iterator[int]:
+    """The determinant of each diagonal Gram block of summands in
+    canonical order, one per (slope, orbit) run, from the memo.
+
+    chi(x, y) is hom(x, y) - ext(x, y).  A one-summand run gives its
+    diagonal entry.  A longer run lies in one tube of rank r and holds
+    at most r - 1 summands, and its block goes to the Bareiss
+    determinant.  A missing entry means the precondition of
+    `check_basis` was not established in this context
+    (PreconditionError)."""
     pairs = ctx._pairs
-    out = 1
-    n = len(summands)
-    i = 0
+    i, n = 0, len(summands)
     try:
         while i < n:
             x = summands[i]
@@ -224,23 +274,22 @@ def _gram_det(ctx: K0Context, summands: Sequence[ExcObject]) -> int:
                 j += 1
             if j == i + 1:
                 h, e = pairs[x.cls.vec, x.cls.vec]
-                out *= h - e
+                yield h - e
             else:
                 vecs = [o.cls.vec for o in summands[i:j]]
-                block = []
-                for a in vecs:
-                    row = []
-                    for b in vecs:
-                        h, e = pairs[a, b]
-                        row.append(h - e)
-                    block.append(row)
-                out *= int_det(block)
+                yield int_det([[h - e for h, e in (pairs[a, b] for b in vecs)] for a in vecs])
             i = j
     except KeyError:
         raise PreconditionError(
             "the basis cross-check needs the ext of every pair of summands first"
         ) from None
-    return out
+
+
+def _gram_det(ctx: K0Context, summands: Sequence[ExcObject]) -> int:
+    """det(chi(a_i, a_j)) of ext-orthogonal summands in canonical order:
+    the product of its diagonal blocks over the (slope, orbit) runs
+    (`_run_blocks`; see `check_basis`)."""
+    return prod(_run_blocks(ctx, summands))
 
 
 def is_bundle(t: TiltingObject) -> bool:
@@ -607,9 +656,7 @@ def _complete_mutation(
             obj = exc_from_class(ctx, c)
         except (NotSheafLike, NotExceptionalHere):
             continue
-        if all(
-            ext_dim(ctx, obj, o) == 0 and ext_dim(ctx, o, obj) == 0 for o in others
-        ):
+        if not any(_ext_either(ctx, obj, o) for o in others):
             survivors.append(obj)
 
     if not survivors:
@@ -644,13 +691,15 @@ def _other_complement(
 
 
 # Entries of the complement table (`K0Context._complements`) past which it
-# is cleared, before a mutation is computed or a graph explored.
+# is cleared, before a mutation is computed or a graph explored, together
+# with the relation table of the stratum search (`K0Context._relations`).
 _COMPLEMENT_TABLE_CAP = 300_000
 
 
 def _bound_complements(ctx: K0Context) -> None:
     if len(ctx._complements) > _COMPLEMENT_TABLE_CAP:
         ctx._complements.clear()
+        ctx._relations.clear()
 
 
 def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, MutationEvent]:

@@ -8,6 +8,14 @@ quasi-simples (socle position, quasi-length), and hom/ext dimensions
 reduce to Euler pairings across slopes plus a closed-form count
 inside a single tube.
 
+Ext runs one way across slopes.  By Serre duality Ext^1(X, Y) =
+D Hom(Y, tau X), tau keeps the slope, and there is no nonzero map from a
+semistable sheaf to one of smaller slope (Lenzing-Meltzer 1993, below;
+every indecomposable of tubular type is semistable).  So ext(X, Y) = 0
+whenever X has the smaller slope, and a rigidity test of two objects at
+different slopes reads only ext(higher, lower), one memo entry
+(`_ext_either`); only two objects of one slope are read both ways.
+
 The chart at infinity is known in closed form: its quasi-simples are
 the simples S_{i,j} of the exceptional tubes, one tau-orbit per weight.
 All tubular families are images of one another under autoequivalences
@@ -640,28 +648,34 @@ def tube_hom_oracle(r: int, w1: Window, w2: Window) -> int:
 def _hom_ext(ctx: K0Context, x: ExcObject, y: ExcObject, key) -> tuple[int, int]:
     """Fill the memo entry (hom(x, y), ext(x, y)) of one pair.
 
-    For ascending slopes Hom is the Euler pairing and Ext vanishes; for
-    descending slopes Hom vanishes; within one slope Hom is the in-tube
-    formula.  coh X is hereditary, so the Euler form has no higher terms
-    and ext = hom - chi in every case.
+    The slopes are ordered by one cross-multiplication (infinity is 1/0)
+    and chi(x, y) is evaluated once.  For ascending slopes Hom is the
+    Euler pairing and Ext vanishes; for descending slopes Hom vanishes;
+    within one tube Hom is the in-tube count of `tube_hom_oracle`, taken
+    on the window coordinates: the offset k from the socle of x to the
+    socle of y, and 1 iff k < len(x) <= k + len(y).  coh X is
+    hereditary, so the Euler form has no higher terms and ext = hom - chi
+    in every case.
     """
-    if x.slope < y.slope:
-        h = chi(ctx, x.cls, y.cls)
-        if h < 0:
+    xs, ys = x.slope, y.slope
+    up = ys.num * xs.den - xs.num * ys.den  # > 0: y has the larger slope
+    c = chi(ctx, x.cls, y.cls)
+    if up > 0:
+        if c < 0:
             raise InternalConsistencyError(
-                f"negative hom {h} for ascending slopes {x.slope} -> {y.slope}"
+                f"negative hom {c} for ascending slopes {xs} -> {ys}"
             )
-        got = (h, 0)
+        got = (c, 0)
     else:
-        if y.slope < x.slope or x.orbit != y.orbit:
-            h = 0
-        else:
-            r = orbit_rank(ctx, x)
-            h = tube_hom_oracle(r, Window(x.socle, x.len), Window(y.socle, y.len))
-        e = h - chi(ctx, x.cls, y.cls)
+        h = 0
+        if up == 0 and x.orbit == y.orbit:
+            k = (y.socle - x.socle) % orbit_rank(ctx, x)
+            if k < x.len <= k + y.len:
+                h = 1
+        e = h - c
         if e < 0:
             raise InternalConsistencyError(
-                f"negative ext {e} between slopes {x.slope} and {y.slope}"
+                f"negative ext {e} between slopes {xs} and {ys}"
             )
         got = (h, e)
     ctx._pairs[key] = got
@@ -684,6 +698,26 @@ def ext_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
     if got is None:
         got = _hom_ext(ctx, x, y, key)
     return got[1]
+
+
+def _ext_either(ctx: K0Context, x: ExcObject, y: ExcObject) -> bool:
+    """True iff ext(x, y) or ext(y, x) is nonzero: the rigidity test of a
+    pair, x = y included.
+
+    Ext^1(a, b) = D Hom(b, tau a) vanishes when a has the smaller slope
+    (module docstring), so for two slopes only ext(higher, lower) is
+    read, one memo entry; within one slope both directions are read."""
+    xs, ys = x.slope, y.slope
+    up = ys.num * xs.den - xs.num * ys.den  # > 0: y has the larger slope
+    if up > 0:
+        x, y = y, x
+    pairs = ctx._pairs
+    key = (x.cls.vec, y.cls.vec)
+    got = pairs.get(key) or _hom_ext(ctx, x, y, key)
+    if got[1] or up:
+        return got[1] != 0
+    key = (key[1], key[0])
+    return (pairs.get(key) or _hom_ext(ctx, y, x, key))[1] != 0
 
 
 def wing_contains(ctx: K0Context, z: ExcObject, x: ExcObject) -> bool:

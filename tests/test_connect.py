@@ -860,6 +860,58 @@ def test_deadline_passes_at_most_one_unit_before_it_is_seen(monkeypatch):
     assert max(lates) <= 1, lates
 
 
+def test_deadline_on_the_last_search_unit_stops_before_the_splice(monkeypatch):
+    # A fake time source advanced by 1 at the start of each unit of work
+    # (each `mutate`, `_forecast_child` and `chart_for` the connect makes).
+    # A deadline that passes during the last unit of the direct search is
+    # seen when the search returns: no splicing and no verification run.
+    w = make_weights((2, 3, 6))
+    end = random_walk(build_context(w), 8, 4242, bundle_only=True).end
+    now = [0.0]
+    searched = []  # (start, end) fake times of each direct search
+    spliced = []
+
+    def unit(fn):
+        def spy(*args):
+            now[0] += 1.0
+            return fn(*args)
+
+        return spy
+
+    real_search, real_shorten, real_verify = (
+        connect._stratum_path,
+        connect.shorten_path,
+        connect.verify_path,
+    )
+
+    def search(ctx, a, b, fixed_vec, clock):
+        start = now[0]
+        path = real_search(ctx, a, b, fixed_vec, clock)
+        if fixed_vec is None:
+            searched.append((start, now[0]))
+        return path
+
+    monkeypatch.setattr(connect, "_now", lambda: now[0])
+    for name in ("mutate", "_forecast_child", "chart_for"):
+        monkeypatch.setattr(connect, name, unit(getattr(connect, name)))
+    monkeypatch.setattr(connect, "_stratum_path", search)
+    monkeypatch.setattr(
+        connect, "shorten_path", lambda ctx, p: spliced.append(p) or real_shorten(ctx, p)
+    )
+    monkeypatch.setattr(
+        connect, "verify_path", lambda ctx, p: spliced.append(p) or real_verify(ctx, p)
+    )
+    connect_to_canonical(build_context(w), end)
+    [(start, last)] = searched
+    assert last > start and len(spliced) == 2
+    now[0] = 0.0
+    searched.clear()
+    spliced.clear()
+    with pytest.raises(BudgetExhausted, match="time budget"):
+        connect_to_canonical(build_context(w), end, SearchBudget(max_seconds=last - 0.5))
+    assert searched == [(start, last)] and spliced == []
+
+
 def _shortening_input(ctx, kind, steps, seed):
     if kind == "walk":
         return random_walk(ctx, steps, seed, bundle_only=seed % 2 == 0)

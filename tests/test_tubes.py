@@ -753,6 +753,104 @@ def test_negative_hom_or_ext_is_rejected(ctx2222, monkeypatch):
     assert ctx._pairs == {}
 
 
+def _hom_ext_oracle(ctx, x, y):
+    """(hom(x, y), ext(x, y)) by the slope cases, with Window objects and
+    `tube_hom_oracle` inside one tube: the reference of `tubes._hom_ext`.
+    chi is read through the module, so a corrupted pairing reaches both."""
+    if x.slope < y.slope:
+        h = tubes.chi(ctx, x.cls, y.cls)
+        if h < 0:
+            raise InternalConsistencyError(
+                f"negative hom {h} for ascending slopes {x.slope} -> {y.slope}"
+            )
+        return (h, 0)
+    if y.slope < x.slope or x.orbit != y.orbit:
+        h = 0
+    else:
+        r = orbit_rank(ctx, x)
+        h = tube_hom_oracle(r, Window(x.socle, x.len), Window(y.socle, y.len))
+    e = h - tubes.chi(ctx, x.cls, y.cls)
+    if e < 0:
+        raise InternalConsistencyError(f"negative ext {e} between slopes {x.slope} and {y.slope}")
+    return (h, e)
+
+
+def _kernel_pairs(ctx, rng):
+    """Sampled pairs of every kind the pair kernel distinguishes: two
+    slopes (the large-denominator chart slopes 37/53 and -29/61
+    included), one tube, two tubes at one slope, and torsion pairs at
+    infinity."""
+    objs = _sample_objects(ctx, rng, 300)
+    pairs = list(zip(objs, objs[1:] + objs[:1]))
+    for q in (INF, Slope(37, 53), Slope(-29, 61), Slope(2, 3)):
+        chart = chart_for(ctx, q)
+        at_q = [ExcObject(cls, q, t, s, ln) for t, s, ln, cls in chart.windows()]
+        pairs += [(rng.choice(at_q), rng.choice(at_q)) for _ in range(150)]
+        big = [o for o in at_q if o.orbit == len(chart.orbits) - 1]
+        pairs += [(x, y) for x in big for y in big]
+    kinds = {
+        "two slopes": sum(x.slope != y.slope for x, y in pairs),
+        "one tube": sum(x.slope == y.slope and x.orbit == y.orbit for x, y in pairs),
+        "two tubes": sum(x.slope == y.slope and x.orbit != y.orbit for x, y in pairs),
+        "torsion": sum(x.slope == y.slope == INF for x, y in pairs),
+        "large denominators": sum(x.slope.den in (53, 61) for x, y in pairs),
+    }
+    assert all(kinds.values()), kinds
+    return pairs
+
+
+def test_pair_kernel_matches_the_oracle(any_ctx):
+    # the fill against today's case split, and the symmetric rigidity read
+    # against two ext reads, on a fresh context so every read is a fill
+    ctx = build_context(any_ctx.weights)
+    for x, y in _kernel_pairs(ctx, random.Random(27)):
+        assert tubes._hom_ext(ctx, x, y, (x.cls.vec, y.cls.vec)) == _hom_ext_oracle(ctx, x, y)
+    fresh = build_context(any_ctx.weights)
+    for x, y in _kernel_pairs(fresh, random.Random(28)):
+        either = tubes._ext_either(fresh, x, y)
+        assert either == tubes._ext_either(fresh, y, x)
+        assert either == bool(ext_dim(fresh, x, y) or ext_dim(fresh, y, x)), (x, y)
+
+
+@pytest.mark.parametrize("value", [-1, 1, 5])
+def test_pair_kernel_raises_the_oracles_errors(ctx236, monkeypatch, value):
+    # a constant Euler pairing: negative hom upward for value < 0, negative
+    # ext downward and inside a tube for value > 0
+    ctx = build_context(ctx236.weights)
+    pairs = _kernel_pairs(ctx, random.Random(29))
+    monkeypatch.setattr(tubes, "chi", lambda ctx, a, b: value)
+    raised = 0
+    for x, y in pairs:
+        try:
+            want = _hom_ext_oracle(ctx, x, y)
+        except InternalConsistencyError as exc:
+            with pytest.raises(InternalConsistencyError) as got:
+                tubes._hom_ext(ctx, x, y, (x.cls.vec, y.cls.vec))
+            assert str(got.value) == str(exc)
+            raised += 1
+        else:
+            assert tubes._hom_ext(ctx, x, y, (x.cls.vec, y.cls.vec)) == want
+    assert raised
+
+
+def test_rigidity_tests_write_one_direction_across_slopes():
+    ctx = build_context(make_weights((2, 3, 6)))
+    o = line_bundle_obj(ctx, l_zero(ctx.weights))
+    oc = line_bundle_obj(ctx, c_gen(ctx.weights))
+    assert ctx._pairs == {}
+    assert not tubes._ext_either(ctx, o, oc)
+    assert list(ctx._pairs) == [(oc.cls.vec, o.cls.vec)]
+    # is_tilting reads each unordered pair once, both ways only at one slope
+    ctx = build_context(make_weights((2, 3, 6)))
+    t = t_can(ctx)
+    assert ctx._pairs == {}
+    assert is_tilting(ctx, t)
+    n = ctx.n
+    same = sum(x.slope == y.slope for i, x in enumerate(t.summands) for y in t.summands[i + 1 :])
+    assert same > 0
+    assert len(ctx._pairs) == n + n * (n - 1) // 2 + same
+
+
 def test_hom_examples_2222(ctx2222):
     w = ctx2222.weights
     o = line_bundle_obj(ctx2222, l_zero(w))
