@@ -51,13 +51,12 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .k0 import K0Class, K0Context, deg_of, rank_of
+from .k0 import K0Context, rank_of
 from .slopes import INF, Slope
 from .tilting import (
     MutationEvent,
     TiltingObject,
     _bound_complements,
-    _candidate_classes,
     _complete_mutation,
     _enter_complement,
     _exchange,
@@ -251,8 +250,9 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     new blocks multiply to their old product, sign included, and only
     those runs are read.  Then every edge is checked against its event:
     two different nodes, one summand exchanged, the recorded removed and
-    added summands, index and direction.  Each node's set of class
-    vectors is built once for both checks.
+    added summands, index and direction (ext from the smaller slope is 0
+    and is not read).  Each node's set of class vectors is built once for
+    both checks.
     """
     if not path.nodes:
         logger.warning("path has no nodes")
@@ -285,7 +285,9 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
         if prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
             logger.warning("event %d records a wrong index", i)
             return False
-        if (ext_dim(ctx, ev.added, ev.removed) > 0) != (ev.direction == "L"):
+        a, b = ev.added.slope, ev.removed.slope
+        left = a.num * b.den >= b.num * a.den and ext_dim(ctx, ev.added, ev.removed) > 0
+        if left != (ev.direction == "L"):
             logger.warning("event %d records a wrong direction", i)
             return False
     return True
@@ -301,14 +303,18 @@ def shorten_path(ctx: K0Context, path: MutationPath) -> MutationPath:
     at the summand it loses; InternalConsistencyError if it is not.
     `mutate` reads that mutation off the complement table when the
     search computed it, in either direction.  The result is never longer
-    and keeps both end points; its nodes are nodes of the input.
+    and keeps both end points; its nodes are nodes of the input.  Two
+    consecutive nodes that differ in more than one summand raise
+    PreconditionError.
     """
     nodes = path.nodes
     sets = [frozenset(t.class_key()) for t in nodes]
     out = MutationPath.single(nodes[0])
     i = 0
     while i < len(nodes) - 1:
-        j = next(j for j in range(len(nodes) - 1, i, -1) if len(sets[i] - sets[j]) <= 1)
+        j = next((j for j in range(len(nodes) - 1, i, -1) if len(sets[i] - sets[j]) <= 1), None)
+        if j is None:
+            raise PreconditionError(f"nodes {i} and {i + 1} differ in more than one summand")
         if j == i + 1:
             out.extend(nodes[j], path.events[i])
         elif sets[i] != sets[j]:
@@ -418,8 +424,9 @@ def _pool_slopes(seed: list[ExcObject], round_: int) -> list[Slope]:
     for b in range(1, den_cap + 1):
         for num in range(lo * b, hi * b + 1):
             slopes.add(Slope(num, b))
+    # every Slope is in lowest terms with den > 0, so num orders one den
     ordered = sorted(
-        (s for s in slopes if not s.is_infinite), key=lambda s: (s.den, s.fraction())
+        (s for s in slopes if not s.is_infinite), key=lambda s: (s.den, s.num)
     )
     ordered.append(INF)
     return ordered
@@ -840,13 +847,11 @@ def explore_graph(
     A mutation that is not in the table is first put to the fibre test
     when the node is a bundle and hi is finite: one that brings in a
     torsion sheaf (`tilting.torsion_exchanges`) leaves the window, and its
-    child is dropped with no search.  Any other runs in the two halves of
-    `mutate`.  The candidate search is exhaustive and the complement is
-    unique, so when no sheaf-like candidate class has its slope in the
-    window, the child's new summand is outside and the child is dropped
-    without decoding any candidate (`_candidate_classes`); otherwise the
-    mutation is completed (`_complete_mutation`), which enters it into
-    the table as `mutate` does.
+    child is dropped with no search.  Any other is computed by
+    `_complete_mutation`, the miss path of `mutate`, which enters it into
+    the table; a child whose new summand lies outside the window is then
+    dropped by the slope test.  The call does not go through `mutate`,
+    which could clear the table between two nodes.
     """
     if max_nodes < 1:
         raise PreconditionError(f"max_nodes must be at least 1, got {max_nodes}")
@@ -858,12 +863,6 @@ def explore_graph(
     def enter(node: TiltingObject, key: tuple) -> None:
         for k, s in enumerate(node.summands):
             _enter_complement(ctx, key[:k] + key[k + 1 :], node, s)
-
-    def inside(c: K0Class) -> bool:
-        r, d = rank_of(ctx, c), deg_of(ctx, c)
-        if r > 0:
-            return lo <= Slope(d, r) <= hi
-        return r == 0 and d > 0 and hi.is_infinite
 
     enter(start, start.class_key())
     start_out = [k for k, s in enumerate(start.summands) if not lo <= s.slope <= hi]
@@ -888,10 +887,7 @@ def explore_graph(
                     torsion = torsion_exchanges(ctx, node) if fibre else ()
                 if torsion and torsion[k]:
                     continue  # its new summand is torsion, outside the window
-                candidates = _candidate_classes(ctx, node, k)
-                if not any(inside(c) for c in candidates):
-                    continue
-                t2, ev = _complete_mutation(ctx, node, k, candidates, ac_key)
+                t2, ev = _complete_mutation(ctx, node, k, ac_key)
                 j, added = len(nodes), ev.added
             if not lo <= added.slope <= hi:
                 continue

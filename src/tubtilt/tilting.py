@@ -46,17 +46,16 @@ hom/ext; the bundle-only walks and the graph export use it to skip
 mutations that leave the bundles.
 
 `mutate` is a lookup in the context's complement table, followed on a
-miss by two halves: the candidate classes (`_candidate_classes`, the
-search above) and their completion (`_complete_mutation`: decode, ext
-checks, uniqueness, exchange and the table write).  The table maps an
-almost complete key, a class key with one summand left out, to the
-complements known for it.  An almost complete tilting object has at
-most two (Happel-Unger), and mutation swaps one for the other, so one
-computed mutation answers both directions: the child mutated back at
-the summand it brought in is read off the table.  The search is
-exhaustive and the complement unique, so a caller that only wants
-children with some property of the new summand, such as its slope, can
-drop a child from its candidate classes without decoding any of them.
+miss by the mutation itself (`_complete_mutation`: the candidate search
+above, decoding, ext checks, uniqueness, exchange and the table write).
+The table maps an almost complete key, a class key with one summand
+left out, to the complements known for it.  An almost complete tilting
+object has at most two (Happel-Unger), and mutation swaps one for the
+other, so one computed mutation answers both directions: the child
+mutated back at the summand it brought in is read off the table.  The
+graph export (`connect.explore_graph`) reads the table itself and calls
+`_complete_mutation` on a miss, so the table is not cleared during an
+exploration.
 """
 
 from __future__ import annotations
@@ -554,12 +553,14 @@ def _exchange(
 
     The direction is L iff ext(new, T_k) > 0; exactly one of ext(new, T_k)
     and ext(T_k, new) is nonzero for two complements, else
-    InternalConsistencyError.  The check runs before the insertion, so a
-    `new` that is already a summand fails it too.
+    InternalConsistencyError; ext from the smaller slope is 0
+    (`tubes._hom_ext`) and is not read.  The check runs before the
+    insertion, so a `new` that is already a summand fails it too.
     """
     tk = t.summands[k]
-    e_left = ext_dim(ctx, new, tk)  # nonzero iff 0 -> T_k -> B -> new -> 0
-    e_right = ext_dim(ctx, tk, new)
+    up = tk.slope.num * new.slope.den - new.slope.num * tk.slope.den  # > 0: T_k's is larger
+    e_left = 0 if up > 0 else ext_dim(ctx, new, tk)  # nonzero iff 0 -> T_k -> B -> new -> 0
+    e_right = 0 if up < 0 else ext_dim(ctx, tk, new)
     if (e_left > 0) == (e_right > 0):
         raise InternalConsistencyError(
             f"exchange direction ambiguous: ext {e_left}/{e_right}"
@@ -575,8 +576,9 @@ def _exchange(
 
 
 def _candidate_classes(ctx: K0Context, t: TiltingObject, k: int) -> list[K0Class]:
-    """First half of `mutate`: the classes c = sum_i b_i [T_i] - [T_k]
-    that the complement of t minus T_k can have, one per root b.
+    """The search of `_complete_mutation`: the classes
+    c = sum_i b_i [T_i] - [T_k] that the complement of t minus T_k can
+    have, one per root b.
 
     The b_i run over the remaining summands with
     0 <= b_i <= max(hom(T_k, T_i), hom(T_i, T_k)); the bound covers the
@@ -633,25 +635,25 @@ def _enter_complement(
 
 
 def _complete_mutation(
-    ctx: K0Context,
-    t: TiltingObject,
-    k: int,
-    candidates: Sequence[K0Class],
-    ac_key: tuple,
+    ctx: K0Context, t: TiltingObject, k: int, ac_key: tuple
 ) -> tuple[TiltingObject, MutationEvent]:
-    """Second half of `mutate`: decode the candidate classes of
-    `_candidate_classes(ctx, t, k)`, keep the ones that are exceptional
-    sheaves ext-orthogonal to the other summands in both directions, and
-    exchange T_k for the one survivor (`_exchange`, which checks the
-    direction and inserts the complement at its place in the canonical
-    order).  No survivor raises ComplementNotFound, more than one
-    ComplementNotUnique.  Both t and the result are entered into the
-    complement table under `ac_key`, t's class key with summand k left
-    out, so the result mutated back at its new summand is a lookup.
+    """The mutation of t at k computed, not looked up: the one path of
+    `mutate` and `connect.explore_graph` on a complement-table miss.
+
+    Search the candidate classes (`_candidate_classes`), decode them,
+    keep the ones that are exceptional sheaves ext-orthogonal to the
+    other summands in both directions, and exchange T_k for the one
+    survivor (`_exchange`, which checks the direction and inserts the
+    complement at its place in the canonical order).  No survivor raises
+    ComplementNotFound, more than one ComplementNotUnique.  Both t and
+    the result are entered into the complement table under `ac_key`, t's
+    class key with summand k left out, so the result mutated back at its
+    new summand is a lookup.  The table is not bounded here; `mutate`
+    bounds it before the call.
     """
     others = t.summands[:k] + t.summands[k + 1 :]
     survivors: list[ExcObject] = []
-    for c in candidates:
+    for c in _candidate_classes(ctx, t, k):
         try:
             obj = exc_from_class(ctx, c)
         except (NotSheafLike, NotExceptionalHere):
@@ -709,13 +711,10 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
     complement other than T_k gives its holder, the result, and the
     event's direction comes from the hom/ext memo (`_other_complement`,
     which also enters t, so two known complements that both differ from
-    T_k raise InternalConsistencyError).  On a miss, the two
-    halves: `_candidate_classes` finds the classes the complement can
-    have, and `_complete_mutation` decodes them, keeps the one
-    complement and enters t and the result into the table.  Before a
-    miss, a table past `_COMPLEMENT_TABLE_CAP` entries is cleared.  The
-    tilting graph export (`connect.explore_graph`) runs the halves
-    itself, so it can drop a child from its candidate classes alone.
+    T_k raise InternalConsistencyError); ext from the smaller slope is 0
+    and is not read.  On a miss, a table past `_COMPLEMENT_TABLE_CAP`
+    entries is cleared, and `_complete_mutation` computes the mutation
+    and enters t and the result into the table.
 
     Precondition: t is tilting (see `make_tilting`); the result is then
     tilting without a re-check.  The complement is unique (Happel-Unger)
@@ -730,10 +729,11 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
     if other is not None:
         holder, comp = other
         tk = t.summands[k]
-        direction = "L" if ext_dim(ctx, comp, tk) > 0 else "R"
-        return holder, MutationEvent(k, tk, comp, direction)
+        a, b = comp.slope, tk.slope
+        left = a.num * b.den >= b.num * a.den and ext_dim(ctx, comp, tk) > 0
+        return holder, MutationEvent(k, tk, comp, "L" if left else "R")
     _bound_complements(ctx)
-    return _complete_mutation(ctx, t, k, _candidate_classes(ctx, t, k), ac_key)
+    return _complete_mutation(ctx, t, k, ac_key)
 
 
 def apr_mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, MutationEvent]:

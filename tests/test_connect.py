@@ -30,12 +30,11 @@ from tubtilt.errors import (
     BasisMismatch,
     BudgetExhausted,
     InternalConsistencyError,
-    NotSheafLike,
     PreconditionError,
 )
 from tubtilt.intmat import det as int_det
 from tubtilt.intmat import mat_vec
-from tubtilt.k0 import K0Class, build_context, line_bundle_class, rank_of, slope_of
+from tubtilt.k0 import K0Class, build_context, line_bundle_class, rank_of
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import (
     MutationEvent,
@@ -740,6 +739,20 @@ def test_connect_ends_needing_the_mediant_round(ctx2222):
     assert path.end.class_key() == ends[1].class_key()
 
 
+def test_pool_slopes_sort_by_denominator_then_value():
+    # (den, num) is the (den, value) order: each den > 0 and in lowest terms
+    rng = random.Random(2028)
+    for ws in TUBULAR_TYPES:
+        ctx = context_for(ws)
+        for _ in range(3):
+            end = random_walk(ctx, rng.randint(1, 12), rng.randrange(10**6), bundle_only=True).end
+            seed = rng.sample(end.summands, rng.randint(1, 3))
+            for round_ in range(connect._COMPLETION_ROUNDS + 1):
+                got = connect._pool_slopes(seed, round_)
+                assert got[-1] == INF
+                assert got[:-1] == sorted(got[:-1], key=lambda s: (s.den, s.fraction()))
+
+
 def test_connect_deep_walks_stay_under_the_tick_bound(any_ctx):
     # the paper's route runs past 5,000 ticks on 9 of these 40 ends and past
     # 20,000 on 2; the direct search needs at most 4,194
@@ -958,6 +971,20 @@ def test_shorten_path_checks_the_spliced_mutation(ctx2222, monkeypatch):
     monkeypatch.setattr(connect, "mutate", lambda ctx, t, k: (t, None))
     with pytest.raises(InternalConsistencyError, match="spliced"):
         shorten_path(ctx2222, route)
+
+
+def test_shorten_path_rejects_nodes_that_are_no_edge(ctx2222):
+    # nodes 0 and 3 of a walk differ in three summands: no node after 0
+    # is within one summand of it
+    walk = random_walk(ctx2222, 6, seed=0)
+    a, b = walk.nodes[0], walk.nodes[3]
+    assert len(set(a.class_key()) - set(b.class_key())) > 1
+    bad = MutationPath([a, b], walk.events[:1])
+    with pytest.raises(PreconditionError, match="nodes 0 and 1 differ"):
+        shorten_path(ctx2222, bad)
+    # raised, not a StopIteration that ends an enclosing iteration silently
+    with pytest.raises(PreconditionError):
+        list(map(lambda p: shorten_path(ctx2222, p), [bad]))
 
 
 def test_random_walk_deterministic(any_ctx):
@@ -1194,8 +1221,8 @@ def test_explore_graph_matches_the_full_window_test(any_ctx, monkeypatch):
     real_complete = connect._complete_mutation
     made = []
 
-    def spy(ctx, t, k, candidates, ac_key):
-        t2, ev = real_complete(ctx, t, k, candidates, ac_key)
+    def spy(ctx, t, k, ac_key):
+        t2, ev = real_complete(ctx, t, k, ac_key)
         made.append(t2.class_key())
         return t2, ev
 
@@ -1231,15 +1258,42 @@ def test_explore_graph_rejects_a_third_complement(monkeypatch):
     fake = make_tilting(ctx, tc.summands[1:] + (x,))
     real_complete = connect._complete_mutation
 
-    def fake_complete(ctx, t, k, candidates, ac_key):
+    def fake_complete(ctx, t, k, ac_key):
         if t == tc and k == 1:
             return fake, MutationEvent(1, tc.summands[1], x, "L")
-        return real_complete(ctx, t, k, candidates, ac_key)
+        return real_complete(ctx, t, k, ac_key)
 
     monkeypatch.setattr(connect, "_complete_mutation", fake_complete)
     ctx._complements.clear()  # the BFS completes T_can at 1 instead of reading the table
     with pytest.raises(InternalConsistencyError, match="three complements"):
         explore_graph(ctx, tc, Slope(-10, 1), INF, 10)
+
+
+def test_explore_graph_clears_the_table_only_when_a_call_starts(monkeypatch):
+    # a table that passes its cap during the call is not cleared there: the
+    # BFS reads its known nodes' edges off it, and does not go through mutate
+    ws = (2, 3, 6)
+    ctx = build_context(make_weights(ws))
+    want = explore_graph(ctx, t_can(ctx), Slope(0, 1), INF, 16)
+    sizes = []
+    real_complete = connect._complete_mutation
+
+    def spy(ctx, t, k, ac_key):
+        sizes.append(len(ctx._complements))
+        return real_complete(ctx, t, k, ac_key)
+
+    monkeypatch.setattr(connect, "_complete_mutation", spy)
+    monkeypatch.setattr(tilting, "_COMPLEMENT_TABLE_CAP", 20)
+    ctx = build_context(make_weights(ws))
+    got = explore_graph(ctx, t_can(ctx), Slope(0, 1), INF, 16)
+    assert [t.class_key() for t in got[0]] == [t.class_key() for t in want[0]]
+    assert got[1] == want[1]
+    assert sizes == sorted(sizes) and sizes[-1] > 20
+    assert len(ctx._complements) > 20
+    # the next call clears it at its start; with room for one node it then
+    # holds only the start's n almost complete keys
+    explore_graph(ctx, t_can(ctx), Slope(0, 1), INF, 1)
+    assert len(ctx._complements) == ctx.n
 
 
 def test_explore_graph_rejects_a_bad_node_cap(ctx2222):
@@ -1312,20 +1366,14 @@ def test_golden_graphs():
 
 
 def test_explore_graph_completes_only_the_children_it_keeps(monkeypatch):
-    # every mutation of the BFS is cold, so it runs through the two halves
-    # of mutate
-    searched, completed = [], []
-    real_candidates = connect._candidate_classes
+    # every mutation of the BFS is cold, so it runs through _complete_mutation
+    completed = []
     real_complete = connect._complete_mutation
 
-    def candidates_spy(ctx, t, k):
-        got = real_candidates(ctx, t, k)
-        searched.append((t, k, got))
+    def complete_spy(ctx, t, k, ac_key):
+        got = real_complete(ctx, t, k, ac_key)
+        completed.append((t, k, got))
         return got
-
-    def complete_spy(ctx, t, k, candidates, ac_key):
-        completed.append((t, k))
-        return real_complete(ctx, t, k, candidates, ac_key)
 
     real_torsion = connect.torsion_exchanges
     fibre = []
@@ -1335,12 +1383,10 @@ def test_explore_graph_completes_only_the_children_it_keeps(monkeypatch):
         fibre.append((t, got))
         return got
 
-    monkeypatch.setattr(connect, "_candidate_classes", candidates_spy)
     monkeypatch.setattr(connect, "_complete_mutation", complete_spy)
     monkeypatch.setattr(connect, "torsion_exchanges", torsion_spy)
 
     def run(ctx, start, lo, hi, cap):
-        searched.clear()
         completed.clear()
         fibre.clear()
         ctx._complements.clear()  # random_walk fills it
@@ -1350,33 +1396,25 @@ def test_explore_graph_completes_only_the_children_it_keeps(monkeypatch):
         for t, flags in fibre:
             for k, torsion in enumerate(flags):
                 assert torsion == mutate(ctx, t, k)[1].added.slope.is_infinite
-        for t, k, candidates in searched:
+        for t, k, _ in completed:
             if t == start:
                 # a child keeping a start summand outside the window is
-                # skipped before its candidates are searched
+                # skipped before it is completed
                 assert all(lo <= s.slope <= hi for j, s in enumerate(t.summands) if j != k)
-            if (t, k) in completed:
-                continue
-            for c in candidates:
-                try:
-                    q = slope_of(ctx, c)
-                except NotSheafLike:
-                    continue
-                assert not lo <= q <= hi
-            # the reason: the complement lies outside the window
-            assert not lo <= mutate(ctx, t, k)[1].added.slope <= hi
         # a completed child whose complement lies in the window is a new
-        # node (another candidate class may have passed the window test)
-        children = [mutate(ctx, t, k) for t, k in completed]
-        assert nodes[1:] == [t2 for t2, ev in children if lo <= ev.added.slope <= hi]
+        # node; the others are dropped by the slope test
+        assert nodes[1:] == [t2 for _, _, (t2, ev) in completed if lo <= ev.added.slope <= hi]
         keys = [t.class_key() for t in nodes]
         want = _full_test_explore_graph(ctx, start, lo, hi, cap)
         assert keys == [t.class_key() for t in want[0]]
         assert edges == want[1]
         return keys, edges
 
+    def dropped(lo, hi):
+        # the new summands of the completed children that the slope test drops
+        return [ev.added.slope for _, _, (_, ev) in completed if not lo <= ev.added.slope <= hi]
+
     got = {}
-    skipped = 0
     for ws, seed in GOLDEN_GRAPH:
         ctx = build_context(make_weights(ws))
         if seed is None:
@@ -1386,33 +1424,64 @@ def test_explore_graph_completes_only_the_children_it_keeps(monkeypatch):
             lo, hi = slope_range(ctx, start)
             lo, hi = Slope(lo.floor() - 1, 1), Slope(hi.floor() + 2, 1)
         got[ws, seed] = hashlib.sha256(repr(run(ctx, start, lo, hi, 16)).encode()).hexdigest()
-        assert len(completed) == 15
-        skipped += len(searched) - len(completed)
+        assert (len(completed), dropped(lo, hi)) == (15, [])
         # T_can's O has slope 0, outside; its other summands are inside, so
-        # of T_can's children only the one replacing O is searched
+        # of T_can's children only the one replacing O is completed
         ctx = build_context(make_weights(ws))
         tc = t_can(ctx)
         run(ctx, tc, Slope(1, 100), INF, 20)
-        assert [k for t, k, _ in searched if t == tc] == [
+        assert [k for t, k, _ in completed if t == tc] == [
             k for k, s in enumerate(tc.summands) if s.slope == Slope(0, 1)
         ]
     assert got == GOLDEN_GRAPH
-    # bundle children below lo are searched and dropped: the (3,3,3) walk
-    # end of seed 1 in its own slope range [3/2, 2] has six, of slope 1
+    # bundle children below lo are completed and dropped by the slope test:
+    # the (3,3,3) walk end of seed 1 in its own slope range [3/2, 2] has
+    # six, of slope 1
     ctx = build_context(make_weights((3, 3, 3)))
     start = random_walk(ctx, 5, seed=1, bundle_only=True).end
-    run(ctx, start, *slope_range(ctx, start), 16)
-    assert (len(searched), len(completed)) == (21, 15)
-    skipped += len(searched) - len(completed)
-    assert skipped > 0
+    lo, hi = slope_range(ctx, start)
+    run(ctx, start, lo, hi, 16)
+    assert len(completed) == 21
+    assert dropped(lo, hi) == [Slope(1, 1)] * 6
 
-    # the reference count: all 29 candidate searches are completed, one
-    # per node after the start; the 46 children that lie outside bring
-    # in torsion sheaves and are skipped by the fibre test, unsearched
+    # the reference count: all 29 completions are kept, one per node after
+    # the start; the 46 children that lie outside bring in torsion sheaves
+    # and are skipped by the fibre test, uncompleted
     ctx = build_context(make_weights((2, 3, 6)))
-    keys, edges = run(ctx, t_can(ctx), Slope(0, 1), Slope(6, 1), 30)
+    lo, hi = Slope(0, 1), Slope(6, 1)
+    keys, edges = run(ctx, t_can(ctx), lo, hi, 30)
     assert (len(keys), len(edges)) == (30, 43)
-    assert (len(searched), len(completed)) == (29, 29)
+    assert (len(completed), dropped(lo, hi)) == (29, [])
+
+
+def test_no_ext_read_from_the_smaller_slope(monkeypatch):
+    # ext(x, y) = 0 when x has the smaller slope, so tilting and connect
+    # never read it: seeded walks (cold mutations), mutations read back
+    # from the table, one connect (verify_path) and one explore
+    reads = {"tilting": 0, "connect": 0}
+
+    def spy_for(module):
+        def spy(ctx, x, y):
+            assert not x.slope < y.slope, (module, x, y)
+            reads[module] += 1
+            return ext_dim(ctx, x, y)
+
+        return spy
+
+    monkeypatch.setattr(tilting, "ext_dim", spy_for("tilting"))
+    monkeypatch.setattr(connect, "ext_dim", spy_for("connect"))
+    for ws in TUBULAR_TYPES:
+        ctx = build_context(make_weights(ws))
+        for seed in (4200, 4201):
+            walk = random_walk(ctx, 8, seed=seed)
+            for t, ev in zip(walk.nodes[1:], walk.events):
+                back = mutate(ctx, t, t.index_of(ev.added))
+                assert back[1].added == ev.removed
+    ctx = build_context(make_weights((3, 3, 3)))
+    end = random_walk(ctx, 6, seed=4202, bundle_only=True).end
+    assert verify_path(ctx, connect_to_canonical(ctx, end))
+    explore_graph(ctx, t_can(ctx), Slope(-1, 1), INF, 16)
+    assert reads["tilting"] > 0 and reads["connect"] > 0
 
 
 def test_golden_paths():

@@ -268,6 +268,31 @@ def test_mutation_involution(any_ctx):
         assert ev2.direction != ev.direction
 
 
+def test_mutate_miss_past_the_cap_clears_both_tables(monkeypatch):
+    ctx = build_context(make_weights((2, 2, 2, 2)))
+    monkeypatch.setattr(tilting, "_COMPLEMENT_TABLE_CAP", 3)
+    tc = t_can(ctx)
+    for k in range(4):
+        mutate(ctx, tc, k)  # each a miss with its own almost complete key
+    assert len(ctx._complements) == 4
+    ctx._relations[tc.class_key()] = {}
+    seen = []
+    real_complete = tilting._complete_mutation
+
+    def spy(ctx, t, k, ac_key):
+        seen.append((len(ctx._complements), len(ctx._relations)))
+        return real_complete(ctx, t, k, ac_key)
+
+    monkeypatch.setattr(tilting, "_complete_mutation", spy)
+    # a table hit past the cap leaves both tables as they are
+    mutate(ctx, tc, 0)
+    assert seen == [] and len(ctx._complements) == 4 and len(ctx._relations) == 1
+    # a miss clears both before it computes
+    mutate(ctx, tc, 4)
+    assert seen == [(0, 0)]
+    assert len(ctx._complements) == 1
+
+
 def test_table_answers_match_cold_mutations(any_ctx, monkeypatch):
     # a mutation read off the complement table equals a cold mutation on a
     # fresh context of the same weights in full (node, index, removed,
