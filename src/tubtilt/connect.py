@@ -61,7 +61,7 @@ from .tilting import (
     _enter_complement,
     _exchange,
     _other_complement,
-    check_basis_step,
+    check_basis,
     find_full_period_quasi_simple,
     is_bundle,
     is_tilting,
@@ -198,36 +198,30 @@ class MutationPath:
 
 
 def _node_is_tilting(
-    ctx: K0Context,
-    node: TiltingObject,
-    vecs: frozenset,
-    prev: TiltingObject | None,
-    prev_vecs: frozenset | None,
+    ctx: K0Context, node: TiltingObject, vecs: frozenset, prev_vecs: frozenset | None
 ) -> bool:
     """is_tilting(ctx, node), given the class vectors `vecs` of node and
-    the node `prev` before it on a path, with class vectors `prev_vecs`,
-    which passed (None for the first node).
+    `prev_vecs` of the node before it on a path, which passed (None for
+    the first node).
 
-    If node has n distinct summands and differs from prev in exactly one
-    class vector z, the pairs among its n - 1 other summands were checked
-    at prev (ext depends only on the two class vectors), so only the
-    pairs of z with every summand y, z included, are checked
-    (`tubes._ext_either`), and the basis cross-check takes prev's Gram
-    blocks for all runs but the two that lost or gained a summand
-    (`tilting.check_basis_step`).  Any other node gets the full
-    is_tilting.
+    If node has n distinct summands and differs from the node before in
+    exactly one class vector z, the pairs among its n - 1 other summands
+    were checked there (ext depends only on the two class vectors), so
+    only the pairs of z with every summand y, z included, are checked
+    (`tubes._ext_either`).  Any other node gets the full is_tilting.
+    Every node runs the one basis cross-check (`tilting.check_basis`)
+    either way; it reads the Gram matrix off the ext memo that these
+    checks have filled.
     """
     new = vecs - prev_vecs if prev_vecs is not None else ()
     if len(new) != 1 or len(node.summands) != ctx.n or len(vecs) != ctx.n:
         return is_tilting(ctx, node)
     (z_vec,) = new
-    (lost,) = prev_vecs - vecs
-    a = node.class_key().index(z_vec)
-    z = node.summands[a]
+    z = node.summands[node.class_key().index(z_vec)]
     for y in node.summands:
         if _ext_either(ctx, z, y):
             return False
-    check_basis_step(ctx, prev, node, prev.class_key().index(lost), a)
+    check_basis(ctx, node)
     return True
 
 
@@ -238,21 +232,15 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     first node and for any node that does not differ from the node before
     in exactly one summand, otherwise only the ext pairs with the summand
     it brings in (`_node_is_tilting`); ext values come from the context's
-    memo, keyed by the two class vectors.  The basis cross-check runs on
-    every node; it is exact and is not memoized.  The first node's
-    (`check_basis`) takes the Euler Gram matrix from the same memo, so
-    its work is the product of a few in-tube determinants, one per
-    (slope, orbit) run.  A node after it proves its basis run by run
-    (`tilting.check_basis_step`): the node before passed, so its Gram
-    blocks multiply to det(E) = +-1 and each of them is +-1; the new node
-    keeps every block but those of the one or two runs that lost or
-    gained a summand, so det(G) = det(E) exactly when the changed runs'
-    new blocks multiply to their old product, sign included, and only
-    those runs are read.  Then every edge is checked against its event:
-    two different nodes, one summand exchanged, the recorded removed and
-    added summands, index and direction (ext from the smaller slope is 0
-    and is not read).  Each node's set of class vectors is built once for
-    both checks.
+    memo, keyed by the two class vectors.  Every node runs the one basis
+    cross-check (`tilting.check_basis`); it is exact and is not memoized,
+    but it takes the Euler Gram matrix from the same memo, so its work is
+    the product of a few in-tube determinants, one per (slope, orbit)
+    run.  Then every edge is checked against its event: two different
+    nodes, one summand exchanged, the recorded removed and added
+    summands, an index in range that holds the removed summand, and the
+    direction (ext from the smaller slope is 0 and is not read).  Each
+    node's set of class vectors is built once for both checks.
     """
     if not path.nodes:
         logger.warning("path has no nodes")
@@ -263,8 +251,7 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     sets = [frozenset(t.class_key()) for t in path.nodes]
     for i, node in enumerate(path.nodes):
         try:
-            prev = path.nodes[i - 1] if i else None
-            if not _node_is_tilting(ctx, node, sets[i], prev, sets[i - 1] if i else None):
+            if not _node_is_tilting(ctx, node, sets[i], sets[i - 1] if i else None):
                 logger.warning("node %d is not tilting", i)
                 return False
         except BasisMismatch:
@@ -282,7 +269,7 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
         if {ev.removed.cls.vec} != pv - nv or {ev.added.cls.vec} != nv - pv:
             logger.warning("event %d does not match the node difference", i)
             return False
-        if prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
+        if not 0 <= ev.index < ctx.n or prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
             logger.warning("event %d records a wrong index", i)
             return False
         a, b = ev.added.slope, ev.removed.slope
@@ -303,11 +290,16 @@ def shorten_path(ctx: K0Context, path: MutationPath) -> MutationPath:
     at the summand it loses; InternalConsistencyError if it is not.
     `mutate` reads that mutation off the complement table when the
     search computed it, in either direction.  The result is never longer
-    and keeps both end points; its nodes are nodes of the input.  Two
-    consecutive nodes that differ in more than one summand raise
+    and keeps both end points; its nodes are nodes of the input.  A path
+    with no nodes, one whose event count is not its node count - 1, and
+    two consecutive nodes that differ in more than one summand raise
     PreconditionError.
     """
     nodes = path.nodes
+    if not nodes:
+        raise PreconditionError("path has no nodes")
+    if len(path.events) != len(nodes) - 1:
+        raise PreconditionError("event count does not match node count")
     sets = [frozenset(t.class_key()) for t in nodes]
     out = MutationPath.single(nodes[0])
     i = 0

@@ -63,7 +63,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
-from math import prod
 from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -183,7 +182,9 @@ def is_tilting(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> boo
 
 def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> None:
     """The basis cross-check of an ext-orthogonal n-set: its classes
-    must be a Z-basis of K0, else BasisMismatch.
+    must be a Z-basis of K0, else BasisMismatch.  It is the one basis
+    check: `is_tilting` runs it, and `connect.verify_path` runs it on
+    every node of a path.
 
     Precondition: ext(x, y) = 0 for every ordered pair of summands, x = y
     included (`is_tilting` and `connect._node_is_tilting` prove it just
@@ -192,12 +193,13 @@ def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> No
     of class vectors, one row per summand, and E the Euler matrix.  The
     Gram matrix G = A E A^T has entries chi(a_i, a_j), and det(G) =
     det(A)^2 det(E) with det(E) = +-1 (`K0Context.euler_det`), so
-    |det(A)| = 1 exactly when det(G) = det(E).  Put the summands in canonical order and take x in a
-    later (slope, orbit) run than y: x has the larger slope, or the same
-    slope and another tube, so hom(x, y) = 0 and chi(x, y) = -ext(x, y)
-    = 0.  G is therefore block upper triangular over the runs, and det(G)
-    is the product of the runs' blocks (`_gram_det`).  A TiltingObject is
-    already in canonical order; a plain sequence is sorted here.
+    |det(A)| = 1 exactly when det(G) = det(E).  Put the summands in
+    canonical order and take x in a later (slope, orbit) run than y: x
+    has the larger slope, or the same slope and another tube, so
+    hom(x, y) = 0 and chi(x, y) = -ext(x, y) = 0.  G is therefore block
+    upper triangular over the runs, and det(G) is the product of the
+    runs' blocks (`_gram_det`).  A TiltingObject is already in canonical
+    order; a plain sequence is sorted here.
     """
     if isinstance(objs, TiltingObject):
         summands: Sequence[ExcObject] = objs.summands
@@ -210,60 +212,20 @@ def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> No
         )
 
 
-def check_basis_step(
-    ctx: K0Context, prev: TiltingObject, node: TiltingObject, r: int, a: int
-) -> None:
-    """`check_basis` of node, which is prev with summand r exchanged for
-    node's summand a, where prev passed `check_basis`; BasisMismatch as
-    there.
+def _gram_det(ctx: K0Context, summands: Sequence[ExcObject]) -> int:
+    """det(chi(a_i, a_j)) of ext-orthogonal summands in canonical order:
+    the product of its diagonal blocks over the (slope, orbit) runs (see
+    `check_basis`).
 
-    Precondition: that of `check_basis` for both nodes.  det(G) is the
-    product of the Gram blocks over the (slope, orbit) runs, and only the
-    run that lost prev's summand r and the run that gained node's summand
-    a differ between the two; every other block is the same in both.
-    prev's blocks are integers with product det(E) = +-1, so each of them
-    is +-1, and det(G_node) = det(E) * B_prev * B_node, where B_prev and
-    B_node are the products of the changed runs' blocks in prev and in
-    node.  Both changed runs are read off the run of r in prev and the
-    run of a in node: when r and a share a run, those are its two
-    states; otherwise each also gives the other node's state of its run,
-    without r or without a.  B_node is `_gram_det` of node's changed runs
-    (an emptied run contributes 1).
+    chi(x, y) is hom(x, y) - ext(x, y), read from the context's memo; a
+    missing entry means the precondition of `check_basis` was not
+    established in this context (PreconditionError).  A one-summand run
+    contributes its diagonal entry.  A longer run lies in one tube of
+    rank r and holds at most r - 1 summands, and its block goes to the
+    Bareiss determinant.
     """
-    old = _run_of(prev.summands, r)
-    new = _run_of(node.summands, a)
-    x, y = prev.summands[r], node.summands[a]
-    if x.orbit != y.orbit or x.slope != y.slope:
-        old, new = old + [s for s in new if s is not y], new + [s for s in old if s is not x]
-    d = ctx.euler_det * _gram_det(ctx, new) * prod(_run_blocks(ctx, old))
-    if d != ctx.euler_det:
-        raise BasisMismatch(
-            f"ext-orthogonal n-set has Gram determinant {d}, not det(E) = {ctx.euler_det}"
-        )
-
-
-def _run_of(summands: Sequence[ExcObject], i: int) -> list[ExcObject]:
-    """The (slope, orbit) run of summands[i], summands in canonical order."""
-    x = summands[i]
-    lo, hi = i, i + 1
-    while lo and summands[lo - 1].orbit == x.orbit and summands[lo - 1].slope == x.slope:
-        lo -= 1
-    while hi < len(summands) and summands[hi].orbit == x.orbit and summands[hi].slope == x.slope:
-        hi += 1
-    return list(summands[lo:hi])
-
-
-def _run_blocks(ctx: K0Context, summands: Sequence[ExcObject]) -> Iterator[int]:
-    """The determinant of each diagonal Gram block of summands in
-    canonical order, one per (slope, orbit) run, from the memo.
-
-    chi(x, y) is hom(x, y) - ext(x, y).  A one-summand run gives its
-    diagonal entry.  A longer run lies in one tube of rank r and holds
-    at most r - 1 summands, and its block goes to the Bareiss
-    determinant.  A missing entry means the precondition of
-    `check_basis` was not established in this context
-    (PreconditionError)."""
     pairs = ctx._pairs
+    out = 1
     i, n = 0, len(summands)
     try:
         while i < n:
@@ -273,22 +235,16 @@ def _run_blocks(ctx: K0Context, summands: Sequence[ExcObject]) -> Iterator[int]:
                 j += 1
             if j == i + 1:
                 h, e = pairs[x.cls.vec, x.cls.vec]
-                yield h - e
+                out *= h - e
             else:
                 vecs = [o.cls.vec for o in summands[i:j]]
-                yield int_det([[h - e for h, e in (pairs[a, b] for b in vecs)] for a in vecs])
+                out *= int_det([[h - e for h, e in (pairs[a, b] for b in vecs)] for a in vecs])
             i = j
     except KeyError:
         raise PreconditionError(
             "the basis cross-check needs the ext of every pair of summands first"
         ) from None
-
-
-def _gram_det(ctx: K0Context, summands: Sequence[ExcObject]) -> int:
-    """det(chi(a_i, a_j)) of ext-orthogonal summands in canonical order:
-    the product of its diagonal blocks over the (slope, orbit) runs
-    (`_run_blocks`; see `check_basis`)."""
-    return prod(_run_blocks(ctx, summands))
+    return out
 
 
 def is_bundle(t: TiltingObject) -> bool:

@@ -987,6 +987,25 @@ def test_shorten_path_rejects_nodes_that_are_no_edge(ctx2222):
         list(map(lambda p: shorten_path(ctx2222, p), [bad]))
 
 
+def test_shorten_path_rejects_malformed_paths(ctx2222):
+    walk = random_walk(ctx2222, 4, seed=9, bundle_only=True)
+    with pytest.raises(PreconditionError, match="path has no nodes"):
+        shorten_path(ctx2222, MutationPath([], []))
+    # too few events: a walk and its reverse with one event, where the
+    # loop is erased in one jump past the missing events, and a walk with
+    # one or all of its events missing; then more events than edges
+    looped = walk.concat(walk.reversed())
+    assert looped.end.class_key() == looped.nodes[0].class_key()
+    for nodes, events in (
+        (looped.nodes, looped.events[:1]),
+        (walk.nodes, walk.events[:-1]),
+        (walk.nodes, []),
+        (walk.nodes[:2], walk.events[:2]),
+    ):
+        with pytest.raises(PreconditionError, match="event count does not match node count"):
+            shorten_path(ctx2222, MutationPath(list(nodes), list(events)))
+
+
 def test_random_walk_deterministic(any_ctx):
     p1 = random_walk(any_ctx, 5, seed=42)
     p2 = random_walk(any_ctx, 5, seed=42)
@@ -1052,7 +1071,7 @@ def _full_verify_path(ctx, path, det=int_det):
         if {ev.removed.cls.vec} != pv - nv or {ev.added.cls.vec} != nv - pv:
             connect.logger.warning("event %d does not match the node difference", i)
             return False
-        if prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
+        if not 0 <= ev.index < ctx.n or prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
             connect.logger.warning("event %d records a wrong index", i)
             return False
         if (ext_dim(ctx, ev.added, ev.removed) > 0) != (ev.direction == "L"):
@@ -1110,6 +1129,16 @@ def _corruptions(ctx, path):
     # a flipped event direction
     flipped = replace(ev, direction="R" if ev.direction == "L" else "L")
     out.append((MutationPath(nodes, events[: mid - 1] + [flipped] + events[mid:]), None))
+    # an event index out of range: negative, naming the removed summand
+    # from the end, and past the last summand
+    for index in (ev.index - ctx.n, ev.index + ctx.n):
+        moved = replace(ev, index=index)
+        out.append(
+            (
+                MutationPath(nodes, events[: mid - 1] + [moved] + events[mid:]),
+                f"event {mid - 1} records a wrong index",
+            )
+        )
     return out
 
 
@@ -1133,8 +1162,9 @@ def test_verify_path_matches_the_full_check(any_ctx, caplog):
     assert corrupted >= 5 * 8
 
 
-def test_verify_path_runs_the_basis_check_on_every_node(ctx236, caplog, monkeypatch):
-    path = connect_to_canonical(ctx236, random_walk(ctx236, 6, seed=3700, bundle_only=True).end)
+def test_verify_path_runs_the_basis_check_on_every_node(any_ctx, caplog, monkeypatch):
+    ctx = any_ctx
+    path = connect_to_canonical(ctx, random_walk(ctx, 6, seed=3700, bundle_only=True).end)
     assert len(path.nodes) >= 3
     real_gram_det = tilting._gram_det
     calls = []
@@ -1144,7 +1174,7 @@ def test_verify_path_runs_the_basis_check_on_every_node(ctx236, caplog, monkeypa
         return real_gram_det(ctx, summands)
 
     monkeypatch.setattr(tilting, "_gram_det", counting_gram_det)
-    assert verify_path(ctx236, path)
+    assert verify_path(ctx, path)
     assert len(calls) == len(path.nodes)
     # a certificate off by a factor of 2 fails its node in verify_path, and
     # a Bareiss determinant off by the same factor fails it in the full check
@@ -1161,9 +1191,9 @@ def test_verify_path_runs_the_basis_check_on_every_node(ctx236, caplog, monkeypa
             return 2 * int_det(m) if len(calls) == fail_at + 1 else int_det(m)
 
         monkeypatch.setattr(tilting, "_gram_det", failing_gram_det)
-        got = _verdict(verify_path, ctx236, path, caplog)
+        got = _verdict(verify_path, ctx, path, caplog)
         calls.clear()
-        full = _verdict(lambda c, p: _full_verify_path(c, p, failing_det), ctx236, path, caplog)
+        full = _verdict(lambda c, p: _full_verify_path(c, p, failing_det), ctx, path, caplog)
         assert got == full == (False, f"node {fail_at} failed the basis cross-check")
 
 

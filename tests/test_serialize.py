@@ -93,6 +93,16 @@ def test_path_record_rejected_unless_verified(ctx2222, caplog):
     with pytest.raises(ValidationError, match="not a verified mutation path"):
         serialize.path_from_dict(ctx2222, bad)
     assert "event 1 does not match the node difference" in caplog.text
+    # an event index out of range: naming the removed summand from the
+    # end, and past the last summand
+    k = data["events"][0]["k"]
+    for index in (k - ctx2222.n, k + ctx2222.n):
+        caplog.clear()
+        bad = json.loads(json.dumps(data))
+        bad["events"][0]["k"] = index
+        with pytest.raises(ValidationError, match="not a verified mutation path"):
+            serialize.path_from_dict(ctx2222, bad)
+        assert "event 0 records a wrong index" in caplog.text
 
 
 def test_records_with_non_list_fields_rejected(ctx2222):
