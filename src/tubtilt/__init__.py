@@ -51,7 +51,6 @@ from .tubes import (
     Window,
     build_chart,
     chart_for,
-    coords_of_class,
     exc_from_class,
     ext_dim,
     hom_dim,

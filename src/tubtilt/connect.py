@@ -98,15 +98,23 @@ class FareyStep:
             raise ValueError(f"invalid Farey step {self}")
 
 
+def _is_node_cap(m) -> bool:
+    """True iff m is an int >= 1 and not a bool: a node count compared
+    with nan, a fraction or True would bound nothing or not what it says."""
+    return isinstance(m, int) and not isinstance(m, bool) and m >= 1
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_nodes: int = 400_000
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0:
-            raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and not 0 < self.max_seconds < inf:
+        if not _is_node_cap(self.max_nodes):
+            raise ValueError(f"max_nodes must be an integer >= 1, got {self.max_nodes!r}")
+        if self.max_seconds is not None and (
+            isinstance(self.max_seconds, bool) or not 0 < self.max_seconds < inf
+        ):
             raise ValueError("max_seconds must be positive and finite")
 
 
@@ -507,21 +515,6 @@ def _complete_dfs(
 # -- stratum search ------------------------------------------------------------
 
 
-def _reconstruct(
-    parents: dict, start_key, end_key, states: dict
-) -> MutationPath:
-    chain = []
-    key = end_key
-    while key != start_key:
-        prev_key, ev = parents[key]
-        chain.append((states[key], ev))
-        key = prev_key
-    path = MutationPath.single(states[start_key])
-    for node, ev in reversed(chain):
-        path.extend(node, ev)
-    return path
-
-
 # Weight on the heuristic of the stratum search (Pohl, "Heuristic search
 # viewed as path finding in a graph", 1970): the search goes for the target
 # instead of sweeping every shorter path, and shorten_path takes back the
@@ -643,40 +636,42 @@ def _stratum_path(
     is then checked against its forecast priority
     (InternalConsistencyError if they differ), dropped if it is
     not a bundle or was reached at no greater depth, and otherwise
-    registered, goal-tested and expanded in place.  A node reached again
-    at a smaller depth is re-opened, so the weighted order, which
-    overrates h, still reaches every node of the stratum, but the path
-    it returns need not be minimal.
+    registered, goal-tested and expanded in place.  A frontier entry
+    carries its parent node, and each node reached keeps one record
+    (depth, parent node, event), through which the path is read back
+    from the goal.  A node reached again at a smaller depth is
+    re-opened, so the weighted order, which overrates h, still reaches
+    every node of the stratum, but the path it returns need not be
+    minimal.
     """
     start_key = a.class_key()
     goal_key = b.class_key()
     if start_key == goal_key:
         return MutationPath.single(a)
     target = set(goal_key)
-    states = {start_key: a}
-    parents: dict = {}
-    depth = {start_key: 0}
+    # class key -> (depth, parent node, event) of the best way found there
+    seen: dict = {start_key: (0, None, None)}
     heap: list = []
     counter = itertools.count()
 
-    def expand(key, node: TiltingObject, g: int) -> None:
+    def expand(node: TiltingObject, g: int) -> None:
         child_h, gains = _mutation_forecast(ctx, node, b)
         for k, s in enumerate(node.summands):
             if s.cls.vec != fixed_vec:
                 clock.tick()
                 f = g + 1 + _STRATUM_WEIGHT * child_h[k]
-                entry = (f, -(g + 1), next(counter), key, k, gains.get(k))
+                entry = (f, -(g + 1), next(counter), node, k, gains.get(k))
                 heapq.heappush(heap, entry)
 
-    expand(start_key, a, 0)
+    expand(a, 0)
     while heap:
         clock.check()
-        f, neg_g, _, key, k, z = heapq.heappop(heap)
+        f, neg_g, _, node, k, z = heapq.heappop(heap)
         g = -neg_g
         if z is None:
-            t2, ev = mutate(ctx, states[key], k)
+            t2, ev = mutate(ctx, node, k)
         else:
-            t2, ev = _forecast_child(ctx, states[key], k, z)
+            t2, ev = _forecast_child(ctx, node, k, z)
         k2 = t2.class_key()
         if g + _STRATUM_WEIGHT * sum(1 for v in k2 if v not in target) != f:
             raise InternalConsistencyError(
@@ -684,14 +679,19 @@ def _stratum_path(
             )
         if not is_bundle(t2):
             continue
-        if k2 in depth and depth[k2] <= g:
+        known = seen.get(k2)
+        if known is not None and known[0] <= g:
             continue
-        depth[k2] = g
-        states[k2] = t2
-        parents[k2] = (key, ev)
+        seen[k2] = (g, node, ev)
         if k2 == goal_key:
-            return _reconstruct(parents, start_key, k2, states)
-        expand(k2, t2, g)
+            nodes, events = [t2], [ev]
+            while node is not a:
+                _, parent, ev = seen[node.class_key()]
+                nodes.append(node)
+                events.append(ev)
+                node = parent
+            return MutationPath([a, *reversed(nodes)], events[::-1])
+        expand(t2, g)
     raise BudgetExhausted("stratum search frontier emptied unexpectedly")
 
 
@@ -832,8 +832,9 @@ def explore_graph(
     is a mutation made before, and its holder a candidate new node.  A
     key with no other complement is mutated only while the node set has
     room, since its child would be new.  So one mutation is made per
-    candidate new node, and none once the node set is full.  max_nodes
-    below 1 raises PreconditionError.  A table past its cap is cleared
+    candidate new node, and none once the node set is full.  A max_nodes
+    that is not an int >= 1 (a bool, a float or below 1) raises
+    PreconditionError.  A table past its cap is cleared
     at the start of the call, never during it.
 
     A mutation that is not in the table is first put to the fibre test
@@ -845,8 +846,8 @@ def explore_graph(
     dropped by the slope test.  The call does not go through `mutate`,
     which could clear the table between two nodes.
     """
-    if max_nodes < 1:
-        raise PreconditionError(f"max_nodes must be at least 1, got {max_nodes}")
+    if not _is_node_cap(max_nodes):
+        raise PreconditionError(f"max_nodes must be an integer >= 1, got {max_nodes!r}")
     _bound_complements(ctx)
     nodes = [start]
     index = {start.class_key(): 0}

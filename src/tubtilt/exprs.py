@@ -29,7 +29,6 @@ from .tilting import TiltingObject, mutate, t_can
 from .tubes import (
     ExcObject,
     chart_for,
-    coords_of_class,
     exc_from_class,
     line_bundle_obj,
     window_class,
@@ -347,8 +346,9 @@ def eval_object(ctx: K0Context, ast: ObjectExpr) -> ExcObject:
         r = len(chart.orbits[ast.orbit])
         if not 1 <= ast.len <= r - 1:
             raise ValidationError(f"quasi-length {ast.len} not rigid in a rank-{r} tube")
-        cls = window_class(chart, ast.orbit, ast.socle % r, ast.len)
-        return coords_of_class(ctx, chart, cls)
+        socle = ast.socle % r
+        cls = window_class(chart, ast.orbit, socle, ast.len)
+        return ExcObject(cls, chart.slope, ast.orbit, socle, ast.len)
     if isinstance(ast, RawClassExpr):
         if len(ast.entries) != ctx.n:
             raise ValidationError(

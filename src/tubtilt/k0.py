@@ -98,7 +98,8 @@ class K0Context:
         self._charts: dict[Slope, object] = {}
         self._shifts: tuple | None = None  # set by tubes._tube_shifts
         self._t_can: object | None = None  # set by tilting.t_can
-        self._decode: dict[tuple[Slope, tuple[int, ...]], tuple[int, int, int]] = {}
+        # class vector -> its decoded ExcObject, see tubes.exc_from_class
+        self._decode: dict[tuple[int, ...], object] = {}
         # (x, y) class vectors -> (hom(x, y), ext(x, y)), see tubes._hom_ext
         self._pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
         # The complement table of tilting.mutate and connect.explore_graph.

@@ -677,8 +677,11 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
     and its class is -[T_k] modulo the other summands, so the classes
     of the result have determinant -det(t) = +-1, and the only new ext
     pairs are the ones between the complement and the other summands,
-    checked in `_complete_mutation`.
+    checked in `_complete_mutation`.  An index outside 0..n-1 raises
+    PreconditionError before the table is read.
     """
+    if not 0 <= k < ctx.n:
+        raise PreconditionError(f"mutation index {k} is not in 0..{ctx.n - 1}")
     key = t.class_key()
     ac_key = key[:k] + key[k + 1 :]
     other = _other_complement(ctx, t, k, ac_key)

@@ -58,7 +58,6 @@ from .errors import (
     ChartInconsistent,
     InternalConsistencyError,
     NotExceptionalHere,
-    NotSheafLike,
 )
 from .intmat import (
     SparseRows,
@@ -576,45 +575,22 @@ def _move_chart(
     return out
 
 
-def coords_of_class(ctx: K0Context, chart: TubeChart, c: K0Class) -> ExcObject:
-    """Inverse of the window-sum encoding, memoized per (slope, class).
-
-    A sheaf class of the chart's slope is decoded by its chi pattern
-    against the chart's quasi-simples (`_find_window`), checked by
-    summing the window it reads."""
-    return _coords(ctx, chart, c, None)
-
-
-def _coords(
-    ctx: K0Context, chart: TubeChart, c: K0Class, q: Slope | None
-) -> ExcObject:
-    """`coords_of_class`, with q the slope of c when the caller has
-    already computed it (else None)."""
-    key = (chart.slope, c.vec)
-    got = ctx._decode.get(key)
-    if got is None:
-        if q is None:
-            try:
-                q = slope_of(ctx, c)
-            except NotSheafLike:
-                raise NotExceptionalHere(f"class {c.vec} is not sheaf-like") from None
-        if q != chart.slope:
-            raise NotExceptionalHere(
-                f"class {c.vec} has a different slope than the chart"
-            )
-        got = _find_window(ctx, chart, c)
-        if got is None:
-            raise NotExceptionalHere(f"class {c.vec} is not a window at {chart.slope}")
-        ctx._decode[key] = got
-    t, socle, length = got
-    return ExcObject(c, chart.slope, t, socle, length)
-
-
 def exc_from_class(ctx: K0Context, c: K0Class) -> ExcObject:
-    """Decode an arbitrary class (builds the chart at its slope); a class
-    that is not sheaf-like raises NotSheafLike."""
-    q = slope_of(ctx, c)
-    return _coords(ctx, chart_for(ctx, q), c, q)
+    """Decode an arbitrary class: its slope, then its window in the chart
+    at that slope, read off the chart's chi pattern (`_find_window`).
+
+    The decoded object is memoized per class vector (`K0Context._decode`),
+    so a repeated decode computes no slope and builds no object.  A class
+    that is not sheaf-like raises NotSheafLike, and a sheaf class that is
+    not a window of its chart NotExceptionalHere."""
+    got = ctx._decode.get(c.vec)
+    if got is None:
+        q = slope_of(ctx, c)
+        found = _find_window(ctx, chart_for(ctx, q), c)
+        if found is None:
+            raise NotExceptionalHere(f"class {c.vec} is not a window at {q}")
+        got = ctx._decode[c.vec] = ExcObject(c, q, *found)
+    return got
 
 
 def orbit_rank(ctx: K0Context, x: ExcObject) -> int:

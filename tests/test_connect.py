@@ -365,6 +365,19 @@ def _eager_neighbors(ctx, t, fixed_vec, clock):
         yield t2, ev
 
 
+def _reconstruct(parents, start_key, end_key, states):
+    chain = []
+    key = end_key
+    while key != start_key:
+        prev_key, ev = parents[key]
+        chain.append((states[key], ev))
+        key = prev_key
+    path = MutationPath.single(states[start_key])
+    for node, ev in reversed(chain):
+        path.extend(node, ev)
+    return path
+
+
 def _eager_best_first(ctx, start, fixed_vec, clock, priority, is_goal):
     """The oracle: a frontier of nodes, every child mutated when its parent
     is expanded and goal-tested when it is generated."""
@@ -387,7 +400,7 @@ def _eager_best_first(ctx, start, fixed_vec, clock, priority, is_goal):
             states[k2] = t2
             parents[k2] = (key, ev)
             if is_goal(t2):
-                return connect._reconstruct(parents, start_key, k2, states)
+                return _reconstruct(parents, start_key, k2, states)
             counter += 1
             heapq.heappush(heap, (priority(t2, g + 1), counter, k2))
     raise BudgetExhausted("best-first search frontier emptied unexpectedly")
@@ -787,10 +800,11 @@ def test_budget_exhaustion(ctx2222):
     t = t_can(ctx2222, c_gen(ctx2222.weights))
     with pytest.raises(BudgetExhausted):
         connect_to_canonical(ctx2222, t, SearchBudget(max_nodes=3))
-    for bad in (0, -1, float("nan"), float("inf")):
+    for bad in (0, -1, float("nan"), float("inf"), True):
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=bad)
-    for bad in (0, -1):
+    # a cap that is no int >= 1 bounds nothing: nodes > nan is never true
+    for bad in (0, -1, float("nan"), float("inf"), 2.5, True):
         with pytest.raises(ValueError):
             SearchBudget(max_nodes=bad)
 
@@ -1327,7 +1341,7 @@ def test_explore_graph_clears_the_table_only_when_a_call_starts(monkeypatch):
 
 
 def test_explore_graph_rejects_a_bad_node_cap(ctx2222):
-    for bad in (0, -1):
+    for bad in (0, -1, float("nan"), float("inf"), 2.5, True):
         with pytest.raises(PreconditionError, match="max_nodes"):
             explore_graph(ctx2222, t_can(ctx2222), Slope(0, 1), INF, bad)
 

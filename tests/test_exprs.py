@@ -16,6 +16,7 @@ from tubtilt.exprs import (
 )
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import mutate, t_can
+from tubtilt.tubes import chart_for, exc_from_class, window_class
 from tubtilt.weights import l_normalize, x_gen
 
 
@@ -48,6 +49,21 @@ def test_parse_chart_coords(ctx2222):
     assert obj.slope == Slope(1, 2)
     assert obj.orbit == 0
     assert obj.len == 1
+
+
+def test_chart_coords_agree_with_the_decoder(any_ctx):
+    # E(...) is built from its coordinates, not decoded: every rigid window
+    # of five charts, at its socle and one orbit length either side of it
+    for q in (INF, Slope(0, 1), Slope(1, 2), Slope(-29, 61), Slope(37, 53)):
+        chart = chart_for(any_ctx, q)
+        for t, orbit in enumerate(chart.orbits):
+            r = len(orbit)
+            for s in range(r):
+                for length in range(1, r):
+                    want = exc_from_class(any_ctx, window_class(chart, t, s, length))
+                    for s2 in (s, s + r, s - r):
+                        ast = parse_expr(f"E({q}; t={t}; s={s2}; l={length})")
+                        assert eval_object(any_ctx, ast) == want
 
 
 def test_parse_raw_class(ctx2222):

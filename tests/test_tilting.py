@@ -236,6 +236,18 @@ def test_mutation_involution(any_ctx):
         assert ev2.direction != ev.direction
 
 
+def test_mutate_rejects_an_index_out_of_range(any_ctx):
+    # a negative index would name a summand from the end, so it is rejected
+    # before the complement table is read, like an index past the end
+    t = t_can(any_ctx)
+    n = any_ctx.n
+    table = dict(any_ctx._complements)
+    for k in (-1, -2, -n, n):
+        with pytest.raises(PreconditionError, match=f"index {k} is not in 0..{n - 1}"):
+            mutate(any_ctx, t, k)
+        assert any_ctx._complements == table
+
+
 def test_mutate_miss_past_the_cap_clears_both_tables(monkeypatch):
     ctx = build_context(make_weights((2, 2, 2, 2)))
     monkeypatch.setattr(tilting, "_COMPLEMENT_TABLE_CAP", 3)

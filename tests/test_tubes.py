@@ -32,7 +32,6 @@ from tubtilt.tubes import (
     build_chart,
     chart_for,
     check_chart_invariants,
-    coords_of_class,
     exc_from_class,
     ext_dim,
     hom_dim,
@@ -632,7 +631,8 @@ def test_tau_orbit_pairing_at_zero_2222(ctx2222):
     # tau pairs O(x) with O(x + omega) at slope zero
     chart = chart_for(ctx2222, Slope(0, 1))
     o = line_bundle_class(ctx2222, l_zero(ctx2222.weights))
-    obj = coords_of_class(ctx2222, chart, o)
+    obj = exc_from_class(ctx2222, o)
+    assert obj.slope == chart.slope
     om = line_bundle_class(ctx2222, omega(ctx2222.weights))
     assert tau_obj(ctx2222, obj).cls == om
 
@@ -928,18 +928,13 @@ def test_coords_round_trip(any_ctx):
             for socle in range(r):
                 for length in range(1, r):
                     cls = window_class(chart, t, socle, length)
-                    obj = coords_of_class(any_ctx, chart, cls)
-                    assert (obj.orbit, obj.socle, obj.len) == (t, socle, length)
+                    obj = exc_from_class(any_ctx, cls)
+                    assert (obj.slope, obj.orbit, obj.socle, obj.len) == (q, t, socle, length)
 
 
 def test_not_exceptional_rejections(ctx2222):
-    chart = chart_for(ctx2222, INF)
-    with pytest.raises(NotExceptionalHere):
-        coords_of_class(ctx2222, chart, K0Class((0, 0, 0, 0, 0, 1)))
-    with pytest.raises(NotExceptionalHere, match="different slope"):
-        coords_of_class(ctx2222, chart, K0Class((1, 0, 0, 0, 0, 0)))
-    with pytest.raises(NotExceptionalHere, match="not sheaf-like"):
-        coords_of_class(ctx2222, chart, K0Class((-1, 0, 0, 0, 0, 0)))
+    with pytest.raises(NotExceptionalHere, match="not a window"):
+        exc_from_class(ctx2222, K0Class((0, 0, 0, 0, 0, 1)))
 
 
 def test_exc_from_class_computes_the_slope_once(monkeypatch):
@@ -951,14 +946,13 @@ def test_exc_from_class_computes_the_slope_once(monkeypatch):
     calls.clear()
     obj = exc_from_class(ctx, cls)  # a decode miss
     assert calls == [cls]
-    assert exc_from_class(ctx, cls) == obj == coords_of_class(ctx, chart_for(ctx, obj.slope), cls)
-    assert (obj.orbit, obj.socle, obj.len) == (2, 1, 4)
-    # not a sheaf class: NotSheafLike from exc_from_class, NotExceptionalHere
-    # from coords_of_class; not a window: NotExceptionalHere from both
+    assert (obj.slope, obj.orbit, obj.socle, obj.len) == (Slope(3, 7), 2, 1, 4)
+    # a hit computes no slope and returns the memoized object itself
+    assert exc_from_class(ctx, K0Class(cls.vec)) is obj
+    assert calls == [cls]
+    # not a sheaf class: NotSheafLike; not a window: NotExceptionalHere
     with pytest.raises(NotSheafLike):
         exc_from_class(ctx, -cls)
-    with pytest.raises(NotExceptionalHere, match="not sheaf-like"):
-        coords_of_class(ctx, chart_for(ctx, obj.slope), -cls)
     with pytest.raises(NotExceptionalHere, match="not a window"):
         exc_from_class(ctx, cls + cls)
 
