@@ -24,7 +24,13 @@ from .connect import (
     explore_graph,
     random_walk,
 )
-from .errors import NonTubularWeights, TubTiltError, ValidationError, WeightsMismatch
+from .errors import (
+    ExprSyntaxError,
+    NonTubularWeights,
+    TubTiltError,
+    ValidationError,
+    WeightsMismatch,
+)
 from .exprs import eval_object, eval_tilting, parse_expr
 from .k0 import K0Context, build_context
 from .slopes import Slope, ascii_int
@@ -208,7 +214,9 @@ def _load_tilting(
     tilting is read in; a file with other weights is then rejected.  A
     file that is not readable JSON raises ValidationError naming it; any
     other error decoding a file is re-raised as its own class with the
-    file name in front of its message."""
+    file name in front of its message.  A `spec` that names no file and
+    does not parse either raises ExprSyntaxError naming it and saying that
+    no such file exists, before --weights is asked for."""
     shared = ctx is not None
     if os.path.exists(spec):
         try:
@@ -231,9 +239,17 @@ def _load_tilting(
                 ) from None
             raise type(exc)(f"{spec}: {exc}") from None
         return ctx, t
+    try:
+        expr = parse_expr(spec)
+    except ExprSyntaxError as exc:
+        raise ExprSyntaxError(
+            f"{spec}: no such file, and not an expression: {exc.message}",
+            exc.line,
+            exc.column,
+        ) from None
     if not shared:
         ctx = _context(args)
-    return ctx, eval_tilting(ctx, parse_expr(spec))
+    return ctx, eval_tilting(ctx, expr)
 
 
 def export_dot(ctx: K0Context, nodes, edges) -> str:

@@ -9,10 +9,17 @@ filled: ext-orthogonality makes it block triangular over the summands'
 of small in-tube blocks (`check_basis`).
 
 Mutation exchanges one summand for the unique other complement of the
-remaining almost complete tilting object; the complement is found by a
-bounded search over approximation multiplicities, which is exhaustive
-because the middle term of the exchange sequence is a minimal
-approximation.
+remaining almost complete tilting object.  The complement is first read
+off the exchange sequence: the multiplicities of its middle term, a
+minimal approximation of T_k by the other summands, are guessed from
+hom dimensions alone, one guess for each direction
+(`_proposed_classes`).  A guess that decodes to an exceptional sheaf
+ext-orthogonal to the other summands is a complement other than T_k,
+so by Happel-Unger ("On a partial order of tilting modules", 2005: at
+most two complements) it is the other one.  Only when neither guess
+passes, on about 1% of the mutations computed, a bounded search over
+approximation multiplicities runs; it is exhaustive because the middle
+term of the exchange sequence is a minimal approximation.
 
 The search runs on scalars.  Since the summands are exceptional and
 pairwise ext-orthogonal, their Euler pairings are their hom dimensions,
@@ -27,7 +34,7 @@ summand has a one-dimensional hom space to or from T_k and none the
 other way, as in most exchanges, the roots are the independent sets of
 the summands' hom graph; each linear condition is a bit test, made at
 the last level that can change it.
-The decoded survivors are then checked as before.  The other summands
+The decoded survivors are then checked like a guess.  The other summands
 keep their canonical order, so the result is built by inserting the
 complement at its place, not by sorting all n again.
 
@@ -38,16 +45,16 @@ simple sheaf S_{i,j} of the weighted projective line (Geigle-Lenzing,
 theory of finite dimensional algebras", 1987).  Every position (i, j)
 is covered by some summand, else tau^-1 S_{i,j} would extend the
 tilting bundle; and where T_k alone covers it, tau^-1 S_{i,j} is a
-complement of the rest, so by Happel-Unger ("On a partial order of
-tilting modules", 2005: at most two complements) it is the other one.
+complement of the rest, so by Happel-Unger it is the other one.
 hom(E, S_{i,j}) is read off E's class vector (`simple_homs`), so this
 fibre test (`torsion_exchanges`) costs no mutation, no chart and no
 hom/ext; the bundle-only walks and the graph export use it to skip
 mutations that leave the bundles.
 
 `mutate` is a lookup in the context's complement table, followed on a
-miss by the mutation itself (`_complete_mutation`: the candidate search
-above, decoding, ext checks, uniqueness, exchange and the table write).
+miss by the mutation itself (`_complete_mutation`: the guesses, and the
+candidate search above when they fail, decoding, ext checks, uniqueness
+of a searched complement, exchange and the table write).
 The table maps an almost complete key, a class key with one summand
 left out, to the complements known for it.  An almost complete tilting
 object has at most two (Happel-Unger), and mutation swaps one for the
@@ -377,7 +384,8 @@ def _exchange_gram(
     matrix hom(T_i, T_j), and hom(T_k, T_i) and hom(T_i, T_k).
 
     The diagonal is 1 without a lookup: the summands are exceptional, and
-    the quadratic in `_gram_roots` already takes hom(T_i, T_i) as 1."""
+    the proposals (`_generic_multiplicities`) and the quadratic in
+    `_gram_roots` take hom(T_i, T_i) as 1."""
     free: list[ExcObject] = []
     h_to: list[int] = []
     h_from: list[int] = []
@@ -531,10 +539,74 @@ def _exchange(
     return result, event
 
 
-def _candidate_classes(ctx: K0Context, t: TiltingObject, k: int) -> list[K0Class]:
-    """The search of `_complete_mutation`: the classes
-    c = sum_i b_i [T_i] - [T_k] that the complement of t minus T_k can
-    have, one per root b.
+def _combination(tk: ExcObject, free: Sequence[ExcObject], b: Sequence[int]) -> K0Class:
+    """The class sum_i b_i [T_i] - [T_k], the T_i running over `free`."""
+    vec = [-x for x in tk.cls.vec]
+    for bj, o in zip(b, free):
+        if bj:
+            vec = [a + bj * x for a, x in zip(vec, o.cls.vec)]
+    return K0Class(tuple(vec))
+
+
+def _generic_multiplicities(h: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """b_j = max(0, h[j] - sum_{i != j} h[i] rows[j][i]) for each j.
+
+    b_j <= h[j], so only the support of h is read; rows[j][j] = 1 (the
+    diagonal of `_exchange_gram`) folds the sum over i != j into
+    2 h[j] - sum_i h[i] rows[j][i]."""
+    on = [i for i, x in enumerate(h) if x]
+    b = [0] * len(h)
+    for j in on:
+        row = rows[j]
+        b[j] = max(0, 2 * h[j] - sum(h[i] * row[i] for i in on))
+    return b
+
+
+def _proposed_classes(
+    tk: ExcObject,
+    free: Sequence[ExcObject],
+    gram: Sequence[Sequence[int]],
+    h_to: Sequence[int],
+    h_from: Sequence[int],
+) -> Iterator[K0Class]:
+    """The complement classes read off the two exchange sequences, the
+    left one first: the guesses `_complete_mutation` checks before it
+    searches.
+
+    In 0 -> T_k -> B -> T_k* -> 0, B is the minimal left approximation
+    of T_k by the other summands, and the multiplicity of T_j in B counts
+    the maps T_k -> T_j that do not factor through another summand
+    (Buan-Marsh-Reineke-Reiten-Todorov, "Tilting theory and cluster
+    combinatorics", 2006).  The generic-rank guess of it is
+    b_j = max(0, h_to[j] - sum_{i != j} h_to[i] gram[i][j]); the right
+    sequence 0 -> T_k* -> B' -> T_k -> 0 is the mirror image, with h_from
+    and gram[j][i].  Each side yields c = sum_j b_j [T_j] - [T_k]; an
+    all-zero b (no map on that side) and a repeat of the left class are
+    not yielded, and the right side is computed only if the left one is
+    rejected.  The guess is not a proof: the caller decodes and checks
+    it, and searches when neither side passes.
+    """
+    left = _generic_multiplicities(h_to, list(zip(*gram)))
+    if any(left):
+        yield _combination(tk, free, left)
+    right = _generic_multiplicities(h_from, gram)
+    if any(right) and right != left:
+        yield _combination(tk, free, right)
+
+
+def _candidate_classes(
+    ctx: K0Context,
+    tk: ExcObject,
+    free: Sequence[ExcObject],
+    gram: Sequence[Sequence[int]],
+    h_to: Sequence[int],
+    h_from: Sequence[int],
+) -> list[K0Class]:
+    """The exhaustive search of `_complete_mutation`, its fallback when
+    neither proposed class passes: the classes c = sum_i b_i [T_i] - [T_k]
+    that the complement of the tilting object minus T_k can have, one per
+    root b.  `free`, `gram`, `h_to` and `h_from` are the exchange Gram of
+    T_k (`_exchange_gram`), read once for the proposals and the search.
 
     The b_i run over the remaining summands with
     0 <= b_i <= max(hom(T_k, T_i), hom(T_i, T_k)); the bound covers the
@@ -552,19 +624,24 @@ def _candidate_classes(ctx: K0Context, t: TiltingObject, k: int) -> list[K0Class
     its bit mask at the last level that can change it.  Nothing is
     decoded here and no memo is written.
     """
-    tk = t.summands[k]
-    others = t.summands[:k] + t.summands[k + 1 :]
-    free, gram, h_to, h_from = _exchange_gram(ctx, tk, others)
     ranks = [rank_of(ctx, o.cls) for o in free]
     rank_k = rank_of(ctx, tk.cls)
-    out: list[K0Class] = []
-    for b in _gram_roots(gram, h_to, h_from, ranks, rank_k):
-        vec = [-x for x in tk.cls.vec]
-        for bj, o in zip(b, free):
-            if bj:
-                vec = [a + bj * x for a, x in zip(vec, o.cls.vec)]
-        out.append(K0Class(tuple(vec)))
-    return out
+    return [_combination(tk, free, b) for b in _gram_roots(gram, h_to, h_from, ranks, rank_k)]
+
+
+def _complement_of(
+    ctx: K0Context, c: K0Class, others: Sequence[ExcObject]
+) -> ExcObject | None:
+    """c decoded, if it is an exceptional sheaf ext-orthogonal to every
+    one of `others` in both directions, else None: the check that a
+    proposed or searched class passes to be a complement of `others`."""
+    try:
+        obj = exc_from_class(ctx, c)
+    except (NotSheafLike, NotExceptionalHere):
+        return None
+    if any(_ext_either(ctx, obj, o) for o in others):
+        return None
+    return obj
 
 
 def _enter_complement(
@@ -596,36 +673,45 @@ def _complete_mutation(
     """The mutation of t at k computed, not looked up: the one path of
     `mutate` and `connect.explore_graph` on a complement-table miss.
 
-    Search the candidate classes (`_candidate_classes`), decode them,
-    keep the ones that are exceptional sheaves ext-orthogonal to the
-    other summands in both directions, and exchange T_k for the one
-    survivor (`_exchange`, which checks the direction and inserts the
-    complement at its place in the canonical order).  No survivor raises
-    ComplementNotFound, more than one ComplementNotUnique.  Both t and
-    the result are entered into the complement table under `ac_key`, t's
-    class key with summand k left out, so the result mutated back at its
-    new summand is a lookup.  The table is not bounded here; `mutate`
-    bounds it before the call.
+    The exchange Gram of T_k is read once (`_exchange_gram`).  The
+    classes proposed from it (`_proposed_classes`, left side first) are
+    checked in turn (`_complement_of`: decoded, exceptional, and
+    ext-orthogonal to the other summands in both directions); the first
+    that passes is a complement other than T_k, so by Happel-Unger (at
+    most two complements) it is the other one.  If none passes, the
+    exhaustive search runs on the same Gram (`_candidate_classes`), every
+    candidate is checked the same way, and no survivor raises
+    ComplementNotFound, more than one ComplementNotUnique.  T_k is then
+    exchanged for the complement (`_exchange`, which checks the direction
+    and inserts the complement at its place in the canonical order).
+    Both t and the result are entered into the complement table under
+    `ac_key`, t's class key with summand k left out, so the result
+    mutated back at its new summand is a lookup.  The table is not
+    bounded here; `mutate` bounds it before the call.
     """
+    tk = t.summands[k]
     others = t.summands[:k] + t.summands[k + 1 :]
-    survivors: list[ExcObject] = []
-    for c in _candidate_classes(ctx, t, k):
-        try:
-            obj = exc_from_class(ctx, c)
-        except (NotSheafLike, NotExceptionalHere):
-            continue
-        if not any(_ext_either(ctx, obj, o) for o in others):
-            survivors.append(obj)
-
-    if not survivors:
-        raise ComplementNotFound(f"no complement found when mutating at index {k}")
-    if len(survivors) > 1:
-        raise ComplementNotUnique(
-            f"{len(survivors)} complements found when mutating at index {k}"
-        )
-    got = _exchange(ctx, t, k, survivors[0])
-    _enter_complement(ctx, ac_key, t, t.summands[k])
-    _enter_complement(ctx, ac_key, got[0], survivors[0])
+    free, gram, h_to, h_from = _exchange_gram(ctx, tk, others)
+    for c in _proposed_classes(tk, free, gram, h_to, h_from):
+        new = _complement_of(ctx, c, others)
+        if new is not None:
+            break
+    else:
+        survivors = [
+            obj
+            for c in _candidate_classes(ctx, tk, free, gram, h_to, h_from)
+            if (obj := _complement_of(ctx, c, others)) is not None
+        ]
+        if not survivors:
+            raise ComplementNotFound(f"no complement found when mutating at index {k}")
+        if len(survivors) > 1:
+            raise ComplementNotUnique(
+                f"{len(survivors)} complements found when mutating at index {k}"
+            )
+        new = survivors[0]
+    got = _exchange(ctx, t, k, new)
+    _enter_complement(ctx, ac_key, t, tk)
+    _enter_complement(ctx, ac_key, got[0], new)
     return got
 
 
@@ -670,7 +756,9 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
     T_k raise InternalConsistencyError); ext from the smaller slope is 0
     and is not read.  On a miss, a table past `_COMPLEMENT_TABLE_CAP`
     entries is cleared, and `_complete_mutation` computes the mutation
-    and enters t and the result into the table.
+    and enters t and the result into the table: it checks the complement
+    proposed by the exchange sequence first, and searches only when no
+    proposal passes.
 
     Precondition: t is tilting (see `make_tilting`); the result is then
     tilting without a re-check.  The complement is unique (Happel-Unger)

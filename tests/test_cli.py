@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tubtilt import cli, serialize, verify
-from tubtilt.errors import InternalConsistencyError
+from tubtilt.errors import ExprSyntaxError, InternalConsistencyError
+from tubtilt.exprs import parse_expr
 from tubtilt.tilting import make_tilting, mutate, t_can
 from tubtilt.tubes import line_bundle_obj
 from tubtilt.verify import context_for
@@ -210,6 +211,33 @@ def test_file_decoding_errors_name_the_file(tmp_path, summands, error):
         diag = json.loads(err)
         assert diag["error"] == error
         assert diag["message"].startswith(f"{f}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--weights", "2,3,6", "connect", "{missing}"],
+        ["check", "{missing}"],
+        ["--weights", "2,3,6", "check", "{missing}"],
+        ["--weights", "2,3,6", "connect", "Tcan", "--to", "{missing}"],
+    ],
+    ids=["connect", "check", "check-with-weights", "connect-to"],
+)
+def test_a_missing_file_is_named(tmp_path, argv):
+    # an argument that names no file and does not parse as an expression
+    # is still an ExprSyntaxError, and its message names the argument and
+    # the missing file in front of the parser's own message
+    missing = str(tmp_path / "walk.json")
+    with pytest.raises(ExprSyntaxError) as parsed:
+        parse_expr(missing)
+    code, out, err = run_cli([a.format(missing=missing) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": "ExprSyntaxError",
+        "message": f"{missing}: no such file, and not an expression: {parsed.value}",
+    }
 
 
 def test_graph_unwritable_dot_path(tmp_path):

@@ -277,7 +277,7 @@ def test_table_answers_match_cold_mutations(any_ctx, monkeypatch):
     # a mutation read off the complement table equals a cold mutation on a
     # fresh context of the same weights in full (node, index, removed,
     # added, direction): a repeated call, and the child mutated back at
-    # the summand it brought in; neither searches candidate classes
+    # the summand it brought in; neither computes a mutation
     ctx = any_ctx
     cold_ctx = build_context(make_weights(ctx.weights.weights))
 
@@ -286,13 +286,13 @@ def test_table_answers_match_cold_mutations(any_ctx, monkeypatch):
         return mutate(cold_ctx, t, k)
 
     searched = []
-    real_candidates = tilting._candidate_classes
+    real_complete = tilting._complete_mutation
 
-    def candidates_spy(ctx, t, k):
+    def complete_spy(ctx, t, k, ac_key):
         searched.append((t, k))
-        return real_candidates(ctx, t, k)
+        return real_complete(ctx, t, k, ac_key)
 
-    monkeypatch.setattr(tilting, "_candidate_classes", candidates_spy)
+    monkeypatch.setattr(tilting, "_complete_mutation", complete_spy)
     walk = random_walk(ctx, 6, seed=4100)
     for t in walk.nodes:
         for k in range(ctx.n):
@@ -584,6 +584,95 @@ def test_complement_search_matches_box_oracle(ws, steps, seed, bundle_only, k):
 
     assert pruned == {cv for cv in _box_hits(ctx, t, k) if passes(cv)}
     assert mutate(ctx, t, k) == _oracle_mutate(ctx, t, k)
+
+
+# seeded walks of 8-32 steps, with and without bundle_only, for the tests
+# of the proposed complements; (2,2,2,2) adds the CI end
+_PROPOSAL_WALKS = [
+    (steps, seed, bundle_only)
+    for steps in (8, 16, 32)
+    for seed in (1, 2, 3, 4)
+    for bundle_only in (False, True)
+]
+
+
+def _mutation_sites(ctx):
+    """Every (node, k) of the walks: each node once, each summand."""
+    walks = [random_walk(ctx, *w) for w in _PROPOSAL_WALKS]
+    if ctx.weights.weights == (2, 2, 2, 2):
+        walks.append(random_walk(ctx, 64, 939671729, bundle_only=True))
+    nodes = {t.class_key(): t for path in walks for t in path.nodes}
+    return [(t, k) for t in nodes.values() for k in range(ctx.n)]
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_proposed_complements_match_the_search(ws, monkeypatch):
+    # each cold mutation, answered from the proposals where one passes,
+    # equals in full (node, index, removed, added, direction) the same
+    # mutation with no proposal, which only the root search answers
+    ctx = build_context(make_weights(ws))
+
+    def cold(t, k, propose):
+        ctx._complements.clear()
+        with monkeypatch.context() as m:
+            if not propose:
+                m.setattr(tilting, "_proposed_classes", lambda *args: iter(()))
+            return mutate(ctx, t, k)
+
+    for t, k in _mutation_sites(ctx):
+        assert cold(t, k, True) == cold(t, k, False)
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_most_cold_mutations_take_a_proposal(ws, monkeypatch):
+    # a proposal that silently stopped passing would keep the results and
+    # lose the speed: the root search runs on under 5% of cold mutations
+    ctx = build_context(make_weights(ws))
+    sites = _mutation_sites(ctx)
+    searches = []
+    real_candidates = tilting._candidate_classes
+
+    def candidates_spy(*args):
+        searches.append(args)
+        return real_candidates(*args)
+
+    monkeypatch.setattr(tilting, "_candidate_classes", candidates_spy)
+    for t, k in sites:
+        ctx._complements.clear()
+        mutate(ctx, t, k)
+    assert len(sites) > 100
+    assert len(searches) < 0.05 * len(sites), (len(searches), len(sites))
+
+
+@pytest.mark.parametrize(
+    "ws, steps, seed, bundle_only, k, direction",
+    [
+        # the left proposal decodes but has an ext with another summand
+        ((2, 3, 6), 8, 4, False, 0, "L"),
+        # neither proposal is a sheaf class
+        ((3, 3, 3), 16, 9, True, 4, "L"),
+    ],
+)
+def test_a_failed_proposal_falls_back_to_the_search(
+    ws, steps, seed, bundle_only, k, direction, monkeypatch
+):
+    # T_k has a two-dimensional hom to a summand, where the generic-rank
+    # multiplicities miss; the root search answers, as the box oracle does
+    ctx = build_context(make_weights(ws))
+    t = _walk(ctx, steps, seed, bundle_only)
+    ctx._complements.clear()
+    searches = []
+    real_candidates = tilting._candidate_classes
+
+    def candidates_spy(*args):
+        searches.append(args)
+        return real_candidates(*args)
+
+    monkeypatch.setattr(tilting, "_candidate_classes", candidates_spy)
+    got = mutate(ctx, t, k)
+    assert len(searches) == 1
+    assert got == _oracle_mutate(ctx, t, k)
+    assert got[1].direction == direction
 
 
 def test_insert_summand_matches_make_tilting(any_ctx):
