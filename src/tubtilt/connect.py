@@ -586,25 +586,24 @@ def _forecast_child(
     """node mutated at k, where `_mutation_forecast` named the target
     summand z as the complement of T_k; `mutate` is not called.
 
-    z is exceptional (a summand of a tilting target).  If it has no ext
-    with the n - 1 kept summands, in either direction, they and z are n
-    rigid exceptional objects, a tilting object; if exactly one of
-    ext(z, T_k) and ext(T_k, z) is nonzero (`tilting._exchange`), z is
-    neither T_k nor a kept summand, so it is the other complement of the
-    kept ones (Happel-Unger), the one `mutate` would find.  A z failing
-    either check raises InternalConsistencyError naming the forecast.
+    z is exceptional (a summand of a tilting target), so it goes to the
+    complement check of `_complete_mutation` undecoded
+    (`tilting._exchange`: no ext with the kept summands, one exchange
+    direction); a z that passes is the other complement, the one `mutate`
+    would find.  A z failing either check raises InternalConsistencyError
+    naming the forecast.
     """
-    for i, o in enumerate(node.summands):
-        if i != k and _ext_either(ctx, z, o):
-            raise InternalConsistencyError(
-                f"the forecast complement of summand {k} has ext with summand {i}"
-            )
     try:
-        return _exchange(ctx, node, k, z)
+        got = _exchange(ctx, node, k, z)
     except InternalConsistencyError as exc:
         raise InternalConsistencyError(
             f"the forecast complement of summand {k} is not one: {exc}"
         ) from None
+    if got is None:
+        raise InternalConsistencyError(
+            f"the forecast complement of summand {k} has ext with a kept summand"
+        )
+    return got
 
 
 def _stratum_path(

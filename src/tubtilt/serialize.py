@@ -53,7 +53,8 @@ def exc_from_dict(ctx: K0Context, data: Any) -> ExcObject:
         ("socle", obj.socle),
         ("len", obj.len),
     ):
-        if field in data and data[field] != value:
+        # the type too: JSON 1.0 and false would compare equal to 1 and 0
+        if field in data and (type(data[field]) is not type(value) or data[field] != value):
             raise ValidationError(
                 f"stored {field}={data[field]!r} disagrees with recomputed {value!r}"
             )
@@ -136,18 +137,20 @@ def path_from_dict(ctx: K0Context, data: Any) -> MutationPath:
     """Load boundary for paths: the nodes are read structurally and the
     whole path, every node tilting and every event matching its nodes,
     is checked once by `verify_path`; a path that fails, or whose
-    `bundleOnly`, if present, disagrees with its nodes, raises
-    ValidationError."""
+    `bundleOnly`, if present, is not a JSON boolean or disagrees with its
+    nodes, raises ValidationError."""
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise ValidationError("path record needs 'nodes', a list of tilting records")
     if not isinstance(data.get("events", []), list):
         raise ValidationError("'events' must be a list of event records")
+    if not isinstance(data.get("bundleOnly", False), bool):
+        raise ValidationError("'bundleOnly' must be a JSON boolean")
     nodes = [make_tilting(ctx, summands_from_dict(d, ctx)[1]) for d in data["nodes"]]
     events = [event_from_dict(ctx, d) for d in data.get("events", [])]
     path = MutationPath(nodes, events)
     if not verify_path(ctx, path):
         raise ValidationError("the record is not a verified mutation path")
-    if "bundleOnly" in data and bool(data["bundleOnly"]) != path.bundle_only:
+    if data.get("bundleOnly", path.bundle_only) != path.bundle_only:
         raise ValidationError("the record's bundleOnly disagrees with its nodes")
     return path
 

@@ -25,18 +25,15 @@ The search runs on scalars.  Since the summands are exceptional and
 pairwise ext-orthogonal, their Euler pairings are their hom dimensions,
 so chi(c, c) of a candidate c = sum_i b_i [T_i] - [T_k] is a quadratic
 in the multiplicities b over that Gram matrix.  All its cross terms are
-<= 0, which bounds what the unvisited multiplicities can still add and
-lets a branch and bound skip most of the box.  A root is turned into a
-class and decoded only if it passes necessary conditions that are
-linear in b (no forced ext against a summand, rank >= 0).  The search
-runs on one bit mask, a unit copy of a summand per bit.  Where every
-summand has a one-dimensional hom space to or from T_k and none the
-other way, as in most exchanges, the roots are the independent sets of
-the summands' hom graph; each linear condition is a bit test, made at
-the last level that can change it.
-The decoded survivors are then checked like a guess.  The other summands
-keep their canonical order, so the result is built by inserting the
-complement at its place, not by sorting all n again.
+<= 0, which bounds what the unvisited multiplicities can still add; a
+plain depth-first walk over the box of multiplicities drops a branch
+once that bound rules a root out.  A root is turned into a class and
+decoded only if it passes necessary conditions that are linear in b (no
+forced ext against a summand, rank >= 0), tested at the leaves.  A
+decoded candidate, a guess and the complement that the stratum search
+forecasts all pass one complement check (`_exchange`).  The other
+summands keep their canonical order, so the result is built by
+inserting the complement at its place, not by sorting all n again.
 
 A mutation of a tilting bundle brings in a torsion sheaf exactly when
 the summand it removes is the only one with a map to some exceptional
@@ -70,7 +67,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -414,85 +411,42 @@ def _gram_roots(
     in lexicographic order.  The entries of gram are hom dimensions,
     so they are >= 0.
 
-    One branch and bound on a bit mask.  Each b_i is split into
-    max(h_to[i], h_from[i]) unit copies, consecutive bits of the mask,
-    and b_i = v sets the first v of them, so b_i is a popcount.  Level i
-    sets b_i; the levels before it have set b_0..b_{i-1}.
-
-    The quadratic: every cross term is <= 0, so level i adds at most
-    s_i^2 // 4, and a partial sum below minus the remaining levels'
-    maximum never returns to 0.  At level i, b_i = v adds (a - v) v with
-    a = s_i - sum_{j<i} b_j S_ij, and that sum is 0 unless the mask meets
-    a unit adjacent to i in the hom graph.  When it does, a <= s_i - 1,
-    so no v >= 1 adds more than s_i - 2, or (s_i - 1)^2 // 4 for
-    s_i >= 3.  Where every s_i = 1, as in most exchanges, the roots are
-    thus the independent sets of the hom graph that pass the filters.
-
-    The exchange filters: the units with a nonzero weight in a filter's
-    sum form the filter's mask.  A filter with threshold h >= 1 needs the
-    mask of b to meet it, a bit test; only h > 1 counts the weighted sum.
-    Each is checked on entering the first level past its last unit,
-    where no later choice changes it.  The rank sum is checked at the
-    leaves.
+    A depth-first walk over the box: level i sets b_i, the levels before
+    it have set b_0..b_{i-1}, and b_i = v adds (a - v) v to the sum with
+    a = s_i - sum_{j<i} b_j S_ij.  Every cross term is <= 0, so a <= s_i
+    and level i adds at most s_i^2 // 4; a partial sum below minus what
+    the remaining levels can still add never returns to 0, and its branch
+    is dropped.  The filters are tested at the leaves.
     """
     m = len(gram)
     s = [x + y for x, y in zip(h_to, h_from)]
-    bounds = [x if x > y else y for x, y in zip(h_to, h_from)]
-    units: list[int] = []  # units[i]: the bits of b_i's copies
-    first: list[int] = []  # first[i]: the position of b_i's first copy
-    pos = 0
-    for u in bounds:
-        first.append(pos)
-        units.append(((1 << u) - 1) << pos)
-        pos += u
-    first.append(pos)
     rest = [0] * (m + 1)  # rest[i]: the most that levels i.. can still add
     for i in range(m - 1, -1, -1):
         rest[i] = rest[i + 1] + s[i] * s[i] // 4
     cols = list(zip(*gram))
-    outs = [sum(compress(units, row)) for row in gram]
-    ins = [sum(compress(units, col)) for col in cols]
-    checks: list[list[tuple[int, int, Sequence[int]]]] = [[] for _ in range(m + 1)]
-    for r in range(m):
-        for h, mask, weights in ((h_from[r], outs[r], gram[r]), (h_to[r], ins[r], cols[r])):
-            if h > 0:
-                checks[bisect_left(first, mask.bit_length())].append((h, mask, weights))
+    b = [0] * m
     hits: list[tuple[int, ...]] = []
 
-    def rec(i: int, mask: int, f: int, rank: int) -> None:
-        for h, need, weights in checks[i]:
-            if not mask & need:
-                return
-            if h > 1 and sum(w * (mask & u).bit_count() for w, u in zip(weights, units)) < h:
-                return
+    def rec(i: int, f: int) -> None:
         if i == m:
-            if f == 0 and rank >= rank_k:
-                hits.append(tuple((mask & u).bit_count() for u in units))
+            if (
+                f == 0
+                and sum(map(mul, b, ranks)) >= rank_k
+                and all(sum(map(mul, b, row)) >= h for row, h in zip(gram, h_from))
+                and all(sum(map(mul, b, col)) >= h for col, h in zip(cols, h_to))
+            ):
+                hits.append(tuple(b))
             return
+        a = s[i] - sum(b[j] * (gram[i][j] + cols[i][j]) for j in range(i))
         floor = -rest[i + 1]
-        if f >= floor:
-            rec(i + 1, mask, f, rank)
-        a = s[i]
-        if mask & (outs[i] | ins[i]):
-            # a drops to s_i - 1 or below: the most any v >= 1 can add
-            if f + (a - 2 if a < 3 else (a - 1) * (a - 1) // 4) < floor:
-                return
-            a -= sum(
-                (x + y) * (mask & u).bit_count()
-                for x, y, u in zip(gram[i], cols[i], units[:i])
-            )
-        unit = 1 << first[i]
-        for v in range(1, bounds[i] + 1):
-            f += a - 2 * v + 1  # (a - v) v less (a - v + 1) (v - 1)
-            mask |= unit
-            unit <<= 1
-            rank += ranks[i]
-            if f >= floor:
-                rec(i + 1, mask, f, rank)
-            elif 2 * v >= a:
-                break  # (a - v) v only falls from here on
+        for v in range(max(h_to[i], h_from[i]) + 1):
+            g = f + (a - v) * v
+            if g >= floor:
+                b[i] = v
+                rec(i + 1, g)
+        b[i] = 0
 
-    rec(0, 0, 0, 0)
+    rec(0, 0)
     return hits
 
 
@@ -509,18 +463,27 @@ def _insert_summand(
 
 def _exchange(
     ctx: K0Context, t: TiltingObject, k: int, new: ExcObject
-) -> tuple[TiltingObject, MutationEvent]:
-    """t with summand k exchanged for `new`, its other complement, and
-    the event: the end of `_complete_mutation`, shared with the stratum
-    search, which takes `new` from its forecast
-    (`connect._forecast_child`).
+) -> tuple[TiltingObject, MutationEvent] | None:
+    """t with summand k exchanged for the exceptional object `new`, and
+    the event, if `new` is the other complement of the remaining
+    summands; None if `new` has ext with one of them.  It is the one
+    complement check: `_complete_mutation` runs it on every decoded
+    proposal and search candidate, and the stratum search on the target
+    summand its forecast names (`connect._forecast_child`).
 
-    The direction is L iff ext(new, T_k) > 0; exactly one of ext(new, T_k)
-    and ext(T_k, new) is nonzero for two complements, else
-    InternalConsistencyError; ext from the smaller slope is 0
-    (`tubes._hom_ext`) and is not read.  The check runs before the
-    insertion, so a `new` that is already a summand fails it too.
+    Rigidity: ext(new, T_i) = ext(T_i, new) = 0 for every i != k
+    (`tubes._ext_either`); the n - 1 kept summands and `new` are then n
+    rigid exceptional objects.  Direction: L iff ext(new, T_k) > 0;
+    exactly one of ext(new, T_k) and ext(T_k, new) is nonzero for two
+    complements, else InternalConsistencyError; ext from the smaller
+    slope is 0 (`tubes._hom_ext`) and is not read.  So `new` is neither
+    T_k nor a kept summand, and by Happel-Unger it is the other
+    complement.  Both checks run before the insertion, and no tuple is
+    built for a `new` that fails the first.
     """
+    for i, o in enumerate(t.summands):
+        if i != k and _ext_either(ctx, new, o):
+            return None
     tk = t.summands[k]
     up = tk.slope.num * new.slope.den - new.slope.num * tk.slope.den  # > 0: T_k's is larger
     e_left = 0 if up > 0 else ext_dim(ctx, new, tk)  # nonzero iff 0 -> T_k -> B -> new -> 0
@@ -617,31 +580,29 @@ def _candidate_classes(
     chi(c, c) = 1 becomes the scalar equation
     sum_i (s_i b_i - b_i^2) - sum_{i<j} b_i b_j S_ij = 0 with
     s_i = hom(T_k, T_i) + hom(T_i, T_k) and S_ij = hom(T_i, T_j) +
-    hom(T_j, T_i), solved by branch and bound (`_gram_roots`).  A root
-    is kept only if it passes three necessary conditions that are linear
-    in b: chi(T_i, c) >= 0 and chi(c, T_i) >= 0 (a negative value forces
-    an ext against T_i) and rank(c) >= 0.  `_gram_roots` tests each on
-    its bit mask at the last level that can change it.  Nothing is
-    decoded here and no memo is written.
+    hom(T_j, T_i), solved by a depth-first walk over the box that drops
+    a branch once the quadratic bound rules a root out (`_gram_roots`).
+    A root is kept only if it passes three necessary conditions that are
+    linear in b: chi(T_i, c) >= 0 and chi(c, T_i) >= 0 (a negative value
+    forces an ext against T_i) and rank(c) >= 0, tested at the leaves.
+    Nothing is decoded here and no memo is written.
     """
     ranks = [rank_of(ctx, o.cls) for o in free]
     rank_k = rank_of(ctx, tk.cls)
     return [_combination(tk, free, b) for b in _gram_roots(gram, h_to, h_from, ranks, rank_k)]
 
 
-def _complement_of(
-    ctx: K0Context, c: K0Class, others: Sequence[ExcObject]
-) -> ExcObject | None:
-    """c decoded, if it is an exceptional sheaf ext-orthogonal to every
-    one of `others` in both directions, else None: the check that a
-    proposed or searched class passes to be a complement of `others`."""
+def _exchange_class(
+    ctx: K0Context, t: TiltingObject, k: int, c: K0Class
+) -> tuple[TiltingObject, MutationEvent] | None:
+    """`_exchange` of c decoded, or None if c is not the class of an
+    exceptional sheaf (`tubes.exc_from_class`) or its object fails the
+    complement check: the path of a proposed or searched class."""
     try:
-        obj = exc_from_class(ctx, c)
+        new = exc_from_class(ctx, c)
     except (NotSheafLike, NotExceptionalHere):
         return None
-    if any(_ext_either(ctx, obj, o) for o in others):
-        return None
-    return obj
+    return _exchange(ctx, t, k, new)
 
 
 def _enter_complement(
@@ -675,32 +636,32 @@ def _complete_mutation(
 
     The exchange Gram of T_k is read once (`_exchange_gram`).  The
     classes proposed from it (`_proposed_classes`, left side first) are
-    checked in turn (`_complement_of`: decoded, exceptional, and
-    ext-orthogonal to the other summands in both directions); the first
-    that passes is a complement other than T_k, so by Happel-Unger (at
-    most two complements) it is the other one.  If none passes, the
-    exhaustive search runs on the same Gram (`_candidate_classes`), every
-    candidate is checked the same way, and no survivor raises
-    ComplementNotFound, more than one ComplementNotUnique.  T_k is then
-    exchanged for the complement (`_exchange`, which checks the direction
-    and inserts the complement at its place in the canonical order).
-    Both t and the result are entered into the complement table under
-    `ac_key`, t's class key with summand k left out, so the result
-    mutated back at its new summand is a lookup.  The table is not
-    bounded here; `mutate` bounds it before the call.
+    decoded and checked in turn (`_exchange_class`); the first that
+    decodes to an exceptional sheaf and passes the complement check
+    (`_exchange`: ext-orthogonal to the other summands in both
+    directions, and one exchange direction) is a complement other than
+    T_k, so by Happel-Unger (at most two complements) it is the other
+    one, and T_k is exchanged for it at its place in the canonical
+    order.  If none passes, the exhaustive search runs on the same Gram
+    (`_candidate_classes`), every candidate is decoded and checked the
+    same way, and no survivor raises ComplementNotFound, more than one
+    ComplementNotUnique.  Both t and the result are entered into the
+    complement table under `ac_key`, t's class key with summand k left
+    out, so the result mutated back at its new summand is a lookup.  The
+    table is not bounded here; `mutate` bounds it before the call.
     """
     tk = t.summands[k]
     others = t.summands[:k] + t.summands[k + 1 :]
     free, gram, h_to, h_from = _exchange_gram(ctx, tk, others)
     for c in _proposed_classes(tk, free, gram, h_to, h_from):
-        new = _complement_of(ctx, c, others)
-        if new is not None:
+        got = _exchange_class(ctx, t, k, c)
+        if got is not None:
             break
     else:
         survivors = [
-            obj
+            got
             for c in _candidate_classes(ctx, tk, free, gram, h_to, h_from)
-            if (obj := _complement_of(ctx, c, others)) is not None
+            if (got := _exchange_class(ctx, t, k, c)) is not None
         ]
         if not survivors:
             raise ComplementNotFound(f"no complement found when mutating at index {k}")
@@ -708,10 +669,9 @@ def _complete_mutation(
             raise ComplementNotUnique(
                 f"{len(survivors)} complements found when mutating at index {k}"
             )
-        new = survivors[0]
-    got = _exchange(ctx, t, k, new)
+        got = survivors[0]
     _enter_complement(ctx, ac_key, t, tk)
-    _enter_complement(ctx, ac_key, got[0], new)
+    _enter_complement(ctx, ac_key, got[0], got[1].added)
     return got
 
 

@@ -22,9 +22,15 @@ def test_exc_round_trip(ctx2222):
 def test_exc_rejects_tampered_fields(ctx2222):
     obj = line_bundle_obj(ctx2222, l_zero(ctx2222.weights))
     data = serialize.exc_to_dict(obj)
-    data["socle"] = (data["socle"] + 1) % 2
-    with pytest.raises(ValidationError):
-        serialize.exc_from_dict(ctx2222, data)
+    for field, value in (
+        ("socle", (data["socle"] + 1) % 2),
+        # equal to the recomputed integers in Python, but not JSON integers
+        ("len", float(data["len"])),
+        ("socle", bool(data["socle"])),
+        ("orbit", float(data["orbit"])),
+    ):
+        with pytest.raises(ValidationError, match=f"stored {field}="):
+            serialize.exc_from_dict(ctx2222, dict(data, **{field: value}))
 
 
 def test_exc_rejects_bad_class(ctx2222):
@@ -143,6 +149,10 @@ def test_path_record_with_a_flipped_bundle_flag_rejected(any_ctx):
         bad = dict(data, bundleOnly=not bundle_only)
         with pytest.raises(ValidationError, match="bundleOnly disagrees"):
             serialize.path_from_dict(any_ctx, bad)
+        # truthy and falsy values that are not JSON booleans, either way
+        for flag in ("false", "no", "true", 0, 1, None, []):
+            with pytest.raises(ValidationError, match="'bundleOnly' must be a JSON boolean"):
+                serialize.path_from_dict(any_ctx, dict(data, bundleOnly=flag))
 
 
 def test_event_wire_format(ctx2222):

@@ -651,6 +651,10 @@ def test_most_cold_mutations_take_a_proposal(ws, monkeypatch):
         ((2, 3, 6), 8, 4, False, 0, "L"),
         # neither proposal is a sheaf class
         ((3, 3, 3), 16, 9, True, 4, "L"),
+        # one search each over a 192-point box, the largest box of the
+        # searches on the long-walk tail ends
+        ((3, 3, 3), 24, 16, True, 4, "L"),
+        ((2, 4, 4), 24, 2, True, 0, "L"),
     ],
 )
 def test_a_failed_proposal_falls_back_to_the_search(
