@@ -21,6 +21,18 @@ passes, on about 1% of the mutations computed, a bounded search over
 approximation multiplicities runs; it is exhaustive because the middle
 term of the exchange sequence is a minimal approximation.
 
+The hom dimensions are read in slope order and only where they are
+used.  No nonzero map goes from a semistable sheaf to one of smaller
+slope (Lenzing-Meltzer 1993), so of hom(T_k, T_i) and hom(T_i, T_k)
+only the one towards the larger slope is read, and both only at equal
+slopes (`_exchange_gram`); a skipped value is the 0 the memo would
+hold.  The homs among the other summands are not read with them: each
+guess reads those between the summands in the support of its own side,
+again in slope order (`_generic_multiplicities`), and the right side's
+only when the left guess fails; the full matrix is read only when the
+search runs (`_full_gram`).  `first_objects` and `last_objects` skip
+the same pairs.
+
 The search runs on scalars.  Since the summands are exceptional and
 pairwise ext-orthogonal, their Euler pairings are their hom dimensions,
 so chi(c, c) of a candidate c = sum_i b_i [T_i] - [T_k] is a quadratic
@@ -292,23 +304,38 @@ def t_can(ctx: K0Context, twist: LElement | None = None) -> TiltingObject:
 # -- hom structure among summands -------------------------------------------
 
 
+def _hom_up(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
+    """hom(x, y), read only if x has no larger slope than y.
+
+    No nonzero map goes from a semistable sheaf to one of smaller slope
+    (Lenzing-Meltzer 1993), so the value skipped is the 0 the memo would
+    hold; the slopes are ordered by the cross-multiplication of
+    `tubes._hom_ext` (infinity is 1/0)."""
+    xs, ys = x.slope, y.slope
+    if xs.num * ys.den > ys.num * xs.den:
+        return 0
+    return hom_dim(ctx, x, y)
+
+
 def first_objects(ctx: K0Context, t: TiltingObject) -> tuple[int, ...]:
-    """Indices receiving no nonzero map from any other summand."""
+    """Indices receiving no nonzero map from any other summand; a summand
+    of larger slope maps to T_k by 0 and is not read (`_hom_up`)."""
     out = []
     for k, tk in enumerate(t.summands):
         if all(
-            hom_dim(ctx, ti, tk) == 0 for i, ti in enumerate(t.summands) if i != k
+            _hom_up(ctx, ti, tk) == 0 for i, ti in enumerate(t.summands) if i != k
         ):
             out.append(k)
     return tuple(out)
 
 
 def last_objects(ctx: K0Context, t: TiltingObject) -> tuple[int, ...]:
-    """Indices emitting no nonzero map to any other summand."""
+    """Indices emitting no nonzero map to any other summand; T_k maps to a
+    summand of smaller slope by 0, which is not read (`_hom_up`)."""
     out = []
     for k, tk in enumerate(t.summands):
         if all(
-            hom_dim(ctx, tk, ti) == 0 for i, ti in enumerate(t.summands) if i != k
+            _hom_up(ctx, tk, ti) == 0 for i, ti in enumerate(t.summands) if i != k
         ):
             out.append(k)
     return tuple(out)
@@ -376,24 +403,38 @@ def torsion_exchanges(ctx: K0Context, t: TiltingObject) -> tuple[bool, ...]:
 
 def _exchange_gram(
     ctx: K0Context, tk: ExcObject, others: Sequence[ExcObject]
-) -> tuple[list[ExcObject], list[list[int]], list[int], list[int]]:
-    """The summands T_i with a nonzero hom to or from T_k, their hom
-    matrix hom(T_i, T_j), and hom(T_k, T_i) and hom(T_i, T_k).
+) -> tuple[list[ExcObject], list[int], list[int]]:
+    """The summands T_i with a nonzero hom to or from T_k, with
+    hom(T_k, T_i) and hom(T_i, T_k).
 
-    The diagonal is 1 without a lookup: the summands are exceptional, and
-    the proposals (`_generic_multiplicities`) and the quadratic in
-    `_gram_roots` take hom(T_i, T_i) as 1."""
+    One direction is read per pair: hom(T_k, T_i) when T_i has the larger
+    slope, hom(T_i, T_k) when it has the smaller one (the other is 0,
+    see `_hom_up`), and both only at equal slopes.  The homs among the
+    T_i are read where they are used: over a proposal's support
+    (`_generic_multiplicities`), and in full only for the fallback
+    search (`_full_gram`)."""
     free: list[ExcObject] = []
     h_to: list[int] = []
     h_from: list[int] = []
+    kn, kd = tk.slope.num, tk.slope.den
     for o in others:
-        to, fro = hom_dim(ctx, tk, o), hom_dim(ctx, o, tk)
+        up = o.slope.num * kd - kn * o.slope.den  # > 0: T_i has the larger slope
+        to = hom_dim(ctx, tk, o) if up >= 0 else 0
+        fro = hom_dim(ctx, o, tk) if up <= 0 else 0
         if to or fro:
             free.append(o)
             h_to.append(to)
             h_from.append(fro)
-    gram = [[1 if x is y else hom_dim(ctx, x, y) for y in free] for x in free]
-    return free, gram, h_to, h_from
+    return free, h_to, h_from
+
+
+def _full_gram(ctx: K0Context, free: Sequence[ExcObject]) -> list[list[int]]:
+    """The hom matrix hom(T_i, T_j) of the exchange Gram's summands, read
+    in slope order (`_hom_up`) for the fallback search.
+
+    The diagonal is 1 without a lookup: the summands are exceptional, and
+    the quadratic in `_gram_roots` takes hom(T_i, T_i) as 1."""
+    return [[1 if x is y else _hom_up(ctx, x, y) for y in free] for x in free]
 
 
 def _gram_roots(
@@ -511,24 +552,35 @@ def _combination(tk: ExcObject, free: Sequence[ExcObject], b: Sequence[int]) -> 
     return K0Class(tuple(vec))
 
 
-def _generic_multiplicities(h: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
-    """b_j = max(0, h[j] - sum_{i != j} h[i] rows[j][i]) for each j.
+def _generic_multiplicities(
+    ctx: K0Context, free: Sequence[ExcObject], h: Sequence[int], left: bool
+) -> list[int]:
+    """b_j = max(0, h[j] - sum_{i != j} h[i] hom(T_i, T_j)) for each j,
+    the T_i running over `free`; on the right side (`left` false) the hom
+    is hom(T_j, T_i).
 
-    b_j <= h[j], so only the support of h is read; rows[j][j] = 1 (the
-    diagonal of `_exchange_gram`) folds the sum over i != j into
-    2 h[j] - sum_i h[i] rows[j][i]."""
-    on = [i for i, x in enumerate(h) if x]
+    b_j <= h[j], so only homs between two summands in the support of h
+    are read, and only from the smaller slope to the larger or within one
+    slope (`_hom_up`): the rest are 0.  Every term subtracted is >= 0, so
+    the reads for b_j stop once the sum reaches 0."""
+    on = [(i, x, free[i]) for i, x in enumerate(h) if x]
     b = [0] * len(h)
-    for j in on:
-        row = rows[j]
-        b[j] = max(0, 2 * h[j] - sum(h[i] * row[i] for i in on))
+    for j, hj, y in on:
+        s = hj
+        for i, hi, x in on:
+            if i != j:
+                s -= hi * (_hom_up(ctx, x, y) if left else _hom_up(ctx, y, x))
+                if s <= 0:
+                    break
+        else:
+            b[j] = s
     return b
 
 
 def _proposed_classes(
+    ctx: K0Context,
     tk: ExcObject,
     free: Sequence[ExcObject],
-    gram: Sequence[Sequence[int]],
     h_to: Sequence[int],
     h_from: Sequence[int],
 ) -> Iterator[K0Class]:
@@ -541,18 +593,20 @@ def _proposed_classes(
     the maps T_k -> T_j that do not factor through another summand
     (Buan-Marsh-Reineke-Reiten-Todorov, "Tilting theory and cluster
     combinatorics", 2006).  The generic-rank guess of it is
-    b_j = max(0, h_to[j] - sum_{i != j} h_to[i] gram[i][j]); the right
+    b_j = max(0, h_to[j] - sum_{i != j} h_to[i] hom(T_i, T_j)); the right
     sequence 0 -> T_k* -> B' -> T_k -> 0 is the mirror image, with h_from
-    and gram[j][i].  Each side yields c = sum_j b_j [T_j] - [T_k]; an
-    all-zero b (no map on that side) and a repeat of the left class are
-    not yielded, and the right side is computed only if the left one is
+    and hom(T_j, T_i).  `_generic_multiplicities` reads these homs itself,
+    over the support of its own side and in slope order only.  Each side
+    yields c = sum_j b_j [T_j] - [T_k]; an all-zero b (no map on that
+    side) and a repeat of the left class are not yielded, and the right
+    side is computed, and its homs read, only if the left one is
     rejected.  The guess is not a proof: the caller decodes and checks
     it, and searches when neither side passes.
     """
-    left = _generic_multiplicities(h_to, list(zip(*gram)))
+    left = _generic_multiplicities(ctx, free, h_to, True)
     if any(left):
         yield _combination(tk, free, left)
-    right = _generic_multiplicities(h_from, gram)
+    right = _generic_multiplicities(ctx, free, h_from, False)
     if any(right) and right != left:
         yield _combination(tk, free, right)
 
@@ -561,15 +615,16 @@ def _candidate_classes(
     ctx: K0Context,
     tk: ExcObject,
     free: Sequence[ExcObject],
-    gram: Sequence[Sequence[int]],
     h_to: Sequence[int],
     h_from: Sequence[int],
 ) -> list[K0Class]:
     """The exhaustive search of `_complete_mutation`, its fallback when
     neither proposed class passes: the classes c = sum_i b_i [T_i] - [T_k]
     that the complement of the tilting object minus T_k can have, one per
-    root b.  `free`, `gram`, `h_to` and `h_from` are the exchange Gram of
-    T_k (`_exchange_gram`), read once for the proposals and the search.
+    root b.  `free`, `h_to` and `h_from` are the exchange Gram of T_k
+    (`_exchange_gram`), read once for the proposals and the search; the
+    hom matrix among `free` is read here, in full but in slope order
+    (`_full_gram`), so only a mutation that falls back pays for it.
 
     The b_i run over the remaining summands with
     0 <= b_i <= max(hom(T_k, T_i), hom(T_i, T_k)); the bound covers the
@@ -587,6 +642,7 @@ def _candidate_classes(
     forces an ext against T_i) and rank(c) >= 0, tested at the leaves.
     Nothing is decoded here and no memo is written.
     """
+    gram = _full_gram(ctx, free)
     ranks = [rank_of(ctx, o.cls) for o in free]
     rank_k = rank_of(ctx, tk.cls)
     return [_combination(tk, free, b) for b in _gram_roots(gram, h_to, h_from, ranks, rank_k)]
@@ -635,14 +691,16 @@ def _complete_mutation(
     `mutate` and `connect.explore_graph` on a complement-table miss.
 
     The exchange Gram of T_k is read once (`_exchange_gram`).  The
-    classes proposed from it (`_proposed_classes`, left side first) are
+    classes proposed from it (`_proposed_classes`, left side first, each
+    reading the homs among the other summands that it uses) are
     decoded and checked in turn (`_exchange_class`); the first that
     decodes to an exceptional sheaf and passes the complement check
     (`_exchange`: ext-orthogonal to the other summands in both
     directions, and one exchange direction) is a complement other than
     T_k, so by Happel-Unger (at most two complements) it is the other
     one, and T_k is exchanged for it at its place in the canonical
-    order.  If none passes, the exhaustive search runs on the same Gram
+    order.  If none passes, the exhaustive search runs on the same
+    exchange Gram and reads the full hom matrix among the other summands
     (`_candidate_classes`), every candidate is decoded and checked the
     same way, and no survivor raises ComplementNotFound, more than one
     ComplementNotUnique.  Both t and the result are entered into the
@@ -652,15 +710,15 @@ def _complete_mutation(
     """
     tk = t.summands[k]
     others = t.summands[:k] + t.summands[k + 1 :]
-    free, gram, h_to, h_from = _exchange_gram(ctx, tk, others)
-    for c in _proposed_classes(tk, free, gram, h_to, h_from):
+    free, h_to, h_from = _exchange_gram(ctx, tk, others)
+    for c in _proposed_classes(ctx, tk, free, h_to, h_from):
         got = _exchange_class(ctx, t, k, c)
         if got is not None:
             break
     else:
         survivors = [
             got
-            for c in _candidate_classes(ctx, tk, free, gram, h_to, h_from)
+            for c in _candidate_classes(ctx, tk, free, h_to, h_from)
             if (got := _exchange_class(ctx, t, k, c)) is not None
         ]
         if not survivors:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, neg
+from operator import add, neg, sub
 from typing import Iterator
 
 from .errors import (
@@ -465,16 +465,28 @@ def _orbit_weights(c: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
     """The rows D_l of rho^k (see `chart_for`) from the pairing rows c_j:
     laps * sum_j c_j, plus each c_j whose rest consecutive orbit terms
     from E_j, upward (towards tau^-1) for k > 0 and downward for k < 0,
-    reach E_l."""
+    reach E_l.
+
+    The window of rest terms at E_l holds c_{l+lo} .. c_{l+lo+rest-1},
+    lo = 1 - rest for k > 0 and 0 for k < 0; it is summed once, at l = 0,
+    and then slid round the orbit, one add and one subtract per position.
+    For |k| = 1 the rows are the c_j themselves, and for k = 0 they are
+    zero, of the width of the c_j."""
     r = len(c)
-    step = 1 if k > 0 else -1
     laps, rest = divmod(abs(k), r)
-    full = [tuple(laps * s for s in map(sum, zip(*c)))] if laps else []
-    zero = (0,) * len(c[0])  # fixes the width when there is no term (k = 0)
-    out = []
-    for l in range(r):
-        terms = full + [c[(l - step * i) % r] for i in range(rest)]
-        out.append(terms[0] if len(terms) == 1 else tuple(map(sum, zip(zero, *terms))))
+    if rest == 1 and not laps:
+        return list(c)
+    lo = 1 - rest if k > 0 else 0
+    w = [laps * s for s in map(sum, zip(*c))] if laps else [0] * len(c[0])
+    for j in range(lo, lo + rest):
+        w = map(add, w, c[j % r])
+    w = tuple(w)
+    if not rest:
+        return [w] * r
+    out = [w]
+    for j in range(lo, lo + r - 1):
+        w = tuple(map(sub, map(add, w, c[(j + rest) % r]), c[j % r]))
+        out.append(w)
     return out
 
 

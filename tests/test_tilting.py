@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tubtilt import tilting
-from tubtilt.connect import random_walk
+from tubtilt.connect import explore_graph, random_walk
 from tubtilt.errors import (
     BasisMismatch,
     ComplementNotFound,
@@ -26,10 +26,13 @@ from tubtilt.k0 import K0Class, build_context, chi, rank_of
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import (
     MutationEvent,
+    _combination,
     _exchange_gram,
+    _full_gram,
     _gram_det,
     _gram_roots,
     _insert_summand,
+    _proposed_classes,
     apr_mutate,
     canonical_interval,
     check_basis,
@@ -545,6 +548,40 @@ def test_simple_homs_match_the_euler_form(ws):
         assert min(want) >= 0 and sum(want) == vec[ctx.idx_o] * len(ws)
 
 
+def _all_pairs_exchange_gram(ctx, tk, others):
+    # the exchange Gram read over every ordered pair: hom(T_k, T_i) and
+    # hom(T_i, T_k) for every other summand, and the whole m x m block
+    hom = tilting.hom_dim
+    free, h_to, h_from = [], [], []
+    for o in others:
+        to, fro = hom(ctx, tk, o), hom(ctx, o, tk)
+        if to or fro:
+            free.append(o)
+            h_to.append(to)
+            h_from.append(fro)
+    gram = [[1 if x is y else hom(ctx, x, y) for y in free] for x in free]
+    return free, gram, h_to, h_from
+
+
+def _all_pairs_proposals(tk, free, gram, h_to, h_from):
+    # the generic-rank multiplicities of both sides off the full Gram, as
+    # classes: the left side if it has a map, the right if it has one and
+    # differs from the left
+    def multiplicities(h, rows):
+        on = [i for i, x in enumerate(h) if x]
+        b = [0] * len(h)
+        for j in on:
+            b[j] = max(0, 2 * h[j] - sum(h[i] * rows[j][i] for i in on))
+        return b
+
+    left = multiplicities(h_to, list(zip(*gram)))
+    right = multiplicities(h_from, gram)
+    sides = [left] if any(left) else []
+    if any(right) and right != left:
+        sides.append(right)
+    return [_combination(tk, free, b) for b in sides]
+
+
 @settings(
     max_examples=300,
     deadline=None,
@@ -563,7 +600,7 @@ def test_complement_search_matches_box_oracle(ws, steps, seed, bundle_only, k):
     k %= ctx.n
     tk = t.summands[k]
     others = tuple(o for i, o in enumerate(t.summands) if i != k)
-    free, gram, h_to, h_from = _exchange_gram(ctx, tk, others)
+    free, gram, h_to, h_from = _all_pairs_exchange_gram(ctx, tk, others)
     ranks = [rank_of(ctx, o.cls) for o in free]
     roots = _gram_roots(gram, h_to, h_from, ranks, rank_of(ctx, tk.cls))
     pruned = set()
@@ -642,6 +679,63 @@ def test_most_cold_mutations_take_a_proposal(ws, monkeypatch):
         mutate(ctx, t, k)
     assert len(sites) > 100
     assert len(searches) < 0.05 * len(sites), (len(searches), len(sites))
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_slope_ordered_reads_match_the_all_pairs_reads(ws):
+    # the exchange Gram reads one hom direction per pair, the proposals read
+    # the homs among the other summands over their own support, and the
+    # fallback's full Gram reads them in slope order; every value skipped
+    # is 0, so all of them equal the reads of every ordered pair.  The full
+    # Gram is compared on every site, the few where the search runs (none
+    # on (2,2,2,2)) among them
+    ctx = build_context(make_weights(ws))
+    sites = _mutation_sites(ctx)
+    for t, k in sites:
+        tk = t.summands[k]
+        others = t.summands[:k] + t.summands[k + 1 :]
+        free, h_to, h_from = _exchange_gram(ctx, tk, others)
+        want_free, gram, want_to, want_from = _all_pairs_exchange_gram(ctx, tk, others)
+        assert (free, h_to, h_from) == (want_free, want_to, want_from)
+        proposals = list(_proposed_classes(ctx, tk, free, h_to, h_from))
+        assert proposals == _all_pairs_proposals(tk, free, gram, h_to, h_from)
+        assert _full_gram(ctx, free) == gram
+    # first and last objects skip the same pairs
+    for t in {t.class_key(): t for t, _ in sites}.values():
+        s, n = t.summands, ctx.n
+        homs = [[hom_dim(ctx, x, y) for y in s] for x in s]
+        firsts = tuple(k for k in range(n) if not any(homs[i][k] for i in range(n) if i != k))
+        lasts = tuple(k for k in range(n) if not any(homs[k][i] for i in range(n) if i != k))
+        assert (first_objects(ctx, t), last_objects(ctx, t)) == (firsts, lasts)
+
+
+def test_explore_reads_under_55_percent_of_the_all_pairs_homs(monkeypatch):
+    # reads that silently went back to every ordered pair would keep the
+    # results and lose the speed: one BFS of cold mutations reads at most
+    # 55% of the homs that the all-pairs exchange Gram reads on its sites
+    ctx = build_context(make_weights((2, 3, 6)))
+    start = _walk(ctx, 6, 1, bundle_only=True)
+    lo, hi = slope_range(ctx, start)
+    reads = []
+    hom = tilting.hom_dim
+    monkeypatch.setattr(tilting, "hom_dim", lambda *args: reads.append(args) or hom(*args))
+    sites = []
+    exchange_gram = tilting._exchange_gram
+
+    def exchange_gram_spy(ctx, tk, others):
+        sites.append((tk, others))
+        return exchange_gram(ctx, tk, others)
+
+    monkeypatch.setattr(tilting, "_exchange_gram", exchange_gram_spy)
+    nodes, _ = explore_graph(
+        ctx, start, Slope(lo.floor() - 1, 1), Slope(hi.floor() + 2, 1), max_nodes=24
+    )
+    got = len(reads)
+    reads.clear()
+    for tk, others in sites:
+        _all_pairs_exchange_gram(ctx, tk, others)
+    assert len(nodes) == 24 and len(sites) > 20
+    assert got <= 0.55 * len(reads), (got, len(reads))
 
 
 @pytest.mark.parametrize(

@@ -206,6 +206,31 @@ def test_corrupted_shift_is_rejected(monkeypatch):
                 chart_for(build_context(make_weights(ws)), INF)
 
 
+def _orbit_weights_oracle(c, k):
+    # the rows D_l summed term by term: laps * sum_j c_j, plus the rest
+    # consecutive c_j ending (k > 0) or starting (k < 0) at position l
+    r = len(c)
+    step = 1 if k > 0 else -1
+    laps, rest = divmod(abs(k), r)
+    full = [tuple(laps * s for s in map(sum, zip(*c)))] if laps else []
+    zero = (0,) * len(c[0])
+    out = []
+    for l in range(r):
+        terms = full + [c[(l - step * i) % r] for i in range(rest)]
+        out.append(terms[0] if len(terms) == 1 else tuple(map(sum, zip(zero, *terms))))
+    return out
+
+
+def test_orbit_weights_match_the_term_by_term_sums():
+    rng = random.Random("orbit-weights")
+    for r in (2, 3, 4, 6):
+        for k in range(-3 * r, 3 * r + 1):
+            for _ in range(4):
+                width = rng.randint(1, 12)
+                c = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(r)]
+                assert tubes._orbit_weights(c, k) == _orbit_weights_oracle(c, k), (r, k)
+
+
 def test_closed_form_charts_match_the_root_charts(monkeypatch):
     moved = []
     move = tubes._move_chart
