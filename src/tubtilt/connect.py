@@ -41,7 +41,6 @@ import itertools
 import logging
 import random
 import time
-from dataclasses import dataclass
 from math import gcd, inf
 
 from .errors import (
@@ -52,6 +51,7 @@ from .errors import (
     PreconditionError,
 )
 from .k0 import K0Context, rank_of
+from .records import Record, setfield
 from .slopes import INF, Slope
 from .tilting import (
     MutationEvent,
@@ -77,22 +77,27 @@ from .tubes import ExcObject, _ext_either, chart_for, ext_dim
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class FareyStep:
-    """Certificate bc - ad = 1 with 0 < c <= d < b and c <= a."""
+class FareyStep(Record):
+    """Certificate bc - ad = 1 with 0 < c <= d < b and c <= a; the
+    constructor raises ValueError on any other (a, b, c, d)."""
 
+    __slots__ = ("a", "b", "c", "d")
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "c", c)
+        setfield(self, "d", d)
         ok = (
-            0 < self.a < self.b
-            and gcd(self.a, self.b) == 1
-            and self.b * self.c - self.a * self.d == 1
-            and 0 < self.c <= self.d < self.b
-            and self.c <= self.a
+            0 < a < b
+            and gcd(a, b) == 1
+            and b * c - a * d == 1
+            and 0 < c <= d < b
+            and c <= a
         )
         if not ok:
             raise ValueError(f"invalid Farey step {self}")
@@ -104,18 +109,24 @@ def _is_node_cap(m) -> bool:
     return isinstance(m, int) and not isinstance(m, bool) and m >= 1
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 400_000
-    max_seconds: float | None = None
+class SearchBudget(Record):
+    """The node cap and optional wall-clock cap of one public call; the
+    constructor raises ValueError unless max_nodes is an int >= 1 and
+    max_seconds is None or positive and finite."""
 
-    def __post_init__(self) -> None:
-        if not _is_node_cap(self.max_nodes):
-            raise ValueError(f"max_nodes must be an integer >= 1, got {self.max_nodes!r}")
-        if self.max_seconds is not None and (
-            isinstance(self.max_seconds, bool) or not 0 < self.max_seconds < inf
+    __slots__ = ("max_nodes", "max_seconds")
+    max_nodes: int
+    max_seconds: float | None
+
+    def __init__(self, max_nodes: int = 400_000, max_seconds: float | None = None) -> None:
+        if not _is_node_cap(max_nodes):
+            raise ValueError(f"max_nodes must be an integer >= 1, got {max_nodes!r}")
+        if max_seconds is not None and (
+            isinstance(max_seconds, bool) or not 0 < max_seconds < inf
         ):
             raise ValueError("max_seconds must be positive and finite")
+        setfield(self, "max_nodes", max_nodes)
+        setfield(self, "max_seconds", max_seconds)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -159,13 +170,23 @@ def _clock(budget: _Budget) -> _Clock:
     return budget if isinstance(budget, _Clock) else _Clock(budget)
 
 
-@dataclass
-class MutationPath:
+class MutationPath(Record):
     """A verified walk in the tilting graph; consecutive nodes differ in
-    exactly one summand."""
+    exactly one summand.
 
+    The one mutable record: `extend` appends to its lists, so it has no
+    hash, and its fields can be assigned."""
+
+    __slots__ = ("nodes", "events")
     nodes: list[TiltingObject]
     events: list[MutationEvent]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, nodes: list[TiltingObject], events: list[MutationEvent]) -> None:
+        self.nodes = nodes
+        self.events = events
 
     @staticmethod
     def single(t: TiltingObject) -> "MutationPath":

@@ -20,10 +20,9 @@ weight data and raises ValidationError on mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ExprSyntaxError, NotExceptionalHere, NotSheafLike, ValidationError
 from .k0 import K0Class, K0Context
+from .records import Record, setfield
 from .slopes import Slope
 from .tilting import TiltingObject, mutate, t_can
 from .tubes import (
@@ -36,41 +35,74 @@ from .tubes import (
 from .weights import LElement, l_normalize
 
 
-@dataclass(frozen=True)
-class LExprData:
+class LExprData(Record):
     """Merged, ascending, nonzero x-terms plus the c coefficient."""
 
+    __slots__ = ("xterms", "c")
     xterms: tuple[tuple[int, int], ...]  # (0-based generator index, coefficient)
     c: int
 
+    def __init__(self, xterms: tuple[tuple[int, int], ...], c: int) -> None:
+        setfield(self, "xterms", xterms)
+        setfield(self, "c", c)
 
-@dataclass(frozen=True)
-class LineBundleExpr:
+
+class LineBundleExpr(Record):
+    """`L(lelem)`: the line bundle O(elt)."""
+
+    __slots__ = ("elt",)
     elt: LExprData
 
+    def __init__(self, elt: LExprData) -> None:
+        setfield(self, "elt", elt)
 
-@dataclass(frozen=True)
-class ChartCoordExpr:
+
+class ChartCoordExpr(Record):
+    """`E(slope; t=orbit; s=socle; l=len)`: a chart window."""
+
+    __slots__ = ("slope", "orbit", "socle", "len")
     slope: Slope
     orbit: int
     socle: int
     len: int
 
+    def __init__(self, slope: Slope, orbit: int, socle: int, len: int) -> None:
+        setfield(self, "slope", slope)
+        setfield(self, "orbit", orbit)
+        setfield(self, "socle", socle)
+        setfield(self, "len", len)
 
-@dataclass(frozen=True)
-class RawClassExpr:
+
+class RawClassExpr(Record):
+    """`K[entries]`: a raw class vector."""
+
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        setfield(self, "entries", entries)
 
-@dataclass(frozen=True)
-class TcanExpr:
+
+class TcanExpr(Record):
+    """`Tcan` or `Tcan(lelem)`: the canonical tilting bundle, twisted."""
+
+    __slots__ = ("twist",)
     twist: LExprData | None
 
+    def __init__(self, twist: LExprData | None) -> None:
+        setfield(self, "twist", twist)
 
-@dataclass(frozen=True)
-class MuExpr:
+
+class MuExpr(Record):
+    """`mu(expr, index)`: the mutation of `inner` at `index`."""
+
+    __slots__ = ("inner", "index")
     inner: "ObjectExpr"
     index: int
+
+    def __init__(self, inner: "ObjectExpr", index: int) -> None:
+        setfield(self, "inner", inner)
+        setfield(self, "index", index)
 
 
 ObjectExpr = LineBundleExpr | ChartCoordExpr | RawClassExpr | TcanExpr | MuExpr

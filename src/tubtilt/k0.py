@@ -29,7 +29,6 @@ d-vectors up by the norm and the degree residue they must close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
@@ -51,15 +50,19 @@ from .intmat import (
     transpose,
 )
 from .intmat import det as int_det
+from .records import Record, setfield
 from .slopes import INF, Slope
 from .weights import LElement, WeightData, l_neg, omega
 
 
-@dataclass(frozen=True)
-class K0Class:
+class K0Class(Record):
     """Integer vector in the fixed context basis."""
 
+    __slots__ = ("vec",)
     vec: tuple[int, ...]
+
+    def __init__(self, vec: tuple[int, ...]) -> None:
+        setfield(self, "vec", vec)
 
     def __add__(self, other: "K0Class") -> "K0Class":
         return K0Class(tuple(a + b for a, b in zip(self.vec, other.vec)))

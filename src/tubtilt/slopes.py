@@ -6,9 +6,10 @@ than every rational, matching the ordering of semistable subcategories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from .records import Record, setfield
 
 
 def ascii_int(text: str) -> int:
@@ -19,24 +20,28 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True, eq=True)
-class Slope:
+class Slope(Record):
+    """num/den in lowest terms with den > 0, or the infinite slope 1/0.
+
+    The constructor normalises: Slope(2, -4) is Slope(-1, 2), and every
+    Slope(k, 0) is the infinite slope."""
+
+    __slots__ = ("num", "den")
     num: int
     den: int
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
+    def __init__(self, num: int, den: int) -> None:
         if den == 0:
             num = 1
         else:
             if den < 0:
-                num, den = -num, den and -den
+                num, den = -num, -den
             g = gcd(num, den)
             if g > 1:
                 num //= g
                 den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        setfield(self, "num", num)
+        setfield(self, "den", den)
 
     @staticmethod
     def infinity() -> "Slope":

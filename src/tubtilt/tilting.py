@@ -77,7 +77,6 @@ exploration.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
@@ -98,6 +97,7 @@ from .errors import (
 )
 from .intmat import det as int_det
 from .k0 import K0Class, K0Context, rank_of
+from .records import Record, setfield
 from .slopes import Slope
 from .tubes import (
     ExcObject,
@@ -111,15 +111,22 @@ from .tubes import (
 from .weights import LElement, WeightData, c_gen, l_add, l_zero, x_gen
 
 
-@dataclass(frozen=True)
-class TiltingObject:
-    summands: tuple[ExcObject, ...]
-    # the class key, built once: the searches and the complement table key
-    # every node by it
-    _key: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+class TiltingObject(Record):
+    """A tilting object as its tuple of summands, in the canonical order
+    of `make_tilting` when built there.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", tuple(s.cls.vec for s in self.summands))
+    Equality, hash and repr read the summands alone.  `_key`, the tuple
+    of summand class vectors, is derived from them once: the searches
+    and the complement table key every node by it (`class_key`)."""
+
+    __slots__ = ("summands", "_key")
+    _fields = ("summands",)
+    summands: tuple[ExcObject, ...]
+    _key: tuple[tuple[int, ...], ...]
+
+    def __init__(self, summands: tuple[ExcObject, ...]) -> None:
+        setfield(self, "summands", summands)
+        setfield(self, "_key", tuple(s.cls.vec for s in summands))
 
     def index_of(self, obj: ExcObject) -> int:
         for i, s in enumerate(self.summands):
@@ -131,8 +138,7 @@ class TiltingObject:
         return self._key
 
 
-@dataclass(frozen=True)
-class MutationEvent:
+class MutationEvent(Record):
     """The exchange of summand `index`, `removed`, for `added`.
 
     The two complements sit in the exchange sequence
@@ -142,10 +148,17 @@ class MutationEvent:
     is its class [B] = [removed] + [added].
     """
 
+    __slots__ = ("index", "removed", "added", "direction")
     index: int
     removed: ExcObject
     added: ExcObject
     direction: str
+
+    def __init__(self, index: int, removed: ExcObject, added: ExcObject, direction: str) -> None:
+        setfield(self, "index", index)
+        setfield(self, "removed", removed)
+        setfield(self, "added", added)
+        setfield(self, "direction", direction)
 
     @property
     def approx_class(self) -> K0Class:

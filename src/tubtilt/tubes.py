@@ -49,7 +49,6 @@ class vector of the orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, neg, sub
 from typing import Iterator
@@ -76,22 +75,34 @@ from .k0 import (
     line_bundle_class,
     slope_of,
 )
+from .records import Record, setfield
 from .slopes import INF, ZERO, Slope
 from .weights import LElement, l_zero
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """Socle position and quasi-length inside a tube of known rank."""
 
+    __slots__ = ("socle", "len")
     socle: int
     len: int
 
+    def __init__(self, socle: int, len: int) -> None:
+        setfield(self, "socle", socle)
+        setfield(self, "len", len)
 
-@dataclass(frozen=True)
-class TubeChart:
+
+class TubeChart(Record):
+    """The quasi-simple classes at one slope, one tau-orbit per tube,
+    each in tau^-1 order from the lexicographically smallest class."""
+
+    __slots__ = ("slope", "orbits")
     slope: Slope
     orbits: tuple[tuple[K0Class, ...], ...]
+
+    def __init__(self, slope: Slope, orbits: tuple[tuple[K0Class, ...], ...]) -> None:
+        setfield(self, "slope", slope)
+        setfield(self, "orbits", orbits)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -113,19 +124,26 @@ class TubeChart:
                     yield t, socle, length, K0Class(tuple(vec))
 
 
-@dataclass(frozen=True)
-class ExcObject:
+class ExcObject(Record):
     """An exceptional sheaf: class plus chart coordinates.
 
     The class is authoritative; slope/orbit/socle/len are the decoded
     position in the chart at that slope.
     """
 
+    __slots__ = ("cls", "slope", "orbit", "socle", "len")
     cls: K0Class
     slope: Slope
     orbit: int
     socle: int
     len: int
+
+    def __init__(self, cls: K0Class, slope: Slope, orbit: int, socle: int, len: int) -> None:
+        setfield(self, "cls", cls)
+        setfield(self, "slope", slope)
+        setfield(self, "orbit", orbit)
+        setfield(self, "socle", socle)
+        setfield(self, "len", len)
 
     def sort_key(self):
         return (self.slope, self.orbit, self.socle, self.len)
@@ -425,17 +443,29 @@ def _build_anchor(ctx: K0Context) -> TubeChart:
 _AT_ZERO, _AT_INF = 0, 1  # the two shift generators, indices into `_tube_shifts`
 
 
-@dataclass(frozen=True)
-class _Shift:
+class _Shift(Record):
     """A tau-orbit E_0..E_{p-1} of a rank-p tube in tau^-1 order, in the
     sparse form of `intmat.apply_rows`: row j of `left` and of `right`
     gives chi(E_j, x) and chi(x, E_j), and row a of `drop` holds
     (l, -E_l[a]) for the E_l with a nonzero coordinate a."""
 
+    __slots__ = ("orbit", "left", "right", "drop")
     orbit: tuple[tuple[int, ...], ...]
     left: SparseRows
     right: SparseRows
     drop: SparseRows
+
+    def __init__(
+        self,
+        orbit: tuple[tuple[int, ...], ...],
+        left: SparseRows,
+        right: SparseRows,
+        drop: SparseRows,
+    ) -> None:
+        setfield(self, "orbit", orbit)
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+        setfield(self, "drop", drop)
 
 
 def _shift_along(ctx: K0Context, start: tuple[int, ...]) -> _Shift:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable
 
@@ -31,6 +30,7 @@ from .k0 import (
     deg_of,
     rank_of,
 )
+from .records import Record, setfield
 from .slopes import INF, Slope
 from .tilting import (
     TiltingObject,
@@ -73,11 +73,19 @@ CHECK_SLOPES = [
 ]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
+    """One named check of a suite, passed or failed, with an optional
+    detail for its report line."""
+
+    __slots__ = ("name", "ok", "detail")
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, ok: bool, detail: str = "") -> None:
+        setfield(self, "name", name)
+        setfield(self, "ok", ok)
+        setfield(self, "detail", detail)
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -14,24 +14,30 @@ delta(x_t) = 1 gives a unit slope shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import NonTubularWeights
+from .records import Record, setfield
 
 TUBULAR_TYPES = ((2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3))
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(Record):
     """A validated tubular weight sequence with its derived constants."""
 
+    __slots__ = ("weights", "p", "n", "genus")
     weights: tuple[int, ...]
     p: int
     n: int
     genus: Fraction
+
+    def __init__(self, weights: tuple[int, ...], p: int, n: int, genus: Fraction) -> None:
+        setfield(self, "weights", weights)
+        setfield(self, "p", p)
+        setfield(self, "n", n)
+        setfield(self, "genus", genus)
 
     @property
     def t(self) -> int:
@@ -62,13 +68,18 @@ def make_weights(seq: Iterable[int]) -> WeightData:
     return WeightData(ws, p, n, genus)
 
 
-@dataclass(frozen=True)
-class LElement:
+class LElement(Record):
     """Group element in normal form: 0 <= coeffs[i] < weights[i], c free."""
 
+    __slots__ = ("data", "coeffs", "c")
     data: WeightData
     coeffs: tuple[int, ...]
     c: int
+
+    def __init__(self, data: WeightData, coeffs: tuple[int, ...], c: int) -> None:
+        setfield(self, "data", data)
+        setfield(self, "coeffs", coeffs)
+        setfield(self, "c", c)
 
     def __add__(self, other: "LElement") -> "LElement":
         return l_add(self, other)

@@ -45,6 +45,42 @@ def test_cli_import_leaves_verify_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_process_never_loads_dataclasses(tmp_path):
+    # the value types are hand-written records (tubtilt.records); pytest
+    # itself loads dataclasses, so only a fresh process can tell
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = """if True:
+        import contextlib, io, sys
+        from tubtilt import cli
+        seen = ["dataclasses" in sys.modules]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                ["info"],
+                ["chart", "--slope", "1/2"],
+                ["mutate", "Tcan", "--at", "L(0)"],
+                ["purge", "mu(Tcan, 5)"],
+                ["connect", "mu(Tcan, 0)"],
+                ["check", "Tcan"],
+                ["walk", "--steps", "4", "--seed", "1"],
+                ["graph", "--slope-window", "0..2", "--max-nodes", "5", "--dot", sys.argv[1]],
+            ):
+                assert cli.run(["--weights", "2,2,2,2", *argv]) == 0, argv
+        seen.append("dataclasses" in sys.modules)
+        import tubtilt.serialize, tubtilt.verify
+        seen.append("dataclasses" in sys.modules)
+        print(seen)
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "g.dot")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False]"
+
+
 def test_info():
     code, out, _ = run_cli(["--weights", "2,2,2,2", "info"])
     assert code == 0

@@ -2,7 +2,6 @@ import hashlib
 import heapq
 import logging
 import random
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -1141,12 +1140,12 @@ def _corruptions(ctx, path):
     dup = (node.summands[0],) + node.summands[1:-1] + (node.summands[0],)
     out.append((MutationPath(nodes[:mid] + [TiltingObject(dup)] + nodes[mid + 1 :], events), None))
     # a flipped event direction
-    flipped = replace(ev, direction="R" if ev.direction == "L" else "L")
+    flipped = MutationEvent(ev.index, ev.removed, ev.added, "R" if ev.direction == "L" else "L")
     out.append((MutationPath(nodes, events[: mid - 1] + [flipped] + events[mid:]), None))
     # an event index out of range: negative, naming the removed summand
     # from the end, and past the last summand
     for index in (ev.index - ctx.n, ev.index + ctx.n):
-        moved = replace(ev, index=index)
+        moved = MutationEvent(index, ev.removed, ev.added, ev.direction)
         out.append(
             (
                 MutationPath(nodes, events[: mid - 1] + [moved] + events[mid:]),
