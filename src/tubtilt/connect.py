@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 import random
 import time
 from math import gcd, inf
@@ -59,7 +58,9 @@ from .tilting import (
     _bound_complements,
     _complete_mutation,
     _enter_complement,
+    _enter_proved,
     _exchange,
+    _is_proved,
     _other_complement,
     check_basis,
     find_full_period_quasi_simple,
@@ -74,7 +75,14 @@ from .tilting import (
 )
 from .tubes import ExcObject, _ext_either, chart_for, ext_dim
 
-logger = logging.getLogger(__name__)
+
+def _warn(msg: str, *args: object) -> None:
+    """A warning on the `tubtilt.connect` logger.  `logging` is imported
+    here, when a warning is emitted, so that importing the library does
+    not load it."""
+    import logging
+
+    logging.getLogger(__name__).warning(msg, *args)
 
 
 class FareyStep(Record):
@@ -233,15 +241,19 @@ def _node_is_tilting(
     `prev_vecs` of the node before it on a path, which passed (None for
     the first node).
 
-    If node has n distinct summands and differs from the node before in
-    exactly one class vector z, the pairs among its n - 1 other summands
-    were checked there (ext depends only on the two class vectors), so
-    only the pairs of z with every summand y, z included, are checked
-    (`tubes._ext_either`).  Any other node gets the full is_tilting.
-    Every node runs the one basis cross-check (`tilting.check_basis`)
-    either way; it reads the Gram matrix off the ext memo that these
-    checks have filled.
+    A node proved before in this context is True at once
+    (`tilting._is_proved`).  Otherwise, if node has n distinct summands
+    and differs from the node before in exactly one class vector z, the
+    pairs among its n - 1 other summands were checked there (ext depends
+    only on the two class vectors), so only the pairs of z with every
+    summand y, z included, are checked (`tubes._ext_either`).  Any other node gets the full is_tilting.
+    Every node not yet proved runs the one basis cross-check
+    (`tilting.check_basis`) either way; it reads the Gram matrix off the
+    ext memo that these checks have filled.  A node that passes is
+    recorded in the proof table (`tilting._enter_proved`).
     """
+    if _is_proved(ctx, node):
+        return True
     new = vecs - prev_vecs if prev_vecs is not None else ()
     if len(new) != 1 or len(node.summands) != ctx.n or len(vecs) != ctx.n:
         return is_tilting(ctx, node)
@@ -251,6 +263,7 @@ def _node_is_tilting(
         if _ext_either(ctx, z, y):
             return False
     check_basis(ctx, node)
+    _enter_proved(ctx, node)
     return True
 
 
@@ -261,9 +274,13 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     first node and for any node that does not differ from the node before
     in exactly one summand, otherwise only the ext pairs with the summand
     it brings in (`_node_is_tilting`); ext values come from the context's
-    memo, keyed by the two class vectors.  Every node runs the one basis
-    cross-check (`tilting.check_basis`); it is exact and is not memoized,
-    but it takes the Euler Gram matrix from the same memo, so its work is
+    memo, keyed by the two class vectors.  A node that the verifier has
+    proved before in this context, with equal summands, is read off the
+    proof table (`K0Context._proved`), so each distinct node is proved
+    once per context; only full proofs are recorded there, and the
+    searches that build a path never write it.  Every other node runs
+    the one basis cross-check (`tilting.check_basis`), which is exact
+    and takes the Euler Gram matrix from the same memo, so its work is
     the product of a few in-tube determinants, one per (slope, orbit)
     run.  Then every edge is checked against its event: two different
     nodes, one summand exchanged, the recorded removed and added
@@ -272,39 +289,39 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     node's set of class vectors is built once for both checks.
     """
     if not path.nodes:
-        logger.warning("path has no nodes")
+        _warn("path has no nodes")
         return False
     if len(path.events) != len(path.nodes) - 1:
-        logger.warning("event count does not match node count")
+        _warn("event count does not match node count")
         return False
     sets = [frozenset(t.class_key()) for t in path.nodes]
     for i, node in enumerate(path.nodes):
         try:
             if not _node_is_tilting(ctx, node, sets[i], sets[i - 1] if i else None):
-                logger.warning("node %d is not tilting", i)
+                _warn("node %d is not tilting", i)
                 return False
         except BasisMismatch:
-            logger.warning("node %d failed the basis cross-check", i)
+            _warn("node %d failed the basis cross-check", i)
             return False
     for i, ev in enumerate(path.events):
         prev = path.nodes[i]
         pv, nv = sets[i], sets[i + 1]
         if pv == nv:
-            logger.warning("nodes %d and %d are equal", i, i + 1)
+            _warn("nodes %d and %d are equal", i, i + 1)
             return False
         if len(pv - nv) != 1 or len(nv - pv) != 1:
-            logger.warning("nodes %d -> %d differ in more than one summand", i, i + 1)
+            _warn("nodes %d -> %d differ in more than one summand", i, i + 1)
             return False
         if {ev.removed.cls.vec} != pv - nv or {ev.added.cls.vec} != nv - pv:
-            logger.warning("event %d does not match the node difference", i)
+            _warn("event %d does not match the node difference", i)
             return False
         if not 0 <= ev.index < ctx.n or prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
-            logger.warning("event %d records a wrong index", i)
+            _warn("event %d records a wrong index", i)
             return False
         a, b = ev.added.slope, ev.removed.slope
         left = a.num * b.den >= b.num * a.den and ext_dim(ctx, ev.added, ev.removed) > 0
         if left != (ev.direction == "L"):
-            logger.warning("event %d records a wrong direction", i)
+            _warn("event %d records a wrong direction", i)
             return False
     return True
 

@@ -117,6 +117,13 @@ class K0Context:
         # in a search towards it to its bit mask of target summands it has
         # ext with (or, for a target summand j, to -(1 << j)).
         self._relations: dict[tuple, dict[tuple[int, ...], int]] = {}
+        # The proof table of the verifier (tilting.is_tilting and
+        # connect._node_is_tilting): a class key maps to the summands of
+        # the tilting object proved under it (ext pairs, then the basis
+        # check).  A repeat is answered only for equal summands,
+        # coordinates included (tilting._is_proved); nothing else writes
+        # it (tilting._enter_proved).
+        self._proved: dict[tuple, tuple] = {}
         self.omega = omega(weights)
         self.tau: Matrix = twist_matrix(self, self.omega)
         self.tau_inv: Matrix = twist_matrix(self, l_neg(self.omega))

@@ -6,7 +6,11 @@ basis, which is cross-checked.  The cross-check reads the Euler Gram
 matrix chi(T_i, T_j) off the (hom, ext) memo that the ext test has just
 filled: ext-orthogonality makes it block triangular over the summands'
 (slope, orbit) runs, so its determinant is a product of 1x1 entries and
-of small in-tube blocks (`check_basis`).
+of small in-tube blocks (`check_basis`).  Each tilting object that the
+verifier proves (`is_tilting`, and `connect.verify_path` node by node)
+is recorded once per context in a proof table keyed by its class key; a
+repeat with equal summands is answered from it, and nothing but the
+verifier writes it (`_enter_proved`).
 
 Mutation exchanges one summand for the unique other complement of the
 remaining almost complete tilting object.  The complement is first read
@@ -195,7 +199,16 @@ def is_tilting(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> boo
     (`tubes._ext_either`: one direction across two slopes).  The
     cross-check costs no new hom/ext: it reads the same-slope memo
     entries that the ext test has just filled.
+
+    A TiltingObject proved before in this context is True at once
+    (`_is_proved`), and one that passes both checks is recorded
+    (`_enter_proved`).  The proof depends only on the summands and on
+    the write-once memo, so the answer is the same.  A False verdict or
+    an exception is never recorded, and a plain sequence is neither
+    looked up nor recorded.
     """
+    if isinstance(objs, TiltingObject) and _is_proved(ctx, objs):
+        return True
     lst = list(objs.summands if isinstance(objs, TiltingObject) else objs)
     if len(lst) != ctx.n:
         return False
@@ -206,14 +219,36 @@ def is_tilting(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> boo
             if _ext_either(ctx, x, y):
                 return False
     check_basis(ctx, objs if isinstance(objs, TiltingObject) else lst)
+    if isinstance(objs, TiltingObject):
+        _enter_proved(ctx, objs)
     return True
+
+
+def _is_proved(ctx: K0Context, t: TiltingObject) -> bool:
+    """True iff t was proved tilting in this context: the proof table
+    (`K0Context._proved`) holds summands equal to t's, coordinates
+    included, under its class key.  An equal class key alone is not
+    enough, so an object with the right classes and wrong coordinates
+    is proved again."""
+    return ctx._proved.get(t._key) == t.summands
+
+
+def _enter_proved(ctx: K0Context, t: TiltingObject) -> None:
+    """Record t, just proved tilting in full (ext pairs, then the basis
+    check), in the proof table (`K0Context._proved`); a table that has
+    reached `_COMPLEMENT_TABLE_CAP` entries is cleared first."""
+    proved = ctx._proved
+    if len(proved) >= _COMPLEMENT_TABLE_CAP:
+        proved.clear()
+    proved[t._key] = t.summands
 
 
 def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> None:
     """The basis cross-check of an ext-orthogonal n-set: its classes
     must be a Z-basis of K0, else BasisMismatch.  It is the one basis
     check: `is_tilting` runs it, and `connect.verify_path` runs it on
-    every node of a path.
+    every node of a path not yet proved in the context.  It is not
+    memoized itself: every call computes the determinant.
 
     Precondition: ext(x, y) = 0 for every ordered pair of summands, x = y
     included (`is_tilting` and `connect._node_is_tilting` prove it just
@@ -768,6 +803,8 @@ def _other_complement(
 # Entries of the complement table (`K0Context._complements`) past which it
 # is cleared, before a mutation is computed or a graph explored, together
 # with the relation table of the stratum search (`K0Context._relations`).
+# The proof table (`K0Context._proved`) is cleared on an insert once it
+# holds this many (`_enter_proved`).
 _COMPLEMENT_TABLE_CAP = 300_000
 
 

@@ -1053,42 +1053,47 @@ def _bareiss_is_tilting(ctx, node, det=int_det):
     return True
 
 
+# verify_path's logger, named here: tubtilt.connect imports logging only
+# when it warns
+_LOG = logging.getLogger("tubtilt.connect")
+
+
 def _full_verify_path(ctx, path, det=int_det):
     """verify_path with `_bareiss_is_tilting` on every node: the oracle of
     the check that re-tests only the ext pairs with a node's new summand
     and takes its basis check from the Gram blocks."""
     if not path.nodes:
-        connect.logger.warning("path has no nodes")
+        _LOG.warning("path has no nodes")
         return False
     if len(path.events) != len(path.nodes) - 1:
-        connect.logger.warning("event count does not match node count")
+        _LOG.warning("event count does not match node count")
         return False
     for i, node in enumerate(path.nodes):
         try:
             if not _bareiss_is_tilting(ctx, node, det):
-                connect.logger.warning("node %d is not tilting", i)
+                _LOG.warning("node %d is not tilting", i)
                 return False
         except BasisMismatch:
-            connect.logger.warning("node %d failed the basis cross-check", i)
+            _LOG.warning("node %d failed the basis cross-check", i)
             return False
     for i, ev in enumerate(path.events):
         prev, nxt = path.nodes[i], path.nodes[i + 1]
         pv = set(prev.class_key())
         nv = set(nxt.class_key())
         if pv == nv:
-            connect.logger.warning("nodes %d and %d are equal", i, i + 1)
+            _LOG.warning("nodes %d and %d are equal", i, i + 1)
             return False
         if len(pv - nv) != 1 or len(nv - pv) != 1:
-            connect.logger.warning("nodes %d -> %d differ in more than one summand", i, i + 1)
+            _LOG.warning("nodes %d -> %d differ in more than one summand", i, i + 1)
             return False
         if {ev.removed.cls.vec} != pv - nv or {ev.added.cls.vec} != nv - pv:
-            connect.logger.warning("event %d does not match the node difference", i)
+            _LOG.warning("event %d does not match the node difference", i)
             return False
         if not 0 <= ev.index < ctx.n or prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
-            connect.logger.warning("event %d records a wrong index", i)
+            _LOG.warning("event %d records a wrong index", i)
             return False
         if (ext_dim(ctx, ev.added, ev.removed) > 0) != (ev.direction == "L"):
-            connect.logger.warning("event %d records a wrong direction", i)
+            _LOG.warning("event %d records a wrong direction", i)
             return False
     return True
 
@@ -1096,7 +1101,7 @@ def _full_verify_path(ctx, path, det=int_det):
 def _verdict(check, ctx, path, caplog):
     """check's verdict on path and its first warning."""
     caplog.clear()
-    with caplog.at_level(logging.WARNING, logger=connect.logger.name):
+    with caplog.at_level(logging.WARNING, logger=_LOG.name):
         ok = check(ctx, path)
     return ok, caplog.records[0].getMessage() if caplog.records else None
 
@@ -1163,9 +1168,13 @@ def test_verify_path_matches_the_full_check(any_ctx, caplog):
         walk = random_walk(ctx, 2 + rng.randrange(7), seed=3500 + trial, bundle_only=True)
         path = connect_to_canonical(ctx, walk.end)
         paths += [path, path.reversed(), walk, random_walk(ctx, 5, seed=3600 + trial)]
-    corrupted = 0
     for path in paths:
         assert _assert_same_verdict(ctx, path, caplog) == (True, None)
+    # every clean node is now in the proof table, so each corruption below is
+    # checked against a filled table: the table hides none of them
+    assert all(ctx._proved.get(t.class_key()) == t.summands for p in paths for t in p.nodes)
+    corrupted = 0
+    for path in paths:
         if len(path.nodes) >= 3:
             for bad, want in _corruptions(ctx, path):
                 ok, first = _assert_same_verdict(ctx, bad, caplog)
@@ -1187,8 +1196,16 @@ def test_verify_path_runs_the_basis_check_on_every_node(any_ctx, caplog, monkeyp
         return real_gram_det(ctx, summands)
 
     monkeypatch.setattr(tilting, "_gram_det", counting_gram_det)
-    assert verify_path(ctx, path)
+    # connect_to_canonical has proved the path's nodes in ctx, so each
+    # verification below gets a fresh context, with an empty proof table
+    fresh = build_context(ctx.weights)
+    assert verify_path(fresh, path)
     assert len(calls) == len(path.nodes)
+    # a second verification in the same context reads every node off the
+    # proof table
+    calls.clear()
+    assert verify_path(fresh, path)
+    assert calls == []
     # a certificate off by a factor of 2 fails its node in verify_path, and
     # a Bareiss determinant off by the same factor fails it in the full check
     for fail_at in (0, len(path.nodes) // 2, len(path.nodes) - 1):
@@ -1204,9 +1221,14 @@ def test_verify_path_runs_the_basis_check_on_every_node(any_ctx, caplog, monkeyp
             return 2 * int_det(m) if len(calls) == fail_at + 1 else int_det(m)
 
         monkeypatch.setattr(tilting, "_gram_det", failing_gram_det)
-        got = _verdict(verify_path, ctx, path, caplog)
+        got = _verdict(verify_path, build_context(ctx.weights), path, caplog)
         calls.clear()
-        full = _verdict(lambda c, p: _full_verify_path(c, p, failing_det), ctx, path, caplog)
+        full = _verdict(
+            lambda c, p: _full_verify_path(c, p, failing_det),
+            build_context(ctx.weights),
+            path,
+            caplog,
+        )
         assert got == full == (False, f"node {fail_at} failed the basis cross-check")
 
 

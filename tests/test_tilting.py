@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tubtilt import tilting
-from tubtilt.connect import explore_graph, random_walk
+from tubtilt.connect import explore_graph, random_walk, verify_path
 from tubtilt.errors import (
     BasisMismatch,
     ComplementNotFound,
@@ -21,11 +21,12 @@ from tubtilt.errors import (
     WrongSummandCount,
 )
 from tubtilt.intmat import det as int_det
-from tubtilt.intmat import dot, solve_int
+from tubtilt.intmat import dot, mat_vec, solve_int
 from tubtilt.k0 import K0Class, build_context, chi, rank_of
 from tubtilt.slopes import INF, Slope
 from tubtilt.tilting import (
     MutationEvent,
+    TiltingObject,
     _combination,
     _exchange_gram,
     _full_gram,
@@ -57,6 +58,7 @@ from tubtilt.tubes import (
     ext_dim,
     hom_dim,
     line_bundle_obj,
+    orbit_rank,
     window_class,
 )
 from tubtilt.verify import context_for
@@ -136,13 +138,14 @@ def _run_index(summands):
 
 
 def _assert_forced_entry_fails(ctx, t, key, entry):
-    """is_tilting(ctx, t) raises BasisMismatch with the (hom, ext) memo
-    entry at key forced to entry; the memo is restored afterwards."""
+    """check_basis(ctx, t) raises BasisMismatch with the (hom, ext) memo
+    entry at key forced to entry; the memo is restored afterwards.  Every
+    forced entry has ext = 0, so the ext pairs would still pass."""
     saved = ctx._pairs[key]
     ctx._pairs[key] = entry
     try:
         with pytest.raises(BasisMismatch):
-            is_tilting(ctx, t)
+            check_basis(ctx, t)
     finally:
         ctx._pairs[key] = saved
 
@@ -201,6 +204,171 @@ def test_check_basis_needs_the_ext_memo():
     with pytest.raises(PreconditionError):
         check_basis(ctx, t_can(ctx))
     assert is_tilting(ctx, t_can(ctx))
+
+
+def _proof_table_walks(ws):
+    """A fresh context of type ws and the nodes of its seeded 8-, 16- and
+    32-step walks, bundle-only and not, none of them proved yet."""
+    ctx = build_context(make_weights(ws))
+    nodes = [
+        t
+        for steps in (8, 16, 32)
+        for bundle_only in (True, False)
+        for t in random_walk(ctx, steps, seed=4300 + steps, bundle_only=bundle_only).nodes
+    ]
+    assert ctx._proved == {}
+    return ctx, nodes
+
+
+def _count_gram_dets(monkeypatch):
+    """The list that every later `tilting._gram_det` call appends to."""
+    calls = []
+    real = tilting._gram_det
+
+    def spy(ctx, summands):
+        calls.append(summands)
+        return real(ctx, summands)
+
+    monkeypatch.setattr(tilting, "_gram_det", spy)
+    return calls
+
+
+def _outcome(ctx, t):
+    """is_tilting's verdict on t, or the name of the error it raises."""
+    try:
+        return is_tilting(ctx, t)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_a_proved_object_is_read_off_the_proof_table(ws, monkeypatch):
+    ctx, nodes = _proof_table_walks(ws)
+    calls = _count_gram_dets(monkeypatch)
+    for t in nodes:
+        assert is_tilting(ctx, t)
+        assert ctx._proved[t.class_key()] == t.summands
+        # an equal object built anew from copies of the summands: no proof
+        copy = TiltingObject(
+            tuple(ExcObject(s.cls, s.slope, s.orbit, s.socle, s.len) for s in t.summands)
+        )
+        calls.clear()
+        assert is_tilting(ctx, copy)
+        assert calls == []
+    # each distinct node was proved once, repeats of the walks included
+    distinct = {t.class_key() for t in nodes}
+    assert len(ctx._proved) == len(distinct) < len(nodes)
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_other_coordinates_are_proved_again(ws, monkeypatch):
+    # equal classes are not enough for a hit: one summand's socle or orbit
+    # altered is proved again, with the verdict of a fresh context.  The
+    # fresh context proves the original first, so it reads the same (hom,
+    # ext) memo entries: that memo is keyed by class vectors and fills an
+    # entry from the coordinates of the first pair asked
+    ctx, nodes = _proof_table_walks(ws)
+    calls = _count_gram_dets(monkeypatch)
+    altered = 0
+    for i, t in enumerate(nodes):
+        assert is_tilting(ctx, t)
+        k = i % ctx.n
+        s = t.summands[k]
+        r = orbit_rank(ctx, s)
+        tubes_here = len(chart_for(ctx, s.slope).orbits)
+        others = []
+        if r > 1:
+            others.append(ExcObject(s.cls, s.slope, s.orbit, (s.socle + 1) % r, s.len))
+        if tubes_here > 1:
+            others.append(ExcObject(s.cls, s.slope, (s.orbit + 1) % tubes_here, s.socle, s.len))
+        for o in others:
+            bad = TiltingObject(t.summands[:k] + (o,) + t.summands[k + 1 :])
+            assert bad.class_key() == t.class_key() and bad != t
+            calls.clear()
+            got = _outcome(ctx, bad)
+            assert len(calls) == 1
+            fresh = build_context(ctx.weights)
+            assert is_tilting(fresh, t)
+            assert got == _outcome(fresh, bad)
+            # the original, now perhaps displaced by the altered object,
+            # is still True
+            assert is_tilting(ctx, t)
+            altered += 1
+    assert altered > len(nodes)
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_a_non_tilting_object_leaves_no_entry(ws):
+    # a summand replaced by tau of a kept summand y: ext(y, tau y) =
+    # hom(y, y) = 1, so the object is not rigid
+    ctx, nodes = _proof_table_walks(ws)
+    rejected = 0
+    for t in nodes:
+        assert is_tilting(ctx, t)
+        vecs = set(t.class_key())
+        for y in t.summands:
+            w = exc_from_class(ctx, K0Class(mat_vec(ctx.tau, y.cls.vec)))
+            if w.cls.vec not in vecs:
+                z = next(s for s in t.summands if s is not y)
+                bad = make_tilting(ctx, [w if s is z else s for s in t.summands])
+                table = dict(ctx._proved)
+                for _ in range(3):
+                    assert not is_tilting(ctx, bad)
+                assert ctx._proved == table and bad.class_key() not in ctx._proved
+                rejected += 1
+                break
+    assert rejected == len(nodes)
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_a_basis_mismatch_is_raised_on_every_call(ws):
+    # a diagonal memo entry forced to chi(x, x) = 2 before the first proof
+    # of a node: BasisMismatch on every call, and no entry; with the memo
+    # restored the node is proved and recorded
+    ctx, nodes = _proof_table_walks(ws)
+    forced = 0
+    for i, t in enumerate(nodes):
+        if t.class_key() in ctx._proved:
+            continue
+        x = t.summands[i % ctx.n]
+        key = (x.cls.vec, x.cls.vec)
+        hom_dim(ctx, x, x)
+        saved = ctx._pairs[key]
+        ctx._pairs[key] = (2, 0)
+        try:
+            for _ in range(2):
+                with pytest.raises(BasisMismatch):
+                    is_tilting(ctx, t)
+                assert t.class_key() not in ctx._proved
+        finally:
+            ctx._pairs[key] = saved
+        assert is_tilting(ctx, t)
+        assert ctx._proved[t.class_key()] == t.summands
+        forced += 1
+    assert forced == len({t.class_key() for t in nodes})
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_the_proof_table_stays_under_the_cap(ws, monkeypatch):
+    sizes = []
+
+    class SizedTable(dict):
+        """The proof table, recording its size after every insert."""
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    ctx, nodes = _proof_table_walks(ws)
+    ctx._proved = SizedTable()
+    monkeypatch.setattr(tilting, "_COMPLEMENT_TABLE_CAP", 20)
+    for t in nodes:
+        assert is_tilting(ctx, t)
+        assert ctx._proved[t.class_key()] == t.summands
+    for steps in (8, 16, 32):
+        assert verify_path(ctx, random_walk(ctx, steps, seed=4300 + steps, bundle_only=True))
+    assert max(sizes) == 20
+    assert sizes.count(1) > 1  # cleared at least once
 
 
 def test_make_tilting_error_codes(ctx2222):
