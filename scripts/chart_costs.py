@@ -6,7 +6,7 @@ For each weight type this script times, in alternating runs:
 * the anchor, the chart at slope 0: in closed form (`chart_for` on a
   context whose chart memo was cleared; the chart at infinity moved back
   by the two tubular shifts, which are built once beforehand) against
-  the root classifier `build_chart(ctx, 0)`, the reference oracle;
+  the root classifier `roots.build_chart(ctx, 0)`, the reference oracle;
 * a moved chart: the anchor moved to one of a fixed set of slopes with
   denominators up to 64 (`tubes._move_chart`), median over the slopes;
 * one decode: a window class read off a moved chart by its chi pattern
@@ -25,7 +25,7 @@ import random
 import statistics
 import time
 
-from tubtilt import tubes
+from tubtilt import roots, tubes
 from tubtilt.k0 import build_context
 from tubtilt.slopes import ZERO, Slope
 from tubtilt.weights import TUBULAR_TYPES, make_weights
@@ -52,7 +52,7 @@ def anchor_closed_form(ctx):
 
 def anchor_from_roots(ctx):
     start = time.perf_counter()
-    tubes.build_chart(ctx, ZERO)
+    roots.build_chart(ctx, ZERO)
     return time.perf_counter() - start
 
 

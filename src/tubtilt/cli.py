@@ -5,6 +5,12 @@ the object language (`Tcan`, `Tcan(x1+c)`, `mu(Tcan, 0)`, ...);
 anything that names an existing file is read as JSON.  Output is
 canonical JSON on stdout, diagnostics go to stderr as JSON, and exit
 codes are 0 (success), 1 (verification or domain failure), 2 (usage).
+
+Each command imports the library modules it runs when it runs: `info`
+builds a context and loads neither `tubes` nor `tilting`, only the
+commands that search load `connect`, and only `verify` loads `verify`.
+`exprs` stays a module-level import, because perfbench's tracer reads
+`tubtilt.exprs` from `sys.modules` right after importing this module.
 """
 
 from __future__ import annotations
@@ -14,16 +20,8 @@ import json
 import os
 import re
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import serialize
-from .connect import (
-    SearchBudget,
-    connect_pair,
-    connect_to_canonical,
-    explore_graph,
-    random_walk,
-)
 from .errors import (
     ExprSyntaxError,
     NonTubularWeights,
@@ -34,9 +32,10 @@ from .errors import (
 from .exprs import eval_object, eval_tilting, parse_expr
 from .k0 import K0Context, build_context
 from .slopes import Slope, ascii_int
-from .tilting import TiltingObject, is_tilting, make_tilting, mutate, purge_torsion
-from .tubes import chart_for
 from .weights import make_weights
+
+if TYPE_CHECKING:
+    from .tilting import TiltingObject
 
 # The names of verify.SUITE_ORDER, the eleven acceptance criteria of
 # tests/test_acceptance.py in order, kept here so that only the verify
@@ -153,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connect", help="mutation path to another tilting bundle")
     p.add_argument("tilting", help="JSON file or expression")
     p.add_argument("--to", default="canonical", help="'canonical', a file, or an expression")
-    p.add_argument("--max-nodes", type=_at_least(1), default=SearchBudget().max_nodes)
+    # unset: the node cap of SearchBudget(), read when the command runs
+    p.add_argument("--max-nodes", type=_at_least(1), default=None)
 
     p = sub.add_parser("purge", help="mutate away all torsion summands")
     p.add_argument("tilting", help="JSON file or expression")
@@ -219,6 +219,9 @@ def _load_tilting(
     no such file exists, before --weights is asked for."""
     shared = ctx is not None
     if os.path.exists(spec):
+        from . import serialize
+        from .tilting import make_tilting
+
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -279,6 +282,9 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import serialize
+    from .tilting import is_tilting
+
     ctx, t = _load_tilting(args, args.tilting, require_tilting=False)
     ok = is_tilting(ctx, t)
     print(serialize.dumps({"tilting": ok, "summands": len(t.summands)}))
@@ -286,6 +292,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
+    from . import serialize
+    from .tilting import mutate
+
     ctx, t = _load_tilting(args, args.tilting)
     try:
         k = ascii_int(args.at)
@@ -313,6 +322,9 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    from . import serialize
+    from .connect import random_walk
+
     ctx = _context(args)
     path = random_walk(ctx, args.steps, args.seed, args.bundle_only)
     print(serialize.dumps(serialize.path_to_dict(ctx, path)))
@@ -320,8 +332,13 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_connect(args) -> int:
+    from . import serialize
+    from .connect import SearchBudget, connect_pair, connect_to_canonical
+
     ctx, t = _load_tilting(args, args.tilting)
-    budget = SearchBudget(max_nodes=args.max_nodes)
+    budget = SearchBudget()
+    if args.max_nodes is not None:
+        budget = SearchBudget(max_nodes=args.max_nodes)
     if args.to == "canonical":
         path = connect_to_canonical(ctx, t, budget)
     else:
@@ -332,6 +349,9 @@ def _cmd_connect(args) -> int:
 
 
 def _cmd_purge(args) -> int:
+    from . import serialize
+    from .tilting import purge_torsion
+
     ctx, t = _load_tilting(args, args.tilting)
     t2, events = purge_torsion(ctx, t)
     print(
@@ -346,6 +366,9 @@ def _cmd_purge(args) -> int:
 
 
 def _cmd_chart(args) -> int:
+    from . import serialize
+    from .tubes import chart_for
+
     ctx = _context(args)
     chart = chart_for(ctx, args.slope)
     print(serialize.dumps(serialize.chart_to_dict(ctx, chart)))
@@ -353,6 +376,9 @@ def _cmd_chart(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from . import serialize
+    from .connect import explore_graph
+
     ctx, start = _load_tilting(args, args.start)
     lo, hi = args.slope_window
     nodes, edges = explore_graph(ctx, start, lo, hi, args.max_nodes)

@@ -15,24 +15,25 @@ Grammar (LL(1)):
 chart window by coordinates, `K` gives a raw class vector, `Tcan` the
 (twisted) canonical tilting bundle and `mu` a mutation at an index.
 Parsing is context-free; evaluation validates against the active
-weight data and raises ValidationError on mismatch.
+weight data and raises ValidationError on mismatch.  The parser needs
+no object of the category, so `eval_object` and `eval_tilting` import
+`tubes` and `tilting` when they run, and importing this module loads
+neither.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .errors import ExprSyntaxError, NotExceptionalHere, NotSheafLike, ValidationError
 from .k0 import K0Class, K0Context
 from .records import Record, setfield
 from .slopes import Slope
-from .tilting import TiltingObject, mutate, t_can
-from .tubes import (
-    ExcObject,
-    chart_for,
-    exc_from_class,
-    line_bundle_obj,
-    window_class,
-)
 from .weights import LElement, l_normalize
+
+if TYPE_CHECKING:
+    from .tilting import TiltingObject
+    from .tubes import ExcObject
 
 
 class LExprData(Record):
@@ -369,6 +370,8 @@ def _eval_lelem(ctx: K0Context, elt: LExprData) -> LElement:
 
 
 def eval_object(ctx: K0Context, ast: ObjectExpr) -> ExcObject:
+    from .tubes import ExcObject, chart_for, exc_from_class, line_bundle_obj, window_class
+
     if isinstance(ast, LineBundleExpr):
         return line_bundle_obj(ctx, _eval_lelem(ctx, ast.elt))
     if isinstance(ast, ChartCoordExpr):
@@ -394,6 +397,8 @@ def eval_object(ctx: K0Context, ast: ObjectExpr) -> ExcObject:
 
 
 def eval_tilting(ctx: K0Context, ast: ObjectExpr) -> TiltingObject:
+    from .tilting import mutate, t_can
+
     if isinstance(ast, TcanExpr):
         twist = None if ast.twist is None else _eval_lelem(ctx, ast.twist)
         return t_can(ctx, twist)

@@ -3,21 +3,27 @@
 Class vectors are authoritative everywhere: chart coordinates read from
 a file are recomputed and compared, so a stale or tampered file fails
 loudly instead of poisoning downstream computations.
+
+The readers that build tilting objects, events and paths import
+`tilting` and `connect` when they run, so that `tubtilt chart`, which
+only writes a chart, loads neither.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .connect import MutationPath, verify_path
 from .errors import ChartInconsistent, ValidationError, WeightsMismatch
 from .k0 import K0Class, K0Context, build_context
 from .slopes import Slope
-from .tilting import MutationEvent, TiltingObject, is_tilting, make_tilting
 from .tubes import ExcObject, TubeChart, check_chart_invariants, exc_from_class
 from .weights import WeightData, make_weights
+
+if TYPE_CHECKING:
+    from .connect import MutationPath
+    from .tilting import MutationEvent, TiltingObject
 
 
 def class_to_list(c: K0Class) -> list[int]:
@@ -92,6 +98,8 @@ def tilting_from_dict(data: Any, ctx: K0Context | None = None) -> tuple[K0Contex
     """Load boundary for tilting objects: a record whose summands are not
     tilting raises ValidationError, so every TiltingObject in the library
     is tilting and `mutate` need not re-check it."""
+    from .tilting import is_tilting, make_tilting
+
     ctx, summands = summands_from_dict(data, ctx)
     t = make_tilting(ctx, summands)
     if not is_tilting(ctx, t):
@@ -109,6 +117,8 @@ def event_to_dict(ev: MutationEvent) -> dict:
 
 
 def event_from_dict(ctx: K0Context, data: Any) -> MutationEvent:
+    from .tilting import MutationEvent
+
     if not isinstance(data, dict) or not {"k", "removed", "added", "dir"} <= data.keys():
         raise ValidationError("event record needs 'k', 'removed', 'added' and 'dir'")
     if not isinstance(data["k"], int) or isinstance(data["k"], bool):
@@ -139,6 +149,9 @@ def path_from_dict(ctx: K0Context, data: Any) -> MutationPath:
     is checked once by `verify_path`; a path that fails, or whose
     `bundleOnly`, if present, is not a JSON boolean or disagrees with its
     nodes, raises ValidationError."""
+    from .connect import MutationPath, verify_path
+    from .tilting import make_tilting
+
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise ValidationError("path record needs 'nodes', a list of tilting records")
     if not isinstance(data.get("events", []), list):

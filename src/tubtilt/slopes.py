@@ -6,10 +6,13 @@ than every rational, matching the ordering of semistable subcategories.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .records import Record, setfield
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def ascii_int(text: str) -> int:
@@ -73,6 +76,8 @@ class Slope(Record):
     def fraction(self) -> Fraction:
         if self.is_infinite:
             raise ValueError("infinite slope has no rational value")
+        from fractions import Fraction  # it imports decimal: a few ms no command needs
+
         return Fraction(self.num, self.den)
 
     def floor(self) -> int:
@@ -87,6 +92,11 @@ class Slope(Record):
 
     def mediant(self, other: "Slope") -> "Slope":
         return Slope(self.num + other.num, self.den + other.den)
+
+    # the value of Record.__hash__, the hash of the field tuple, without
+    # its attrgetter call: Slope keys the chart memo
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     # infinity is 1/0 and no denominator is negative, so one
     # cross-multiplication orders every pair, infinity above the rationals

@@ -27,18 +27,21 @@ tau-orbit of O at slope 0 (q -> q / (1 - q)).  The anchor, the chart at
 slope 0, is the chart at infinity moved back by the word of infinity,
 and every other chart is the anchor moved by a word in these two
 (`chart_for`, which states the shift formula and the identities checked
-once per context).  No root is enumerated on this path: `build_chart`,
-which classifies the roots at a slope, is the reference oracle that the
-tests and `verify --suite charts` compare the moved charts with.
+once per context).  No root is enumerated on this path:
+`roots.build_chart`, which classifies the roots at a slope, is the
+reference oracle that the tests and `verify --suite charts` compare the
+moved charts with.  This module re-exports it, and the root enumerator,
+on first access (`tubes.build_chart`), so the runtime never compiles
+`roots`.
 
 Charts are moved, checked and decoded in batched form.  The classes of
 a chart are held as coordinate rows (row a holds coordinate a of every
 quasi-simple), and each lattice map is applied through its nonzero
 entries only (`intmat.apply_rows`): one shift step (`_shift_rows`),
 the tau^-1 images, ranks and degrees of the structure check (and of
-the roots in `build_chart`) and the Euler pairings of the anchor's chi
-pattern each take one pass over a sparse matrix, not one dot product
-per class.  A class is decoded by its chi pattern against the
+the roots in `roots.build_chart`) and the Euler pairings of the
+anchor's chi pattern each take one pass over a sparse matrix, not one
+dot product per class.  A class is decoded by its chi pattern against the
 quasi-simples (`_find_window`), not by a scan over the windows.
 
 Orbit conventions: position k + 1 is the tau-preimage of position k,
@@ -71,7 +74,6 @@ from .k0 import (
     K0Class,
     K0Context,
     chi,
-    enumerate_roots_at,
     line_bundle_class,
     slope_of,
 )
@@ -158,46 +160,6 @@ def _window_vec(orb: tuple[K0Class, ...], socle: int, length: int) -> tuple[int,
     """The vector of `window_class`, from the orbit itself."""
     terms = orb[socle : socle + length] + orb[: max(0, socle + length - len(orb))]
     return tuple(map(sum, zip(*(x.vec for x in terms))))
-
-
-def build_chart(ctx: K0Context, q: Slope) -> TubeChart:
-    """Classify the roots at slope q into tau-orbits of quasi-simples.
-
-    In a stable tube of rank r the windows of quasi-length l < r form
-    one tau-orbit, whose classes sum to l times the tube's quasi-simple
-    sum w, and w is the same for every tube of the slope.  So the roots
-    are split into tau-orbits, their tau^-1 images taken at once on
-    coordinate rows, and the quasi-simple orbits are those whose class
-    sum is least by (rank, degree): at a finite slope l w has l times
-    the rank of w, at infinity l times the degree.  A duplicate root or
-    a tau image outside the roots raises ChartInconsistent, and the
-    chart is validated in full (`_validate_chart`).  This is the
-    reference oracle of `chart_for`, which enumerates no roots.
-    """
-    roots = enumerate_roots_at(ctx, q, ctx.p)
-    index = {c.vec: i for i, c in enumerate(roots)}
-    if len(index) != len(roots):
-        raise ChartInconsistent(f"duplicate roots at slope {q}")
-    rows = list(zip(*(c.vec for c in roots)))
-    try:
-        after = [index[v] for v in zip(*apply_rows(ctx.tau_inv_rows, rows))]
-    except KeyError:
-        raise ChartInconsistent(f"tau orbit at slope {q} left the root set") from None
-    ranks, degs = apply_rows(ctx.rank_deg_rows, rows)
-    cycles, seen = [], set()
-    for i in range(len(roots)):
-        if i not in seen:
-            cyc = [i]
-            while (j := after[cyc[-1]]) != i:
-                cyc.append(j)
-            seen.update(cyc)
-            cycles.append(cyc)
-    sums = [(sum(ranks[k] for k in c), sum(degs[k] for k in c)) for c in cycles]
-    least = min(sums)
-    orbits = [tuple(roots[k] for k in c) for c, s in zip(cycles, sums) if s == least]
-    chart = TubeChart(q, _normal_form(orbits))
-    _validate_chart(ctx, chart, roots)
-    return chart
 
 
 def _normal_form(
@@ -310,17 +272,6 @@ def _check_chi_pattern(ctx: K0Context, chart: TubeChart) -> None:
                         )
 
 
-def _validate_chart(ctx: K0Context, chart: TubeChart, roots) -> None:
-    check_chart_invariants(ctx, chart)
-    # Realizability: every root must be a window of quasi-length <= rank-1.
-    windows = {cls.vec for *_, cls in chart.windows()}
-    for c in roots:
-        if c.vec not in windows:
-            raise ChartInconsistent(
-                f"root {c.vec} at slope {chart.slope} is not a chart window"
-            )
-
-
 def _find_window(
     ctx: K0Context, chart: TubeChart, c: K0Class
 ) -> tuple[int, int, int] | None:
@@ -387,8 +338,8 @@ def chart_for(ctx: K0Context, q: Slope) -> TubeChart:
     (`check_chart_invariants`), so a moved chart inherits the anchor's
     chi pattern and gets only the structural checks, batched in the
     same way.  No root is enumerated: the tests and `verify --suite
-    charts` compare the charts with `build_chart`.  The requested chart,
-    the anchor and the chart at infinity are memoized.
+    charts` compare the charts with `roots.build_chart`.  The requested
+    chart, the anchor and the chart at infinity are memoized.
     """
     got = ctx._charts.get(q)
     if got is None:
@@ -412,8 +363,9 @@ def _chart_at_infinity(ctx: K0Context) -> TubeChart:
     """The chart at infinity in closed form: for each weight p_i, the
     tau^-1-orbit of the simple S_{i,1}, that is S_{i,1}, ..., S_{i,p_i-1},
     S_{i,0} (the conventions of `k0`), in the normal form of
-    `build_chart`.  The t orbits are walked at once, on the coordinate
-    rows of the t simples S_{i,1}, one pass over tau^-1 a step."""
+    `roots.build_chart`.  The t orbits are walked at once, on the
+    coordinate rows of the t simples S_{i,1}, one pass over tau^-1 a
+    step."""
     w = ctx.weights
     col = list(zip(*(_simple(ctx, i) for i in range(w.t))))
     steps = [list(zip(*col))]
@@ -603,8 +555,8 @@ def _move_chart(
 ) -> TubeChart:
     """`chart` moved to slope q by the (generator, power) steps of `word`,
     by default the word that carries the anchor to q (`_shift_word`), in
-    the normal form of `build_chart`: the shifts commute with tau, so
-    each orbit stays in tau order and is only rotated.  Only the
+    the normal form of `roots.build_chart`: the shifts commute with tau,
+    so each orbit stays in tau order and is only rotated.  Only the
     structure is checked (see `chart_for`)."""
     shifts = _tube_shifts(ctx)
     _, rows = _chart_rows(chart)
@@ -745,3 +697,13 @@ def wing_contains(ctx: K0Context, z: ExcObject, x: ExcObject) -> bool:
     r = orbit_rank(ctx, z)
     offset = (x.socle - z.socle) % r
     return offset + x.len <= z.len
+
+
+def __getattr__(name: str):
+    # the root oracle, in `roots`; its build_chart reads the root set
+    # through this module's enumerate_roots_at
+    if name in ("build_chart", "enumerate_roots_at"):
+        from . import roots
+
+        return getattr(roots, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -47,7 +47,6 @@ from .tilting import (
 )
 from .tubes import (
     ExcObject,
-    build_chart,
     chart_for,
     line_bundle_obj,
     wing_contains,
@@ -173,6 +172,8 @@ def suite_structure(trials: int = 10_000, seed: int = 1) -> list[CheckResult]:
 
 
 def suite_charts(trials: int = 0, seed: int = 0) -> list[CheckResult]:
+    from .roots import build_chart
+
     out = []
     start = time.perf_counter()
     ctx = context_for((2, 2, 2, 2))

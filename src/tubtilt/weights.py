@@ -14,7 +14,6 @@ delta(x_t) = 1 gives a unit slope shift.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -31,9 +30,9 @@ class WeightData(Record):
     weights: tuple[int, ...]
     p: int
     n: int
-    genus: Fraction
+    genus: int
 
-    def __init__(self, weights: tuple[int, ...], p: int, n: int, genus: Fraction) -> None:
+    def __init__(self, weights: tuple[int, ...], p: int, n: int, genus: int) -> None:
         setfield(self, "weights", weights)
         setfield(self, "p", p)
         setfield(self, "n", n)
@@ -63,7 +62,8 @@ def make_weights(seq: Iterable[int]) -> WeightData:
         raise NonTubularWeights(f"{raw} is not a tubular weight sequence")
     p = lcm(*ws)
     t = len(ws)
-    genus = 1 + Fraction((t - 2) * p - sum(p // q for q in ws), 2)
+    # 1 + ((t - 2) p - sum_i p / p_i) / 2 in integers: the bracket is 0 on every tubular type
+    genus = 1 + ((t - 2) * p - sum(p // q for q in ws)) // 2
     n = 2 + sum(q - 1 for q in ws)
     return WeightData(ws, p, n, genus)
 

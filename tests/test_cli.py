@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tubtilt import cli, serialize, verify
+from tubtilt import cli, connect, serialize, verify
 from tubtilt.errors import ExprSyntaxError, InternalConsistencyError
 from tubtilt.exprs import parse_expr
 from tubtilt.tilting import make_tilting, mutate, t_can
@@ -82,11 +82,81 @@ def test_cli_process_never_loads_dataclasses(tmp_path):
     assert proc.stdout.strip() == str([False] * 6)
 
 
+# the library modules each command must leave unloaded; no command loads
+# the root oracle (tubtilt.roots), verify or fractions
+_UNLOADED = {
+    "info": {"connect", "tilting", "tubes", "serialize"},
+    "check": {"connect"},
+    "chart": {"connect", "tilting"},
+    "walk": set(),
+    "graph": set(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNLOADED))
+def test_a_command_loads_only_its_modules(tmp_path, command):
+    argv = {
+        "info": ["info"],
+        "check": ["check", "mu(Tcan, 3)"],
+        "chart": ["chart", "--slope", "19/43"],
+        "walk": ["walk", "--steps", "3", "--seed", "3", "--bundle-only"],
+        "graph": ["graph", "--slope-window", "0..2", "--max-nodes", "4", "--dot", "g.dot"],
+    }[command]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = """if True:
+        import contextlib, io, json, sys
+        from tubtilt import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["--weights", "2,3,6", *sys.argv[1:]])
+        loaded = [m for m in sys.modules if m.startswith("tubtilt.") or m == "fractions"]
+        print(json.dumps([code, sorted(loaded)]))
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    modules = {m.split(".", 1)[1] for m in loaded if m.startswith("tubtilt.")}
+    assert {"cli", "exprs", "k0", "weights"} <= modules
+    assert not modules & (_UNLOADED[command] | {"roots", "verify"}), sorted(modules)
+    assert "fractions" not in loaded
+
+
+def test_connect_budget_defaults_to_search_budget(monkeypatch):
+    budgets = []
+    pair = connect.connect_pair
+
+    def recording(ctx, t, t2, budget):
+        budgets.append(budget)
+        return pair(ctx, t, t2, budget)
+
+    monkeypatch.setattr(connect, "connect_pair", recording)
+    for extra in ([], ["--max-nodes", "5000"]):
+        code, _, _ = run_cli(["--weights", "2,2,2,2", "connect", "mu(Tcan, 0)", *extra])
+        assert code == 0
+    assert budgets[0] == connect.SearchBudget()
+    assert budgets[0].max_nodes == connect.SearchBudget().max_nodes
+    assert budgets[1] == connect.SearchBudget(max_nodes=5000)
+
+
 def test_info():
     code, out, _ = run_cli(["--weights", "2,2,2,2", "info"])
     assert code == 0
     assert "n: 6" in out and "p: 2" in out
     assert "O S1,1 S2,1 S3,1 S4,1 f" in out
+
+
+def test_info_prints_an_integer_genus():
+    for ws in ("2,2,2,2", "2,3,6", "2,4,4", "3,3,3"):
+        code, out, _ = run_cli(["--weights", ws, "info"])
+        assert code == 0
+        assert "genus: 1" in out.splitlines(), ws
 
 
 def test_info_rejects_non_tubular():
@@ -471,7 +541,8 @@ def test_connect_pair_output_is_a_verified_path(monkeypatch):
     def broken(*args):
         raise InternalConsistencyError("constructed path failed verification")
 
-    monkeypatch.setattr(cli, "connect_pair", broken)
+    # cli imports connect_pair when the command runs, so patch it at its home
+    monkeypatch.setattr(connect, "connect_pair", broken)
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "InternalConsistencyError"

@@ -44,3 +44,14 @@ def test_sorted_slopes_follow_fraction_with_infinity_on_top(fracs, infs, seed):
     assert got == [Slope(f.numerator, f.denominator) for f in sorted(fracs)] + [INF] * infs
     for a, b in zip(got, got[1:]):
         assert a <= b and b >= a and not b < a and not a > b
+
+
+def test_equal_slopes_hash_equal_and_key_a_dict():
+    # Slope writes its own hash, the field-tuple hash every record has
+    for a, b in ((Slope(2, -4), Slope(-1, 2)), (Slope(6, 3), Slope(2, 1)), (Slope(-5, 0), INF)):
+        assert a == b and hash(a) == hash(b) == hash((b.num, b.den))
+    table = {Slope(n, d): (n, d) for n, d in ((-1, 2), (3, 7), (1, 0), (0, 1))}
+    assert table[Slope(2, -4)] == (-1, 2)
+    assert table[Slope(-6, -14)] == (3, 7)
+    assert table[Slope.infinity()] == (1, 0)
+    assert table[Slope.parse("0")] == (0, 1)

@@ -63,6 +63,12 @@ def test_genus_exactly_one_for_all_types():
         assert make_weights(ws).genus == 1
 
 
+def test_genus_is_an_exact_int():
+    for ws in TUBULAR_TYPES:
+        genus = make_weights(ws).genus
+        assert type(genus) is int and genus == 1
+
+
 def test_normalize_carries_relation():
     # 2 x_1 = c
     e = l_normalize(W2222, (2, 0, 0, 0), 0)
