@@ -62,6 +62,7 @@ from .tilting import (
     _exchange,
     _is_proved,
     _other_complement,
+    _own,
     check_basis,
     find_full_period_quasi_simple,
     is_bundle,
@@ -73,7 +74,7 @@ from .tilting import (
     t_can,
     torsion_exchanges,
 )
-from .tubes import ExcObject, _ext_either, chart_for, ext_dim
+from .tubes import ExcObject, _ext_either, _own_object, chart_for, ext_dim, window_object
 
 
 def _warn(msg: str, *args: object) -> None:
@@ -235,30 +236,30 @@ class MutationPath(Record):
 
 
 def _node_is_tilting(
-    ctx: K0Context, node: TiltingObject, vecs: frozenset, prev_vecs: frozenset | None
+    ctx: K0Context, node: TiltingObject, keys: frozenset, prev_keys: frozenset | None
 ) -> bool:
-    """is_tilting(ctx, node), given the class vectors `vecs` of node and
-    `prev_vecs` of the node before it on a path, which passed (None for
-    the first node).
+    """is_tilting(ctx, node) for a node the context owns, given the object
+    keys `keys` of node and `prev_keys` of the node before it on a path,
+    which passed (None for the first node).
 
     A node proved before in this context is True at once
     (`tilting._is_proved`).  Otherwise, if node has n distinct summands
-    and differs from the node before in exactly one class vector z, the
-    pairs among its n - 1 other summands were checked there (ext depends
-    only on the two class vectors), so only the pairs of z with every
-    summand y, z included, are checked (`tubes._ext_either`).  Any other node gets the full is_tilting.
-    Every node not yet proved runs the one basis cross-check
-    (`tilting.check_basis`) either way; it reads the Gram matrix off the
-    ext memo that these checks have filled.  A node that passes is
-    recorded in the proof table (`tilting._enter_proved`).
+    and differs from the node before in exactly one object z, the pairs
+    among its n - 1 other summands were checked there (ext depends only
+    on the two objects), so only the pairs of z with every summand y, z
+    included, are checked (`tubes._ext_either`).  Any other node gets the
+    full is_tilting.  Every node not yet proved runs the one basis
+    cross-check (`tilting.check_basis`) either way; it reads the Gram
+    matrix off the ext memo that these checks have filled.  A node that
+    passes is recorded in the proof table (`tilting._enter_proved`).
     """
     if _is_proved(ctx, node):
         return True
-    new = vecs - prev_vecs if prev_vecs is not None else ()
-    if len(new) != 1 or len(node.summands) != ctx.n or len(vecs) != ctx.n:
+    new = keys - prev_keys if prev_keys is not None else ()
+    if len(new) != 1 or len(node.summands) != ctx.n or len(keys) != ctx.n:
         return is_tilting(ctx, node)
-    (z_vec,) = new
-    z = node.summands[node.class_key().index(z_vec)]
+    (z_id,) = new
+    z = node.summands[node._key.index(z_id)]
     for y in node.summands:
         if _ext_either(ctx, z, y):
             return False
@@ -267,26 +268,49 @@ def _node_is_tilting(
     return True
 
 
+def _own_path(ctx: K0Context, path: MutationPath) -> MutationPath:
+    """path on the context's objects: its nodes and the summands of its
+    events mapped (the policy of `ExcObject`); path itself when the
+    context owns it all."""
+    serial = ctx.serial
+    if all(t._home == serial for t in path.nodes) and all(
+        ev.removed._home == serial and ev.added._home == serial for ev in path.events
+    ):
+        return path
+    events = [
+        MutationEvent(
+            ev.index, _own_object(ctx, ev.removed), _own_object(ctx, ev.added), ev.direction
+        )
+        for ev in path.events
+    ]
+    return MutationPath([_own(ctx, t) for t in path.nodes], events)
+
+
 def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     """Re-check every node and edge; returns False with a log diagnostic.
 
-    Every node is checked to be tilting: in full (`is_tilting`) for the
-    first node and for any node that does not differ from the node before
-    in exactly one summand, otherwise only the ext pairs with the summand
-    it brings in (`_node_is_tilting`); ext values come from the context's
-    memo, keyed by the two class vectors.  A node that the verifier has
-    proved before in this context, with equal summands, is read off the
-    proof table (`K0Context._proved`), so each distinct node is proved
-    once per context; only full proofs are recorded there, and the
-    searches that build a path never write it.  Every other node runs
-    the one basis cross-check (`tilting.check_basis`), which is exact
-    and takes the Euler Gram matrix from the same memo, so its work is
-    the product of a few in-tube determinants, one per (slope, orbit)
-    run.  Then every edge is checked against its event: two different
-    nodes, one summand exchanged, the recorded removed and added
-    summands, an index in range that holds the removed summand, and the
-    direction (ext from the smaller slope is 0 and is not read).  Each
-    node's set of class vectors is built once for both checks.
+    The nodes and the events' summands are first mapped to the context's
+    objects (`_own_path`); one whose coordinates disagree with the
+    context's decode raises PreconditionError (the policy of `ExcObject`),
+    so a path made in another context of the same weights is verified
+    here as its equal.  Every node is checked to be tilting: in full
+    (`is_tilting`) for the first node and for any node that does not
+    differ from the node before in exactly one summand, otherwise only
+    the ext pairs with the summand it brings in (`_node_is_tilting`);
+    ext values come from the context's memo, keyed by the two objects.
+    A node that the verifier has proved before in this context is read
+    off the proof table (`K0Context._proved`, by node key), so each
+    distinct node is proved once per context; only full proofs are
+    recorded there, and the searches that build a path never write it.
+    Every other node runs the one basis cross-check
+    (`tilting.check_basis`), which is exact and takes the Euler Gram
+    matrix from the same memo, so its work is the product of a few
+    in-tube determinants, one per (slope, orbit) run.  Then every edge is
+    checked against its event: two different nodes, one summand
+    exchanged, the recorded removed and added summands, an index in range
+    that holds the removed summand, and the direction (ext from the
+    smaller slope is 0 and is not read).  Each node's set of object keys
+    is built once for both checks.
     """
     if not path.nodes:
         _warn("path has no nodes")
@@ -294,7 +318,8 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     if len(path.events) != len(path.nodes) - 1:
         _warn("event count does not match node count")
         return False
-    sets = [frozenset(t.class_key()) for t in path.nodes]
+    path = _own_path(ctx, path)
+    sets = [frozenset(t._key) for t in path.nodes]
     for i, node in enumerate(path.nodes):
         try:
             if not _node_is_tilting(ctx, node, sets[i], sets[i - 1] if i else None):
@@ -312,10 +337,10 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
         if len(pv - nv) != 1 or len(nv - pv) != 1:
             _warn("nodes %d -> %d differ in more than one summand", i, i + 1)
             return False
-        if {ev.removed.cls.vec} != pv - nv or {ev.added.cls.vec} != nv - pv:
+        if {ev.removed._id} != pv - nv or {ev.added._id} != nv - pv:
             _warn("event %d does not match the node difference", i)
             return False
-        if not 0 <= ev.index < ctx.n or prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
+        if not 0 <= ev.index < ctx.n or prev.summands[ev.index] is not ev.removed:
             _warn("event %d records a wrong index", i)
             return False
         a, b = ev.added.slope, ev.removed.slope
@@ -336,17 +361,19 @@ def shorten_path(ctx: K0Context, path: MutationPath) -> MutationPath:
     at the summand it loses; InternalConsistencyError if it is not.
     `mutate` reads that mutation off the complement table when the
     search computed it, in either direction.  The result is never longer
-    and keeps both end points; its nodes are nodes of the input.  A path
+    and keeps both end points; its nodes are the input's nodes on the
+    context's objects (`_own_path`, the policy of `ExcObject`).  A path
     with no nodes, one whose event count is not its node count - 1, and
     two consecutive nodes that differ in more than one summand raise
     PreconditionError.
     """
-    nodes = path.nodes
-    if not nodes:
+    if not path.nodes:
         raise PreconditionError("path has no nodes")
-    if len(path.events) != len(nodes) - 1:
+    if len(path.events) != len(path.nodes) - 1:
         raise PreconditionError("event count does not match node count")
-    sets = [frozenset(t.class_key()) for t in nodes]
+    path = _own_path(ctx, path)
+    nodes = path.nodes
+    sets = [frozenset(t._key) for t in nodes]
     out = MutationPath.single(nodes[0])
     i = 0
     while i < len(nodes) - 1:
@@ -357,8 +384,8 @@ def shorten_path(ctx: K0Context, path: MutationPath) -> MutationPath:
             out.extend(nodes[j], path.events[i])
         elif sets[i] != sets[j]:
             (lost,) = sets[i] - sets[j]
-            t2, ev = mutate(ctx, nodes[i], nodes[i].class_key().index(lost))
-            if t2.class_key() != nodes[j].class_key():
+            t2, ev = mutate(ctx, nodes[i], nodes[i]._key.index(lost))
+            if t2._key != nodes[j]._key:
                 raise InternalConsistencyError("spliced mutation missed the later node")
             out.extend(nodes[j], ev)
         i = j
@@ -420,16 +447,19 @@ def random_walk(
 
 
 def find_companion(ctx: K0Context, x: ExcObject, q_target: Slope) -> ExcObject:
-    """A full-period quasi-simple at q_target forming a rigid pair with x."""
+    """A full-period quasi-simple at q_target forming a rigid pair with x,
+    the context's object (`tubes.window_object`); x is mapped to the
+    context's object first (the policy of `ExcObject`)."""
     if x.len != 1:
         raise PreconditionError("companion search needs a quasi-simple object")
+    x = _own_object(ctx, x)
     chart = chart_for(ctx, q_target)
     for orb_idx, orbit in enumerate(chart.orbits):
         if len(orbit) != ctx.p:
             continue
         for pos, cls in enumerate(orbit):
-            y = ExcObject(cls, q_target, orb_idx, pos, 1)
-            if y.cls.vec == x.cls.vec:
+            y = window_object(ctx, cls, q_target, orb_idx, pos, 1)
+            if y is x:
                 continue
             if not _ext_either(ctx, x, y):
                 return y
@@ -483,7 +513,9 @@ def completion_containing(
     ext-orthogonal exceptional objects form a partial tilting object,
     which completes to a tilting object whose classes are a Z-basis of
     K0.  Any torsion summands of the found tilting object are mutated
-    away afterwards, which never touches the seed.
+    away afterwards, which never touches the seed.  The seed is mapped to
+    the context's objects first (the policy of `ExcObject`), and the pool
+    windows are the context's objects (`tubes.window_object`).
 
     The pool rounds cap denominators at 2-11.  Seeds at Farey-neighbour
     slopes (19/83 and 11/48, say) have no slope strictly between them
@@ -491,7 +523,7 @@ def completion_containing(
     the mediant of each pair of adjacent seed slopes to the widest pool.
     If that fails too, InternalConsistencyError names the seed slopes.
     """
-    seed = list(seed)
+    seed = [_own_object(ctx, x) for x in seed]
     if not seed:
         raise PreconditionError("empty seed")
     for i, x in enumerate(seed):
@@ -501,21 +533,20 @@ def completion_containing(
             if _ext_either(ctx, x, y):
                 raise PreconditionError("seed objects must be ext-orthogonal")
     clock = _clock(budget)
-    seed_vecs = {x.cls.vec for x in seed}
+    seed_ids = {x._id for x in seed}
     for round_ in range(_COMPLETION_ROUNDS + 1):
         cands = []
         for q in _pool_slopes(seed, round_):
             clock.check()
             for orbit, socle, length, cls in chart_for(ctx, q).windows():
-                if cls.vec not in seed_vecs:
-                    o = ExcObject(cls, q, orbit, socle, length)
-                    if not any(_ext_either(ctx, o, s) for s in seed):
-                        cands.append(o)
+                o = window_object(ctx, cls, q, orbit, socle, length)
+                if o._id not in seed_ids and not any(_ext_either(ctx, o, s) for s in seed):
+                    cands.append(o)
         found = _complete_dfs(ctx, seed, cands, clock)
         if found is not None:
             if not is_bundle(found):
                 found, _ = purge_torsion(ctx, found)
-            if not seed_vecs <= set(found.class_key()):
+            if not seed_ids <= set(found._key):
                 raise InternalConsistencyError("completion lost a seed summand")
             return found
     raise InternalConsistencyError(
@@ -565,7 +596,8 @@ def _mutation_forecast(
 ) -> tuple[list[int], dict[int, ExcObject]]:
     """For each summand k of node, h of node mutated at k, where h counts
     the summands not in target; and the target summand that each
-    mutation lowering h brings in.  No mutation is computed.
+    mutation lowering h brings in.  No mutation is computed.  node and
+    target are the context's own.
 
     The complement that replaces T_k has ext with T_k.  So if T_k is in
     the (rigid) target, the complement is not, and h rises by one.  A
@@ -578,25 +610,26 @@ def _mutation_forecast(
     Each summand's relation to the target is read once per context and
     target, as the bit mask of the target summands it has ext with
     (`tubes._ext_either`), and kept in the relation table
-    (`K0Context._relations`, keyed by the target's class key); a target
-    summand j is kept as -(1 << j).  A node's forecast is then a few
-    integer operations on its n masks: the bits set in exactly one
-    summand's mask, less the target summands node holds, are the gains.
+    (`K0Context._relations`, keyed by the target's node key, then by
+    object key); a target summand j is kept as -(1 << j).  A node's
+    forecast is then a few integer operations on its n masks: the bits
+    set in exactly one summand's mask, less the target summands node
+    holds, are the gains.
     """
-    key = target.class_key()
+    key = target._key
     rel = ctx._relations.get(key)
     if rel is None:
         rel = ctx._relations[key] = {v: -(1 << j) for j, v in enumerate(key)}
     masks = []
     held = once = twice = 0
     for s in node.summands:
-        m = rel.get(s.cls.vec)
+        m = rel.get(s._id)
         if m is None:
             m = 0
             for j, z in enumerate(target.summands):
                 if _ext_either(ctx, s, z):
                     m |= 1 << j
-            rel[s.cls.vec] = m
+            rel[s._id] = m
         if m < 0:
             held -= m
         else:
@@ -652,7 +685,9 @@ def _stratum_path(
     clock: _Clock,
 ) -> MutationPath:
     """Bundle path a -> b that never mutates the summand fixed_vec, or
-    any bundle path a -> b if fixed_vec is None.
+    any bundle path a -> b if fixed_vec is None.  a and b are tilting
+    bundles that the context owns (its callers map them); a start that is
+    not a bundle raises PreconditionError.
 
     Weighted A* on h = |summands of a node not in b|, a lower bound on
     the mutations still needed because every mutation changes one
@@ -669,53 +704,62 @@ def _stratum_path(
     child takes that summand after the rigidity and direction checks
     (`_forecast_child`); any other entry calls `mutate`, which answers
     the entry taking a child back to its parent off the complement
-    table unless the child came from the forecast.  Either child
-    is then checked against its forecast priority
-    (InternalConsistencyError if they differ), dropped if it is
-    not a bundle or was reached at no greater depth, and otherwise
-    registered, goal-tested and expanded in place.  A frontier entry
-    carries its parent node, and each node reached keeps one record
-    (depth, parent node, event), through which the path is read back
-    from the goal.  A node reached again at a smaller depth is
-    re-opened, so the weighted order, which overrates h, still reaches
-    every node of the stratum, but the path it returns need not be
-    minimal.
+    table unless the child came from the forecast.
+
+    A child differs from its parent in one summand, so its bookkeeping
+    is O(1).  An entry carries its parent's h, and the child's h is that
+    h, less 1 if the summand removed was not in b, plus 1 if the summand
+    added is not; this h is checked against the forecast priority
+    (InternalConsistencyError if they differ).  Every expanded node is a
+    bundle, so a child is a bundle exactly when the summand it brings in
+    has a finite slope.  A child that is not a bundle, or was reached at
+    no greater depth, is dropped; any other is registered, goal-tested
+    and expanded in place.  A frontier entry carries its parent node,
+    and each node reached keeps one record (depth, parent node, event)
+    under its node key, through which the path is read back from the
+    goal.  A node reached again at a smaller depth is re-opened, so the
+    weighted order, which overrates h, still reaches every node of the
+    stratum, but the path it returns need not be minimal.
     """
-    start_key = a.class_key()
-    goal_key = b.class_key()
+    if not is_bundle(a):
+        raise PreconditionError("the stratum search starts at a tilting bundle")
+    start_key = a._key
+    goal_key = b._key
     if start_key == goal_key:
         return MutationPath.single(a)
     target = set(goal_key)
-    # class key -> (depth, parent node, event) of the best way found there
+    fixed = next((s._id for s in a.summands if s.cls.vec == fixed_vec), None)
+    # node key -> (depth, parent node, event) of the best way found there
     seen: dict = {start_key: (0, None, None)}
     heap: list = []
     counter = itertools.count()
 
-    def expand(node: TiltingObject, g: int) -> None:
+    def expand(node: TiltingObject, g: int, h: int) -> None:
         child_h, gains = _mutation_forecast(ctx, node, b)
         for k, s in enumerate(node.summands):
-            if s.cls.vec != fixed_vec:
+            if s._id != fixed:
                 clock.tick()
                 f = g + 1 + _STRATUM_WEIGHT * child_h[k]
-                entry = (f, -(g + 1), next(counter), node, k, gains.get(k))
+                entry = (f, -(g + 1), next(counter), node, k, gains.get(k), h)
                 heapq.heappush(heap, entry)
 
-    expand(a, 0)
+    expand(a, 0, sum(1 for v in start_key if v not in target))
     while heap:
         clock.check()
-        f, neg_g, _, node, k, z = heapq.heappop(heap)
+        f, neg_g, _, node, k, z, h = heapq.heappop(heap)
         g = -neg_g
         if z is None:
             t2, ev = mutate(ctx, node, k)
         else:
             t2, ev = _forecast_child(ctx, node, k, z)
-        k2 = t2.class_key()
-        if g + _STRATUM_WEIGHT * sum(1 for v in k2 if v not in target) != f:
+        h += (ev.added._id not in target) - (ev.removed._id not in target)
+        if g + _STRATUM_WEIGHT * h != f:
             raise InternalConsistencyError(
                 f"the mutation at summand {k} missed its forecast priority"
             )
-        if not is_bundle(t2):
+        if ev.added.slope.is_infinite:
             continue
+        k2 = t2._key
         known = seen.get(k2)
         if known is not None and known[0] <= g:
             continue
@@ -723,12 +767,12 @@ def _stratum_path(
         if k2 == goal_key:
             nodes, events = [t2], [ev]
             while node is not a:
-                _, parent, ev = seen[node.class_key()]
+                _, parent, ev = seen[node._key]
                 nodes.append(node)
                 events.append(ev)
                 node = parent
             return MutationPath([a, *reversed(nodes)], events[::-1])
-        expand(t2, g)
+        expand(t2, g, h)
     raise BudgetExhausted("stratum search frontier emptied unexpectedly")
 
 
@@ -741,11 +785,13 @@ def connect_shared(
 ) -> MutationPath:
     """Bundle path t -> t2 through nodes all containing `shared`: one
     search of the stratum of tilting bundles containing it, bounded by
-    the call's one clock."""
+    the call's one clock.  t, t2 and `shared` are mapped to the context's
+    objects first (the policy of `ExcObject`)."""
     if shared.len != 1:
         raise PreconditionError("shared summand must be quasi-simple")
+    t, t2, shared = _own(ctx, t), _own(ctx, t2), _own_object(ctx, shared)
     for node in (t, t2):
-        if shared.cls.vec not in set(node.class_key()):
+        if shared._id not in node._key:
             raise PreconditionError("shared object is not a summand of both ends")
         if not is_bundle(node):
             raise PreconditionError("both ends must be tilting bundles")
@@ -770,8 +816,10 @@ def integerize(
     companions at the mediant-descent slopes m + c/d have strictly
     smaller denominators, and consecutive companions are rigid pairs,
     so routing through completions reaches slope m + 1 in finitely many
-    steps.
+    steps.  t is mapped to the context's objects first (the policy of
+    `ExcObject`).
     """
+    t = _own(ctx, t)
     if not is_bundle(t):
         raise PreconditionError("input must be a tilting bundle")
     if _range_integer(ctx, t) is not None:
@@ -818,10 +866,12 @@ def connect_pair(
     (shorten_path) and verified.  Every connect of the library is this
     call.  The deadline is tested before the splicing and before the
     verification, which tick nothing, so a deadline that passes during
-    the last search is seen before either runs."""
+    the last search is seen before either runs.  The ends are mapped to
+    the context's objects first (the policy of `ExcObject`), so ends made
+    in another context of the same weights connect as their equals."""
     clock = _clock(budget)
-    p1 = _integerized(ctx, t, clock)
-    p2 = _integerized(ctx, t2, clock)
+    p1 = _integerized(ctx, _own(ctx, t), clock)
+    p2 = _integerized(ctx, _own(ctx, t2), clock)
     middle = _stratum_path(ctx, p1.end, p2.end, None, clock)
     clock.check()
     path = shorten_path(ctx, p1.concat(middle).concat(p2.reversed()))
@@ -860,12 +910,13 @@ def explore_graph(
 
     Edges to known nodes are read off the context's complement table
     (`tilting._other_complement`), not mutated.  Each kept node enters
-    its n almost complete keys there (its class key with summand k left
+    its n almost complete keys there (its node key with summand k left
     out, still in canonical order); an almost complete tilting object has
     at most two complements (Happel-Unger), so the other one known for
     T minus T_k is the mutation of T at k, and a third raises
-    InternalConsistencyError.  The BFS itself keeps only a class key ->
-    node index dict.  A complement whose holder is no node of this call
+    InternalConsistencyError.  The BFS itself keeps only a node key ->
+    node index dict.  start is mapped to the context's objects first (the
+    policy of `ExcObject`).  A complement whose holder is no node of this call
     is a mutation made before, and its holder a candidate new node.  A
     key with no other complement is mutated only while the node set has
     room, since its child would be new.  So one mutation is made per
@@ -886,18 +937,19 @@ def explore_graph(
     if not _is_node_cap(max_nodes):
         raise PreconditionError(f"max_nodes must be an integer >= 1, got {max_nodes!r}")
     _bound_complements(ctx)
+    start = _own(ctx, start)
     nodes = [start]
-    index = {start.class_key(): 0}
+    index = {start._key: 0}
     edges: set[tuple[int, int]] = set()
 
     def enter(node: TiltingObject, key: tuple) -> None:
         for k, s in enumerate(node.summands):
             _enter_complement(ctx, key[:k] + key[k + 1 :], node, s)
 
-    enter(start, start.class_key())
+    enter(start, start._key)
     start_out = [k for k, s in enumerate(start.summands) if not lo <= s.slope <= hi]
     for i, node in enumerate(nodes):
-        key = node.class_key()
+        key = node._key
         torsion = None  # the fibre test of node, taken at its first cold search
         for k in range(ctx.n):
             if i == 0 and any(x != k for x in start_out):
@@ -906,7 +958,7 @@ def explore_graph(
             other = _other_complement(ctx, node, k, ac_key)
             if other is not None:
                 t2, added = other
-                j = index.get(t2.class_key(), len(nodes))
+                j = index.get(t2._key, len(nodes))
                 if j == len(nodes) and j >= max_nodes:
                     continue
             elif len(nodes) >= max_nodes:
@@ -922,7 +974,7 @@ def explore_graph(
             if not lo <= added.slope <= hi:
                 continue
             if j == len(nodes):
-                key2 = t2.class_key()
+                key2 = t2._key
                 nodes.append(t2)
                 index[key2] = j
                 enter(t2, key2)

@@ -370,7 +370,7 @@ def _eval_lelem(ctx: K0Context, elt: LExprData) -> LElement:
 
 
 def eval_object(ctx: K0Context, ast: ObjectExpr) -> ExcObject:
-    from .tubes import ExcObject, chart_for, exc_from_class, line_bundle_obj, window_class
+    from .tubes import chart_for, exc_from_class, line_bundle_obj, window_class, window_object
 
     if isinstance(ast, LineBundleExpr):
         return line_bundle_obj(ctx, _eval_lelem(ctx, ast.elt))
@@ -383,7 +383,7 @@ def eval_object(ctx: K0Context, ast: ObjectExpr) -> ExcObject:
             raise ValidationError(f"quasi-length {ast.len} not rigid in a rank-{r} tube")
         socle = ast.socle % r
         cls = window_class(chart, ast.orbit, socle, ast.len)
-        return ExcObject(cls, chart.slope, ast.orbit, socle, ast.len)
+        return window_object(ctx, cls, chart.slope, ast.orbit, socle, ast.len)
     if isinstance(ast, RawClassExpr):
         if len(ast.entries) != ctx.n:
             raise ValidationError(

@@ -24,6 +24,8 @@ access, so the runtime never compiles it.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .errors import InternalConsistencyError, NotSheafLike
 from .intmat import (
     Matrix,
@@ -40,6 +42,9 @@ from .intmat import det as int_det
 from .records import Record, setfield
 from .slopes import INF, Slope
 from .weights import LElement, WeightData, l_neg, omega
+
+
+_SERIALS = count()  # K0Context.serial
 
 
 class K0Class(Record):
@@ -84,33 +89,41 @@ class K0Context:
         self.tube_offsets = tube_offsets  # start coordinate of each tube block
         self.idx_o = 0
         self.idx_f = weights.n - 1
-        self._eb: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._charts: dict[Slope, object] = {}
+        self._eb: dict[tuple[int, ...], tuple[int, ...]] = {}  # class vector -> euler @ it
+        self._charts: dict[Slope, object] = {}  # slope -> its chart, see tubes.chart_for
         self._shifts: tuple | None = None  # set by tubes._tube_shifts
         self._t_can: object | None = None  # set by tilting.t_can
-        # class vector -> its decoded ExcObject, see tubes.exc_from_class
+        # This context's number, unique in the process.  Its objects carry
+        # it (`ExcObject._home`, `TiltingObject._home`), so an entry point
+        # tells its own objects from others in O(1); a number holds no
+        # reference to the context.
+        self.serial = next(_SERIALS)
+        # The decode memo, keyed by class vector: the one source of this
+        # context's ExcObjects (tubes.exc_from_class, tubes.window_object).
+        # Each object gets its entry number as its key (`ExcObject._id`),
+        # and the tables below are keyed by these small integers.  A node
+        # key is the tuple of its summands' keys (`TiltingObject._key`).
         self._decode: dict[tuple[int, ...], object] = {}
-        # (x, y) class vectors -> (hom(x, y), ext(x, y)), see tubes._hom_ext
-        self._pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
+        # (x, y) object keys -> (hom(x, y), ext(x, y)), see tubes._hom_ext
+        self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
         # The complement table of tilting.mutate and connect.explore_graph.
-        # An almost complete key (a class key with one summand left out,
+        # An almost complete key (a node key with one summand left out,
         # still in canonical order) maps to the complements known for it,
         # as the flat tuple (holder, complement[, holder, complement]):
         # each holder is the tilting object of the key plus its complement.
         # Happel-Unger allows at most two (tilting._enter_complement).
-        self._complements: dict[tuple, tuple] = {}
+        self._complements: dict[tuple[int, ...], tuple] = {}
         # The relation table of connect._mutation_forecast, cleared with the
-        # complement table: a target's class key maps each class vector seen
-        # in a search towards it to its bit mask of target summands it has
-        # ext with (or, for a target summand j, to -(1 << j)).
-        self._relations: dict[tuple, dict[tuple[int, ...], int]] = {}
+        # complement table: a target's node key maps the key of each object
+        # seen in a search towards it to its bit mask of target summands it
+        # has ext with (or, for a target summand j, to -(1 << j)).
+        self._relations: dict[tuple[int, ...], dict[int, int]] = {}
         # The proof table of the verifier (tilting.is_tilting and
-        # connect._node_is_tilting): a class key maps to the summands of
-        # the tilting object proved under it (ext pairs, then the basis
-        # check).  A repeat is answered only for equal summands,
-        # coordinates included (tilting._is_proved); nothing else writes
-        # it (tilting._enter_proved).
-        self._proved: dict[tuple, tuple] = {}
+        # connect._node_is_tilting): the node keys of the tilting objects
+        # proved in this context (ext pairs, then the basis check).  A node
+        # key determines the summands, so a repeat is one lookup
+        # (tilting._is_proved); nothing else writes it (tilting._enter_proved).
+        self._proved: set[tuple[int, ...]] = set()
         self.omega = omega(weights)
         self.tau: Matrix = twist_matrix(self, self.omega)
         self.tau_inv: Matrix = twist_matrix(self, l_neg(self.omega))

@@ -8,9 +8,10 @@ filled: ext-orthogonality makes it block triangular over the summands'
 (slope, orbit) runs, so its determinant is a product of 1x1 entries and
 of small in-tube blocks (`check_basis`).  Each tilting object that the
 verifier proves (`is_tilting`, and `connect.verify_path` node by node)
-is recorded once per context in a proof table keyed by its class key; a
-repeat with equal summands is answered from it, and nothing but the
-verifier writes it (`_enter_proved`).
+is recorded once per context in a proof table keyed by its node key (the
+tuple of its summands' object keys: one object per class in a context,
+see `tubes.ExcObject`); a repeat is answered from it, and nothing but
+the verifier writes it (`_enter_proved`).
 
 Mutation exchanges one summand for the unique other complement of the
 remaining almost complete tilting object.  The complement is first read
@@ -68,7 +69,7 @@ mutations that leave the bundles.
 miss by the mutation itself (`_complete_mutation`: the guesses, and the
 candidate search above when they fail, decoding, ext checks, uniqueness
 of a searched complement, exchange and the table write).
-The table maps an almost complete key, a class key with one summand
+The table maps an almost complete key, a node key with one summand
 left out, to the complements known for it.  An almost complete tilting
 object has at most two (Happel-Unger), and mutation swaps one for the
 other, so one computed mutation answers both directions: the child
@@ -106,6 +107,7 @@ from .slopes import Slope
 from .tubes import (
     ExcObject,
     _ext_either,
+    _own_object,
     exc_from_class,
     ext_dim,
     hom_dim,
@@ -119,18 +121,29 @@ class TiltingObject(Record):
     """A tilting object as its tuple of summands, in the canonical order
     of `make_tilting` when built there.
 
-    Equality, hash and repr read the summands alone.  `_key`, the tuple
-    of summand class vectors, is derived from them once: the searches
-    and the complement table key every node by it (`class_key`)."""
+    Equality, hash and repr read the summands alone.  Two slots are
+    derived from them once: `_home`, the serial number of the context
+    that owns every summand (None if they are not all one context's
+    objects), and `_key`, the tuple of the summands' object keys (the node
+    key; None without a home).  The searches and the context's tables key
+    every node by `_key`; an entry point maps a tilting object whose
+    `_home` is not the context's onto the context's objects (`_own`), so
+    for one that is, the check costs O(1).  `class_key()` gives the
+    summand class vectors, the form that JSON output and digests read."""
 
-    __slots__ = ("summands", "_key")
+    __slots__ = ("summands", "_key", "_home")
     _fields = ("summands",)
     summands: tuple[ExcObject, ...]
-    _key: tuple[tuple[int, ...], ...]
+    _key: tuple[int, ...] | None
+    _home: int | None
 
     def __init__(self, summands: tuple[ExcObject, ...]) -> None:
         setfield(self, "summands", summands)
-        setfield(self, "_key", tuple(s.cls.vec for s in summands))
+        home = summands[0]._home if summands else None
+        if home is not None and any(s._home != home for s in summands):
+            home = None
+        setfield(self, "_home", home)
+        setfield(self, "_key", None if home is None else tuple([s._id for s in summands]))
 
     def index_of(self, obj: ExcObject) -> int:
         for i, s in enumerate(self.summands):
@@ -139,7 +152,17 @@ class TiltingObject(Record):
         raise ValueError("object is not a summand")
 
     def class_key(self) -> tuple[tuple[int, ...], ...]:
-        return self._key
+        return tuple([s.cls.vec for s in self.summands])
+
+
+def _own(ctx: K0Context, t: TiltingObject) -> TiltingObject:
+    """The tilting object of the context's objects for t's summands, in
+    t's order: t itself if the context owns it, else an equal object, or
+    PreconditionError where a summand disagrees with the context's decode
+    (`tubes._own_object`, the policy of `ExcObject`)."""
+    if t._home == ctx.serial:
+        return t
+    return TiltingObject(tuple([_own_object(ctx, s) for s in t.summands]))
 
 
 class MutationEvent(Record):
@@ -172,20 +195,23 @@ class MutationEvent(Record):
 def make_tilting(ctx: K0Context, objs: Iterable[ExcObject]) -> TiltingObject:
     """Structural constructor: right count, no duplicates, canonical order.
 
-    It does not check that the summands are pairwise ext-orthogonal.
-    Its callers pass tilting summands (canonical bundles, mutation
-    results, completions that passed `is_tilting`), and
+    Each summand is mapped to the context's object for its class, or
+    raises PreconditionError where its coordinates disagree
+    (`tubes._own_object`, the policy of `ExcObject`), so the result is
+    the context's own.  It does not check that the summands are pairwise
+    ext-orthogonal.  Its callers pass tilting summands (canonical
+    bundles, mutation results, completions that passed `is_tilting`), and
     `serialize.tilting_from_dict` checks records read from outside.
     """
-    lst = list(objs)
+    lst = [_own_object(ctx, o) for o in objs]
     if len(lst) != ctx.n:
         raise WrongSummandCount(f"expected {ctx.n} summands, got {len(lst)}")
     seen = set()
     for o in lst:
-        if o.cls.vec in seen:
+        if o._id in seen:
             raise DuplicateSummands(f"duplicate summand class {o.cls.vec}")
-        seen.add(o.cls.vec)
-    lst.sort(key=lambda o: o.sort_key())
+        seen.add(o._id)
+    lst.sort(key=ExcObject.sort_key)
     return TiltingObject(tuple(lst))
 
 
@@ -195,24 +221,31 @@ def is_tilting(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> boo
     Returns False on the countable failures; raises BasisMismatch when
     an ext-orthogonal n-set fails the basis cross-check (`check_basis`),
     since that would contradict the operational definition of tilting.
-    The ext test reads each unordered pair once, the diagonal included
-    (`tubes._ext_either`: one direction across two slopes).  The
-    cross-check costs no new hom/ext: it reads the same-slope memo
-    entries that the ext test has just filled.
+    The summands are first mapped to the context's objects, and one whose
+    coordinates disagree with the context's decode raises
+    PreconditionError (the policy of `ExcObject`).  The ext test reads
+    each unordered pair once, the diagonal included (`tubes._ext_either`:
+    one direction across two slopes).  The cross-check costs no new
+    hom/ext: it reads the same-slope memo entries that the ext test has
+    just filled.
 
     A TiltingObject proved before in this context is True at once
     (`_is_proved`), and one that passes both checks is recorded
-    (`_enter_proved`).  The proof depends only on the summands and on
-    the write-once memo, so the answer is the same.  A False verdict or
-    an exception is never recorded, and a plain sequence is neither
+    (`_enter_proved`).  The proof depends only on the summands, which
+    its node key determines, so the answer is the same.  A False verdict
+    or an exception is never recorded, and a plain sequence is neither
     looked up nor recorded.
     """
-    if isinstance(objs, TiltingObject) and _is_proved(ctx, objs):
-        return True
-    lst = list(objs.summands if isinstance(objs, TiltingObject) else objs)
+    if isinstance(objs, TiltingObject):
+        objs = _own(ctx, objs)
+        if _is_proved(ctx, objs):
+            return True
+        lst = objs.summands
+    else:
+        lst = [_own_object(ctx, o) for o in objs]
     if len(lst) != ctx.n:
         return False
-    if len({o.cls.vec for o in lst}) != ctx.n:
+    if len({o._id for o in lst}) != ctx.n:
         return False
     for i, x in enumerate(lst):
         for y in lst[i:]:
@@ -225,22 +258,20 @@ def is_tilting(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> boo
 
 
 def _is_proved(ctx: K0Context, t: TiltingObject) -> bool:
-    """True iff t was proved tilting in this context: the proof table
-    (`K0Context._proved`) holds summands equal to t's, coordinates
-    included, under its class key.  An equal class key alone is not
-    enough, so an object with the right classes and wrong coordinates
-    is proved again."""
-    return ctx._proved.get(t._key) == t.summands
+    """True iff t, the context's own, was proved tilting in this context:
+    its node key is in the proof table (`K0Context._proved`)."""
+    return t._key in ctx._proved
 
 
 def _enter_proved(ctx: K0Context, t: TiltingObject) -> None:
-    """Record t, just proved tilting in full (ext pairs, then the basis
-    check), in the proof table (`K0Context._proved`); a table that has
-    reached `_COMPLEMENT_TABLE_CAP` entries is cleared first."""
+    """Record t, the context's own and just proved tilting in full (ext
+    pairs, then the basis check), in the proof table
+    (`K0Context._proved`); a table that has reached
+    `_COMPLEMENT_TABLE_CAP` entries is cleared first."""
     proved = ctx._proved
     if len(proved) >= _COMPLEMENT_TABLE_CAP:
         proved.clear()
-    proved[t._key] = t.summands
+    proved.add(t._key)
 
 
 def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> None:
@@ -248,7 +279,8 @@ def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> No
     must be a Z-basis of K0, else BasisMismatch.  It is the one basis
     check: `is_tilting` runs it, and `connect.verify_path` runs it on
     every node of a path not yet proved in the context.  It is not
-    memoized itself: every call computes the determinant.
+    memoized itself: every call computes the determinant.  The summands
+    are mapped to the context's objects first (the policy of `ExcObject`).
 
     Precondition: ext(x, y) = 0 for every ordered pair of summands, x = y
     included (`is_tilting` and `connect._node_is_tilting` prove it just
@@ -266,9 +298,9 @@ def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> No
     order; a plain sequence is sorted here.
     """
     if isinstance(objs, TiltingObject):
-        summands: Sequence[ExcObject] = objs.summands
+        summands: Sequence[ExcObject] = _own(ctx, objs).summands
     else:
-        summands = sorted(objs, key=ExcObject.sort_key)
+        summands = sorted((_own_object(ctx, o) for o in objs), key=ExcObject.sort_key)
     d = _gram_det(ctx, summands)
     if d != ctx.euler_det:
         raise BasisMismatch(
@@ -277,9 +309,9 @@ def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> No
 
 
 def _gram_det(ctx: K0Context, summands: Sequence[ExcObject]) -> int:
-    """det(chi(a_i, a_j)) of ext-orthogonal summands in canonical order:
-    the product of its diagonal blocks over the (slope, orbit) runs (see
-    `check_basis`).
+    """det(chi(a_i, a_j)) of ext-orthogonal summands, the context's
+    objects, in canonical order: the product of its diagonal blocks over
+    the (slope, orbit) runs (see `check_basis`).
 
     chi(x, y) is hom(x, y) - ext(x, y), read from the context's memo; a
     missing entry means the precondition of `check_basis` was not
@@ -298,11 +330,11 @@ def _gram_det(ctx: K0Context, summands: Sequence[ExcObject]) -> int:
             while j < n and summands[j].orbit == x.orbit and summands[j].slope == x.slope:
                 j += 1
             if j == i + 1:
-                h, e = pairs[x.cls.vec, x.cls.vec]
+                h, e = pairs[x._id, x._id]
                 out *= h - e
             else:
-                vecs = [o.cls.vec for o in summands[i:j]]
-                out *= int_det([[h - e for h, e in (pairs[a, b] for b in vecs)] for a in vecs])
+                ids = [o._id for o in summands[i:j]]
+                out *= int_det([[h - e for h, e in (pairs[a, b] for b in ids)] for a in ids])
             i = j
     except KeyError:
         raise PreconditionError(
@@ -713,16 +745,16 @@ def _enter_complement(
     ctx: K0Context, ac_key: tuple, holder: TiltingObject, comp: ExcObject
 ) -> None:
     """Record in the complement table that `holder` is the almost complete
-    tilting object `ac_key` plus its complement `comp`.  A complement
-    already known is left as it is; a third distinct one contradicts
+    tilting object `ac_key` plus its complement `comp`, the context's
+    objects.  A complement already known (the same object: one per
+    class) is left as it is; a third distinct one contradicts
     Happel-Unger and raises InternalConsistencyError."""
     table = ctx._complements
     got = table.get(ac_key)
     if got is None:
         table[ac_key] = (holder, comp)
         return
-    vec = comp.cls.vec
-    if any(known.cls.vec == vec for known in got[1::2]):
+    if any(known is comp for known in got[1::2]):
         return
     if len(got) == 4:
         raise InternalConsistencyError(
@@ -752,7 +784,7 @@ def _complete_mutation(
     (`_candidate_classes`), every candidate is decoded and checked the
     same way, and no survivor raises ComplementNotFound, more than one
     ComplementNotUnique.  Both t and the result are entered into the
-    complement table under `ac_key`, t's class key with summand k left
+    complement table under `ac_key`, t's node key with summand k left
     out, so the result mutated back at its new summand is a lookup.  The
     table is not bounded here; `mutate` bounds it before the call.
     """
@@ -792,10 +824,10 @@ def _other_complement(
     known = ctx._complements.get(ac_key)
     if known is None:
         return None
-    vk = t.summands[k].cls.vec
-    if known[1].cls.vec == vk:
+    tk = t.summands[k]
+    if known[1] is tk:
         return known[2:] or None
-    if len(known) == 2 or known[3].cls.vec != vk:
+    if len(known) == 2 or known[3] is not tk:
         _enter_complement(ctx, ac_key, t, t.summands[k])
     return known[:2]
 
@@ -834,11 +866,14 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
     of the result have determinant -det(t) = +-1, and the only new ext
     pairs are the ones between the complement and the other summands,
     checked in `_complete_mutation`.  An index outside 0..n-1 raises
-    PreconditionError before the table is read.
+    PreconditionError before the table is read.  t is mapped to the
+    context's objects first (the policy of `ExcObject`), and the table is
+    keyed by object keys.
     """
     if not 0 <= k < ctx.n:
         raise PreconditionError(f"mutation index {k} is not in 0..{ctx.n - 1}")
-    key = t.class_key()
+    t = _own(ctx, t)
+    key = t._key
     ac_key = key[:k] + key[k + 1 :]
     other = _other_complement(ctx, t, k, ac_key)
     if other is not None:
@@ -889,6 +924,7 @@ def purge_torsion(ctx: K0Context, t: TiltingObject) -> tuple[TiltingObject, list
     Each step replaces one torsion summand by a finite-slope object, so
     the result is a tilting bundle after exactly s events.
     """
+    t = _own(ctx, t)
     torsion = [s for s in t.summands if s.slope.is_infinite]
     torsion.sort(key=lambda s: (-s.len, s.sort_key()))
     events: list[MutationEvent] = []

@@ -60,6 +60,8 @@ from .errors import (
     ChartInconsistent,
     InternalConsistencyError,
     NotExceptionalHere,
+    NotSheafLike,
+    PreconditionError,
 )
 from .intmat import (
     SparseRows,
@@ -131,14 +133,36 @@ class ExcObject(Record):
 
     The class is authoritative; slope/orbit/socle/len are the decoded
     position in the chart at that slope.
+
+    In a context there is one object per class: the decode memo
+    (`K0Context._decode`) is the only source of the context's objects.
+    `exc_from_class` decodes a class, and `window_object` enters a chart
+    window whose coordinates are already known after checking them against
+    the memo.  Such an object carries two derived slots, outside `_fields`
+    and so outside equality, hash, repr and pickling: `_home`, the serial
+    number of its context, and `_id`, its small integer key there, which
+    keys the context's tables.  The key serves hashing and membership
+    only, never ordering.  An object built by hand, unpickled or made in
+    another context has no key here.
+
+    Entry-point policy: every public call that takes objects (`hom_dim`,
+    `ext_dim`, and the tilting objects, paths and seeds of `tilting` and
+    `connect`) maps each one to the context's object for its class
+    (`_own_object`), in O(1) for an object that is already the
+    context's.  An object whose coordinates disagree with the context's
+    decode of its class, or whose class is not an exceptional sheaf,
+    raises PreconditionError.
     """
 
-    __slots__ = ("cls", "slope", "orbit", "socle", "len")
+    __slots__ = ("cls", "slope", "orbit", "socle", "len", "_home", "_id")
+    _fields = ("cls", "slope", "orbit", "socle", "len")
     cls: K0Class
     slope: Slope
     orbit: int
     socle: int
     len: int
+    _home: int | None
+    _id: int | None
 
     def __init__(self, cls: K0Class, slope: Slope, orbit: int, socle: int, len: int) -> None:
         setfield(self, "cls", cls)
@@ -146,6 +170,8 @@ class ExcObject(Record):
         setfield(self, "orbit", orbit)
         setfield(self, "socle", socle)
         setfield(self, "len", len)
+        setfield(self, "_home", None)
+        setfield(self, "_id", None)
 
     def sort_key(self):
         return (self.slope, self.orbit, self.socle, self.len)
@@ -574,7 +600,8 @@ def exc_from_class(ctx: K0Context, c: K0Class) -> ExcObject:
     at that slope, read off the chart's chi pattern (`_find_window`).
 
     The decoded object is memoized per class vector (`K0Context._decode`),
-    so a repeated decode computes no slope and builds no object.  A class
+    so a repeated decode computes no slope and builds no object, and every
+    decode of one class in a context returns the same object.  A class
     that is not sheaf-like raises NotSheafLike, and a sheaf class that is
     not a window of its chart NotExceptionalHere."""
     got = ctx._decode.get(c.vec)
@@ -583,7 +610,53 @@ def exc_from_class(ctx: K0Context, c: K0Class) -> ExcObject:
         found = _find_window(ctx, chart_for(ctx, q), c)
         if found is None:
             raise NotExceptionalHere(f"class {c.vec} is not a window at {q}")
-        got = ctx._decode[c.vec] = ExcObject(c, q, *found)
+        got = _enter(ctx, ExcObject(c, q, *found))
+    return got
+
+
+def _enter(ctx: K0Context, obj: ExcObject) -> ExcObject:
+    """Enter a decoded object into the decode memo, with its key."""
+    setfield(obj, "_home", ctx.serial)
+    setfield(obj, "_id", len(ctx._decode))
+    ctx._decode[obj.cls.vec] = obj
+    return obj
+
+
+def window_object(
+    ctx: K0Context, cls: K0Class, q: Slope, orbit: int, socle: int, length: int
+) -> ExcObject:
+    """The context's object for the window (orbit, socle, length) of class
+    cls in `chart_for(ctx, q)`: the memo's object for cls, whose
+    coordinates must agree (InternalConsistencyError if not), or on a miss
+    a new object with these coordinates, entered without a decode.  The
+    constructors that read windows off a chart (the companion search, the
+    completion pools, the expression language and the verify suites) go
+    through it."""
+    got = ctx._decode.get(cls.vec)
+    if got is None:
+        return _enter(ctx, ExcObject(cls, q, orbit, socle, length))
+    if got.orbit != orbit or got.socle != socle or got.len != length or got.slope != q:
+        raise InternalConsistencyError(
+            f"window ({orbit}, {socle}, {length}) at {q} disagrees with the decode {got}"
+        )
+    return got
+
+
+def _own_object(ctx: K0Context, x: ExcObject) -> ExcObject:
+    """The context's object for x: x itself if it is the context's, else
+    the memo's object for its class, which must equal x (see `ExcObject`
+    for the policy); PreconditionError if it does not, or if x's class is
+    not that of an exceptional sheaf."""
+    if x._home == ctx.serial:
+        return x
+    got = ctx._decode.get(x.cls.vec)
+    if got is None:
+        try:
+            got = exc_from_class(ctx, x.cls)
+        except (NotSheafLike, NotExceptionalHere) as exc:
+            raise PreconditionError(f"{x} is not an exceptional object here: {exc}") from None
+    if got != x:
+        raise PreconditionError(f"{x} disagrees with this context's object {got}")
     return got
 
 
@@ -616,7 +689,8 @@ def tube_hom_oracle(r: int, w1: Window, w2: Window) -> int:
 
 
 def _hom_ext(ctx: K0Context, x: ExcObject, y: ExcObject, key) -> tuple[int, int]:
-    """Fill the memo entry (hom(x, y), ext(x, y)) of one pair.
+    """Fill the memo entry (hom(x, y), ext(x, y)) of one pair under `key`,
+    the pair of their object keys.
 
     The slopes are ordered by one cross-multiplication (infinity is 1/0)
     and chi(x, y) is evaluated once.  For ascending slopes Hom is the
@@ -625,7 +699,8 @@ def _hom_ext(ctx: K0Context, x: ExcObject, y: ExcObject, key) -> tuple[int, int]
     on the window coordinates: the offset k from the socle of x to the
     socle of y, and 1 iff k < len(x) <= k + len(y).  coh X is
     hereditary, so the Euler form has no higher terms and ext = hom - chi
-    in every case.
+    in every case.  The coordinates are the context's own (one object per
+    class), so an entry does not depend on which caller asked first.
     """
     xs, ys = x.slope, y.slope
     up = ys.num * xs.den - xs.num * ys.den  # > 0: y has the larger slope
@@ -653,8 +728,14 @@ def _hom_ext(ctx: K0Context, x: ExcObject, y: ExcObject, key) -> tuple[int, int]
 
 
 def hom_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
-    """dim Hom(x, y), from the (hom, ext) memo shared with `ext_dim`."""
-    key = (x.cls.vec, y.cls.vec)
+    """dim Hom(x, y), from the (hom, ext) memo shared with `ext_dim`;
+    x and y are mapped to the context's objects (`_own_object`)."""
+    s = ctx.serial
+    if x._home != s:
+        x = _own_object(ctx, x)
+    if y._home != s:
+        y = _own_object(ctx, y)
+    key = (x._id, y._id)
     got = ctx._pairs.get(key)
     if got is None:
         got = _hom_ext(ctx, x, y, key)
@@ -662,8 +743,14 @@ def hom_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
 
 
 def ext_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
-    """dim Ext^1(x, y), from the (hom, ext) memo shared with `hom_dim`."""
-    key = (x.cls.vec, y.cls.vec)
+    """dim Ext^1(x, y), from the (hom, ext) memo shared with `hom_dim`;
+    x and y are mapped to the context's objects (`_own_object`)."""
+    s = ctx.serial
+    if x._home != s:
+        x = _own_object(ctx, x)
+    if y._home != s:
+        y = _own_object(ctx, y)
+    key = (x._id, y._id)
     got = ctx._pairs.get(key)
     if got is None:
         got = _hom_ext(ctx, x, y, key)
@@ -672,17 +759,22 @@ def ext_dim(ctx: K0Context, x: ExcObject, y: ExcObject) -> int:
 
 def _ext_either(ctx: K0Context, x: ExcObject, y: ExcObject) -> bool:
     """True iff ext(x, y) or ext(y, x) is nonzero: the rigidity test of a
-    pair, x = y included.
+    pair, x = y included; x and y are mapped to the context's objects.
 
     Ext^1(a, b) = D Hom(b, tau a) vanishes when a has the smaller slope
     (module docstring), so for two slopes only ext(higher, lower) is
     read, one memo entry; within one slope both directions are read."""
+    s = ctx.serial
+    if x._home != s:
+        x = _own_object(ctx, x)
+    if y._home != s:
+        y = _own_object(ctx, y)
     xs, ys = x.slope, y.slope
     up = ys.num * xs.den - xs.num * ys.den  # > 0: y has the larger slope
     if up > 0:
         x, y = y, x
     pairs = ctx._pairs
-    key = (x.cls.vec, y.cls.vec)
+    key = (x._id, y._id)
     got = pairs.get(key) or _hom_ext(ctx, x, y, key)
     if got[1] or up:
         return got[1] != 0

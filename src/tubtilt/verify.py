@@ -49,6 +49,7 @@ from .tubes import (
     ExcObject,
     chart_for,
     line_bundle_obj,
+    window_object,
     wing_contains,
 )
 from .weights import (
@@ -109,7 +110,7 @@ def _random_class(ctx: K0Context, rng: random.Random) -> K0Class:
 
 def _sample_exceptionals(ctx: K0Context, rng: random.Random, count: int) -> list[ExcObject]:
     pool = [
-        ExcObject(cls, q, t, socle, length)
+        window_object(ctx, cls, q, t, socle, length)
         for q in CHECK_SLOPES
         for t, socle, length, cls in chart_for(ctx, q).windows()
     ]

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tubtilt import connect, tilting
+from tubtilt import connect, tilting, tubes
 from tubtilt.connect import (
     FareyStep,
     MutationPath,
@@ -1172,7 +1172,7 @@ def test_verify_path_matches_the_full_check(any_ctx, caplog):
         assert _assert_same_verdict(ctx, path, caplog) == (True, None)
     # every clean node is now in the proof table, so each corruption below is
     # checked against a filled table: the table hides none of them
-    assert all(ctx._proved.get(t.class_key()) == t.summands for p in paths for t in p.nodes)
+    assert all(t._key in ctx._proved for p in paths for t in p.nodes)
     corrupted = 0
     for path in paths:
         if len(path.nodes) >= 3:
@@ -1556,3 +1556,142 @@ def test_golden_paths():
         walk = random_walk(ctx, steps, seed=seed, bundle_only=True)
         got[ws, steps, seed] = _event_digest(connect_to_canonical(ctx, walk.end))
     assert got == GOLDEN_CONNECT
+
+
+# -- one object per class ------------------------------------------------------
+
+
+def _moved_coordinates(ctx, s):
+    """s with its socle, then its orbit, moved within its slope: the same
+    class with coordinates that disagree with the context's decode."""
+    r = orbit_rank(ctx, s)
+    tubes_here = len(chart_for(ctx, s.slope).orbits)
+    out = []
+    if r > 1:
+        out.append(ExcObject(s.cls, s.slope, s.orbit, (s.socle + 1) % r, s.len))
+    if tubes_here > 1:
+        out.append(ExcObject(s.cls, s.slope, (s.orbit + 1) % tubes_here, s.socle, s.len))
+    return out
+
+
+def _policy_outcome(call):
+    """call's result, "policy" if it raises the PreconditionError of an
+    object that disagrees with the context's decode, else the error's name."""
+    try:
+        return call()
+    except PreconditionError as exc:
+        return "policy" if "disagrees with this context's object" in str(exc) else repr(exc)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _connect_entry_outcomes(ctx, path, k, o):
+    """The outcome of every connect entry point that takes objects, on
+    path's first node with summand k replaced by the moved object o."""
+    end = path.nodes[0]
+    bad = TiltingObject(end.summands[:k] + (o,) + end.summands[k + 1 :])
+    bad_path = MutationPath([bad, *path.nodes[1:]], list(path.events))
+    lo, hi = slope_range(ctx, end)
+    calls = [
+        lambda: verify_path(ctx, bad_path),
+        lambda: shorten_path(ctx, bad_path),
+        lambda: connect_pair(ctx, bad, t_can(ctx)),
+        lambda: connect_pair(ctx, t_can(ctx), bad),
+        lambda: connect_to_canonical(ctx, bad),
+        lambda: integerize(ctx, bad),
+        lambda: explore_graph(ctx, bad, Slope(lo.floor() - 1, 1), Slope(hi.floor() + 2, 1), 4),
+        lambda: completion_containing(ctx, [o]),
+    ]
+    ev = path.events[0]
+    moved_removed = _moved_coordinates(ctx, ev.removed)
+    if moved_removed:
+        events = [MutationEvent(ev.index, moved_removed[0], ev.added, ev.direction)]
+        calls.append(lambda: verify_path(ctx, MutationPath(path.nodes, events + path.events[1:])))
+    if o.len == 1:
+        calls.append(lambda: connect_shared(ctx, end, end, o))
+        calls.append(lambda: find_companion(ctx, o, Slope(o.slope.floor() + 1, 1)))
+    shared = next((s for i, s in enumerate(end.summands) if s.len == 1 and i != k), None)
+    if shared is not None:
+        calls.append(lambda: connect_shared(ctx, bad, end, shared))
+    return [_policy_outcome(call) for call in calls]
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_other_coordinates_get_one_verdict_in_every_connect_call(ws):
+    # a summand of a connected end, or of a path's event, with its socle or
+    # orbit moved within its slope: every connect entry point raises the
+    # PreconditionError of the one-object-per-class policy, in the context
+    # that connected the original and in a fresh one alike
+    ctx = build_context(make_weights(ws))
+    paths = [
+        connect_to_canonical(ctx, random_walk(ctx, steps, seed=4500 + steps, bundle_only=True).end)
+        for steps in (3, 6, 9)
+    ]
+    moved = 0
+    for path in paths:
+        assert len(path.events) >= 1
+        for k, s in enumerate(path.nodes[0].summands):
+            for o in _moved_coordinates(ctx, s):
+                got = _connect_entry_outcomes(ctx, path, k, o)
+                assert got == ["policy"] * len(got)
+                assert got == _connect_entry_outcomes(build_context(ctx.weights), path, k, o)
+                moved += 1
+    assert moved >= ctx.n
+    assert all(verify_path(ctx, path) for path in paths)
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_paths_and_node_sets_hold_the_contexts_objects(ws):
+    # every summand of a connect path, of its events, of an explore node set,
+    # of a completion and a companion is the decode memo's object for its
+    # class, and each node key is the tuple of its summands' object keys;
+    # ends made in another context connect to paths of this context's own
+    ctx = build_context(make_weights(ws))
+    other = build_context(make_weights(ws))
+    decode = ctx._decode
+
+    def owned(t):
+        return (
+            t._home == ctx.serial
+            and all(decode[s.cls.vec] is s for s in t.summands)
+            and t._key == tuple(s._id for s in t.summands)
+        )
+
+    for steps in (4, 8, 16):
+        end = random_walk(other, steps, seed=4700 + steps, bundle_only=True).end
+        assert end._home == other.serial
+        path = connect_to_canonical(ctx, end)
+        assert path.nodes[0] == end and all(owned(t) for t in path.nodes)
+        assert all(
+            decode[ev.removed.cls.vec] is ev.removed and decode[ev.added.cls.vec] is ev.added
+            for ev in path.events
+        )
+        lo, hi = slope_range(ctx, end)
+        nodes, _ = explore_graph(ctx, end, Slope(lo.floor() - 1, 1), Slope(hi.floor() + 2, 1), 12)
+        assert all(owned(t) for t in nodes)
+        x = next(s for s in path.nodes[0].summands if s.len == 1 and orbit_rank(ctx, s) == ctx.p)
+        y = find_companion(ctx, x, Slope(x.slope.floor() + 1, 1))
+        assert decode[y.cls.vec] is y
+        assert owned(completion_containing(ctx, [x, y]))
+    # the object keys are the memo's entry numbers
+    assert sorted(o._id for o in decode.values()) == list(range(len(decode)))
+    assert all(o._home == ctx.serial for o in decode.values())
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_the_pair_memo_matches_a_recomputation_from_class_vectors(ws):
+    # every (hom, ext) entry keyed by two object keys equals the pair
+    # kernel run afresh on the two class vectors, decoded in a fresh context
+    ctx = build_context(make_weights(ws))
+    for steps, seed in ((32, 4800), (64, 4801)):
+        for bundle_only in (False, True):
+            walk = random_walk(ctx, steps, seed, bundle_only=bundle_only)
+            assert verify_path(ctx, walk)
+    objs = {o._id: o for o in ctx._decode.values()}
+    fresh = build_context(ctx.weights)
+    assert len(ctx._pairs) > 500
+    for (i, j), got in ctx._pairs.items():
+        x = exc_from_class(fresh, objs[i].cls)
+        y = exc_from_class(fresh, objs[j].cls)
+        assert (x, y) == (objs[i], objs[j])
+        assert got == tubes._hom_ext(fresh, x, y, (x._id, y._id))

@@ -181,7 +181,7 @@ def test_gram_blocks_match_the_bareiss_determinant(any_ctx):
                 check_basis(ctx, list(reversed(s)))
                 # a diagonal memo entry forced to chi(x, x) = 2 fails the check,
                 # and so does chi(x, x) = -1 with ext(x, x) = 0, a sign flip of det
-                x = s[k % n].cls.vec
+                x = s[k % n]._id
                 _assert_forced_entry_fails(ctx, t, (x, x), (2, 0))
                 _assert_forced_entry_fails(ctx, t, (x, x), (-1, 0))
                 # so does a run of two, chi(a, b) = 1, with chi(b, a) forced to 1
@@ -190,7 +190,7 @@ def test_gram_blocks_match_the_bareiss_determinant(any_ctx):
                         a, b = (i, i + 1) if gram[i][i + 1] else (i + 1, i)
                         if gram[a][b] == 1:
                             assert gram[b][a] == 0
-                            _assert_forced_entry_fails(ctx, t, (s[b].cls.vec, s[a].cls.vec), (1, 0))
+                            _assert_forced_entry_fails(ctx, t, (s[b]._id, s[a]._id), (1, 0))
                             forced_off += 1
                 checked += 1
     assert checked == 2 * (9 + 17 + 33)
@@ -216,7 +216,7 @@ def _proof_table_walks(ws):
         for bundle_only in (True, False)
         for t in random_walk(ctx, steps, seed=4300 + steps, bundle_only=bundle_only).nodes
     ]
-    assert ctx._proved == {}
+    assert ctx._proved == set()
     return ctx, nodes
 
 
@@ -233,21 +233,13 @@ def _count_gram_dets(monkeypatch):
     return calls
 
 
-def _outcome(ctx, t):
-    """is_tilting's verdict on t, or the name of the error it raises."""
-    try:
-        return is_tilting(ctx, t)
-    except Exception as exc:
-        return type(exc).__name__
-
-
 @pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
 def test_a_proved_object_is_read_off_the_proof_table(ws, monkeypatch):
     ctx, nodes = _proof_table_walks(ws)
     calls = _count_gram_dets(monkeypatch)
     for t in nodes:
         assert is_tilting(ctx, t)
-        assert ctx._proved[t.class_key()] == t.summands
+        assert t._key in ctx._proved
         # an equal object built anew from copies of the summands: no proof
         copy = TiltingObject(
             tuple(ExcObject(s.cls, s.slope, s.orbit, s.socle, s.len) for s in t.summands)
@@ -260,41 +252,108 @@ def test_a_proved_object_is_read_off_the_proof_table(ws, monkeypatch):
     assert len(ctx._proved) == len(distinct) < len(nodes)
 
 
+def _moved_coordinates(ctx, s):
+    """s with its socle, then its orbit, moved within its slope: the same
+    class with coordinates that disagree with the context's decode."""
+    r = orbit_rank(ctx, s)
+    tubes_here = len(chart_for(ctx, s.slope).orbits)
+    out = []
+    if r > 1:
+        out.append(ExcObject(s.cls, s.slope, s.orbit, (s.socle + 1) % r, s.len))
+    if tubes_here > 1:
+        out.append(ExcObject(s.cls, s.slope, (s.orbit + 1) % tubes_here, s.socle, s.len))
+    return out
+
+
+def _tilting_entry_outcomes(ctx, bad, k, o):
+    """The outcome of every tilting entry point that takes objects, on the
+    tilting object bad whose summand k is the moved object o."""
+    kept = bad.summands[(k + 1) % ctx.n]
+    calls = [
+        lambda: is_tilting(ctx, bad),
+        lambda: is_tilting(ctx, list(bad.summands)),
+        lambda: make_tilting(ctx, bad.summands),
+        lambda: check_basis(ctx, bad),
+        lambda: mutate(ctx, bad, k),
+        lambda: mutate(ctx, bad, (k + 1) % ctx.n),
+        lambda: purge_torsion(ctx, bad),
+        lambda: hom_dim(ctx, o, kept),
+        lambda: hom_dim(ctx, kept, o),
+        lambda: ext_dim(ctx, o, o),
+        lambda: ext_dim(ctx, kept, o),
+    ]
+    return [_outcome_of(call) for call in calls]
+
+
+def _outcome_of(call):
+    """call's result, "policy" if it raises the PreconditionError of an
+    object that disagrees with the context's decode, else the error's name."""
+    try:
+        return call()
+    except PreconditionError as exc:
+        return "policy" if "disagrees with this context's object" in str(exc) else repr(exc)
+    except Exception as exc:
+        return type(exc).__name__
+
+
 @pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
-def test_other_coordinates_are_proved_again(ws, monkeypatch):
-    # equal classes are not enough for a hit: one summand's socle or orbit
-    # altered is proved again, with the verdict of a fresh context.  The
-    # fresh context proves the original first, so it reads the same (hom,
-    # ext) memo entries: that memo is keyed by class vectors and fills an
-    # entry from the coordinates of the first pair asked
+def test_other_coordinates_get_one_verdict_in_every_context(ws, monkeypatch):
+    # one object per class: a summand whose socle or orbit is moved within
+    # its slope disagrees with the context's decode, and every entry point
+    # raises the policy's PreconditionError for it, in a context that
+    # proved the original and in a fresh one alike.  No proof is attempted, nothing
+    # is recorded, and the original stays proved
     ctx, nodes = _proof_table_walks(ws)
     calls = _count_gram_dets(monkeypatch)
     altered = 0
     for i, t in enumerate(nodes):
         assert is_tilting(ctx, t)
         k = i % ctx.n
-        s = t.summands[k]
-        r = orbit_rank(ctx, s)
-        tubes_here = len(chart_for(ctx, s.slope).orbits)
-        others = []
-        if r > 1:
-            others.append(ExcObject(s.cls, s.slope, s.orbit, (s.socle + 1) % r, s.len))
-        if tubes_here > 1:
-            others.append(ExcObject(s.cls, s.slope, (s.orbit + 1) % tubes_here, s.socle, s.len))
-        for o in others:
+        for o in _moved_coordinates(ctx, t.summands[k]):
             bad = TiltingObject(t.summands[:k] + (o,) + t.summands[k + 1 :])
             assert bad.class_key() == t.class_key() and bad != t
-            calls.clear()
-            got = _outcome(ctx, bad)
-            assert len(calls) == 1
+            assert bad._home is None
             fresh = build_context(ctx.weights)
-            assert is_tilting(fresh, t)
-            assert got == _outcome(fresh, bad)
-            # the original, now perhaps displaced by the altered object,
-            # is still True
+            proved = set(ctx._proved)
+            calls.clear()
+            got = _tilting_entry_outcomes(ctx, bad, k, o)
+            assert got == ["policy"] * len(got)
+            assert got == _tilting_entry_outcomes(fresh, bad, k, o)
+            assert calls == []
+            assert ctx._proved == proved and fresh._proved == set()
             assert is_tilting(ctx, t)
             altered += 1
     assert altered > len(nodes)
+
+
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_objects_of_another_context_are_mapped(ws):
+    # an object equal to the context's, made in another context of the
+    # same weights or built by hand, is mapped to the context's object:
+    # the verdicts, mutations and hom/ext values are those of the
+    # context's own objects, and a mutation's result is the context's own
+    ctx = build_context(make_weights(ws))
+    other = build_context(make_weights(ws))
+    for steps in (8, 16):
+        walk = random_walk(other, steps, seed=4400 + steps)
+        for t in walk.nodes:
+            assert t._home == other.serial != ctx.serial
+            mine = make_tilting(ctx, t.summands)
+            assert mine == t and mine._home == ctx.serial
+            assert all(ctx._decode[s.cls.vec] is s for s in mine.summands)
+            copy = TiltingObject(
+                tuple(ExcObject(s.cls, s.slope, s.orbit, s.socle, s.len) for s in t.summands)
+            )
+            for u in (t, copy):
+                assert is_tilting(ctx, u)
+                for k in (0, ctx.n - 1):
+                    t2, ev = mutate(ctx, u, k)
+                    assert (t2, ev) == mutate(ctx, mine, k)
+                    assert t2._home == ctx.serial and ev.added is ctx._decode[ev.added.cls.vec]
+            x, y = t.summands[0], t.summands[-1]
+            assert hom_dim(ctx, x, y) == hom_dim(other, x, y)
+            assert ext_dim(ctx, y, x) == ext_dim(other, y, x)
+        assert verify_path(ctx, walk)
 
 
 @pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
@@ -311,10 +370,10 @@ def test_a_non_tilting_object_leaves_no_entry(ws):
             if w.cls.vec not in vecs:
                 z = next(s for s in t.summands if s is not y)
                 bad = make_tilting(ctx, [w if s is z else s for s in t.summands])
-                table = dict(ctx._proved)
+                table = set(ctx._proved)
                 for _ in range(3):
                     assert not is_tilting(ctx, bad)
-                assert ctx._proved == table and bad.class_key() not in ctx._proved
+                assert ctx._proved == table and bad._key not in ctx._proved
                 rejected += 1
                 break
     assert rejected == len(nodes)
@@ -328,10 +387,10 @@ def test_a_basis_mismatch_is_raised_on_every_call(ws):
     ctx, nodes = _proof_table_walks(ws)
     forced = 0
     for i, t in enumerate(nodes):
-        if t.class_key() in ctx._proved:
+        if t._key in ctx._proved:
             continue
         x = t.summands[i % ctx.n]
-        key = (x.cls.vec, x.cls.vec)
+        key = (x._id, x._id)
         hom_dim(ctx, x, x)
         saved = ctx._pairs[key]
         ctx._pairs[key] = (2, 0)
@@ -339,11 +398,11 @@ def test_a_basis_mismatch_is_raised_on_every_call(ws):
             for _ in range(2):
                 with pytest.raises(BasisMismatch):
                     is_tilting(ctx, t)
-                assert t.class_key() not in ctx._proved
+                assert t._key not in ctx._proved
         finally:
             ctx._pairs[key] = saved
         assert is_tilting(ctx, t)
-        assert ctx._proved[t.class_key()] == t.summands
+        assert t._key in ctx._proved
         forced += 1
     assert forced == len({t.class_key() for t in nodes})
 
@@ -352,11 +411,11 @@ def test_a_basis_mismatch_is_raised_on_every_call(ws):
 def test_the_proof_table_stays_under_the_cap(ws, monkeypatch):
     sizes = []
 
-    class SizedTable(dict):
+    class SizedTable(set):
         """The proof table, recording its size after every insert."""
 
-        def __setitem__(self, key, value):
-            super().__setitem__(key, value)
+        def add(self, key):
+            super().add(key)
             sizes.append(len(self))
 
     ctx, nodes = _proof_table_walks(ws)
@@ -364,7 +423,7 @@ def test_the_proof_table_stays_under_the_cap(ws, monkeypatch):
     monkeypatch.setattr(tilting, "_COMPLEMENT_TABLE_CAP", 20)
     for t in nodes:
         assert is_tilting(ctx, t)
-        assert ctx._proved[t.class_key()] == t.summands
+        assert t._key in ctx._proved
     for steps in (8, 16, 32):
         assert verify_path(ctx, random_walk(ctx, steps, seed=4300 + steps, bundle_only=True))
     assert max(sizes) == 20
@@ -496,7 +555,7 @@ def test_mutate_rejects_a_third_complement():
     others = tc.summands[:1] + tc.summands[2:]
     y = line_bundle_obj(ctx, l_add(c_gen(w), c_gen(w)))
     fake = make_tilting(ctx, others + (y,))
-    key = tc.class_key()
+    key = tc._key
     ac_key = key[:1] + key[2:]
     ctx._complements.clear()
     tilting._enter_complement(ctx, ac_key, t2, ev.added)

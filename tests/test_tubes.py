@@ -864,7 +864,7 @@ def test_rigidity_tests_write_one_direction_across_slopes():
     oc = line_bundle_obj(ctx, c_gen(ctx.weights))
     assert ctx._pairs == {}
     assert not tubes._ext_either(ctx, o, oc)
-    assert list(ctx._pairs) == [(oc.cls.vec, o.cls.vec)]
+    assert list(ctx._pairs) == [(oc._id, o._id)]
     # is_tilting reads each unordered pair once, both ways only at one slope
     ctx = build_context(make_weights((2, 3, 6)))
     t = t_can(ctx)
