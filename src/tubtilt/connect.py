@@ -58,12 +58,10 @@ from .tilting import (
     _bound_complements,
     _complete_mutation,
     _enter_complement,
-    _enter_proved,
     _exchange,
-    _is_proved,
     _other_complement,
     _own,
-    check_basis,
+    _prove,
     find_full_period_quasi_simple,
     is_bundle,
     is_tilting,
@@ -235,39 +233,6 @@ class MutationPath(Record):
         return MutationPath(nodes, events)
 
 
-def _node_is_tilting(
-    ctx: K0Context, node: TiltingObject, keys: frozenset, prev_keys: frozenset | None
-) -> bool:
-    """is_tilting(ctx, node) for a node the context owns, given the object
-    keys `keys` of node and `prev_keys` of the node before it on a path,
-    which passed (None for the first node).
-
-    A node proved before in this context is True at once
-    (`tilting._is_proved`).  Otherwise, if node has n distinct summands
-    and differs from the node before in exactly one object z, the pairs
-    among its n - 1 other summands were checked there (ext depends only
-    on the two objects), so only the pairs of z with every summand y, z
-    included, are checked (`tubes._ext_either`).  Any other node gets the
-    full is_tilting.  Every node not yet proved runs the one basis
-    cross-check (`tilting.check_basis`) either way; it reads the Gram
-    matrix off the ext memo that these checks have filled.  A node that
-    passes is recorded in the proof table (`tilting._enter_proved`).
-    """
-    if _is_proved(ctx, node):
-        return True
-    new = keys - prev_keys if prev_keys is not None else ()
-    if len(new) != 1 or len(node.summands) != ctx.n or len(keys) != ctx.n:
-        return is_tilting(ctx, node)
-    (z_id,) = new
-    z = node.summands[node._key.index(z_id)]
-    for y in node.summands:
-        if _ext_either(ctx, z, y):
-            return False
-    check_basis(ctx, node)
-    _enter_proved(ctx, node)
-    return True
-
-
 def _own_path(ctx: K0Context, path: MutationPath) -> MutationPath:
     """path on the context's objects: its nodes and the summands of its
     events mapped (the policy of `ExcObject`); path itself when the
@@ -293,24 +258,25 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     objects (`_own_path`); one whose coordinates disagree with the
     context's decode raises PreconditionError (the policy of `ExcObject`),
     so a path made in another context of the same weights is verified
-    here as its equal.  Every node is checked to be tilting: in full
-    (`is_tilting`) for the first node and for any node that does not
-    differ from the node before in exactly one summand, otherwise only
-    the ext pairs with the summand it brings in (`_node_is_tilting`);
-    ext values come from the context's memo, keyed by the two objects.
-    A node that the verifier has proved before in this context is read
-    off the proof table (`K0Context._proved`, by node key), so each
-    distinct node is proved once per context; only full proofs are
-    recorded there, and the searches that build a path never write it.
-    Every other node runs the one basis cross-check
+    here as its equal.  Every node goes to the one tilting prover of the
+    library (`tilting._prove`, the proof of `is_tilting`): in full for the
+    first node and for any node that does not differ from the node before
+    in exactly one summand, otherwise only the ext pairs with the summand
+    it brings in, which the node key sets name; ext values come from the
+    context's memo, keyed by the two objects.  A node proved before in
+    this context, by `is_tilting` or by a verification, is read off the
+    proof table (`K0Context._proved`, by node key), so each distinct node
+    is proved once per context; the searches that build a path never
+    write that table.  Every other node runs the one basis cross-check
     (`tilting.check_basis`), which is exact and takes the Euler Gram
     matrix from the same memo, so its work is the product of a few
     in-tube determinants, one per (slope, orbit) run.  Then every edge is
     checked against its event: two different nodes, one summand
-    exchanged, the recorded removed and added summands, an index in range
-    that holds the removed summand, and the direction (ext from the
-    smaller slope is 0 and is not read).  Each node's set of object keys
-    is built once for both checks.
+    exchanged, the recorded removed and added summands, an index that is
+    an int (not a bool) in range and holds the removed summand, and the
+    direction, exactly "L" or "R" as ext says (ext from the smaller slope
+    is 0 and is not read).  Each node's set of object keys, and the keys
+    it gains over the node before, are built once for both checks.
     """
     if not path.nodes:
         _warn("path has no nodes")
@@ -320,9 +286,13 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
         return False
     path = _own_path(ctx, path)
     sets = [frozenset(t._key) for t in path.nodes]
+    gains = [frozenset()] + [b - a for a, b in zip(sets, sets[1:])]
     for i, node in enumerate(path.nodes):
+        new = None
+        if len(gains[i]) == 1 and len(node.summands) == len(sets[i]) == ctx.n:
+            (new,) = gains[i]
         try:
-            if not _node_is_tilting(ctx, node, sets[i], sets[i - 1] if i else None):
+            if not _prove(ctx, node, new):
                 _warn("node %d is not tilting", i)
                 return False
         except BasisMismatch:
@@ -330,22 +300,24 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
             return False
     for i, ev in enumerate(path.events):
         prev = path.nodes[i]
-        pv, nv = sets[i], sets[i + 1]
-        if pv == nv:
+        lost, got = sets[i] - sets[i + 1], gains[i + 1]
+        if not (lost or got):
             _warn("nodes %d and %d are equal", i, i + 1)
             return False
-        if len(pv - nv) != 1 or len(nv - pv) != 1:
+        if len(lost) != 1 or len(got) != 1:
             _warn("nodes %d -> %d differ in more than one summand", i, i + 1)
             return False
-        if {ev.removed._id} != pv - nv or {ev.added._id} != nv - pv:
+        if ev.removed._id not in lost or ev.added._id not in got:
             _warn("event %d does not match the node difference", i)
             return False
-        if not 0 <= ev.index < ctx.n or prev.summands[ev.index] is not ev.removed:
+        k = ev.index
+        in_range = isinstance(k, int) and not isinstance(k, bool) and 0 <= k < ctx.n
+        if not in_range or prev.summands[k] is not ev.removed:
             _warn("event %d records a wrong index", i)
             return False
         a, b = ev.added.slope, ev.removed.slope
         left = a.num * b.den >= b.num * a.den and ext_dim(ctx, ev.added, ev.removed) > 0
-        if left != (ev.direction == "L"):
+        if ev.direction != ("L" if left else "R"):
             _warn("event %d records a wrong direction", i)
             return False
     return True
@@ -526,6 +498,9 @@ def completion_containing(
     seed = [_own_object(ctx, x) for x in seed]
     if not seed:
         raise PreconditionError("empty seed")
+    seed_ids = {x._id for x in seed}
+    if len(seed_ids) != len(seed):
+        raise PreconditionError("seed objects must be distinct")
     for i, x in enumerate(seed):
         if x.slope.is_infinite or rank_of(ctx, x.cls) < 1:
             raise PreconditionError("seed objects must be bundles")
@@ -533,7 +508,6 @@ def completion_containing(
             if _ext_either(ctx, x, y):
                 raise PreconditionError("seed objects must be ext-orthogonal")
     clock = _clock(budget)
-    seed_ids = {x._id for x in seed}
     for round_ in range(_COMPLETION_ROUNDS + 1):
         cands = []
         for q in _pool_slopes(seed, round_):
@@ -817,10 +791,11 @@ def integerize(
     smaller denominators, and consecutive companions are rigid pairs,
     so routing through completions reaches slope m + 1 in finitely many
     steps.  t is mapped to the context's objects first (the policy of
-    `ExcObject`).
+    `ExcObject`); one that is not a tilting bundle (`is_tilting`) raises
+    PreconditionError.
     """
     t = _own(ctx, t)
-    if not is_bundle(t):
+    if not is_bundle(t) or not is_tilting(ctx, t):
         raise PreconditionError("input must be a tilting bundle")
     if _range_integer(ctx, t) is not None:
         raise PreconditionError("slope range already contains an integer")
@@ -846,8 +821,10 @@ def integerize(
 
 def _integerized(ctx: K0Context, t: TiltingObject, clock: _Clock) -> MutationPath:
     """integerize's path from t if t's slope range holds no integer, else
-    the path of t alone."""
-    if not is_bundle(t):
+    the path of t alone; PreconditionError before any search if t is not
+    a tilting bundle.  The proof of `is_tilting` is recorded, so the
+    final verification of the connect reads t off the proof table."""
+    if not is_bundle(t) or not is_tilting(ctx, t):
         raise PreconditionError("input must be a tilting bundle")
     if _range_integer(ctx, t) is None:
         return integerize(ctx, t, clock)
@@ -860,8 +837,9 @@ def connect_pair(
     t2: TiltingObject,
     budget: _Budget = DEFAULT_BUDGET,
 ) -> MutationPath:
-    """Verified bundle path t -> t2: each end integerized first if its
-    slope range holds no integer (Farey descent), then one direct search
+    """Verified bundle path t -> t2: each end proved a tilting bundle
+    (PreconditionError if not) and integerized first if its slope range
+    holds no integer (Farey descent), then one direct search
     between the two, the joined path with its detours spliced out
     (shorten_path) and verified.  Every connect of the library is this
     call.  The deadline is tested before the splicing and before the

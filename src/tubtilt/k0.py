@@ -118,11 +118,12 @@ class K0Context:
         # seen in a search towards it to its bit mask of target summands it
         # has ext with (or, for a target summand j, to -(1 << j)).
         self._relations: dict[tuple[int, ...], dict[int, int]] = {}
-        # The proof table of the verifier (tilting.is_tilting and
-        # connect._node_is_tilting): the node keys of the tilting objects
-        # proved in this context (ext pairs, then the basis check).  A node
-        # key determines the summands, so a repeat is one lookup
-        # (tilting._is_proved); nothing else writes it (tilting._enter_proved).
+        # The proof table of the one tilting prover (tilting._prove, which
+        # tilting.is_tilting and connect.verify_path call): the node keys of
+        # the tilting objects proved in this context (ext pairs, then the
+        # basis check), a plain sequence given to is_tilting under the key
+        # of the object it sorts into.  A node key determines the summands,
+        # so a repeat is one lookup; nothing but the prover reads or writes it.
         self._proved: set[tuple[int, ...]] = set()
         self.omega = omega(weights)
         self.tau: Matrix = twist_matrix(self, self.omega)

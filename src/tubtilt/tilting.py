@@ -6,12 +6,14 @@ basis, which is cross-checked.  The cross-check reads the Euler Gram
 matrix chi(T_i, T_j) off the (hom, ext) memo that the ext test has just
 filled: ext-orthogonality makes it block triangular over the summands'
 (slope, orbit) runs, so its determinant is a product of 1x1 entries and
-of small in-tube blocks (`check_basis`).  Each tilting object that the
-verifier proves (`is_tilting`, and `connect.verify_path` node by node)
-is recorded once per context in a proof table keyed by its node key (the
-tuple of its summands' object keys: one object per class in a context,
-see `tubes.ExcObject`); a repeat is answered from it, and nothing but
-the verifier writes it (`_enter_proved`).
+of small in-tube blocks (`check_basis`).  One prover (`_prove`) runs
+the whole proof for both verifiers, `is_tilting` and
+`connect.verify_path` node by node: the ext pairs, then the cross-check.
+It records each tilting object it proves once per context in a proof
+table keyed by its node key (the tuple of its summands' object keys: one
+object per class in a context, see `tubes.ExcObject`), and answers a
+repeat from it; a plain sequence passed to `is_tilting` is recorded as
+the tilting object it sorts into, and nothing else writes the table.
 
 Mutation exchanges one summand for the unique other complement of the
 remaining almost complete tilting object.  The complement is first read
@@ -223,79 +225,84 @@ def is_tilting(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> boo
     since that would contradict the operational definition of tilting.
     The summands are first mapped to the context's objects, and one whose
     coordinates disagree with the context's decode raises
-    PreconditionError (the policy of `ExcObject`).  The ext test reads
-    each unordered pair once, the diagonal included (`tubes._ext_either`:
-    one direction across two slopes).  The cross-check costs no new
-    hom/ext: it reads the same-slope memo entries that the ext test has
-    just filled.
-
-    A TiltingObject proved before in this context is True at once
-    (`_is_proved`), and one that passes both checks is recorded
-    (`_enter_proved`).  The proof depends only on the summands, which
-    its node key determines, so the answer is the same.  A False verdict
-    or an exception is never recorded, and a plain sequence is neither
-    looked up nor recorded.
+    PreconditionError (the policy of `ExcObject`); a plain sequence is
+    then sorted into the TiltingObject it names.  That object goes to the
+    one prover (`_prove`), which reads each unordered pair once, the
+    diagonal included, and answers a repeat off the proof table, so a
+    plain sequence is recorded and looked up like the object it names.
     """
     if isinstance(objs, TiltingObject):
-        objs = _own(ctx, objs)
-        if _is_proved(ctx, objs):
-            return True
-        lst = objs.summands
+        t = _own(ctx, objs)
     else:
-        lst = [_own_object(ctx, o) for o in objs]
-    if len(lst) != ctx.n:
-        return False
-    if len({o._id for o in lst}) != ctx.n:
-        return False
-    for i, x in enumerate(lst):
-        for y in lst[i:]:
-            if _ext_either(ctx, x, y):
-                return False
-    check_basis(ctx, objs if isinstance(objs, TiltingObject) else lst)
-    if isinstance(objs, TiltingObject):
-        _enter_proved(ctx, objs)
-    return True
+        t = TiltingObject(
+            tuple(sorted((_own_object(ctx, o) for o in objs), key=ExcObject.sort_key))
+        )
+    return _prove(ctx, t)
 
 
-def _is_proved(ctx: K0Context, t: TiltingObject) -> bool:
-    """True iff t, the context's own, was proved tilting in this context:
-    its node key is in the proof table (`K0Context._proved`)."""
-    return t._key in ctx._proved
+def _prove(ctx: K0Context, t: TiltingObject, new: int | None = None) -> bool:
+    """The tilting proof of t, the context's own; the one proof of the
+    library (`is_tilting`, and `connect.verify_path` node by node).
 
-
-def _enter_proved(ctx: K0Context, t: TiltingObject) -> None:
-    """Record t, the context's own and just proved tilting in full (ext
-    pairs, then the basis check), in the proof table
-    (`K0Context._proved`); a table that has reached
-    `_COMPLEMENT_TABLE_CAP` entries is cleared first."""
+    A node key in the proof table (`K0Context._proved`) is True at once:
+    the proof depends only on the summands, which the key determines.
+    Otherwise the ext pairs are read (`tubes._ext_either`: one direction
+    across two slopes): every unordered pair of summands, the diagonal
+    included, after the count and duplicate tests (False on either); or,
+    when the caller names by its object key `new` the summand z that t,
+    with n distinct summands, brings in over a node that passed with t's
+    other n - 1 summands, only z against every summand, z included (ext
+    depends only on the two objects).  An ext-orthogonal set then runs
+    the basis cross-check (`check_basis`), which reads its Gram matrix off
+    the memo these reads have filled, and is recorded; a table that has
+    reached `_COMPLEMENT_TABLE_CAP` entries is cleared first.  A False
+    verdict or an exception is never recorded.
+    """
     proved = ctx._proved
+    if t._key in proved:
+        return True
+    lst = t.summands
+    if new is not None:
+        z = lst[t._key.index(new)]
+        for y in lst:
+            if _ext_either(ctx, z, y):
+                return False
+    elif len(lst) != ctx.n or len(set(t._key)) != ctx.n:
+        return False
+    else:
+        for i, x in enumerate(lst):
+            for y in lst[i:]:
+                if _ext_either(ctx, x, y):
+                    return False
+    check_basis(ctx, t)
     if len(proved) >= _COMPLEMENT_TABLE_CAP:
         proved.clear()
     proved.add(t._key)
+    return True
 
 
 def check_basis(ctx: K0Context, objs: Sequence[ExcObject] | TiltingObject) -> None:
     """The basis cross-check of an ext-orthogonal n-set: its classes
     must be a Z-basis of K0, else BasisMismatch.  It is the one basis
-    check: `is_tilting` runs it, and `connect.verify_path` runs it on
-    every node of a path not yet proved in the context.  It is not
-    memoized itself: every call computes the determinant.  The summands
-    are mapped to the context's objects first (the policy of `ExcObject`).
+    check: the prover (`_prove`) runs it on every tilting object not yet
+    proved in the context, for `is_tilting` and for every node of a path
+    that `connect.verify_path` checks.  It is not memoized itself: every
+    call computes the determinant.  The summands are mapped to the
+    context's objects first (the policy of `ExcObject`).
 
     Precondition: ext(x, y) = 0 for every ordered pair of summands, x = y
-    included (`is_tilting` and `connect._node_is_tilting` prove it just
-    before the call; they read both directions of every pair at one
-    slope, which fills every memo entry of a run).  Let A be the matrix
-    of class vectors, one row per summand, and E the Euler matrix.  The
-    Gram matrix G = A E A^T has entries chi(a_i, a_j), and det(G) =
-    det(A)^2 det(E) with det(E) = +-1 (`K0Context.euler_det`), so
-    |det(A)| = 1 exactly when det(G) = det(E).  Put the summands in
-    canonical order and take x in a later (slope, orbit) run than y: x
-    has the larger slope, or the same slope and another tube, so
-    hom(x, y) = 0 and chi(x, y) = -ext(x, y) = 0.  G is therefore block
-    upper triangular over the runs, and det(G) is the product of the
-    runs' blocks (`_gram_det`).  A TiltingObject is already in canonical
-    order; a plain sequence is sorted here.
+    included (`_prove` establishes it first; it reads both directions of
+    every pair at one slope, which fills every memo entry of a run).  Let
+    A be the matrix of class vectors, one row per summand, and E the
+    Euler matrix.  The Gram matrix G = A E A^T has entries chi(a_i, a_j),
+    and det(G) = det(A)^2 det(E) with det(E) = +-1
+    (`K0Context.euler_det`), so |det(A)| = 1 exactly when det(G) =
+    det(E).  Put the summands in canonical order and take x in a later
+    (slope, orbit) run than y: x has the larger slope, or the same slope
+    and another tube, so hom(x, y) = 0 and chi(x, y) = -ext(x, y) = 0.  G
+    is therefore block upper triangular over the runs, and det(G) is the
+    product of the runs' blocks (`_gram_det`).  A TiltingObject is
+    already in canonical order; a plain sequence is sorted here.
     """
     if isinstance(objs, TiltingObject):
         summands: Sequence[ExcObject] = _own(ctx, objs).summands
@@ -836,7 +843,7 @@ def _other_complement(
 # is cleared, before a mutation is computed or a graph explored, together
 # with the relation table of the stratum search (`K0Context._relations`).
 # The proof table (`K0Context._proved`) is cleared on an insert once it
-# holds this many (`_enter_proved`).
+# holds this many (`_prove`).
 _COMPLEMENT_TABLE_CAP = 300_000
 
 

@@ -166,6 +166,9 @@ def test_completion_rejects_bad_seed(ctx2222):
         completion_containing(ctx2222, [torsion])
     with pytest.raises(PreconditionError):
         completion_containing(ctx2222, [])
+    for dup in ([o, o], [o, o, o]):
+        with pytest.raises(PreconditionError, match="distinct"):
+            completion_containing(ctx2222, dup)
 
 
 def test_completion_of_farey_neighbour_seeds(ctx2222):
@@ -705,6 +708,63 @@ def test_connect_to_canonical_rejects_torsion(ctx2222):
     pytest.skip("no torsion fixture found")
 
 
+@pytest.mark.parametrize("ws", [(2, 2, 2, 2), (3, 3, 3)], ids=lambda ws: ",".join(map(str, ws)))
+def test_connects_reject_a_non_tilting_end_up_front(ws, monkeypatch):
+    # a bundle walk end with summand 0 replaced by tau^-1 of summand 1, y:
+    # ext(tau^-1 y, y) = hom(y, y) = 1, so the end is not rigid.  Searched,
+    # it failed deep in the search (ComplementNotFound on (2,2,2,2),
+    # DuplicateSummands on (3,3,3)); every connect rejects it before any
+    # search runs
+    ctx = build_context(make_weights(ws))
+    end = random_walk(ctx, 5, 11, bundle_only=True).end
+    y = end.summands[1]
+    w = exc_from_class(ctx, K0Class(mat_vec(ctx.tau_inv, y.cls.vec)))
+    assert w.cls.vec not in set(end.class_key())
+    bad = TiltingObject((w,) + end.summands[1:])
+    assert is_bundle(bad) and not is_tilting(ctx, bad)
+
+    def no_search(*args):
+        raise AssertionError("a search ran on a non-tilting end")
+
+    monkeypatch.setattr(connect, "_stratum_path", no_search)
+    monkeypatch.setattr(connect, "completion_containing", no_search)
+    calls = [
+        lambda: connect_to_canonical(ctx, bad),
+        lambda: connect_pair(ctx, bad, t_can(ctx)),
+        lambda: connect_pair(ctx, t_can(ctx), bad),
+        lambda: integerize(ctx, bad),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="input must be a tilting bundle"):
+            call()
+    assert bad._key not in ctx._proved
+
+
+def test_a_connect_proves_each_node_of_its_path_once(any_ctx, monkeypatch):
+    # the ends are proved up front and recorded, so the final verification
+    # reads them off the proof table: on a fresh context, a connect whose
+    # end needs no Farey descent runs one basis check per node of its path
+    calls = []
+    real = tilting._gram_det
+
+    def spy(ctx, summands):
+        calls.append(tuple(s._id for s in summands))
+        return real(ctx, summands)
+
+    monkeypatch.setattr(tilting, "_gram_det", spy)
+    checked = 0
+    for seed in range(4):
+        ctx = build_context(any_ctx.weights)
+        end = random_walk(ctx, 6, seed=3900 + seed, bundle_only=True).end
+        if _range_integer(ctx, end) is None:
+            continue
+        calls.clear()
+        path = connect_to_canonical(ctx, end)
+        assert sorted(calls) == sorted(t._key for t in path.nodes)
+        checked += 1
+    assert checked
+
+
 def test_connect_pair(ctx2222):
     a = t_can(ctx2222, x_gen(ctx2222.weights, 0))
     b = t_can(ctx2222, x_gen(ctx2222.weights, 3))
@@ -1089,10 +1149,16 @@ def _full_verify_path(ctx, path, det=int_det):
         if {ev.removed.cls.vec} != pv - nv or {ev.added.cls.vec} != nv - pv:
             _LOG.warning("event %d does not match the node difference", i)
             return False
-        if not 0 <= ev.index < ctx.n or prev.summands[ev.index].cls.vec != ev.removed.cls.vec:
+        k = ev.index
+        if (
+            not isinstance(k, int)
+            or isinstance(k, bool)
+            or not 0 <= k < ctx.n
+            or prev.summands[k].cls.vec != ev.removed.cls.vec
+        ):
             _LOG.warning("event %d records a wrong index", i)
             return False
-        if (ext_dim(ctx, ev.added, ev.removed) > 0) != (ev.direction == "L"):
+        if ev.direction != ("L" if ext_dim(ctx, ev.added, ev.removed) > 0 else "R"):
             _LOG.warning("event %d records a wrong direction", i)
             return False
     return True
@@ -1148,8 +1214,13 @@ def _corruptions(ctx, path):
     flipped = MutationEvent(ev.index, ev.removed, ev.added, "R" if ev.direction == "L" else "L")
     out.append((MutationPath(nodes, events[: mid - 1] + [flipped] + events[mid:]), None))
     # an event index out of range: negative, naming the removed summand
-    # from the end, and past the last summand
-    for index in (ev.index - ctx.n, ev.index + ctx.n):
+    # from the end, and past the last summand; and an index that is not an
+    # int: a float and a string naming the right summand, and the bool
+    # equal to it where there is one
+    bad_indices = [ev.index - ctx.n, ev.index + ctx.n, float(ev.index), str(ev.index)]
+    if ev.index in (0, 1):
+        bad_indices.append(bool(ev.index))
+    for index in bad_indices:
         moved = MutationEvent(index, ev.removed, ev.added, ev.direction)
         out.append(
             (
@@ -1157,6 +1228,18 @@ def _corruptions(ctx, path):
                 f"event {mid - 1} records a wrong index",
             )
         )
+    # an R event recording a direction that is neither "L" nor "R"
+    j = next((j for j, e in enumerate(events) if e.direction == "R"), None)
+    if j is not None:
+        e = events[j]
+        for direction in ("X", "", None, "r"):
+            bogus = MutationEvent(e.index, e.removed, e.added, direction)
+            out.append(
+                (
+                    MutationPath(nodes, events[:j] + [bogus] + events[j + 1 :]),
+                    f"event {j} records a wrong direction",
+                )
+            )
     return out
 
 

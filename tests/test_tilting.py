@@ -252,6 +252,30 @@ def test_a_proved_object_is_read_off_the_proof_table(ws, monkeypatch):
     assert len(ctx._proved) == len(distinct) < len(nodes)
 
 
+@pytest.mark.parametrize("ws", TUBULAR_TYPES, ids=lambda ws: ",".join(map(str, ws)))
+def test_a_plain_sequence_is_proved_as_the_object_it_names(ws, monkeypatch):
+    # is_tilting sorts a plain sequence into the tilting object it names and
+    # records that object: a repeat, as a sequence in any order or as the
+    # object, runs no basis check, and a later verify_path reads the node
+    # off the proof table
+    ctx = build_context(make_weights(ws))
+    walk = random_walk(ctx, 8, seed=4350, bundle_only=True)
+    assert ctx._proved == set()
+    calls = _count_gram_dets(monkeypatch)
+    mid = walk.nodes[len(walk.nodes) // 2]
+    assert is_tilting(ctx, list(reversed(mid.summands)))
+    assert len(calls) == 1 and ctx._proved == {mid._key}
+    calls.clear()
+    assert is_tilting(ctx, list(mid.summands))
+    assert is_tilting(ctx, tuple(reversed(mid.summands)))
+    assert is_tilting(ctx, mid)
+    assert calls == []
+    assert verify_path(ctx, walk)
+    proved_by_path = [tuple(s._id for s in c) for c in calls]
+    assert mid._key not in proved_by_path
+    assert sorted(proved_by_path) == sorted({t._key for t in walk.nodes} - {mid._key})
+
+
 def _moved_coordinates(ctx, s):
     """s with its socle, then its orbit, moved within its slope: the same
     class with coordinates that disagree with the context's decode."""
