@@ -49,7 +49,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .k0 import K0Context, rank_of
+from .k0 import K0Context
 from .records import Record, setfield
 from .slopes import INF, Slope
 from .tilting import (
@@ -57,6 +57,7 @@ from .tilting import (
     TiltingObject,
     _bound_complements,
     _complete_mutation,
+    _direction,
     _enter_complement,
     _exchange,
     _other_complement,
@@ -72,7 +73,7 @@ from .tilting import (
     t_can,
     torsion_exchanges,
 )
-from .tubes import ExcObject, _ext_either, _own_object, chart_for, ext_dim, window_object
+from .tubes import ExcObject, _ext_either, _own_object, chart_for, window_object
 
 
 def _warn(msg: str, *args: object) -> None:
@@ -274,9 +275,12 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
     checked against its event: two different nodes, one summand
     exchanged, the recorded removed and added summands, an index that is
     an int (not a bool) in range and holds the removed summand, and the
-    direction, exactly "L" or "R" as ext says (ext from the smaller slope
-    is 0 and is not read).  Each node's set of object keys, and the keys
-    it gains over the node before, are built once for both checks.
+    direction, exactly the "L" or "R" of the one direction rule
+    (`tilting._direction`, which reads no ext from the smaller slope and
+    raises InternalConsistencyError on two proved nodes whose exchanged
+    summands have ext in neither or both directions).  Each node's set
+    of object keys, and the keys it gains over the node before, are built
+    once for both checks.
     """
     if not path.nodes:
         _warn("path has no nodes")
@@ -315,9 +319,7 @@ def verify_path(ctx: K0Context, path: MutationPath) -> bool:
         if not in_range or prev.summands[k] is not ev.removed:
             _warn("event %d records a wrong index", i)
             return False
-        a, b = ev.added.slope, ev.removed.slope
-        left = a.num * b.den >= b.num * a.den and ext_dim(ctx, ev.added, ev.removed) > 0
-        if ev.direction != ("L" if left else "R"):
+        if ev.direction != _direction(ctx, ev.removed, ev.added):
             _warn("event %d records a wrong direction", i)
             return False
     return True
@@ -327,17 +329,21 @@ def shorten_path(ctx: K0Context, path: MutationPath) -> MutationPath:
     """The path with its loops erased and its detours spliced out.
 
     From each kept node the walk jumps to the last later node that equals
-    it or differs from it in one summand.  Such a node is the other
-    complement of their common almost complete tilting object
-    (Happel-Unger), so the spliced edge is the mutation of the kept node
-    at the summand it loses; InternalConsistencyError if it is not.
-    `mutate` reads that mutation off the complement table when the
-    search computed it, in either direction.  The result is never longer
-    and keeps both end points; its nodes are the input's nodes on the
-    context's objects (`_own_path`, the policy of `ExcObject`).  A path
-    with no nodes, one whose event count is not its node count - 1, and
-    two consecutive nodes that differ in more than one summand raise
-    PreconditionError.
+    it or differs from it in one summand.  The summand z that the later
+    node brings in is then a complement of their common almost complete
+    tilting object other than the summand the kept node loses, so by
+    Happel-Unger the spliced edge is the mutation of the kept node at that
+    summand, made by the one complement check (`tilting._exchange` of z:
+    rigidity and the one direction rule), with no complement search and
+    no complement-table read or write.  A later node that does not bring
+    in exactly one summand, a z that fails the check, or a result other
+    than the later node raises InternalConsistencyError.  The result is
+    never longer and keeps both end points; its nodes are the input's
+    nodes on the context's objects (`_own_path`, the policy of
+    `ExcObject`), and each spliced event is the one `mutate` would give
+    (one object per class, one direction rule).  A path with no nodes,
+    one whose event count is not its node count - 1, and two consecutive
+    nodes that differ in more than one summand raise PreconditionError.
     """
     if not path.nodes:
         raise PreconditionError("path has no nodes")
@@ -355,11 +361,14 @@ def shorten_path(ctx: K0Context, path: MutationPath) -> MutationPath:
         if j == i + 1:
             out.extend(nodes[j], path.events[i])
         elif sets[i] != sets[j]:
-            (lost,) = sets[i] - sets[j]
-            t2, ev = mutate(ctx, nodes[i], nodes[i]._key.index(lost))
-            if t2._key != nodes[j]._key:
+            a, b = nodes[i], nodes[j]
+            lost, got = sets[i] - sets[j], sets[j] - sets[i]
+            spliced = None
+            if len(lost) == len(got) == 1:
+                spliced = _exchange(ctx, a, a._key.index(*lost), b.summands[b._key.index(*got)])
+            if spliced is None or spliced[0]._key != b._key:
                 raise InternalConsistencyError("spliced mutation missed the later node")
-            out.extend(nodes[j], ev)
+            out.extend(b, spliced[1])
         i = j
     return out
 
@@ -502,7 +511,7 @@ def completion_containing(
     if len(seed_ids) != len(seed):
         raise PreconditionError("seed objects must be distinct")
     for i, x in enumerate(seed):
-        if x.slope.is_infinite or rank_of(ctx, x.cls) < 1:
+        if x.slope.is_infinite:
             raise PreconditionError("seed objects must be bundles")
         for y in seed[i + 1 :]:
             if _ext_either(ctx, x, y):
@@ -760,14 +769,16 @@ def connect_shared(
     """Bundle path t -> t2 through nodes all containing `shared`: one
     search of the stratum of tilting bundles containing it, bounded by
     the call's one clock.  t, t2 and `shared` are mapped to the context's
-    objects first (the policy of `ExcObject`)."""
+    objects first (the policy of `ExcObject`); an end that is not a
+    tilting bundle (`is_tilting`, which records its proof) raises
+    PreconditionError before the search."""
     if shared.len != 1:
         raise PreconditionError("shared summand must be quasi-simple")
     t, t2, shared = _own(ctx, t), _own(ctx, t2), _own_object(ctx, shared)
     for node in (t, t2):
         if shared._id not in node._key:
             raise PreconditionError("shared object is not a summand of both ends")
-        if not is_bundle(node):
+        if not is_bundle(node) or not is_tilting(ctx, node):
             raise PreconditionError("both ends must be tilting bundles")
     return _stratum_path(ctx, t, t2, shared.cls.vec, _clock(budget))
 

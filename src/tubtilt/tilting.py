@@ -49,10 +49,13 @@ plain depth-first walk over the box of multiplicities drops a branch
 once that bound rules a root out.  A root is turned into a class and
 decoded only if it passes necessary conditions that are linear in b (no
 forced ext against a summand, rank >= 0), tested at the leaves.  A
-decoded candidate, a guess and the complement that the stratum search
-forecasts all pass one complement check (`_exchange`).  The other
+decoded candidate, a guess, the complement that the stratum search
+forecasts and the summand a spliced edge of `connect.shorten_path`
+brings in all pass one complement check (`_exchange`).  The other
 summands keep their canonical order, so the result is built by
 inserting the complement at its place, not by sorting all n again.
+An exchange's direction has one rule (`_direction`), which `_exchange`,
+a `mutate` answered off the table and `connect.verify_path` all run.
 
 A mutation of a tilting bundle brings in a torsion sheaf exactly when
 the summand it removes is the only one with a map to some exceptional
@@ -174,7 +177,8 @@ class MutationEvent(Record):
     0 -> removed -> B -> added -> 0 (direction "L", ext(added, removed) > 0)
     or 0 -> added -> B -> removed -> 0 (direction "R"), whose middle term
     B is the minimal approximation by the other summands.  `approx_class`
-    is its class [B] = [removed] + [added].
+    is its class [B] = [removed] + [added].  Every direction the library
+    computes or checks comes from one rule (`_direction`).
     """
 
     __slots__ = ("index", "removed", "added", "direction")
@@ -596,38 +600,42 @@ def _exchange(
     the event, if `new` is the other complement of the remaining
     summands; None if `new` has ext with one of them.  It is the one
     complement check: `_complete_mutation` runs it on every decoded
-    proposal and search candidate, and the stratum search on the target
-    summand its forecast names (`connect._forecast_child`).
+    proposal and search candidate, the stratum search on the target
+    summand its forecast names (`connect._forecast_child`), and
+    `connect.shorten_path` on the summand a spliced-to node brings in.
 
     Rigidity: ext(new, T_i) = ext(T_i, new) = 0 for every i != k
     (`tubes._ext_either`); the n - 1 kept summands and `new` are then n
-    rigid exceptional objects.  Direction: L iff ext(new, T_k) > 0;
-    exactly one of ext(new, T_k) and ext(T_k, new) is nonzero for two
-    complements, else InternalConsistencyError; ext from the smaller
-    slope is 0 (`tubes._hom_ext`) and is not read.  So `new` is neither
-    T_k nor a kept summand, and by Happel-Unger it is the other
-    complement.  Both checks run before the insertion, and no tuple is
-    built for a `new` that fails the first.
+    rigid exceptional objects.  Direction: the one rule (`_direction`),
+    which raises InternalConsistencyError unless exactly one of
+    ext(new, T_k) and ext(T_k, new) is nonzero.  So `new` is neither T_k
+    nor a kept summand, and by Happel-Unger it is the other complement.
+    Both checks run before the insertion, and no tuple is built for a
+    `new` that fails the first.
     """
     for i, o in enumerate(t.summands):
         if i != k and _ext_either(ctx, new, o):
             return None
     tk = t.summands[k]
+    event = MutationEvent(k, tk, new, _direction(ctx, tk, new))
+    return _insert_summand(t.summands[:k] + t.summands[k + 1 :], new), event
+
+
+def _direction(ctx: K0Context, tk: ExcObject, new: ExcObject) -> str:
+    """The direction of the exchange of T_k for `new`, its other
+    complement: "L" iff ext(new, T_k) > 0, the sequence
+    0 -> T_k -> B -> new -> 0, else "R".  It is the one direction rule of
+    the library (`_exchange`, a `mutate` answered off the complement
+    table, and `connect.verify_path`).  Exactly one of ext(new, T_k) and
+    ext(T_k, new) is nonzero for two complements, else
+    InternalConsistencyError; ext from the smaller slope is 0
+    (`tubes._hom_ext`) and is not read."""
     up = tk.slope.num * new.slope.den - new.slope.num * tk.slope.den  # > 0: T_k's is larger
-    e_left = 0 if up > 0 else ext_dim(ctx, new, tk)  # nonzero iff 0 -> T_k -> B -> new -> 0
+    e_left = 0 if up > 0 else ext_dim(ctx, new, tk)
     e_right = 0 if up < 0 else ext_dim(ctx, tk, new)
     if (e_left > 0) == (e_right > 0):
-        raise InternalConsistencyError(
-            f"exchange direction ambiguous: ext {e_left}/{e_right}"
-        )
-    result = _insert_summand(t.summands[:k] + t.summands[k + 1 :], new)
-    event = MutationEvent(
-        index=k,
-        removed=tk,
-        added=new,
-        direction="L" if e_left > 0 else "R",
-    )
-    return result, event
+        raise InternalConsistencyError(f"exchange direction ambiguous: ext {e_left}/{e_right}")
+    return "L" if e_left > 0 else "R"
 
 
 def _combination(tk: ExcObject, free: Sequence[ExcObject], b: Sequence[int]) -> K0Class:
@@ -858,14 +866,14 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
 
     First a lookup of t without T_k in the complement table: a known
     complement other than T_k gives its holder, the result, and the
-    event's direction comes from the hom/ext memo (`_other_complement`,
-    which also enters t, so two known complements that both differ from
-    T_k raise InternalConsistencyError); ext from the smaller slope is 0
-    and is not read.  On a miss, a table past `_COMPLEMENT_TABLE_CAP`
-    entries is cleared, and `_complete_mutation` computes the mutation
-    and enters t and the result into the table: it checks the complement
-    proposed by the exchange sequence first, and searches only when no
-    proposal passes.
+    event's direction comes from the one direction rule (`_direction`,
+    on the hom/ext memo; `_other_complement` also enters t, so two known
+    complements that both differ from T_k raise
+    InternalConsistencyError).  On a miss, a table past
+    `_COMPLEMENT_TABLE_CAP` entries is cleared, and `_complete_mutation`
+    computes the mutation and enters t and the result into the table: it
+    checks the complement proposed by the exchange sequence first, and
+    searches only when no proposal passes.
 
     Precondition: t is tilting (see `make_tilting`); the result is then
     tilting without a re-check.  The complement is unique (Happel-Unger)
@@ -886,9 +894,7 @@ def mutate(ctx: K0Context, t: TiltingObject, k: int) -> tuple[TiltingObject, Mut
     if other is not None:
         holder, comp = other
         tk = t.summands[k]
-        a, b = comp.slope, tk.slope
-        left = a.num * b.den >= b.num * a.den and ext_dim(ctx, comp, tk) > 0
-        return holder, MutationEvent(k, tk, comp, "L" if left else "R")
+        return holder, MutationEvent(k, tk, comp, _direction(ctx, tk, comp))
     _bound_complements(ctx)
     return _complete_mutation(ctx, t, k, ac_key)
 

@@ -722,6 +722,10 @@ def test_connects_reject_a_non_tilting_end_up_front(ws, monkeypatch):
     assert w.cls.vec not in set(end.class_key())
     bad = TiltingObject((w,) + end.summands[1:])
     assert is_bundle(bad) and not is_tilting(ctx, bad)
+    # connect_shared gets a quasi-simple summand s of the bad end and a
+    # tilting bundle holding s, completed before the searches are patched
+    s = next(x for x in bad.summands if x.len == 1)
+    good = completion_containing(ctx, [s])
 
     def no_search(*args):
         raise AssertionError("a search ran on a non-tilting end")
@@ -729,13 +733,15 @@ def test_connects_reject_a_non_tilting_end_up_front(ws, monkeypatch):
     monkeypatch.setattr(connect, "_stratum_path", no_search)
     monkeypatch.setattr(connect, "completion_containing", no_search)
     calls = [
-        lambda: connect_to_canonical(ctx, bad),
-        lambda: connect_pair(ctx, bad, t_can(ctx)),
-        lambda: connect_pair(ctx, t_can(ctx), bad),
-        lambda: integerize(ctx, bad),
+        (lambda: connect_to_canonical(ctx, bad), "input must be a tilting bundle"),
+        (lambda: connect_pair(ctx, bad, t_can(ctx)), "input must be a tilting bundle"),
+        (lambda: connect_pair(ctx, t_can(ctx), bad), "input must be a tilting bundle"),
+        (lambda: integerize(ctx, bad), "input must be a tilting bundle"),
+        (lambda: connect_shared(ctx, bad, good, s), "both ends must be tilting bundles"),
+        (lambda: connect_shared(ctx, good, bad, s), "both ends must be tilting bundles"),
     ]
-    for call in calls:
-        with pytest.raises(PreconditionError, match="input must be a tilting bundle"):
+    for call, msg in calls:
+        with pytest.raises(PreconditionError, match=msg):
             call()
     assert bad._key not in ctx._proved
 
@@ -1041,9 +1047,37 @@ def test_shorten_path_checks_the_spliced_mutation(ctx2222, monkeypatch):
     walk = random_walk(ctx2222, 6, 3001, bundle_only=True)
     route = _oracle_route(ctx2222, walk.end)
     assert len(shorten_path(ctx2222, route).events) < len(route.events)
-    monkeypatch.setattr(connect, "mutate", lambda ctx, t, k: (t, None))
-    with pytest.raises(InternalConsistencyError, match="spliced"):
-        shorten_path(ctx2222, route)
+    # a splice whose complement check fails, and one that lands elsewhere
+    for fake in (lambda ctx, t, k, z: None, lambda ctx, t, k, z: (t, None)):
+        monkeypatch.setattr(connect, "_exchange", fake)
+        with pytest.raises(InternalConsistencyError, match="spliced"):
+            shorten_path(ctx2222, route)
+
+
+def test_shorten_path_splices_without_a_mutation(monkeypatch):
+    # a splice takes the summand the later node brings in through the one
+    # complement check: no mutate, no computed mutation, no table write;
+    # each spliced event is still the one mutate gives
+    ctx = build_context(make_weights((2, 2, 2, 2)))
+    walk = random_walk(ctx, 6, 3001, bundle_only=True)
+    route = _oracle_route(ctx, walk.end)
+    table = dict(ctx._complements)
+
+    def no_mutation(*args):
+        raise AssertionError("a splice made a mutation")
+
+    with monkeypatch.context() as m:
+        m.setattr(connect, "mutate", no_mutation)
+        m.setattr(connect, "_complete_mutation", no_mutation)
+        m.setattr(tilting, "_complete_mutation", no_mutation)
+        short = shorten_path(ctx, route)
+    assert ctx._complements == table
+    assert len(short.events) < len(route.events)
+    assert verify_path(ctx, short)
+    for t, nxt, ev in zip(short.nodes, short.nodes[1:], short.events):
+        t2, want = mutate(ctx, t, ev.index)
+        assert t2._key == nxt._key
+        assert (ev.removed, ev.added, ev.direction) == (want.removed, want.added, want.direction)
 
 
 def test_shorten_path_rejects_nodes_that_are_no_edge(ctx2222):
@@ -1603,21 +1637,18 @@ def test_explore_graph_completes_only_the_children_it_keeps(monkeypatch):
 
 
 def test_no_ext_read_from_the_smaller_slope(monkeypatch):
-    # ext(x, y) = 0 when x has the smaller slope, so tilting and connect
-    # never read it: seeded walks (cold mutations), mutations read back
-    # from the table, one connect (verify_path) and one explore
-    reads = {"tilting": 0, "connect": 0}
+    # ext(x, y) = 0 when x has the smaller slope, so the library never
+    # reads it: seeded walks (cold mutations), mutations read back from the
+    # table, one connect, its verify_path (whose direction rule is
+    # tilting's) and one explore
+    reads = []
 
-    def spy_for(module):
-        def spy(ctx, x, y):
-            assert not x.slope < y.slope, (module, x, y)
-            reads[module] += 1
-            return ext_dim(ctx, x, y)
+    def spy(ctx, x, y):
+        assert not x.slope < y.slope, (x, y)
+        reads.append((x, y))
+        return ext_dim(ctx, x, y)
 
-        return spy
-
-    monkeypatch.setattr(tilting, "ext_dim", spy_for("tilting"))
-    monkeypatch.setattr(connect, "ext_dim", spy_for("connect"))
+    monkeypatch.setattr(tilting, "ext_dim", spy)
     for ws in TUBULAR_TYPES:
         ctx = build_context(make_weights(ws))
         for seed in (4200, 4201):
@@ -1627,9 +1658,11 @@ def test_no_ext_read_from_the_smaller_slope(monkeypatch):
                 assert back[1].added == ev.removed
     ctx = build_context(make_weights((3, 3, 3)))
     end = random_walk(ctx, 6, seed=4202, bundle_only=True).end
-    assert verify_path(ctx, connect_to_canonical(ctx, end))
+    path = connect_to_canonical(ctx, end)
+    before = len(reads)
+    assert verify_path(ctx, path)
+    assert len(reads) > before
     explore_graph(ctx, t_can(ctx), Slope(-1, 1), INF, 16)
-    assert reads["tilting"] > 0 and reads["connect"] > 0
 
 
 def test_golden_paths():

@@ -28,6 +28,7 @@ from tubtilt.tilting import (
     MutationEvent,
     TiltingObject,
     _combination,
+    _direction,
     _exchange_gram,
     _full_gram,
     _gram_det,
@@ -598,6 +599,31 @@ def test_exchange_additivity(any_ctx):
         assert coords is not None
         assert coords[k] == 0
         assert all(c >= 0 for c in coords)
+
+
+@pytest.mark.parametrize("bundle_only", [False, True], ids=["any", "bundles"])
+def test_direction_is_the_event_direction(any_ctx, bundle_only):
+    # the one direction rule gives every walk event its direction, cold or
+    # read off the complement table, and the flipped one on the reversed edge
+    checked = 0
+    for seed in range(4700, 4704):
+        walk = random_walk(any_ctx, 8, seed, bundle_only)
+        for t, ev in zip(walk.nodes[1:], walk.events):
+            assert _direction(any_ctx, ev.removed, ev.added) == ev.direction
+            flipped = "R" if ev.direction == "L" else "L"
+            assert _direction(any_ctx, ev.added, ev.removed) == flipped
+            assert mutate(any_ctx, t, t.index_of(ev.added))[1].direction == flipped
+            checked += 1
+    assert checked == 32
+
+
+def test_direction_of_two_summands_is_ambiguous(any_ctx):
+    # two summands of T_can have no ext either way: neither is the other's
+    # complement, and the rule says so instead of guessing "R"
+    tc = t_can(any_ctx)
+    for x, y in ((tc.summands[0], tc.summands[1]), (tc.summands[-1], tc.summands[0])):
+        with pytest.raises(InternalConsistencyError, match="ambiguous: ext 0/0"):
+            _direction(any_ctx, x, y)
 
 
 def _box_hits(ctx, t, k):
